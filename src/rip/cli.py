@@ -120,62 +120,60 @@ def _timings(lp_solves: int, pivots: int) -> dict:
     return {"lp_solves": lp_solves, "simplex_pivots": pivots}
 
 
-def _run_price(config: ModelConfig, args) -> Tuple[dict, List[str]]:
-    claim = _require_claim(config)
-    table = model_price(config.space, config.target, config.info, claim, config.book)
+def _table_report(command: str, config: ModelConfig, args, table, witness, finding: str):
+    """Per-atom entries of a price or hedge table, with the witness fields."""
     findings = []
     entries = []
     pivots = 0
-    for atom, pv in table:
-        entry = {"atom": atom_entry(atom), "value": num(pv.value)}
-        if pv.measure is not None:
-            entry["measure"] = measure_entry(pv.measure)
-        if pv.certificate is not None:
-            entry["infeasible"] = True
+    for atom, v in table:
+        entry = {"atom": atom_entry(atom), "value": num(v.value)}
+        entry.update(witness(v))
         entries.append(entry)
-        pivots += pv.pivots
-        if not pv.finite:
-            findings.append(
-                f"no calibrated measure lives on the atom containing path {atom.paths[0]}"
-            )
-    entries = _filter_atoms(entries, args.atom)
+        pivots += v.pivots
+        if not v.finite:
+            findings.append(f"{finding} on the atom containing path {atom.paths[0]}")
     report = {
-        "command": "price",
+        "command": command,
         "model": _model_block(config),
         "claim": _claim_text(config),
-        "atoms": entries,
+        "atoms": _filter_atoms(entries, args.atom),
         "timings": _timings(len(table), pivots),
     }
     return report, findings
+
+
+def _price_witness(pv) -> dict:
+    out = {}
+    if pv.measure is not None:
+        out["measure"] = measure_entry(pv.measure)
+    if pv.certificate is not None:
+        out["infeasible"] = True
+    return out
+
+
+def _hedge_witness(hv) -> dict:
+    out = {}
+    if hv.strategy is not None:
+        out["strategy"] = strategy_entry(hv.strategy)
+    if hv.ray is not None:
+        out["arbitrage"] = ray_entry(hv.ray)
+    return out
+
+
+def _run_price(config: ModelConfig, args) -> Tuple[dict, List[str]]:
+    claim = _require_claim(config)
+    table = model_price(config.space, config.target, config.info, claim, config.book)
+    return _table_report(
+        "price", config, args, table, _price_witness, "no calibrated measure lives"
+    )
 
 
 def _run_hedge(config: ModelConfig, args) -> Tuple[dict, List[str]]:
     claim = _require_claim(config)
     table = superhedge(config.space, config.target, config.info, claim, config.book)
-    findings = []
-    entries = []
-    pivots = 0
-    for atom, hv in table:
-        entry = {"atom": atom_entry(atom), "value": num(hv.value)}
-        if hv.strategy is not None:
-            entry["strategy"] = strategy_entry(hv.strategy)
-        if hv.ray is not None:
-            entry["arbitrage"] = ray_entry(hv.ray)
-        entries.append(entry)
-        pivots += hv.pivots
-        if not hv.finite:
-            findings.append(
-                f"hedging is unbounded below on the atom containing path {atom.paths[0]}"
-            )
-    entries = _filter_atoms(entries, args.atom)
-    report = {
-        "command": "hedge",
-        "model": _model_block(config),
-        "claim": _claim_text(config),
-        "atoms": entries,
-        "timings": _timings(len(table), pivots),
-    }
-    return report, findings
+    return _table_report(
+        "hedge", config, args, table, _hedge_witness, "hedging is unbounded below"
+    )
 
 
 def _run_duality(config: ModelConfig, args) -> Tuple[dict, List[str]]:

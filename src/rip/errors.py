@@ -42,10 +42,6 @@ class PayoffSyntaxError(RipError):
         self.token = token
 
 
-class IncompatibleGridError(RipError):
-    """A time reparametrisation does not map grid points to grid points."""
-
-
 class UndefinedHoldingError(RipError):
     """A trading strategy was asked for a holding it never defined."""
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
-from ._numeric import NEG_INF, is_neg_inf
+from ._numeric import NEG_INF, get_ops, is_neg_inf
 from .errors import InternalCheckError, PreconditionError, UndefinedHoldingError
 from .information import (
     AtomTable,
@@ -25,11 +25,11 @@ from .information import (
     VARIANT_NONE,
     atoms_at,
     check_scaling_form,
-    f_atom,
+    filtration,
     market_partition,
 )
 from .lp import LinearProgram, Optimal, Unbounded, solve_checked
-from .paths import PathSpace, StaticOptionBook, fatten
+from .paths import PathSpace, StaticOptionBook
 from .payoff import Expr, validate_payoff
 
 
@@ -41,7 +41,7 @@ class Strategy:
     maps ``(t, atom_paths)`` to a holdings tuple over all traded
     coordinates, valid from ``t`` to ``t + 1``.  An empty ``dynamic`` means
     no dynamic trading at all; a non-empty one must cover every atom it is
-    ever asked about.
+    ever asked about.  ``span`` is the ``(t_from, t_to)`` interval traded.
     """
 
     static: tuple
@@ -129,17 +129,18 @@ class HedgeValue:
 class HedgeProblem:
     """One superhedging linear program and its variable layout.
 
-    The program's cash variable is measured above ``cash_shift``, the
-    claim's maximum over the target, so its value and its cash position
-    fall short of the portfolio's by that amount; :func:`extract_strategy`
-    adds it back.
+    Trading runs over ``interval = (t_from, t_to)`` and the claim is paid
+    at ``t_to``.  The program's cash variable is measured above
+    ``cash_shift``, the claim's maximum over the target, so its value and
+    its cash position fall short of the portfolio's by that amount;
+    :func:`extract_strategy` adds it back.
     """
 
     space: PathSpace
     target: tuple
     claim_values: tuple  # aligned with target
     book: StaticOptionBook
-    t_from: int
+    interval: tuple
     dynamic_vars: tuple  # of (t, atom_paths, coord)
     lp: LinearProgram
     cash_shift: Any
@@ -153,20 +154,22 @@ def build_hedge_problem(
     space: PathSpace,
     target: Sequence[int],
     info: InfoStructure,
-    claim: Expr,
+    claim_values: Sequence[Any],
     book: StaticOptionBook,
-    t_from: int = 0,
+    interval: Optional[tuple] = None,
 ) -> HedgeProblem:
     """Assemble the cost-minimising program for one path set.
 
+    ``claim_values`` holds the claim's value on every path of the space.
     Variables are the static positions (cash first) followed by one holding
-    per ``(t, atom, coordinate)`` for atoms meeting the target; all are
-    free.  One ``>=`` row per target path requires terminal wealth to
-    dominate the claim there.  Cash is measured above the claim's maximum
-    on the target, so every right-hand side is at most zero and the origin
-    (that maximum held in cash, nothing traded) is feasible; the solver
-    then needs no phase 1.  The shift is kept as ``cash_shift`` and added
-    back to the value and the cash position.
+    per ``(t, atom, coordinate)`` for ``t`` in the interval (``(0, n)`` by
+    default) and atoms meeting the target; all are free.  One ``>=`` row
+    per target path requires wealth at the interval's end to dominate the
+    claim there.  Cash is measured above the claim's maximum on the
+    target, so every right-hand side is at most zero and the origin (that
+    maximum held in cash, nothing traded) is feasible; the solver then
+    needs no phase 1.  The shift is kept as ``cash_shift`` and added back
+    to the value and the cash position.
     """
     ops = space.ops
     target = tuple(sorted(set(target)))
@@ -175,55 +178,60 @@ def build_hedge_problem(
     for p in target:
         if not 0 <= p < len(space.paths):
             raise PreconditionError(f"path index {p} out of range")
-    validate_payoff(claim, space.n_coords, space.n_steps)
-    all_claim = space.claim_values(claim)
-    claim_values = tuple(all_claim[p] for p in target)
-    cash_shift = max(claim_values)
+    if len(claim_values) != len(space.paths):
+        raise PreconditionError("need one claim value per path of the space")
+    t_from, t_to = interval if interval is not None else (0, space.n_steps)
+    if not 0 <= t_from <= t_to <= space.n_steps:
+        raise PreconditionError(f"bad interval ({t_from}, {t_to})")
+    values = tuple(claim_values[p] for p in target)
+    cash_shift = max(values)
     payoff_rows = book.payoff_matrix(space)
+    fm = filtration(space, info)
 
-    n = space.n_steps
-    dynamic_vars = []
-    for t in range(t_from, n):
-        for atom in atoms_at(space, info, t):
-            if any(p in target for p in atom.paths):
-                for i in range(space.n_coords):
-                    dynamic_vars.append((t, atom.paths, i))
     n_static = book.size
+    dynamic_vars = []
+    column = {}  # (t, atom index) -> the atom's first holding variable
+    for t in range(t_from, t_to):
+        for k, _ in fm.meet(t, target):
+            column[(t, k)] = n_static + len(dynamic_vars)
+            paths = fm.atoms[t][k].paths
+            dynamic_vars.extend((t, paths, i) for i in range(space.n_coords))
     n_vars = n_static + len(dynamic_vars)
 
-    var_at = {key: n_static + k for k, key in enumerate(dynamic_vars)}
     rows = []
-    for row_idx, p in enumerate(target):
+    for p, value in zip(target, values):
         coeffs = [ops.zero] * n_vars
         for l in range(n_static):
             coeffs[l] = payoff_rows[l][p]
-        path = space.paths[p]
-        for t in range(t_from, n):
-            key_atom = None
-            for atom in atoms_at(space, info, t):
-                if p in atom.paths:
-                    key_atom = atom.paths
-                    break
-            row_now, row_next = path.values[t], path.values[t + 1]
-            for i in range(space.n_coords):
-                delta = row_next[i] - row_now[i]
+        for t in range(t_from, t_to):
+            first = column[(t, fm.cell[t][p])]
+            for i, delta in enumerate(fm.delta[t][p]):
                 if delta != ops.zero:
-                    coeffs[var_at[(t, key_atom, i)]] = delta
-        rows.append((coeffs, ">=", claim_values[row_idx] - cash_shift))
+                    coeffs[first + i] = delta
+        rows.append((coeffs, ">=", value - cash_shift))
 
     objective = list(book.prices(ops)) + [ops.zero] * len(dynamic_vars)
     lp = LinearProgram.build("min", objective, rows, ["free"] * n_vars)
     return HedgeProblem(
-        space, target, claim_values, book, t_from, tuple(dynamic_vars), lp, cash_shift
+        space, target, values, book, (t_from, t_to), tuple(dynamic_vars), lp, cash_shift
     )
+
+
+def _holdings(problem: HedgeProblem, values: Sequence[Any]) -> dict:
+    """Holdings per ``(t, atom_paths)``, read off the dynamic variables."""
+    out: dict = {}
+    zeros = [problem.space.ops.zero] * problem.space.n_coords
+    for (t, paths, i), value in zip(problem.dynamic_vars, values):
+        out.setdefault((t, paths), list(zeros))[i] = value
+    return {key: tuple(holding) for key, holding in out.items()}
 
 
 def extract_strategy(outcome, problem: HedgeProblem) -> Strategy:
     """Read a strategy off an optimal hedge solve and re-verify it pathwise.
 
-    Checks, by direct evaluation, that the strategy's terminal wealth
-    dominates the claim on every target path and that its cost matches the
-    reported value plus the cash shift; a failure raises
+    Checks, by direct evaluation, that the strategy's wealth at the
+    interval's end dominates the claim on every target path and that its
+    cost matches the reported value plus the cash shift; a failure raises
     :class:`InternalCheckError`.  Passing an unbounded or infeasible outcome
     is an error.
     """
@@ -231,13 +239,8 @@ def extract_strategy(outcome, problem: HedgeProblem) -> Strategy:
         raise PreconditionError("only an optimal outcome carries a strategy")
     n_static = problem.n_static
     static = (outcome.x[0] + problem.cash_shift,) + tuple(outcome.x[1:n_static])
-    dynamic: dict = {}
-    for key, value in zip(problem.dynamic_vars, outcome.x[n_static:]):
-        t, paths, i = key
-        holding = dynamic.setdefault((t, paths), [problem.space.ops.zero] * problem.space.n_coords)
-        holding[i] = value
-    dynamic = {k: tuple(v) for k, v in dynamic.items()}
-    strategy = Strategy(static, dynamic, (problem.t_from, problem.space.n_steps))
+    dynamic = _holdings(problem, outcome.x[n_static:])
+    strategy = Strategy(static, dynamic, problem.interval)
 
     space = problem.space
     ops = space.ops
@@ -248,7 +251,7 @@ def extract_strategy(outcome, problem: HedgeProblem) -> Strategy:
     for row_idx, p in enumerate(problem.target):
         wealth = sum(
             (static[l] * payoff_rows[l][p] for l in range(n_static)), ops.zero
-        ) + gains(space, dynamic, p, problem.t_from, space.n_steps)
+        ) + gains(space, dynamic, p, *problem.interval)
         if wealth < problem.claim_values[row_idx] - ops.dual_tol:
             raise InternalCheckError(
                 f"extracted strategy fails to dominate the claim on path {p}"
@@ -265,29 +268,32 @@ def _hedge_value(problem: HedgeProblem) -> HedgeValue:
     if isinstance(outcome, Unbounded):
         ops = problem.space.ops
         n_static = problem.n_static
-        d_static = list(outcome.ray[:n_static])
-        d_dynamic: dict = {}
-        for key, value in zip(problem.dynamic_vars, outcome.ray[n_static:]):
-            t, paths, i = key
-            holding = d_dynamic.setdefault((t, paths), [ops.zero] * problem.space.n_coords)
-            holding[i] = value
-        prices = problem.book.prices(ops)
-        cost = sum((a * p for a, p in zip(d_static, prices)), ops.zero)
+        ray = outcome.ray
+        cost = Strategy(ray[:n_static], {}).cost(problem.book, ops)
         if cost < 0:
             scale = -1 / cost
-            d_static = [a * scale for a in d_static]
-            d_dynamic = {k: [v * scale for v in h] for k, h in d_dynamic.items()}
+            ray = [d * scale for d in ray]
             cost = -ops.one
-        ray = ArbitrageRay(
-            tuple(d_static),
-            {k: tuple(h) for k, h in d_dynamic.items()},
-            cost,
-        )
-        return HedgeValue(NEG_INF, ray=ray, pivots=outcome.pivots)
+        witness = ArbitrageRay(tuple(ray[:n_static]), _holdings(problem, ray[n_static:]), cost)
+        return HedgeValue(NEG_INF, ray=witness, pivots=outcome.pivots)
     raise InternalCheckError(
         "a superhedging program can never be infeasible; "
         "holding max-claim in cash always dominates"
     )
+
+
+def _hedge_table(space, atoms, target, info, claim, book, interval) -> AtomTable:
+    """One hedge per atom meeting the target, over the paths they share."""
+    validate_payoff(claim, space.n_coords, space.n_steps)
+    values = space.claim_values(claim)
+    target_set = set(target)
+    entries = []
+    for atom in atoms:
+        meet = sorted(target_set.intersection(atom.paths))
+        if meet:
+            problem = build_hedge_problem(space, meet, info, values, book, interval)
+            entries.append((atom, _hedge_value(problem)))
+    return AtomTable(entries)
 
 
 def superhedge(
@@ -305,52 +311,27 @@ def superhedge(
     value on an atom is constant across its paths by construction, and is
     ``-inf`` with an arbitrage witness when the program is unbounded.
     """
-    book = book or StaticOptionBook.cash_only()
-    target_set = set(space.all_paths() if target is None else target)
-    if not target_set:
+    target = space.all_paths() if target is None else tuple(target)
+    if not target:
         raise PreconditionError("cannot hedge over an empty path set")
-    entries = []
-    for atom in atoms_at(space, info, -1):
-        meet = sorted(target_set.intersection(atom.paths))
-        if not meet:
-            continue
-        problem = build_hedge_problem(space, meet, info, claim, book)
-        entries.append((atom, _hedge_value(problem)))
-    return AtomTable(entries)
-
-
-def superhedge_interval(
-    space: PathSpace,
-    path_index: int,
-    t_from: int,
-    info: InfoStructure,
-    claim: Expr,
-) -> Any:
-    """Cash-only superhedging value over the market atom at ``t_from``.
-
-    The program runs on the paths indistinguishable from the given one up
-    to ``t_from``, with trading only from ``t_from`` on.  At ``t_from = n``
-    it degenerates to the claim's value on the path; at ``t_from = 0`` it
-    is the plain superhedging value over the whole space.
-    """
-    atom = f_atom(space, path_index, t_from)
-    problem = build_hedge_problem(
-        space, atom.paths, info, claim, StaticOptionBook.cash_only(), t_from=t_from
-    )
-    return _hedge_value(problem).value
+    book = book or StaticOptionBook.cash_only()
+    atoms = atoms_at(space, info, -1)
+    return _hedge_table(space, atoms, target, info, claim, book, (0, space.n_steps))
 
 
 def interval_value_table(
     space: PathSpace, t_from: int, info: InfoStructure, claim: Expr
 ) -> AtomTable:
-    """Interval superhedging values for every market atom at ``t_from``."""
-    entries = []
-    for atom in market_partition(space, t_from):
-        problem = build_hedge_problem(
-            space, atom.paths, info, claim, StaticOptionBook.cash_only(), t_from=t_from
-        )
-        entries.append((atom, _hedge_value(problem)))
-    return AtomTable(entries)
+    """Cash-only superhedging values over every market atom at ``t_from``.
+
+    Each value hedges the claim on the atom's paths with trading from
+    ``t_from`` on.  At ``t_from = n`` every atom is one path and its value
+    is the claim's value there; at ``t_from = 0`` the table has one entry,
+    the plain superhedging value over the whole space.
+    """
+    atoms = market_partition(space, t_from)
+    book = StaticOptionBook.cash_only()
+    return _hedge_table(space, atoms, space.all_paths(), info, claim, book, (t_from, space.n_steps))
 
 
 @dataclass(frozen=True)
@@ -361,12 +342,15 @@ class DppDecomposition:
     composed: Any
     split: int
     inner: AtomTable
+    mode: str
 
     @property
     def agree(self) -> bool:
+        """Equal values, exactly in rational mode and within ``dual_tol`` in float."""
         if is_neg_inf(self.direct) or is_neg_inf(self.composed):
             return is_neg_inf(self.direct) and is_neg_inf(self.composed)
-        return self.direct == self.composed
+        ops = get_ops(self.mode)
+        return ops.eq(self.direct, self.composed, ops.dual_tol)
 
 
 def _check_dpp_info(space: PathSpace, info: InfoStructure, split: int) -> None:
@@ -393,78 +377,28 @@ def dpp_superhedge(
 ) -> DppDecomposition:
     """Compare direct superhedging with hedging into interval values at ``split``.
 
-    The composed route superhedges, over ``[0, split]`` with market
-    information, the table of cash-only interval values on ``[split, n]``;
-    market atoms whose interval value is ``-inf`` impose no outer
-    constraint (no finite capital is ever enough on them).  Cash-only
-    throughout.
+    The composed route is an ordinary superhedge over ``[0, split]``, with
+    market information, of the table of cash-only interval values on
+    ``[split, n]``; market atoms whose interval value is ``-inf`` impose no
+    outer constraint (no finite capital is ever enough on them).
+    Cash-only throughout.
     """
     _check_dpp_info(space, info, split)
     direct = superhedge(space, None, info, claim).single().value
 
     inner = interval_value_table(space, split, info, claim)
-    ops = space.ops
-    finite_paths = []
-    floor: dict = {}
+    floor = [NEG_INF] * len(space.paths)
     for atom, hv in inner:
-        if hv.finite:
-            for p in atom.paths:
-                finite_paths.append(p)
-                floor[p] = hv.value
-    if not finite_paths:
-        return DppDecomposition(direct, NEG_INF, split, inner)
-
-    # outer program: cash plus market-adapted trading before the split
-    n_static = 1
-    dynamic_vars = []
-    for t in range(split):
-        for atom in atoms_at(space, info, t):
-            if any(p in floor for p in atom.paths):
-                for i in range(space.n_coords):
-                    dynamic_vars.append((t, atom.paths, i))
-    var_at = {key: n_static + k for k, key in enumerate(dynamic_vars)}
-    rows = []
-    for p in sorted(finite_paths):
-        coeffs = [ops.zero] * (n_static + len(dynamic_vars))
-        coeffs[0] = ops.one
-        path = space.paths[p]
-        for t in range(split):
-            for atom in atoms_at(space, info, t):
-                if p in atom.paths:
-                    row_now, row_next = path.values[t], path.values[t + 1]
-                    for i in range(space.n_coords):
-                        delta = row_next[i] - row_now[i]
-                        if delta != ops.zero:
-                            coeffs[var_at[(t, atom.paths, i)]] = delta
-                    break
-        rows.append((coeffs, ">=", floor[p]))
-    lp = LinearProgram.build(
-        "min",
-        [ops.one] + [ops.zero] * len(dynamic_vars),
-        rows,
-        ["free"] * (n_static + len(dynamic_vars)),
+        for p in atom.paths:
+            floor[p] = hv.value
+    finite = [p for p, value in enumerate(floor) if not is_neg_inf(value)]
+    if not finite:
+        return DppDecomposition(direct, NEG_INF, split, inner, space.mode)
+    outer = build_hedge_problem(
+        space, finite, info, floor, StaticOptionBook.cash_only(), (0, split)
     )
-    outcome = solve_checked(lp, ops)
-    composed = outcome.value if isinstance(outcome, Optimal) else NEG_INF
-    return DppDecomposition(direct, composed, split, inner)
-
-
-def approx_superhedge(
-    space: PathSpace,
-    support: Iterable[int],
-    radius,
-    claim: Expr,
-    book: Optional[StaticOptionBook] = None,
-) -> Any:
-    """Superhedging value over the fattened support.
-
-    Fattens the given paths by ``radius`` in uniform distance and
-    superhedges over the result with market information only.  At radius 0
-    this is the plain value over the support; it is nondecreasing in the
-    radius and saturates once the radius reaches the diameter of the space.
-    """
-    fat = fatten(space, support, radius)
-    return superhedge(space, fat, InfoStructure.none(), claim, book).single().value
+    composed = _hedge_value(outer).value
+    return DppDecomposition(direct, composed, split, inner, space.mode)
 
 
 __all__ = [
@@ -477,8 +411,6 @@ __all__ = [
     "build_hedge_problem",
     "extract_strategy",
     "superhedge",
-    "superhedge_interval",
     "interval_value_table",
     "dpp_superhedge",
-    "approx_superhedge",
 ]

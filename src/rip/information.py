@@ -21,14 +21,13 @@ variables on atoms deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Optional, Sequence
 
 from ._numeric import FLOAT, ModeOps
-from .errors import IncompatibleGridError, PreconditionError
+from .errors import PreconditionError
 from .payoff import Expr, evaluate_payoff, parse_payoff
-from .paths import Path, PathSpace
+from .paths import Path, PathSpace, _prefix_groups
 
 VARIANT_NONE = "none"
 VARIANT_PLUS = "plus"
@@ -163,11 +162,7 @@ class AtomTable:
 
 @lru_cache(maxsize=512)
 def _market_groups(space: PathSpace, t: int) -> tuple:
-    groups: dict = {}
-    for p, path in enumerate(space.paths):
-        groups.setdefault(path.values[: t + 1], []).append(p)
-    ordered = sorted(groups.values(), key=lambda g: g[0])
-    return tuple(tuple(g) for g in ordered)
+    return tuple(tuple(g) for g in _prefix_groups(space.paths, t))
 
 
 @lru_cache(maxsize=512)
@@ -175,19 +170,17 @@ def _labels(space: PathSpace, variable: InfoVariable) -> tuple:
     raw = [variable.label(path, space.ops) for path in space.paths]
     if space.mode != FLOAT:
         return tuple(raw)
-    # quantise: labels closer than the tolerance collapse to one representative
+    # quantise in one sweep over the sorted distinct labels: each label joins
+    # the cluster of the smallest label within the tolerance below it, so the
+    # result does not depend on the order of the paths
     tol = space.ops.label_tol
-    reps: list = []
-    out = []
-    for x in raw:
-        for r in sorted(reps):
-            if abs(x - r) <= tol:
-                out.append(r)
-                break
-        else:
-            reps.append(x)
-            out.append(x)
-    return tuple(out)
+    rep_of = {}
+    rep = None
+    for x in sorted(set(raw)):
+        if rep is None or x - rep > tol:
+            rep = x
+        rep_of[x] = rep
+    return tuple(rep_of[x] for x in raw)
 
 
 def market_partition(space: PathSpace, t: int) -> tuple:
@@ -195,16 +188,6 @@ def market_partition(space: PathSpace, t: int) -> tuple:
     if not 0 <= t <= space.n_steps:
         raise PreconditionError(f"grid index {t} outside 0..{space.n_steps}")
     return tuple(Atom(t, g) for g in _market_groups(space, t))
-
-
-def f_atom(space: PathSpace, path_index: int, t: int) -> Atom:
-    """The market atom at index ``t`` containing a given path."""
-    if not 0 <= path_index < len(space.paths):
-        raise PreconditionError(f"path index {path_index} out of range")
-    for atom in market_partition(space, t):
-        if path_index in atom.paths:
-            return atom
-    raise AssertionError("partition does not cover the space")
 
 
 def z_partition(space: PathSpace, variable: InfoVariable) -> tuple:
@@ -240,12 +223,7 @@ def _check_arrival(space: PathSpace, info: InfoStructure) -> None:
         )
 
 
-def atoms_at(space: PathSpace, info: InfoStructure, t: int) -> tuple:
-    """The agent's partition at grid index ``t``; ``t = -1`` is the
-    initial-capital partition."""
-    if not -1 <= t <= space.n_steps:
-        raise PreconditionError(f"grid index {t} outside -1..{space.n_steps}")
-    _check_arrival(space, info)
+def _partition(space: PathSpace, info: InfoStructure, t: int) -> tuple:
     if t == -1:
         if info.variant == VARIANT_PLUS:
             return joined_partition(space, info.variable, 0)
@@ -257,11 +235,68 @@ def atoms_at(space: PathSpace, info: InfoStructure, t: int) -> tuple:
     return joined_partition(space, info.variable, t)
 
 
-def atom_of(partition: Sequence[Atom], path_index: int) -> Atom:
-    for atom in partition:
-        if path_index in atom.paths:
-            return atom
-    raise PreconditionError(f"path {path_index} not covered by the partition")
+@dataclass(frozen=True)
+class Filtration:
+    """The agent's partitions with, per path, its atom and its price moves.
+
+    ``atoms``, ``cell`` and ``delta`` are indexed by grid index.  ``atoms[t]``
+    is the partition at ``t`` for ``t = -1..n``; the initial-capital
+    partition is stored last, so index ``-1`` reaches it.  ``cell[t][p]`` is
+    the position in ``atoms[t]`` of the atom holding path ``p``, and
+    ``delta[t][p]`` holds the increments ``S[t+1] - S[t]`` of path ``p``,
+    one per coordinate, for ``t = 0..n-1``.
+    """
+
+    atoms: tuple
+    cell: tuple
+    delta: tuple
+
+    def meet(self, t: int, paths: Sequence[int]) -> list:
+        """Group ascending ``paths`` by their atom at ``t``.
+
+        Returns ``(atom index, members)`` pairs in partition order, for the
+        atoms that hold at least one of the paths.
+        """
+        cells = self.cell[t]
+        groups: dict = {}
+        for p in paths:
+            groups.setdefault(cells[p], []).append(p)
+        return sorted(groups.items())
+
+
+# the per-path tables are large, and a run works on a few spaces at a time
+@lru_cache(maxsize=16)
+def _filtration(space: PathSpace, info: InfoStructure) -> Filtration:
+    atoms = []
+    cells = []
+    for t in list(range(space.n_steps + 1)) + [-1]:
+        partition = _partition(space, info, t)
+        cell = [0] * len(space.paths)
+        for k, atom in enumerate(partition):
+            for p in atom.paths:
+                cell[p] = k
+        atoms.append(partition)
+        cells.append(tuple(cell))
+    rows = [path.values for path in space.paths]
+    delta = tuple(
+        tuple(tuple(b - a for a, b in zip(v[t], v[t + 1])) for v in rows)
+        for t in range(space.n_steps)
+    )
+    return Filtration(tuple(atoms), tuple(cells), delta)
+
+
+def filtration(space: PathSpace, info: InfoStructure) -> Filtration:
+    """The agent's partitions and price increments, built once per pair."""
+    _check_arrival(space, info)
+    return _filtration(space, info)
+
+
+def atoms_at(space: PathSpace, info: InfoStructure, t: int) -> tuple:
+    """The agent's partition at grid index ``t``; ``t = -1`` is the
+    initial-capital partition."""
+    if not -1 <= t <= space.n_steps:
+        raise PreconditionError(f"grid index {t} outside -1..{space.n_steps}")
+    return filtration(space, info).atoms[t]
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +406,7 @@ def lift_to_tail(base_variable: InfoVariable, arrival: int) -> InfoVariable:
 
 
 # ---------------------------------------------------------------------------
-# scaling form and path surgery
+# scaling form
 
 
 def check_scaling_form(space: PathSpace, variable: InfoVariable, arrival: int) -> bool:
@@ -403,80 +438,6 @@ def check_scaling_form(space: PathSpace, variable: InfoVariable, arrival: int) -
     return True
 
 
-def path_modify(new_prefix: Path, old_prefix: Path, path: Path, arrival: int) -> Path:
-    """Swap the prefix of ``path`` and rescale its tail to match.
-
-    When ``path`` follows ``old_prefix`` up to ``arrival``, the result
-    follows ``new_prefix`` there and continues with ``path``'s tail scaled
-    by the ratio of the two prefix values at ``arrival``.  When ``path``
-    already follows ``new_prefix`` the inverse rescaling applies, and paths
-    matching neither prefix are returned unchanged.  Applying the map twice
-    with the same two prefixes gives back the original path.
-
-    Single-asset paths only; each prefix must be strictly positive at
-    ``arrival``.  The result need not belong to any particular space.
-    """
-    for q in (new_prefix, old_prefix, path):
-        if q.n_coords != 1:
-            raise PreconditionError("prefix swapping is defined for single-asset paths")
-        if q.n_steps != path.n_steps:
-            raise PreconditionError("all three paths must share one grid")
-    if not 0 <= arrival <= path.n_steps:
-        raise PreconditionError(f"arrival {arrival} outside grid 0..{path.n_steps}")
-    v_at = new_prefix.values[arrival][0]
-    w_at = old_prefix.values[arrival][0]
-    if v_at == 0 or w_at == 0 or path.values[arrival][0] == 0:
-        raise PreconditionError("prefix swapping needs positive values at the arrival index")
-
-    head = path.values[: arrival + 1]
-    if head == old_prefix.values[: arrival + 1]:
-        target, scale = new_prefix, v_at / w_at
-    elif head == new_prefix.values[: arrival + 1]:
-        target, scale = old_prefix, w_at / v_at
-    else:
-        return path
-    rows = target.values[: arrival + 1] + tuple(
-        (row[0] * scale,) for row in path.values[arrival + 1 :]
-    )
-    return Path(rows)
-
-
-def time_change(n_steps: int, knot: int, new_knot: int, path: Path) -> Path:
-    """Reparametrise a path by the piecewise-linear clock through two knots.
-
-    The clock runs the interval up to ``new_knot`` onto the interval up to
-    ``knot`` and the remainder onto the remainder, affinely on both pieces.
-    It is only applied when every output grid index lands on an input grid
-    index; otherwise an :class:`IncompatibleGridError` is raised.  On a
-    uniform grid that forces ``knot == new_knot`` (the identity) whenever
-    both knots are interior, so the operation exists mainly to make the
-    incompatibility explicit and to serve degenerate knot placements.
-    """
-    if path.n_steps != n_steps:
-        raise PreconditionError(f"path has {path.n_steps} steps, expected {n_steps}")
-    for name, k in (("knot", knot), ("new knot", new_knot)):
-        if not 0 <= k <= n_steps:
-            raise PreconditionError(f"{name} {k} outside grid 0..{n_steps}")
-
-    sources = []
-    bad = []
-    for j in range(n_steps + 1):
-        if j <= new_knot:
-            s = Fraction(j * knot, new_knot) if new_knot else Fraction(0)
-        else:
-            s = knot + Fraction((j - new_knot) * (n_steps - knot), n_steps - new_knot)
-        if s.denominator == 1:
-            sources.append(int(s))
-        else:
-            bad.append(j)
-    if bad:
-        raise IncompatibleGridError(
-            f"clock with knots {knot}<-{new_knot} maps grid indices {bad} "
-            "between grid points; choose knots that divide the grid evenly"
-        )
-    return Path(tuple(path.values[s] for s in sources))
-
-
 __all__ = [
     "VARIANT_NONE",
     "VARIANT_PLUS",
@@ -488,11 +449,11 @@ __all__ = [
     "InfoVariable",
     "InfoStructure",
     "market_partition",
-    "f_atom",
     "z_partition",
     "joined_partition",
+    "Filtration",
+    "filtration",
     "atoms_at",
-    "atom_of",
     "info_from_payoff",
     "max_abs_deviation",
     "range_indicator",
@@ -500,6 +461,4 @@ __all__ = [
     "tail_range_indicator",
     "lift_to_tail",
     "check_scaling_form",
-    "path_modify",
-    "time_change",
 ]

@@ -25,6 +25,7 @@ from .information import (
     AtomTable,
     InfoStructure,
     atoms_at,
+    filtration,
     market_partition,
 )
 from .hedging import DppDecomposition, _check_dpp_info
@@ -150,19 +151,16 @@ def build_measure_lp(
         raise PreconditionError(f"bad interval ({t_from}, {t_to})")
     index_of = {p: k for k, p in enumerate(vars_paths)}
     n = len(vars_paths)
+    fm = filtration(space, info)
 
     rows = [([ops.one] * n, "==", ops.one)]
     for t in range(t_from, t_to):
-        for atom in atoms_at(space, info, t):
-            overlap = [p for p in atom.paths if p in index_of]
-            if not overlap:
-                continue
+        for _, overlap in fm.meet(t, vars_paths):
             for i in range(space.n_coords):
                 coeffs = [ops.zero] * n
                 nonzero = False
                 for p in overlap:
-                    path = space.paths[p]
-                    delta = path.values[t + 1][i] - path.values[t][i]
+                    delta = fm.delta[t][p][i]
                     if delta != ops.zero:
                         coeffs[index_of[p]] = delta
                         nonzero = True
@@ -171,10 +169,7 @@ def build_measure_lp(
     if t_from == 0 and not book.is_cash_only:
         payoff_rows = book.payoff_matrix(space)
         prices = book.prices(ops)
-        for atom in atoms_at(space, info, -1):
-            overlap = [p for p in atom.paths if p in index_of]
-            if not overlap:
-                continue
+        for _, overlap in fm.meet(-1, vars_paths):
             for l in range(1, book.size):
                 coeffs = [ops.zero] * n
                 for p in overlap:
@@ -209,6 +204,27 @@ def _measure_from_x(
     return measure
 
 
+def _price_table(space, atoms, target, info, claim, book, interval) -> AtomTable:
+    """One price per atom meeting the target, over the paths they share."""
+    target_set = set(target)
+    entries = []
+    for atom in atoms:
+        meet = tuple(sorted(target_set.intersection(atom.paths)))
+        if not meet:
+            continue
+        lp = build_measure_lp(space, meet, info, book, interval, claim)
+        outcome = solve_checked(lp, space.ops)
+        if isinstance(outcome, Optimal):
+            measure = _measure_from_x(space, meet, outcome.x, info, book, interval)
+            value = PriceValue(outcome.value, measure=measure, pivots=outcome.pivots)
+        elif isinstance(outcome, Infeasible):
+            value = PriceValue(NEG_INF, certificate=outcome.certificate, pivots=outcome.pivots)
+        else:
+            raise InternalCheckError("a probability-weight program cannot be unbounded")
+        entries.append((atom, value))
+    return AtomTable(entries)
+
+
 def model_price(
     space: PathSpace,
     target: Optional[Iterable[int]],
@@ -223,64 +239,21 @@ def model_price(
     when that class is empty the value is ``-inf`` and the entry carries
     the separating certificate instead of a measure.
     """
-    book = book or StaticOptionBook.cash_only()
-    target_set = set(space.all_paths() if target is None else target)
-    if not target_set:
+    target = space.all_paths() if target is None else tuple(target)
+    if not target:
         raise PreconditionError("cannot price over an empty path set")
-    interval = (0, space.n_steps)
-    entries = []
-    for atom in atoms_at(space, info, -1):
-        meet = tuple(sorted(target_set.intersection(atom.paths)))
-        if not meet:
-            continue
-        lp = build_measure_lp(space, meet, info, book, interval, claim)
-        outcome = solve_checked(lp, space.ops)
-        if isinstance(outcome, Optimal):
-            measure = _measure_from_x(space, meet, outcome.x, info, book, interval)
-            entries.append(
-                (atom, PriceValue(outcome.value, measure=measure, pivots=outcome.pivots))
-            )
-        elif isinstance(outcome, Infeasible):
-            entries.append(
-                (
-                    atom,
-                    PriceValue(
-                        NEG_INF, certificate=outcome.certificate, pivots=outcome.pivots
-                    ),
-                )
-            )
-        else:
-            raise InternalCheckError("a probability-weight program cannot be unbounded")
-    return AtomTable(entries)
+    book = book or StaticOptionBook.cash_only()
+    atoms = atoms_at(space, info, -1)
+    return _price_table(space, atoms, target, info, claim, book, (0, space.n_steps))
 
 
 def interval_price_table(
     space: PathSpace, t_from: int, info: InfoStructure, claim: Expr
 ) -> AtomTable:
     """Interval model prices for every market atom at ``t_from`` (cash only)."""
+    atoms = market_partition(space, t_from)
     book = StaticOptionBook.cash_only()
-    interval = (t_from, space.n_steps)
-    entries = []
-    for atom in market_partition(space, t_from):
-        lp = build_measure_lp(space, atom.paths, info, book, interval, claim)
-        outcome = solve_checked(lp, space.ops)
-        if isinstance(outcome, Optimal):
-            measure = _measure_from_x(space, atom.paths, outcome.x, info, book, interval)
-            entries.append(
-                (atom, PriceValue(outcome.value, measure=measure, pivots=outcome.pivots))
-            )
-        elif isinstance(outcome, Infeasible):
-            entries.append(
-                (
-                    atom,
-                    PriceValue(
-                        NEG_INF, certificate=outcome.certificate, pivots=outcome.pivots
-                    ),
-                )
-            )
-        else:
-            raise InternalCheckError("a probability-weight program cannot be unbounded")
-    return AtomTable(entries)
+    return _price_table(space, atoms, space.all_paths(), info, claim, book, (t_from, space.n_steps))
 
 
 def condition_measure(
@@ -506,7 +479,7 @@ def dpp_price(
     lp = LinearProgram.build("max", floor, base.rows, base.bounds)
     outcome = solve_checked(lp, ops)
     composed = outcome.value if isinstance(outcome, Optimal) else NEG_INF
-    return DppDecomposition(direct, composed, split, inner)
+    return DppDecomposition(direct, composed, split, inner, space.mode)
 
 
 __all__ = [

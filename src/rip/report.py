@@ -44,14 +44,7 @@ def strategy_entry(strategy) -> dict:
 
 
 def ray_entry(ray) -> dict:
-    dynamic = []
-    for (t, paths), holding in sorted(ray.dynamic.items()):
-        dynamic.append({"t": t, "paths": list(paths), "holding": [num(h) for h in holding]})
-    return {
-        "static": [num(a) for a in ray.static],
-        "dynamic": dynamic,
-        "cost": num(ray.cost),
-    }
+    return {**strategy_entry(ray), "cost": num(ray.cost)}
 
 
 def to_text(report: dict) -> str:

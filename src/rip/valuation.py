@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
-from ._numeric import NEG_INF, format_number, is_neg_inf
+from ._numeric import NEG_INF, format_number, get_ops, is_neg_inf
 from .errors import PreconditionError
 from .hedging import HedgeValue, superhedge
 from .information import (
@@ -72,6 +72,7 @@ class ChainQuantities:
     price_forced_best: Any
     price_uninformed_capital: Any
     per_atom: tuple  # (label, hedge, price, forced price)
+    mode: str
 
     def values(self) -> tuple:
         return (
@@ -84,12 +85,14 @@ class ChainQuantities:
 
     @property
     def all_equal(self) -> bool:
+        """Exactly in rational mode, within ``dual_tol`` in float mode."""
         vals = self.values()
         if all(is_neg_inf(v) for v in vals):
             return True
         if any(is_neg_inf(v) for v in vals):
             return False
-        return all(v == vals[0] for v in vals)
+        ops = get_ops(self.mode)
+        return all(ops.eq(v, vals[0], ops.dual_tol) for v in vals)
 
 
 def chain_quantities(
@@ -140,6 +143,7 @@ def chain_quantities(
         _max_or_neg_inf(forced.values()),
         price_minus,
         tuple(per_atom),
+        space.mode,
     )
 
 
@@ -155,9 +159,11 @@ class DualityReport:
 
     @property
     def tight_everywhere(self) -> bool:
+        """Every gap is zero, within ``dual_tol`` in float mode."""
+        ops = get_ops(self.mode)
         for entry in self.entries:
             if entry.feasible:
-                if entry.gap != 0:
+                if not ops.eq(entry.gap, ops.zero, ops.dual_tol):
                     return False
             elif entry.hedge.finite or entry.price.finite:
                 return False

@@ -51,6 +51,17 @@ claims:
   - "ind(S[1,1] == 2) * ind(S[1,2] == 2) + ind(S[1,1] == 0.5) * ind(S[1,2] == 0.25)"
 """
 
+FOUR_STEP_MODEL = """
+grid: {steps: 4}
+lattice: {ratios: ["1/2", 1, 2]}
+claim: pos(S[1,T] - 1)
+"""
+
+FOUR_STEP_BOOK_MODEL = FOUR_STEP_MODEL + """
+static_options:
+  - {payoff: "ind(S[1,1] == 1)", price: "1/5"}
+"""
+
 
 @pytest.fixture
 def model_file(tmp_path):
@@ -253,6 +264,30 @@ class TestFlags:
         )
         assert code == 1
         assert "cannot write" in err
+
+
+class TestFloatFlags:
+    """Float-mode agreement flags compare within the duality tolerance."""
+
+    def test_dpp_agrees_in_float_mode(self, model_file, capsys):
+        path = model_file(FOUR_STEP_MODEL)
+        code, out, _ = run(["dpp", "--model", path, "--t1", "2", "--mode", "float"], capsys)
+        report = json.loads(out)
+        assert code == 0
+        assert report["findings"] == []
+        for side in ("hedge", "price"):
+            assert report[side]["agree"] is True
+            gap = float(report[side]["direct"]) - float(report[side]["composed"])
+            assert abs(gap) <= 1e-7
+
+    def test_duality_is_tight_in_float_mode(self, model_file, capsys):
+        path = model_file(FOUR_STEP_BOOK_MODEL)
+        code, out, _ = run(["duality", "--model", path, "--mode", "float"], capsys)
+        report = json.loads(out)
+        assert code == 0
+        assert report["tight_everywhere"] is True
+        for atom in report["atoms"]:
+            assert abs(float(atom["gap"])) <= 1e-7
 
 
 class TestDeterminism:

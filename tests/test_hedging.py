@@ -14,12 +14,12 @@ from rip import (
     StaticOption,
     StaticOptionBook,
     UndefinedHoldingError,
-    approx_superhedge,
     build_hedge_problem,
     build_lattice,
     constant_payoff,
     dpp_superhedge,
     extract_strategy,
+    fatten,
     gains,
     info_from_payoff,
     interval_value_table,
@@ -29,7 +29,6 @@ from rip import (
     solve_checked,
     space_from_paths,
     superhedge,
-    superhedge_interval,
 )
 
 
@@ -71,7 +70,7 @@ class TestSingleStep:
 
 class TestStrategyMechanics:
     def test_extract_strategy_demands_an_optimum(self, tri1, call_at_1, no_info):
-        problem = build_hedge_problem(tri1, [0, 1, 2], no_info, call_at_1,
+        problem = build_hedge_problem(tri1, [0, 1, 2], no_info, tri1.claim_values(call_at_1),
                                       StaticOptionBook.cash_only())
         outcome = solve_checked(problem.lp, tri1.ops)
         assert isinstance(outcome, Optimal)
@@ -137,13 +136,31 @@ class TestArbitrage:
 class TestIntervalValues:
     def test_frozen_subtree_value(self, tri2, call_at_2, no_info):
         start = next(p for p in range(9) if tri2.paths[p].coord(1, 1) == 2)
-        value = superhedge_interval(tri2, start, 1, no_info, call_at_2)
-        assert value == rat(2, 3)  # oracle: tri2_interval_sub2_call2
+        table = interval_value_table(tri2, 1, no_info, call_at_2)
+        assert table.for_path(start).value == rat(2, 3)  # oracle: tri2_interval_sub2_call2
+        assert table.for_path(start).strategy.span == (1, 2)
 
     def test_degenerates_to_the_claim_at_the_horizon(self, tri2, call_at_2, no_info):
+        table = interval_value_table(tri2, 2, no_info, call_at_2)
+        assert len(table) == 9
         for p in range(9):
-            value = superhedge_interval(tri2, p, 2, no_info, call_at_2)
-            assert value == tri2.claim_value(call_at_2, p)
+            assert table.for_path(p).value == tri2.claim_value(call_at_2, p)
+
+    def test_interval_hedge_starts_feasible(self, tri2, no_info):
+        # cash above the floor's maximum: every row starts on its slack
+        floor = [rat(p, 7) for p in range(9)]
+        problem = build_hedge_problem(
+            tri2, range(1, 9), no_info, floor, StaticOptionBook.cash_only(), (0, 1)
+        )
+        assert problem.cash_shift == rat(8, 7)
+        assert all(rel == ">=" and rhs <= 0 for _, rel, rhs in problem.lp.rows)
+        assert {t for t, _, _ in problem.dynamic_vars} == {0}
+        outcome = solve_checked(problem.lp, tri2.ops)
+        strategy = extract_strategy(outcome, problem)
+        assert strategy.span == (0, 1)
+        for p in range(1, 9):
+            wealth = strategy.static[0] + gains(tri2, strategy.dynamic, p, 0, 1)
+            assert wealth >= floor[p]
 
     def test_table_covers_the_partition(self, tri2, call_at_2, no_info):
         table = interval_value_table(tri2, 1, no_info, call_at_2)
@@ -180,23 +197,36 @@ class TestDpp:
         with pytest.raises(PreconditionError, match="renormalised tail"):
             dpp_superhedge(tri2, call_at_2, 1, info)
 
+    def test_float_values_agree_within_the_tolerance(self, call_at_1, no_info):
+        space = build_lattice(1, 4, [0.5, 1.0, 2.0], mode="float")
+        dec = dpp_superhedge(space, call_at_1, 2, no_info)
+        assert abs(dec.direct - dec.composed) <= space.ops.dual_tol
+        assert dec.agree
+
     def test_minus_variant_is_out_of_scope(self, tri2, call_at_2, hits_one):
         with pytest.raises(PreconditionError):
             dpp_superhedge(tri2, call_at_2, 1, InfoStructure.minus(hits_one))
 
 
 class TestApprox:
+    """Superhedging over the support fattened in uniform distance."""
+
+    @staticmethod
+    def fattened(space, support, radius, claim):
+        fat = fatten(space, support, radius)
+        return superhedge(space, fat, InfoStructure.none(), claim).single().value
+
     def test_radius_zero_equals_exact(self, tri1, call_at_1):
         exact = superhedge(tri1, [1], InfoStructure.none(), call_at_1).single().value
-        assert approx_superhedge(tri1, [1], 0, call_at_1) == exact
+        assert self.fattened(tri1, [1], 0, call_at_1) == exact
 
     def test_saturates_at_the_full_space(self, tri1, call_at_1, no_info):
         full = superhedge(tri1, None, no_info, call_at_1).single().value
-        assert approx_superhedge(tri1, [1], rat(10), call_at_1) == full
+        assert self.fattened(tri1, [1], rat(10), call_at_1) == full
 
     def test_monotone_in_radius(self, tri2, call_at_2):
         values = [
-            approx_superhedge(tri2, [4], radius, call_at_2)
+            self.fattened(tri2, [4], radius, call_at_2)
             for radius in (0, rat(1, 4), rat(1), rat(4))
         ]
         assert values == sorted(values)

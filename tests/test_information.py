@@ -1,32 +1,31 @@
-"""Partitions, label variables, and the path surgeries built on them."""
+"""Partitions, the filtration map, and label variables."""
+
+import itertools
 
 import pytest
 
 from rip import (
-    IncompatibleGridError,
+    Atom,
     InfoStructure,
     InfoVariable,
     PreconditionError,
-    atom_of,
     atoms_at,
     build_lattice,
     check_scaling_form,
-    f_atom,
     info_from_payoff,
     joined_partition,
     lift_to_tail,
     market_partition,
     max_abs_deviation,
     parse_payoff,
-    path_modify,
     range_indicator,
     rat,
     space_from_paths,
     tail_max_ratio,
     tail_range_indicator,
-    time_change,
     z_partition,
 )
+from rip.information import filtration
 
 
 class TestStructureConstruction:
@@ -53,17 +52,9 @@ class TestMarketPartition:
 
     def test_refines_over_time(self, tri3):
         for t in range(3):
-            coarse = market_partition(tri3, t)
-            fine = market_partition(tri3, t + 1)
-            for atom in fine:
-                parent = atom_of(coarse, atom.paths[0])
-                assert set(atom.paths) <= set(parent.paths)
-
-    def test_f_atom_agrees_with_the_partition(self, tri2):
-        for p in range(len(tri2.paths)):
-            atom = f_atom(tri2, p, 1)
-            assert p in atom
-            assert atom == atom_of(market_partition(tri2, 1), p)
+            coarse = [set(atom.paths) for atom in market_partition(tri3, t)]
+            for atom in market_partition(tri3, t + 1):
+                assert any(set(atom.paths) <= parent for parent in coarse)
 
 
 class TestZPartition:
@@ -88,12 +79,11 @@ class TestZPartition:
 
 class TestJoinedAndDynamic:
     def test_joined_refines_market(self, tri2, hits_one):
-        market = market_partition(tri2, 1)
+        market = [set(atom.paths) for atom in market_partition(tri2, 1)]
         joined = joined_partition(tri2, hits_one, 1)
         assert len(joined) >= len(market)
         for atom in joined:
-            parent = atom_of(market, atom.paths[0])
-            assert set(atom.paths) <= set(parent.paths)
+            assert any(set(atom.paths) <= parent for parent in market)
 
     def test_dynamic_atoms_frozen_count(self, tri2):
         flat_tail = info_from_payoff(parse_payoff("ind(S[1,2] / S[1,1] == 1)"), "flat-tail")
@@ -159,51 +149,55 @@ class TestScalingForm:
             check_scaling_form(two, tail_max_ratio(1), 1)
 
 
-class TestPathModify:
-    def test_swaps_prefixes_and_rescales_tails(self, tri2):
-        old = next(p for p in tri2.paths if p.coord(1, 1) == 2)
-        new = next(p for p in tri2.paths if p.coord(1, 1) == rat(1, 2))
-        moved = path_modify(new, old, old, arrival=1)
-        assert moved.coord(1, 1) == rat(1, 2)
-        assert moved.coord(1, 2) == old.coord(1, 2) * rat(1, 4)
+class TestFiltration:
+    VARIANTS = ("none", "plus", "minus", "dynamic")
 
-    def test_is_an_involution(self, tri2):
-        old = tri2.paths[8]
-        new = tri2.paths[0]
-        for path in tri2.paths:
-            once = path_modify(new, old, path, arrival=1)
-            twice = path_modify(new, old, once, arrival=1)
-            assert twice == path
+    def _info(self, variant, variable):
+        if variant == "none":
+            return InfoStructure.none()
+        if variant == "dynamic":
+            return InfoStructure.dynamic(variable, 1)
+        return getattr(InfoStructure, variant)(variable)
 
-    def test_leaves_unrelated_paths_alone(self, tri2):
-        old = next(p for p in tri2.paths if p.coord(1, 1) == 2)
-        new = next(p for p in tri2.paths if p.coord(1, 1) == rat(1, 2))
-        flat = next(p for p in tri2.paths if p.coord(1, 1) == 1)
-        assert path_modify(new, old, flat, arrival=1) == flat
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_partitions_match_their_definitions(self, tri3, variant):
+        variable = tail_max_ratio(1)
+        info = self._info(variant, variable)
+        fm = filtration(tri3, info)
+        initial = (
+            joined_partition(tri3, variable, 0)
+            if variant == "plus"
+            else (Atom(-1, tri3.all_paths()),)
+        )
+        assert fm.atoms[-1] == atoms_at(tri3, info, -1) == initial
+        for t in range(4):
+            market_only = variant == "none" or (variant == "dynamic" and t < 1)
+            expected = (
+                market_partition(tri3, t)
+                if market_only
+                else joined_partition(tri3, variable, t)
+            )
+            assert fm.atoms[t] == atoms_at(tri3, info, t) == expected
 
-    def test_preserves_tail_labels(self, tri2):
-        var = tail_max_ratio(1)
-        old, new = tri2.paths[8], tri2.paths[0]
-        for path in tri2.paths:
-            moved = path_modify(new, old, path, arrival=1)
-            assert var.label(moved, tri2.ops) == var.label(path, tri2.ops)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_cells_and_increments_agree_with_the_paths(self, tri3, variant):
+        fm = filtration(tri3, self._info(variant, tail_max_ratio(1)))
+        for t in range(-1, 4):
+            for p in range(len(tri3.paths)):
+                assert p in fm.atoms[t][fm.cell[t][p]]
+        for t in range(3):
+            for p, path in enumerate(tri3.paths):
+                assert fm.delta[t][p] == (path.coord(1, t + 1) - path.coord(1, t),)
 
+    def test_built_once_per_space_and_structure(self, tri2, hits_one):
+        info = InfoStructure.minus(hits_one)
+        assert filtration(tri2, info) is filtration(tri2, info)
+        assert atoms_at(tri2, info, 1) is atoms_at(tri2, info, 1)
 
-class TestTimeChange:
-    def test_identity_knot(self, tri2):
-        for path in tri2.paths:
-            assert time_change(2, 1, 1, path) == path
-
-    def test_incompatible_knots_raise(self):
-        space = build_lattice(1, 4, ["1/2", 2])
-        with pytest.raises(IncompatibleGridError):
-            time_change(4, 1, 3, space.paths[0])
-
-    def test_endpoint_knots_freeze_one_piece(self):
-        space = build_lattice(1, 2, ["1/2", 2])
-        path = space.paths[0]
-        moved = time_change(2, 0, 1, path)
-        assert moved.values == (path.values[0], path.values[0], path.values[2])
+    def test_bad_indices_are_rejected(self, tri2, no_info):
+        for t in (-2, 3):
+            with pytest.raises(PreconditionError):
+                atoms_at(tri2, no_info, t)
 
 
 def test_labels_are_quantised_in_float_mode():
@@ -212,3 +206,20 @@ def test_labels_are_quantised_in_float_mode():
     table = z_partition(space, wobbly)
     # 0, 5e-15, 1e-14 all collapse into one label at the default tolerance
     assert len(table) == 1
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_float_label_quantisation_ignores_path_order(order):
+    # labels a, a + 0.6 tol and a + 1.2 tol: the first two are within the
+    # tolerance of the smallest, the third is not, in every path order
+    tol = 1e-12
+    ends = [0.5, 1.0, 2.0]
+    label_of = {0.5: 1.0, 1.0: 1.0 + 0.6 * tol, 2.0: 1.0 + 1.2 * tol}
+    space = space_from_paths([[(1.0,), (ends[k],)] for k in order], 1, mode="float")
+    assert space.ops.label_tol == tol
+    variable = InfoVariable("near", lambda path, ops: label_of[path.coord(1, 1)])
+    groups = {
+        frozenset(space.paths[p].coord(1, 1) for p in atom.paths)
+        for atom in z_partition(space, variable)
+    }
+    assert groups == {frozenset({0.5, 1.0}), frozenset({2.0})}
