@@ -99,11 +99,17 @@ class ModeOps:
     dual_tol: Any
 
     def convert(self, x: Any):
-        """Coerce a number into this mode, parsing strings along the way."""
+        """Coerce a number into this mode, parsing strings along the way.
+
+        A value that already has the mode's rational type is returned as it
+        is: rationals are immutable and always kept in lowest terms.
+        """
         if isinstance(x, str):
             return parse_number(x, self.mode)
         if self.mode == FLOAT:
             return float(x)
+        if type(x) is _ratio:
+            return x
         if isinstance(x, float):
             if x != x or x in (NEG_INF, POS_INF):
                 raise PreconditionError("cannot convert a non-finite float to a rational")

@@ -53,15 +53,39 @@ class Strategy:
         return sum((a * p for a, p in zip(self.static, prices)), ops.zero)
 
 
-def _holding(dynamic: dict, t: int, path_index: int) -> Optional[tuple]:
+def _holding_index(dynamic: Optional[dict]) -> Optional[dict]:
+    """``(t, path) -> holding`` for every path of every atom in the map.
+
+    ``None`` for a missing or empty map, which holds nothing.
+    """
     if not dynamic:
         return None
-    for (kt, paths), holding in dynamic.items():
-        if kt == t and path_index in paths:
-            return holding
-    raise UndefinedHoldingError(
-        f"strategy defines no holding at t={t} on an atom containing path {path_index}"
-    )
+    index: dict = {}
+    for (t, paths), holding in dynamic.items():
+        for p in paths:
+            index.setdefault((t, p), holding)
+    return index
+
+
+def _gains(
+    space: PathSpace, index: Optional[dict], path_index: int, t_from: int, t_to: int
+) -> Any:
+    """:func:`gains` over a holding index from :func:`_holding_index`."""
+    total = space.ops.zero
+    if index is None:
+        return total
+    values = space.paths[path_index].values
+    for t in range(t_from, t_to):
+        try:
+            holding = index[t, path_index]
+        except KeyError:
+            raise UndefinedHoldingError(
+                f"strategy defines no holding at t={t} on an atom containing path {path_index}"
+            ) from None
+        row_now, row_next = values[t], values[t + 1]
+        for i in range(space.n_coords):
+            total = total + holding[i] * (row_next[i] - row_now[i])
+    return total
 
 
 def gains(
@@ -78,23 +102,13 @@ def gains(
     for a holding at every ``t`` in ``[t_from, t_to)`` and raises
     :class:`UndefinedHoldingError` if a non-empty map misses one.
     """
-    ops = space.ops
     if not 0 <= t_from <= t_to <= space.n_steps:
         raise PreconditionError(f"need 0 <= {t_from} <= {t_to} <= {space.n_steps}")
     if not 0 <= path_index < len(space.paths):
         raise PreconditionError(f"path index {path_index} out of range")
     if isinstance(dynamic, Strategy):
         dynamic = dynamic.dynamic
-    total = ops.zero
-    path = space.paths[path_index]
-    for t in range(t_from, t_to):
-        holding = _holding(dynamic, t, path_index) if dynamic else None
-        if holding is None:
-            continue
-        row_now, row_next = path.values[t], path.values[t + 1]
-        for i in range(space.n_coords):
-            total = total + holding[i] * (row_next[i] - row_now[i])
-    return total
+    return _gains(space, _holding_index(dynamic), path_index, t_from, t_to)
 
 
 @dataclass(frozen=True)
@@ -248,10 +262,11 @@ def extract_strategy(outcome, problem: HedgeProblem) -> Strategy:
     cost = strategy.cost(problem.book, ops)
     if not ops.eq(cost, outcome.value + problem.cash_shift, ops.dual_tol):
         raise InternalCheckError("strategy cost does not match the solver value")
+    index = _holding_index(dynamic)
     for row_idx, p in enumerate(problem.target):
         wealth = sum(
             (static[l] * payoff_rows[l][p] for l in range(n_static)), ops.zero
-        ) + gains(space, dynamic, p, *problem.interval)
+        ) + _gains(space, index, p, *problem.interval)
         if wealth < problem.claim_values[row_idx] - ops.dual_tol:
             raise InternalCheckError(
                 f"extracted strategy fails to dominate the claim on path {p}"

@@ -21,7 +21,7 @@ variables on atoms deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Any, Callable, Optional, Sequence
 
 from ._numeric import FLOAT, ModeOps
@@ -160,12 +160,27 @@ class AtomTable:
 # partitions
 
 
-@lru_cache(maxsize=512)
+def _per_space(build):
+    """Cache ``build(space, *key)`` in the space itself, so it dies with it."""
+
+    @wraps(build)
+    def cached(space: PathSpace, *key):
+        store = space._partition_cache
+        try:
+            return store[build, key]
+        except KeyError:
+            value = store[build, key] = build(space, *key)
+            return value
+
+    return cached
+
+
+@_per_space
 def _market_groups(space: PathSpace, t: int) -> tuple:
     return tuple(tuple(g) for g in _prefix_groups(space.paths, t))
 
 
-@lru_cache(maxsize=512)
+@_per_space
 def _labels(space: PathSpace, variable: InfoVariable) -> tuple:
     raw = [variable.label(path, space.ops) for path in space.paths]
     if space.mode != FLOAT:
@@ -201,7 +216,7 @@ def z_partition(space: PathSpace, variable: InfoVariable) -> tuple:
     )
 
 
-@lru_cache(maxsize=512)
+@_per_space
 def _joined_groups(space: PathSpace, variable: InfoVariable, t: int) -> tuple:
     labels = _labels(space, variable)
     groups: dict = {}

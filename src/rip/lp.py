@@ -124,7 +124,8 @@ def _standardise(lp: LinearProgram, ops: ModeOps):
     Returns ``(cols, shifts, rows_z)`` where each column is ``(var, mult)``,
     ``x[var] = shifts[var] + sum(mult * z)`` over the variable's columns,
     and ``rows_z`` lists ``(coeffs, rel, rhs)`` over the z variables: the
-    original rows first, then one ``<=`` row per finite upper bound.
+    original rows first, then one ``<=`` row per finite upper bound.  Each
+    nonzero coefficient is converted once; zero entries cost nothing.
     """
     zero = ops.zero
     cols: list = []
@@ -151,14 +152,23 @@ def _standardise(lp: LinearProgram, ops: ModeOps):
         else:
             shifts.append(ops.convert(hi))
             cols.append((j, -1))
+    var_cols: list = [[] for _ in lp.bounds]
+    for cidx, (var, mult) in enumerate(cols):
+        var_cols[var].append((cidx, mult))
 
     nz = len(cols)
     rows_z = []
     for coeffs, rel, rhs in lp.rows:
-        row = [ops.convert(coeffs[var]) * mult for var, mult in cols]
-        adjust = sum(
-            (ops.convert(coeffs[j]) * shifts[j] for j in range(lp.n_vars)), zero
-        )
+        row = [zero] * nz
+        adjust = zero
+        for j, c in enumerate(coeffs):
+            if not c:
+                continue
+            c = ops.convert(c)
+            for cidx, mult in var_cols[j]:
+                row[cidx] = c if mult > 0 else -c
+            if shifts[j]:
+                adjust = adjust + c * shifts[j]
         rows_z.append((row, rel, ops.convert(rhs) - adjust))
     for cidx, ub in box:
         row = [zero] * nz
@@ -197,20 +207,22 @@ class _Tableau:
 
         slack_at = 0
         for i, (coeffs, rel, rhs) in enumerate(rows_z):
-            row = list(coeffs) + [zero] * (n_slack + m + 1)
+            # make the right-hand side nonnegative; an inequality whose
+            # right-hand side is zero takes the sign that puts +1 on its slack
+            flip = rhs < zero or (rel == ">=" and rhs == zero)
+            self.sigma.append(-1 if flip else 1)
+            if flip:
+                row = [-v if v else v for v in coeffs]
+                rhs = -rhs
+            else:
+                row = list(coeffs)
+            row += [zero] * (n_slack + m + 1)
             slack = -1
             if rel != "==":
                 slack = nz + slack_at
-                row[slack] = one if rel == "<=" else -one
+                row[slack] = one if (rel == "<=") != flip else -one
                 slack_at += 1
             row[-1] = rhs
-            # make the right-hand side nonnegative; an inequality whose
-            # right-hand side is zero takes the sign that puts +1 on its slack
-            if rhs < zero or (rel == ">=" and rhs == zero):
-                row = [-v for v in row]
-                self.sigma.append(-1)
-            else:
-                self.sigma.append(1)
             row[self.art_start + i] = one
             self.matrix.append(row)
             if slack >= 0 and row[slack] == one:
@@ -232,11 +244,11 @@ class _Tableau:
     def pivot(self, i: int, j: int, z_row) -> None:
         matrix = self.matrix
         row = matrix[i]
-        piv = row[j]
-        inv = 1 / piv
-        matrix[i] = row = [v * inv for v in row]
+        inv = 1 / row[j]
         # truth tests, not comparisons against a zero: Fraction.__eq__ is slow
-        nonzeros = [(k, v) for k, v in enumerate(row) if v]
+        nonzeros = [(k, v * inv) for k, v in enumerate(row) if v]
+        for k, v in nonzeros:
+            row[k] = v
         for other in matrix:
             if other is row:
                 continue
@@ -261,6 +273,8 @@ class _Tableau:
         worst = 0
         for row in self.matrix:
             for v in row:
+                if not v:
+                    continue
                 num = v.numerator
                 size = num.bit_length() if num >= 0 else (-num).bit_length()
                 size = max(size, v.denominator.bit_length())
@@ -268,9 +282,13 @@ class _Tableau:
                     worst = size
         if worst > _BIT_GUARD:
             raise CapacityError(
-                f"exact tableau coefficients reached {worst} bits; "
+                f"lp: exact tableau coefficients reached {worst} bits after "
+                f"{self.pivots} pivots on a {self.size()} tableau; "
                 "the instance is too ill-conditioned for rational mode"
             )
+
+    def size(self) -> str:
+        return f"{len(self.matrix)} x {self.width}"
 
     def run(self, z_row, allowed_width: int, max_pivots: int) -> Optional[int]:
         """Pivot until optimal (returns None) or unbounded (returns the column)."""
@@ -300,7 +318,10 @@ class _Tableau:
                 return enter
             self.pivot(leave, enter, z_row)
             if self.pivots > max_pivots:
-                raise CapacityError(f"simplex exceeded {max_pivots} pivots")
+                raise CapacityError(
+                    f"lp: simplex stopped after {self.pivots} pivots, over its cap "
+                    f"of {max_pivots}, on a {self.size()} tableau"
+                )
 
     def z_values(self):
         zero = self.ops.zero
@@ -446,21 +467,24 @@ def verify_certificate(
     return False
 
 
-def _row_value(coeffs, x, ops):
-    return sum((ops.convert(c) * v for c, v in zip(coeffs, x)), ops.zero)
+def _nonzeros(coeffs, ops) -> list:
+    """A row's nonzero coefficients as ``(index, value)`` pairs, converted once."""
+    return [(j, ops.convert(c)) for j, c in enumerate(coeffs) if c]
 
 
-def _primal_feasible(lp: LinearProgram, x, ops: ModeOps, tol) -> bool:
-    if len(x) != lp.n_vars:
-        return False
-    for coeffs, rel, rhs in lp.rows:
-        lhs = _row_value(coeffs, x, ops)
+def _dot(pairs, x, zero):
+    return sum((c * x[j] for j, c in pairs), zero)
+
+
+def _primal_feasible(lp: LinearProgram, x, lhs, ops: ModeOps, tol) -> bool:
+    """Whether ``x`` meets every row, whose left-hand sides are ``lhs``, and bound."""
+    for value, (_, rel, rhs) in zip(lhs, lp.rows):
         rhs = ops.convert(rhs)
-        if rel == "==" and not ops.eq(lhs, rhs, tol):
+        if rel == "==" and not ops.eq(value, rhs, tol):
             return False
-        if rel == "<=" and not lhs <= rhs + tol:
+        if rel == "<=" and not value <= rhs + tol:
             return False
-        if rel == ">=" and not lhs >= rhs - tol:
+        if rel == ">=" and not value >= rhs - tol:
             return False
     for xj, bnd in zip(x, lp.bounds):
         lo, hi = _bound_sides(bnd)
@@ -473,30 +497,36 @@ def _primal_feasible(lp: LinearProgram, x, ops: ModeOps, tol) -> bool:
 
 def _verify_optimal(lp: LinearProgram, outcome: Optimal, ops: ModeOps) -> bool:
     tol = ops.dual_tol
+    zero = ops.zero
     x, y = outcome.x, outcome.y
-    if len(y) != len(lp.rows) or not _primal_feasible(lp, x, ops, tol):
+    if len(x) != lp.n_vars or len(y) != len(lp.rows):
         return False
-    value = _row_value(lp.objective, x, ops)
+    rows = [_nonzeros(coeffs, ops) for coeffs, _, _ in lp.rows]
+    lhs = [_dot(pairs, x, zero) for pairs in rows]
+    if not _primal_feasible(lp, x, lhs, ops, tol):
+        return False
+    value = _dot(_nonzeros(lp.objective, ops), x, zero)
     if not ops.eq(value, outcome.value, tol):
         return False
 
     minimise = lp.sense == "min"
-    for yi, (coeffs, rel, rhs) in zip(y, lp.rows):
+    for yi, row_lhs, (_, rel, rhs) in zip(y, lhs, lp.rows):
         want = yi if minimise else -yi
         if rel == ">=" and want < -tol:
             return False
         if rel == "<=" and want > tol:
             return False
-        if not ops.eq(yi, ops.zero, tol):
-            lhs = _row_value(coeffs, x, ops)
-            if not ops.eq(lhs, ops.convert(rhs), tol):
-                return False
+        if not ops.eq(yi, zero, tol) and not ops.eq(row_lhs, ops.convert(rhs), tol):
+            return False
 
+    # y^T A, accumulated row by row over the nonzeros
+    ya = [zero] * lp.n_vars
+    for yi, pairs in zip(y, rows):
+        if yi:
+            for j, a in pairs:
+                ya[j] = ya[j] + yi * a
     for j in range(lp.n_vars):
-        r = ops.convert(lp.objective[j]) - sum(
-            (yi * ops.convert(coeffs[j]) for yi, (coeffs, _, _) in zip(y, lp.rows)),
-            ops.zero,
-        )
+        r = ops.convert(lp.objective[j]) - ya[j]
         if not minimise:
             r = -r
         lo, hi = _bound_sides(lp.bounds[j])
@@ -510,13 +540,14 @@ def _verify_optimal(lp: LinearProgram, outcome: Optimal, ops: ModeOps) -> bool:
         elif at_hi:
             if r > tol:
                 return False
-        elif not ops.eq(r, ops.zero, tol):
+        elif not ops.eq(r, zero, tol):
             return False
     return True
 
 
 def _verify_infeasible(lp: LinearProgram, outcome: Infeasible, ops: ModeOps) -> bool:
     tol = ops.dual_tol
+    zero = ops.zero
     cols, _, rows_z = _standardise(lp, ops)
     y = outcome.certificate
     if len(y) != len(rows_z):
@@ -526,24 +557,30 @@ def _verify_infeasible(lp: LinearProgram, outcome: Infeasible, ops: ModeOps) -> 
             return False
         if rel == "<=" and yi > tol:
             return False
-    for cidx in range(len(cols)):
-        combo = sum((yi * row[cidx] for yi, (row, _, _) in zip(y, rows_z)), ops.zero)
-        if combo > tol:
-            return False
-    money = sum((yi * rhs for yi, (_, _, rhs) in zip(y, rows_z)), ops.zero)
+    combo = [zero] * len(cols)
+    for yi, (row, _, _) in zip(y, rows_z):
+        if yi:
+            for cidx, v in enumerate(row):
+                if v:
+                    combo[cidx] = combo[cidx] + yi * v
+    if any(c > tol for c in combo):
+        return False
+    money = sum((yi * rhs for yi, (_, _, rhs) in zip(y, rows_z) if yi), zero)
     return money > tol
 
 
 def _verify_unbounded(lp: LinearProgram, outcome: Unbounded, ops: ModeOps) -> bool:
     tol = ops.dual_tol
-    if not _primal_feasible(lp, outcome.point, ops, tol):
+    zero = ops.zero
+    point, d = outcome.point, outcome.ray
+    if len(point) != lp.n_vars or len(d) != lp.n_vars:
         return False
-    d = outcome.ray
-    if len(d) != lp.n_vars:
+    rows = [_nonzeros(coeffs, ops) for coeffs, _, _ in lp.rows]
+    if not _primal_feasible(lp, point, [_dot(pairs, point, zero) for pairs in rows], ops, tol):
         return False
-    for coeffs, rel, _ in lp.rows:
-        move = _row_value(coeffs, d, ops)
-        if rel == "==" and not ops.eq(move, ops.zero, tol):
+    for pairs, (_, rel, _) in zip(rows, lp.rows):
+        move = _dot(pairs, d, zero)
+        if rel == "==" and not ops.eq(move, zero, tol):
             return False
         if rel == "<=" and move > tol:
             return False
@@ -555,10 +592,10 @@ def _verify_unbounded(lp: LinearProgram, outcome: Unbounded, ops: ModeOps) -> bo
             return False
         if hi is not None and dj > tol:
             return False
-    gain = _row_value(lp.objective, d, ops)
+    gain = _dot(_nonzeros(lp.objective, ops), d, zero)
     if lp.sense == "min":
-        return gain < -tol if tol else gain < ops.zero
-    return gain > tol if tol else gain > ops.zero
+        return gain < -tol if tol else gain < zero
+    return gain > tol if tol else gain > zero
 
 
 def solve_checked(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
@@ -566,7 +603,8 @@ def solve_checked(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
     outcome = solve(lp, ops)
     if not verify_certificate(lp, outcome, ops):
         raise InternalCheckError(
-            f"solver certificate failed verification ({type(outcome).__name__})"
+            f"lp: the {type(outcome).__name__} certificate failed verification "
+            f"on a {len(lp.rows)} x {lp.n_vars} program (rows x variables)"
         )
     return outcome
 

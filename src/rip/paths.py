@@ -167,9 +167,11 @@ class PathSpace:
     """A finite family of distinct paths sharing one grid and numeric mode.
 
     Instances are immutable in practice and hashable by identity, which the
-    partition caches rely on.  ``n_assets`` counts base assets and
-    ``n_options`` the adjoined dynamically traded options; path rows have
-    ``n_assets + n_options`` coordinates.
+    filtration cache relies on.  Claim values and partitions are cached in
+    the space itself, so they live exactly as long as it does.
+    ``n_assets`` counts base assets and ``n_options`` the adjoined
+    dynamically traded options; path rows have ``n_assets + n_options``
+    coordinates.
     """
 
     grid: TimeGrid
@@ -179,6 +181,7 @@ class PathSpace:
     mode: str = RATIONAL
     dynamic_options: tuple = ()
     _claim_cache: dict = field(default_factory=dict, repr=False)
+    _partition_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.ops = get_ops(self.mode)

@@ -1,6 +1,8 @@
 """Partitions, the filtration map, and label variables."""
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -17,10 +19,12 @@ from rip import (
     lift_to_tail,
     market_partition,
     max_abs_deviation,
+    model_price,
     parse_payoff,
     range_indicator,
     rat,
     space_from_paths,
+    superhedge,
     tail_max_ratio,
     tail_range_indicator,
     z_partition,
@@ -193,6 +197,31 @@ class TestFiltration:
         info = InfoStructure.minus(hits_one)
         assert filtration(tri2, info) is filtration(tri2, info)
         assert atoms_at(tri2, info, 1) is atoms_at(tri2, info, 1)
+
+    def test_partitions_are_cached_in_their_space(self, tri2, hits_one):
+        assert market_partition(tri2, 1) == market_partition(tri2, 1)
+        assert z_partition(tri2, hits_one) == z_partition(tri2, hits_one)
+        cached = dict(tri2._partition_cache)
+        assert cached
+        market_partition(tri2, 1)
+        joined_partition(tri2, hits_one, 1)
+        z_partition(tri2, hits_one)
+        assert all(tri2._partition_cache[key] is value for key, value in cached.items())
+
+    def test_spaces_die_with_their_partitions(self):
+        # only the filtration map's 16-entry cache may keep a space alive
+        claim = parse_payoff("pos(S[1,T] - 1)")
+        refs = []
+        for _ in range(40):
+            space = build_lattice(1, 2, ["1/2", 1, 2])
+            info = InfoStructure.dynamic(max_abs_deviation(), 1)
+            superhedge(space, None, info, claim)
+            model_price(space, None, info, claim)
+            assert space._partition_cache
+            refs.append(weakref.ref(space))
+        del space
+        gc.collect()
+        assert sum(ref() is not None for ref in refs) <= 16
 
     def test_bad_indices_are_rejected(self, tri2, no_info):
         for t in (-2, 3):

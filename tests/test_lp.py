@@ -1,5 +1,6 @@
 """The exact simplex kernel and its certificate checking."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,9 @@ from rip import (
     solve_checked,
     verify_certificate,
 )
-from rip.errors import InternalCheckError
-from rip.lp import _Tableau, _standardise
+import rip.lp
+from rip.errors import CapacityError, InternalCheckError
+from rip.lp import RELATIONS, _Tableau, _standardise
 
 
 def lp_min(objective, rows, bounds=None):
@@ -247,3 +249,244 @@ def test_beale_cycling_example_from_the_slack_start(as_ge):
     assert first.x == (1, 0, 1, 0)
     assert verify_certificate(lp, first)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# sparse verification against a dense reference: the checks written out over
+# every coefficient, zeros included, as an independent oracle
+
+
+def _sides(bnd):
+    if bnd == "free":
+        return None, None
+    if bnd == "nonneg":
+        return 0, None
+    return bnd
+
+
+def _dense_standard_rows(lp, ops):
+    """Standardised rows (originals, then one per finite upper bound), dense."""
+    conv, zero = ops.convert, ops.zero
+    cols, shifts, box = [], [], []
+    for j, bnd in enumerate(lp.bounds):
+        lo, hi = _sides(bnd)
+        if lo is None and hi is None:
+            cols += [(j, 1), (j, -1)]
+            shifts.append(zero)
+        elif lo is not None:
+            cols.append((j, 1))
+            shifts.append(conv(lo))
+            if hi is not None:
+                box.append((len(cols) - 1, conv(hi) - conv(lo)))
+        else:
+            cols.append((j, -1))
+            shifts.append(conv(hi))
+    rows = []
+    for coeffs, rel, rhs in lp.rows:
+        shift = sum((conv(c) * s for c, s in zip(coeffs, shifts)), zero)
+        rows.append(([conv(coeffs[v]) * m for v, m in cols], rel, conv(rhs) - shift))
+    for k, ub in box:
+        rows.append(([ops.one if i == k else zero for i in range(len(cols))], "<=", ub))
+    return rows
+
+
+def _dense_verify(lp, out, ops):
+    conv, zero, tol, n = ops.convert, ops.zero, ops.dual_tol, lp.n_vars
+
+    def dot(coeffs, v):
+        return sum((conv(c) * x for c, x in zip(coeffs, v)), zero)
+
+    def feasible(x):
+        if len(x) != n:
+            return False
+        for coeffs, rel, rhs in lp.rows:
+            lhs, b = dot(coeffs, x), conv(rhs)
+            if rel == "==" and not ops.eq(lhs, b, tol):
+                return False
+            if (rel == "<=" and lhs > b + tol) or (rel == ">=" and lhs < b - tol):
+                return False
+        for xj, bnd in zip(x, lp.bounds):
+            lo, hi = _sides(bnd)
+            if lo is not None and xj < conv(lo) - tol:
+                return False
+            if hi is not None and xj > conv(hi) + tol:
+                return False
+        return True
+
+    sign = 1 if lp.sense == "min" else -1
+    if isinstance(out, Optimal):
+        x, y = out.x, out.y
+        if len(y) != len(lp.rows) or not feasible(x):
+            return False
+        if not ops.eq(dot(lp.objective, x), out.value, tol):
+            return False
+        for yi, (coeffs, rel, rhs) in zip(y, lp.rows):
+            if (rel == ">=" and sign * yi < -tol) or (rel == "<=" and sign * yi > tol):
+                return False
+            if not ops.eq(yi, zero, tol) and not ops.eq(dot(coeffs, x), conv(rhs), tol):
+                return False
+        for j in range(n):
+            column = [coeffs[j] for coeffs, _, _ in lp.rows]
+            r = sign * (conv(lp.objective[j]) - dot(column, y))
+            lo, hi = _sides(lp.bounds[j])
+            at_lo = lo is not None and ops.eq(x[j], conv(lo), tol)
+            at_hi = hi is not None and ops.eq(x[j], conv(hi), tol)
+            if at_lo and at_hi:
+                continue
+            if (at_lo and r < -tol) or (at_hi and not at_lo and r > tol):
+                return False
+            if not at_lo and not at_hi and not ops.eq(r, zero, tol):
+                return False
+        return True
+    if isinstance(out, Infeasible):
+        rows, y = _dense_standard_rows(lp, ops), out.certificate
+        if len(y) != len(rows):
+            return False
+        for yi, (_, rel, _) in zip(y, rows):
+            if (rel == ">=" and yi < -tol) or (rel == "<=" and yi > tol):
+                return False
+        for k in range(len(rows[0][0]) if rows else 0):
+            if sum((yi * row[k] for yi, (row, _, _) in zip(y, rows)), zero) > tol:
+                return False
+        return sum((yi * rhs for yi, (_, _, rhs) in zip(y, rows)), zero) > tol
+    d = out.ray
+    if not feasible(out.point) or len(d) != n:
+        return False
+    for coeffs, rel, _ in lp.rows:
+        move = dot(coeffs, d)
+        if rel == "==" and not ops.eq(move, zero, tol):
+            return False
+        if (rel == "<=" and move > tol) or (rel == ">=" and move < -tol):
+            return False
+    for dj, bnd in zip(d, lp.bounds):
+        lo, hi = _sides(bnd)
+        if (lo is not None and dj < -tol) or (hi is not None and dj > tol):
+            return False
+    return sign * dot(lp.objective, d) < -tol
+
+
+# three coefficients in four are zero
+_sparse_coef = st.tuples(st.integers(min_value=0, max_value=3), _coef).map(
+    lambda pair: pair[1] if pair[0] == 0 else Fraction(0)
+)
+_nonzero_bound = st.fractions(min_value=Fraction(-3), max_value=Fraction(2)).filter(bool)
+
+
+@st.composite
+def sparse_lp(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=0, max_value=5))
+    sense = draw(st.sampled_from(["min", "max"]))
+    objective = [draw(_sparse_coef) for _ in range(n)]
+    rows = [
+        ([draw(_sparse_coef) for _ in range(n)], draw(st.sampled_from(RELATIONS)), draw(_coef))
+        for _ in range(m)
+    ]
+    bounds = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["free", "nonneg", "lower", "upper", "box"]))
+        if kind in ("free", "nonneg"):
+            bounds.append(kind)
+        elif kind == "upper":
+            bounds.append((None, draw(_nonzero_bound)))
+        else:
+            lo = draw(_nonzero_bound)
+            width = draw(st.fractions(min_value=Fraction(0), max_value=Fraction(3)))
+            bounds.append((lo, lo + width if kind == "box" else None))
+    return LinearProgram.build(sense, objective, rows, bounds)
+
+
+def _as_float(lp):
+    def f(v):
+        return None if v is None else float(v)
+
+    return LinearProgram.build(
+        lp.sense,
+        [float(c) for c in lp.objective],
+        [([float(c) for c in coeffs], rel, float(b)) for coeffs, rel, b in lp.rows],
+        [b if isinstance(b, str) else (f(b[0]), f(b[1])) for b in lp.bounds],
+    )
+
+
+def _perturbed(out, field, index, delta):
+    values = list(getattr(out, field))
+    values[index] = values[index] + delta
+    return replace(out, **{field: tuple(values)})
+
+
+_FIELDS = {Optimal: ("x", "y"), Infeasible: ("certificate",), Unbounded: ("ray",)}
+
+
+@given(lp=sparse_lp(), data=st.data())
+@settings(max_examples=100, deadline=None)
+@pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
+def test_sparse_verification_matches_the_dense_reference(ops, lp, data):
+    if ops is FLOAT_OPS:
+        lp = _as_float(lp)
+    out = solve(lp, ops)
+    honest = verify_certificate(lp, out, ops)
+    assert honest == _dense_verify(lp, out, ops)
+    if ops is RATIONAL_OPS:
+        assert honest
+    for field in _FIELDS[type(out)]:
+        size = len(getattr(out, field))
+        if not size:
+            continue
+        index = data.draw(st.integers(min_value=0, max_value=size - 1))
+        delta = ops.convert(data.draw(_coef.filter(bool)))
+        bad = _perturbed(out, field, index, delta)
+        assert verify_certificate(lp, bad, ops) == _dense_verify(lp, bad, ops), field
+
+
+class TestConvert:
+    def test_a_rational_comes_back_unchanged(self):
+        value = rat(-2, 7)
+        assert RATIONAL_OPS.convert(value) is value
+
+    def test_text_ints_and_floats_still_convert(self):
+        assert RATIONAL_OPS.convert("-2/7") == rat(-2, 7)
+        assert RATIONAL_OPS.convert("0.25") == rat(1, 4)
+        assert RATIONAL_OPS.convert(3) == 3 and type(RATIONAL_OPS.convert(3)) is type(rat(3))
+        assert RATIONAL_OPS.convert(0.5) == rat(1, 2)
+        assert FLOAT_OPS.convert("0.25") == 0.25
+        assert FLOAT_OPS.convert(rat(1, 4)) == 0.25
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_are_refused(self, bad):
+        with pytest.raises(PreconditionError):
+            RATIONAL_OPS.convert(bad)
+
+
+# ---------------------------------------------------------------------------
+# solver errors name the layer and the program's size
+
+
+class TestSolverErrors:
+    def _tableau(self):
+        lp = lp_min([-1, -1], [([1, 2], "<=", 4), ([3, 1], "<=", 6)])
+        cols, _, rows_z = _standardise(lp, RATIONAL_OPS)
+        tab = _Tableau(rows_z, len(cols), RATIONAL_OPS)
+        cost = [RATIONAL_OPS.zero] * tab.width
+        cost[0] = cost[1] = -RATIONAL_OPS.one
+        return tab, tab.objective_row(cost)
+
+    def test_failed_certificate(self, monkeypatch):
+        monkeypatch.setattr(rip.lp, "verify_certificate", lambda *args: False)
+        lp = lp_min([2, 3], [([1, 1], ">=", 4)])
+        message = r"^lp: the Optimal certificate .* on a 1 x 2 program"
+        with pytest.raises(InternalCheckError, match=message):
+            solve_checked(lp)
+
+    def test_pivot_cap(self):
+        tab, z_row = self._tableau()
+        message = r"^lp: simplex stopped after 1 pivots, over its cap of 0, on a 2 x 6 tableau"
+        with pytest.raises(CapacityError, match=message):
+            tab.run(z_row, tab.art_start, max_pivots=0)
+
+    def test_bit_guard(self, monkeypatch):
+        monkeypatch.setattr(rip.lp, "_BIT_GUARD", 1)
+        tab, z_row = self._tableau()
+        tab.pivot(0, 0, z_row)
+        message = r"^lp: exact tableau coefficients reached 3 bits after 1 pivots on a 2 x 6 "
+        with pytest.raises(CapacityError, match=message):
+            tab._capacity_guard()
