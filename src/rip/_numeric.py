@@ -12,7 +12,7 @@ that downstream code never branches on the mode by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -97,6 +97,14 @@ class ModeOps:
     feas_tol: Any
     label_tol: Any
     dual_tol: Any
+    zero: Any = field(init=False, repr=False, compare=False)
+    one: Any = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # built once: the per-path loops of the builders ask for them often
+        exact = self.mode != FLOAT
+        object.__setattr__(self, "zero", rat(0) if exact else 0.0)
+        object.__setattr__(self, "one", rat(1) if exact else 1.0)
 
     def convert(self, x: Any):
         """Coerce a number into this mode, parsing strings along the way.
@@ -115,14 +123,6 @@ class ModeOps:
                 raise PreconditionError("cannot convert a non-finite float to a rational")
             return rat(x)
         return rat(x)
-
-    @property
-    def zero(self):
-        return 0.0 if self.mode == FLOAT else rat(0)
-
-    @property
-    def one(self):
-        return 1.0 if self.mode == FLOAT else rat(1)
 
     def eq(self, a, b, tol=None) -> bool:
         t = self.feas_tol if tol is None else tol

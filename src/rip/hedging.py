@@ -220,7 +220,7 @@ def build_hedge_problem(
         for t in range(t_from, t_to):
             first = column[(t, fm.cell[t][p])]
             for i, delta in enumerate(fm.delta[t][p]):
-                if delta != ops.zero:
+                if delta:
                     coeffs[first + i] = delta
         rows.append((coeffs, ">=", value - cash_shift))
 

@@ -4,8 +4,13 @@ The solver is a dense two-phase primal simplex using Bland's rule (lowest
 eligible index enters; ties in the ratio test go to the lowest basic
 index), so it terminates on every input and never makes a data-dependent
 random choice: the same program yields the same outcome object, pivot for
-pivot.  In rational mode every tableau entry is an exact rational and the
-reported values, certificates, and infeasibility witnesses are exact.
+pivot.  In rational mode the tableau is fraction-free (Edmonds 1967;
+Bareiss 1968): each row, the reduced-cost row included, is a list of
+integer numerators over one positive integer denominator, kept in lowest
+terms by one gcd per updated row, so a pivot builds no rational number.
+Exact rationals are built only for what the solver reports, and the
+reported values, certificates, and infeasibility witnesses are exact.  In
+float mode the rows are floats.
 
 Each row gets an artificial column, but an inequality row whose slack can
 be basic at a nonnegative value (``<=`` with right-hand side ``>= 0``, or
@@ -33,9 +38,10 @@ Bounds may be ``"free"``, ``"nonneg"``, or a ``(low, high)`` pair with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Any, Optional, Sequence, Union
 
-from ._numeric import ModeOps, RATIONAL_OPS
+from ._numeric import FLOAT, ModeOps, RATIONAL_OPS, _ratio
 from .errors import CapacityError, InternalCheckError, PreconditionError
 
 RELATIONS = ("<=", ">=", "==")
@@ -124,8 +130,10 @@ def _standardise(lp: LinearProgram, ops: ModeOps):
     Returns ``(cols, shifts, rows_z)`` where each column is ``(var, mult)``,
     ``x[var] = shifts[var] + sum(mult * z)`` over the variable's columns,
     and ``rows_z`` lists ``(coeffs, rel, rhs)`` over the z variables: the
-    original rows first, then one ``<=`` row per finite upper bound.  Each
-    nonzero coefficient is converted once; zero entries cost nothing.
+    original rows first, then one ``<=`` row per finite upper bound.  A
+    row's ``coeffs`` are its nonzero ``(column, coefficient)`` pairs in
+    column order.  Each nonzero coefficient is converted once; zero entries
+    cost nothing.
     """
     zero = ops.zero
     cols: list = []
@@ -156,24 +164,21 @@ def _standardise(lp: LinearProgram, ops: ModeOps):
     for cidx, (var, mult) in enumerate(cols):
         var_cols[var].append((cidx, mult))
 
-    nz = len(cols)
     rows_z = []
     for coeffs, rel, rhs in lp.rows:
-        row = [zero] * nz
+        row = []
         adjust = zero
         for j, c in enumerate(coeffs):
             if not c:
                 continue
             c = ops.convert(c)
             for cidx, mult in var_cols[j]:
-                row[cidx] = c if mult > 0 else -c
+                row.append((cidx, c if mult > 0 else -c))
             if shifts[j]:
                 adjust = adjust + c * shifts[j]
         rows_z.append((row, rel, ops.convert(rhs) - adjust))
     for cidx, ub in box:
-        row = [zero] * nz
-        row[cidx] = ops.one
-        rows_z.append((row, "<=", ub))
+        rows_z.append(([(cidx, ops.one)], "<=", ub))
     return cols, shifts, rows_z
 
 
@@ -189,9 +194,25 @@ def _recover_x(cols, shifts, z, n_vars):
 
 
 class _Tableau:
+    """The dense simplex tableau: bookkeeping and Bland's rule for both modes.
+
+    Row ``i`` holds columns ``0..width-1`` and its right-hand side at index
+    ``width``; its basic column is ``basis[i]`` and it came from standardised
+    row ``row_ids[i]``.  The mode picks the arithmetic: constructing a
+    ``_Tableau`` gives an :class:`_IntegerTableau` in rational mode and a
+    :class:`_FloatTableau` in float mode.  They store the rows and do the
+    ratio test, the elimination and the reduced costs; the pivot rule, the
+    pivot count and its cap live here.
+    """
+
+    def __new__(cls, rows_z, nz: int, ops: ModeOps):
+        if cls is _Tableau:
+            cls = _FloatTableau if ops.mode == FLOAT else _IntegerTableau
+        return super().__new__(cls)
+
     def __init__(self, rows_z, nz: int, ops: ModeOps):
         self.ops = ops
-        zero, one = ops.zero, ops.one
+        one = ops.one
         m = len(rows_z)
         n_slack = sum(1 for _, rel, _ in rows_z if rel != "==")
         self.nz = nz
@@ -209,30 +230,100 @@ class _Tableau:
         for i, (coeffs, rel, rhs) in enumerate(rows_z):
             # make the right-hand side nonnegative; an inequality whose
             # right-hand side is zero takes the sign that puts +1 on its slack
-            flip = rhs < zero or (rel == ">=" and rhs == zero)
+            flip = rhs < 0 or (rel == ">=" and not rhs)
             self.sigma.append(-1 if flip else 1)
             if flip:
-                row = [-v if v else v for v in coeffs]
+                entries = [(k, -v) for k, v in coeffs]
                 rhs = -rhs
             else:
-                row = list(coeffs)
-            row += [zero] * (n_slack + m + 1)
-            slack = -1
+                entries = list(coeffs)
+            basic = self.art_start + i
             if rel != "==":
                 slack = nz + slack_at
-                row[slack] = one if (rel == "<=") != flip else -one
                 slack_at += 1
-            row[-1] = rhs
-            row[self.art_start + i] = one
-            self.matrix.append(row)
-            if slack >= 0 and row[slack] == one:
-                self.basis.append(slack)  # feasible at the row's right-hand side
-            else:
-                self.basis.append(self.art_start + i)
+                if (rel == "<=") != flip:
+                    entries.append((slack, one))
+                    basic = slack  # feasible at the row's right-hand side
+                else:
+                    entries.append((slack, -one))
+            entries.append((self.art_start + i, one))
+            self.matrix.append(self._row(entries, rhs))
+            self.basis.append(basic)
+
+    def pivot(self, i: int, j: int, z_row) -> None:
+        self._eliminate(i, j, z_row)
+        self.basis[i] = j
+        self.pivots += 1
+        self.guard_clock += 1
+        if self.guard_clock >= _GUARD_EVERY:
+            self.guard_clock = 0
+            self._capacity_guard()
+
+    def _capacity_guard(self) -> None:
+        """Float rows cannot grow; the integer tableau measures its bits."""
+
+    def size(self) -> str:
+        return f"{len(self.matrix)} x {self.width}"
+
+    def run(self, z_row, allowed_width: int, max_pivots: int) -> Optional[int]:
+        """Pivot until optimal (returns None) or unbounded (returns the column)."""
+        tol = self.ops.feas_tol
+        basis = self.basis
+        while True:
+            # Bland's rule: the lowest column with a negative reduced cost
+            # enters, and ties in the ratio test go to the lowest basic index
+            enter = -1
+            for j in range(allowed_width):
+                if z_row[j] < -tol:
+                    enter = j
+                    break
+            if enter < 0:
+                return None
+            leave = -1
+            for i in self._least_ratio_rows(enter):
+                if leave < 0 or basis[i] < basis[leave]:
+                    leave = i
+            if leave < 0:
+                return enter
+            self.pivot(leave, enter, z_row)
+            if self.pivots > max_pivots:
+                raise CapacityError(
+                    f"lp: simplex stopped after {self.pivots} pivots, over its cap "
+                    f"of {max_pivots}, on a {self.size()} tableau"
+                )
+
+    def z_values(self):
+        z = [self.ops.zero] * self.nz
+        for i, b in enumerate(self.basis):
+            if b < self.nz:
+                z[b] = self.value(self.matrix[i], self.width)
+        return z
+
+    def duals_from_artificials(self, z_row, art_cost):
+        """Row duals of the standardised system, via artificial reduced costs."""
+        y = {}
+        for rid in self.row_ids:
+            col = self.art_start + rid
+            y[rid] = self.sigma[rid] * (art_cost - self.value(z_row, col))
+        return y
+
+
+class _FloatTableau(_Tableau):
+    """Rows of floats, right-hand side last; the pivot divides by its entry."""
+
+    def _row(self, entries, rhs) -> list:
+        row = [0.0] * (self.width + 1)
+        for k, v in entries:
+            row[k] = v
+        row[-1] = rhs
+        return row
+
+    def value(self, row, k):
+        return row[k]
 
     def objective_row(self, cost):
         """Reduced costs for the given per-column cost vector (basis-aware)."""
-        z_row = list(cost) + [self.ops.zero]
+        z_row = list(cost) + [0.0]
         for i, row in enumerate(self.matrix):
             cb = cost[self.basis[i]]
             if cb:
@@ -241,11 +332,25 @@ class _Tableau:
                         z_row[j] = z_row[j] - cb * v
         return z_row
 
-    def pivot(self, i: int, j: int, z_row) -> None:
+    def _least_ratio_rows(self, enter: int) -> list:
+        tol = self.ops.feas_tol
+        ties = []
+        best = None
+        for i, row in enumerate(self.matrix):
+            a = row[enter]
+            if a > tol:
+                ratio = row[-1] / a
+                if best is None or ratio < best:
+                    best = ratio
+                    ties = [i]
+                elif ratio == best:
+                    ties.append(i)
+        return ties
+
+    def _eliminate(self, i: int, j: int, z_row) -> None:
         matrix = self.matrix
         row = matrix[i]
         inv = 1 / row[j]
-        # truth tests, not comparisons against a zero: Fraction.__eq__ is slow
         nonzeros = [(k, v * inv) for k, v in enumerate(row) if v]
         for k, v in nonzeros:
             row[k] = v
@@ -260,26 +365,97 @@ class _Tableau:
         if f:
             for k, v in nonzeros:
                 z_row[k] = z_row[k] - f * v
-        self.basis[i] = j
-        self.pivots += 1
-        self.guard_clock += 1
-        if self.guard_clock >= _GUARD_EVERY:
-            self.guard_clock = 0
-            self._capacity_guard()
+
+
+class _IntegerTableau(_Tableau):
+    """Fraction-free rows: integer numerators over one positive denominator.
+
+    A row is a list of ints, columns and right-hand side as in
+    :class:`_Tableau`, with its denominator appended at index ``width + 1``;
+    entry ``k`` stands for ``row[k] / row[-1]``.  Every row, the reduced-cost
+    row included, is kept in lowest terms: the gcd of its entries and its
+    denominator is 1.  Since denominators are positive, the sign of an entry
+    is the sign of its numerator, and a ratio ``rhs / a`` within a row needs
+    no denominator at all.  Rationals are built only for reported values.
+    """
+
+    def _row(self, entries, rhs) -> list:
+        """The integer row of ``entries`` (nonzero ``(column, rational)``) and ``rhs``."""
+        size = self.width + 1
+        if rhs:
+            entries = entries + [(size - 1, rhs)]
+        dens = [int(v.denominator) for _, v in entries]
+        den = lcm(*dens)
+        row = [0] * (size + 1)
+        for (k, v), d in zip(entries, dens):
+            row[k] = int(v.numerator) * (den // d)
+        row[-1] = den
+        return row
+
+    def value(self, row, k):
+        return _ratio(row[k], row[-1])
+
+    def objective_row(self, cost):
+        """Reduced costs for the given per-column cost vector (basis-aware)."""
+        z_row = self._row([(j, c) for j, c in enumerate(cost) if c], 0)
+        for i, row in enumerate(self.matrix):
+            cb = cost[self.basis[i]]
+            if cb:
+                # z/dz - (p/q)(r/d) = (q d z - p dz r) / (q d dz)
+                p, q = int(cb.numerator), int(cb.denominator)
+                _combine(z_row, q * row[-1], p * z_row[-1], _integer_nonzeros(row))
+        return z_row
+
+    def _least_ratio_rows(self, enter: int) -> list:
+        w = self.width
+        ties = []
+        for i, row in enumerate(self.matrix):
+            a = row[enter]
+            if a > 0:
+                if not ties:
+                    ties = [i]
+                    best_rhs, best_a = row[w], a
+                    continue
+                # rhs / a against the best, with both denominators positive
+                cross = row[w] * best_a - best_rhs * a
+                if cross < 0:
+                    ties = [i]
+                    best_rhs, best_a = row[w], a
+                elif cross == 0:
+                    ties.append(i)
+        return ties
+
+    def _eliminate(self, i: int, j: int, z_row) -> None:
+        matrix = self.matrix
+        row = matrix[i]
+        a = row[j]
+        # divided by its entry a/den, the pivot row is row / a
+        if a < 0:
+            row[:] = [-v for v in row]
+            a = -a
+        row[-1] = a
+        g = gcd(*row)
+        if g != 1:
+            row[:] = [v // g for v in row]
+        den = row[-1]
+        nonzeros = _integer_nonzeros(row)
+        for other in matrix:
+            if other is not row:
+                f = other[j]
+                if f:
+                    _combine(other, den, f, nonzeros)
+        f = z_row[j]
+        if f:
+            _combine(z_row, den, f, nonzeros)
 
     def _capacity_guard(self) -> None:
-        if self.ops.feas_tol != 0:
-            return
+        # the bits of a row's entries and its denominator bound those of
+        # every entry in lowest terms
         worst = 0
         for row in self.matrix:
-            for v in row:
-                if not v:
-                    continue
-                num = v.numerator
-                size = num.bit_length() if num >= 0 else (-num).bit_length()
-                size = max(size, v.denominator.bit_length())
-                if size > worst:
-                    worst = size
+            size = max(max(row).bit_length(), min(row).bit_length())
+            if size > worst:
+                worst = size
         if worst > _BIT_GUARD:
             raise CapacityError(
                 f"lp: exact tableau coefficients reached {worst} bits after "
@@ -287,57 +463,31 @@ class _Tableau:
                 "the instance is too ill-conditioned for rational mode"
             )
 
-    def size(self) -> str:
-        return f"{len(self.matrix)} x {self.width}"
 
-    def run(self, z_row, allowed_width: int, max_pivots: int) -> Optional[int]:
-        """Pivot until optimal (returns None) or unbounded (returns the column)."""
-        ops = self.ops
-        tol = ops.feas_tol
-        matrix = self.matrix
-        while True:
-            enter = -1
-            for j in range(allowed_width):
-                if z_row[j] < -tol:
-                    enter = j
-                    break
-            if enter < 0:
-                return None
-            leave = -1
-            best = None
-            for i, row in enumerate(matrix):
-                a = row[enter]
-                if a > tol:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
-            if leave < 0:
-                return enter
-            self.pivot(leave, enter, z_row)
-            if self.pivots > max_pivots:
-                raise CapacityError(
-                    f"lp: simplex stopped after {self.pivots} pivots, over its cap "
-                    f"of {max_pivots}, on a {self.size()} tableau"
-                )
+def _integer_nonzeros(row) -> list:
+    """An integer row's nonzero ``(index, numerator)`` pairs, denominator excluded."""
+    pairs = [(k, v) for k, v in enumerate(row) if v]
+    pairs.pop()  # the denominator, which is positive and last
+    return pairs
 
-    def z_values(self):
-        zero = self.ops.zero
-        z = [zero] * self.nz
-        for i, b in enumerate(self.basis):
-            if b < self.nz:
-                z[b] = self.matrix[i][-1]
-        return z
 
-    def duals_from_artificials(self, z_row, art_cost):
-        """Row duals of the standardised system, via artificial reduced costs."""
-        y = {}
-        for i, rid in enumerate(self.row_ids):
-            col = self.art_start + rid
-            y[rid] = self.sigma[rid] * (art_cost - z_row[col])
-        return y
+def _combine(target: list, scale, f, source_nonzeros) -> None:
+    """``target <- scale * target - f * source`` on integer rows, in lowest terms.
+
+    The denominator of ``target`` becomes ``scale`` times its own; the
+    denominator of ``source`` takes no part, so ``source_nonzeros`` leaves it out.
+    """
+    h = gcd(scale, f)  # a common factor of both leaves the value as it is
+    if h != 1:
+        scale //= h
+        f //= h
+    if scale != 1:
+        target[:] = [scale * v for v in target]
+    for k, v in source_nonzeros:
+        target[k] -= f * v
+    g = gcd(*target)
+    if g != 1:
+        target[:] = [v // g for v in target]
 
 
 def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
@@ -375,7 +525,7 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
     z_row = tab.objective_row(phase1_cost)
     unbounded_col = tab.run(z_row, tab.art_start, max_pivots)
     assert unbounded_col is None  # phase 1 is bounded below by zero
-    residue = -z_row[-1]
+    residue = -tab.value(z_row, tab.width)
     if residue > (tol * m if tol else zero):
         duals = tab.duals_from_artificials(z_row, ops.one)
         certificate = tuple(duals[i] for i in range(m))
@@ -396,7 +546,7 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
             ray_z[unbounded_col] = ops.one
         for i, b in enumerate(tab.basis):
             if b < nz:
-                ray_z[b] = ray_z[b] - tab.matrix[i][unbounded_col]
+                ray_z[b] = ray_z[b] - tab.value(tab.matrix[i], unbounded_col)
         point = _recover_x(cols, shifts, z, lp.n_vars)
         ray = _recover_x(cols, [zero] * lp.n_vars, ray_z, lp.n_vars)
         return Unbounded(point, ray, tab.pivots)
@@ -560,9 +710,8 @@ def _verify_infeasible(lp: LinearProgram, outcome: Infeasible, ops: ModeOps) -> 
     combo = [zero] * len(cols)
     for yi, (row, _, _) in zip(y, rows_z):
         if yi:
-            for cidx, v in enumerate(row):
-                if v:
-                    combo[cidx] = combo[cidx] + yi * v
+            for cidx, v in row:
+                combo[cidx] = combo[cidx] + yi * v
     if any(c > tol for c in combo):
         return False
     money = sum((yi * rhs for yi, (_, _, rhs) in zip(y, rows_z) if yi), zero)

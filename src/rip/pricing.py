@@ -78,7 +78,7 @@ class MartingaleMeasure:
                     drift = ops.zero
                     for p in atom.paths:
                         w = self.weights[p]
-                        if w != ops.zero:
+                        if w:
                             path = space.paths[p]
                             drift = drift + w * (path.values[t + 1][i] - path.values[t][i])
                     if not ops.eq(drift, ops.zero, tol):
@@ -161,7 +161,7 @@ def build_measure_lp(
                 nonzero = False
                 for p in overlap:
                     delta = fm.delta[t][p][i]
-                    if delta != ops.zero:
+                    if delta:
                         coeffs[index_of[p]] = delta
                         nonzero = True
                 if nonzero:
@@ -319,7 +319,7 @@ def concatenate_measure(
             )
         atom_set = set(atom.paths)
         for p, w in enumerate(kernel.weights):
-            if w == ops.zero:
+            if not w:
                 continue
             if p not in atom_set:
                 raise PreconditionError(
@@ -327,7 +327,7 @@ def concatenate_measure(
                 )
             weights[p] = mass * w
         info = info or kernel.info
-    support = tuple(p for p, w in enumerate(weights) if w != ops.zero)
+    support = tuple(p for p, w in enumerate(weights) if w)
     return MartingaleMeasure(
         tuple(weights),
         info or prefix.info,

@@ -19,6 +19,7 @@ from rip import (
     solve_checked,
     verify_certificate,
 )
+import reference_simplex
 import rip.lp
 from rip.errors import CapacityError, InternalCheckError
 from rip.lp import RELATIONS, _Tableau, _standardise
@@ -152,6 +153,17 @@ def test_float_mode_matches_rational_on_a_small_program():
     approx = solve(lp_f, FLOAT_OPS)
     assert isinstance(exact, Optimal) and isinstance(approx, Optimal)
     assert approx.value == pytest.approx(float(exact.value), abs=1e-9)
+
+
+def test_float_mode_without_a_feasibility_tolerance_pivots_past_the_guard():
+    # a model may set its float feasibility tolerance to 0; the bit guard,
+    # which runs every 64 pivots, belongs to the exact tableau only
+    ops = replace(FLOAT_OPS, feas_tol=0.0)
+    n = 70
+    rows = [([1.0 if k == i else 0.0 for k in range(n)], "<=", 1.0) for i in range(n)]
+    out = solve(LinearProgram.build("max", [1.0] * n, rows, ["nonneg"] * n), ops)
+    assert isinstance(out, Optimal)
+    assert (out.value, out.pivots) == (70.0, 70)
 
 
 def test_determinism_on_a_degenerate_program():
@@ -490,3 +502,105 @@ class TestSolverErrors:
         message = r"^lp: exact tableau coefficients reached 3 bits after 1 pivots on a 2 x 6 "
         with pytest.raises(CapacityError, match=message):
             tab._capacity_guard()
+
+    def test_bit_guard_counts_a_row_denominator(self, monkeypatch):
+        # in a reachable tableau each row's basic column holds its
+        # denominator as numerator, so this row is set by hand: numerators
+        # of at most 3 bits over a denominator of 6
+        monkeypatch.setattr(rip.lp, "_BIT_GUARD", 5)
+        tab, _ = self._tableau()
+        tab._capacity_guard()
+        tab.matrix[0][-1] = 32
+        assert max(abs(v) for v in tab.matrix[0][:-1]).bit_length() <= 3
+        message = r"^lp: exact tableau coefficients reached 6 bits after 0 pivots on a 2 x 6 "
+        with pytest.raises(CapacityError, match=message):
+            tab._capacity_guard()
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free tableau against the same simplex on one rational per
+# entry (tests/reference_simplex.py): equal outcomes, pivot counts included,
+# and every reported number of the mode's rational type
+
+
+def _numbers(out):
+    if isinstance(out, Optimal):
+        return out.x + out.y + (out.value,)
+    if isinstance(out, Infeasible):
+        return out.certificate
+    return out.point + out.ray
+
+
+def _matches_the_reference(lp):
+    out = solve(lp)
+    assert out == reference_simplex.solve(lp)
+    rational = type(rat(0))
+    assert all(type(v) is rational for v in _numbers(out)), out
+    return out
+
+
+@given(lp=st.one_of(sparse_lp(), random_lp()))
+@settings(max_examples=500, deadline=None)
+def test_integer_rows_match_the_rational_reference(lp):
+    _matches_the_reference(lp)
+
+
+def _pivots_per_phase(monkeypatch):
+    """Record the pivots of each ``run`` call (phase 1, then phase 2)."""
+    counts = []
+    run = _Tableau.run
+
+    def counted(tab, *args, **kwargs):
+        before = tab.pivots
+        try:
+            return run(tab, *args, **kwargs)
+        finally:
+            counts.append(tab.pivots - before)
+
+    monkeypatch.setattr(_Tableau, "run", counted)
+    return counts
+
+
+def test_both_phases_match_the_reference(monkeypatch):
+    counts = _pivots_per_phase(monkeypatch)
+    # the >= row has no slack start, so phase 1 pivots before phase 2 does
+    lp = lp_min([-1, -2, 1], [([1, 1, 1], ">=", 2), ([1, 2, -1], "<=", 6), ([0, 1, 1], "<=", 3)])
+    out = _matches_the_reference(lp)
+    assert isinstance(out, Optimal)
+    assert len(counts) == 2 and all(counts), counts
+
+
+@pytest.mark.parametrize("as_ge", [False, True], ids=["le-rows", "ge-zero-row"])
+def test_beale_cycling_example_matches_the_reference(as_ge):
+    rows = list(_BEALE_ROWS)
+    if as_ge:
+        coeffs, _, rhs = rows[0]
+        rows[0] = ([-c for c in coeffs], ">=", rhs)
+    out = _matches_the_reference(lp_min(_BEALE_OBJECTIVE, rows))
+    assert isinstance(out, Optimal) and out.pivots > 0
+
+
+def test_a_dropped_redundant_row_matches_the_reference(monkeypatch):
+    kept = []
+    drive_out = rip.lp._drive_out_artificials
+
+    def recorded(tab, z_row):
+        drive_out(tab, z_row)
+        kept.append(len(tab.matrix))
+
+    monkeypatch.setattr(rip.lp, "_drive_out_artificials", recorded)
+    lp = lp_min([1, 3], [([1, 1], "==", 1), ([2, 2], "==", 2), ([1, -1], "<=", 0)])
+    out = _matches_the_reference(lp)
+    assert isinstance(out, Optimal)
+    assert kept == [2]  # one of the two equal rows is gone
+
+
+def test_infeasible_and_unbounded_programs_match_the_reference():
+    infeasible = _matches_the_reference(lp_min([1, 1], [([1, 1], ">=", 2), ([1, 1], "<=", 1)]))
+    assert isinstance(infeasible, Infeasible) and infeasible.pivots > 0
+    unbounded = _matches_the_reference(
+        lp_min([-1, 0], [([1, -1], "<=", 0), ([1, 0], ">=", 1)], ["nonneg", (0, None)])
+    )
+    assert isinstance(unbounded, Unbounded) and unbounded.pivots > 0
+    no_rows = _matches_the_reference(lp_min([-1], []))
+    assert isinstance(no_rows, Unbounded)
