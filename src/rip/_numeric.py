@@ -62,10 +62,6 @@ def is_neg_inf(x: Any) -> bool:
     return isinstance(x, float) and x == NEG_INF
 
 
-def is_pos_inf(x: Any) -> bool:
-    return isinstance(x, float) and x == POS_INF
-
-
 def format_number(x: Any) -> str:
     """Render a number canonically: rationals as ``p/q`` or ``p``, floats via repr."""
     if isinstance(x, float):
@@ -130,19 +126,9 @@ class ModeOps:
             return a == b
         return abs(a - b) <= t
 
-    def leq(self, a, b, tol=None) -> bool:
-        t = self.feas_tol if tol is None else tol
-        return a <= b + t
-
     def lt(self, a, b, tol=None) -> bool:
         """Strictly less, consistent with :meth:`eq` at the tolerance."""
         return a < b and not self.eq(a, b, tol)
-
-    def is_zero(self, a, tol=None) -> bool:
-        return self.eq(a, self.zero, tol)
-
-    def nonneg(self, a, tol=None) -> bool:
-        return self.leq(self.zero, a, tol)
 
     def pos(self, a, tol=None) -> bool:
         return self.lt(self.zero, a, tol)

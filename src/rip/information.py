@@ -21,7 +21,7 @@ variables on atoms deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import wraps
 from typing import Any, Callable, Optional, Sequence
 
 from ._numeric import FLOAT, ModeOps
@@ -68,9 +68,9 @@ class InfoVariable:
         return self.labeler(path, ops)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class InfoStructure:
-    """Which of the four arrangements is in force, and with what variable."""
+    """Which arrangement is in force, and with what variable; equal by value."""
 
     variant: str
     variable: Optional[InfoVariable] = None
@@ -279,8 +279,7 @@ class Filtration:
         return sorted(groups.items())
 
 
-# the per-path tables are large, and a run works on a few spaces at a time
-@lru_cache(maxsize=16)
+@_per_space
 def _filtration(space: PathSpace, info: InfoStructure) -> Filtration:
     atoms = []
     cells = []

@@ -12,13 +12,13 @@ Exact rationals are built only for what the solver reports, and the
 reported values, certificates, and infeasibility witnesses are exact.  In
 float mode the rows are floats.
 
-Each row gets an artificial column, but an inequality row whose slack can
-be basic at a nonnegative value (``<=`` with right-hand side ``>= 0``, or
-``>=`` with right-hand side ``<= 0``) starts with that slack in the basis.
-Phase 1 therefore runs only over the rows that have no slack start, and
-ends without a pivot when every row has one.  The artificial columns stay in
-the tableau either way, since the row duals are read off their reduced
-costs.
+Each row starts on one basic column.  An inequality row whose slack can be
+basic at a nonnegative value (``<=`` with right-hand side ``>= 0``, or
+``>=`` with right-hand side ``<= 0``) starts on that slack; every other row
+gets an artificial column of its own and starts on it.  Phase 1 therefore
+runs only over the rows that have no slack start, and ends without a pivot
+when every row has one.  A row's dual is read off the reduced cost of its
+start column, in both phases.  A program with no rows is an empty tableau.
 
 Every outcome carries a certificate that :func:`verify_certificate` checks
 against the problem data by direct arithmetic, without trusting anything
@@ -182,7 +182,7 @@ def _standardise(lp: LinearProgram, ops: ModeOps):
     return cols, shifts, rows_z
 
 
-def _recover_x(cols, shifts, z, n_vars):
+def _recover_x(cols, shifts, z):
     x = list(shifts)
     for cidx, (var, mult) in enumerate(cols):
         x[var] = x[var] + mult * z[cidx]
@@ -198,11 +198,14 @@ class _Tableau:
 
     Row ``i`` holds columns ``0..width-1`` and its right-hand side at index
     ``width``; its basic column is ``basis[i]`` and it came from standardised
-    row ``row_ids[i]``.  The mode picks the arithmetic: constructing a
-    ``_Tableau`` gives an :class:`_IntegerTableau` in rational mode and a
-    :class:`_FloatTableau` in float mode.  They store the rows and do the
-    ratio test, the elimination and the reduced costs; the pivot rule, the
-    pivot count and its cap live here.
+    row ``row_ids[i]``.  Columns are the ``nz`` structural ones, then one
+    slack per inequality row, then, from ``art_start`` on, one artificial per
+    row without a slack start, in row order.  ``start[r]`` is the column
+    standardised row ``r`` starts on.  The mode picks the arithmetic:
+    constructing a ``_Tableau`` gives an :class:`_IntegerTableau` in rational
+    mode and a :class:`_FloatTableau` in float mode.  They store the rows and
+    do the ratio test, the elimination and the reduced costs; the pivot rule,
+    the pivot count and its cap live here.
     """
 
     def __new__(cls, rows_z, nz: int, ops: ModeOps):
@@ -218,16 +221,15 @@ class _Tableau:
         self.nz = nz
         self.n_slack = n_slack
         self.art_start = nz + n_slack
-        self.width = nz + n_slack + m
         self.sigma = []
-        self.matrix = []
-        self.basis = []
+        self.start = []
         self.row_ids = list(range(m))  # original standardised row per tableau row
         self.pivots = 0
         self.guard_clock = 0
 
-        slack_at = 0
-        for i, (coeffs, rel, rhs) in enumerate(rows_z):
+        rows = []
+        slack, art = nz, self.art_start
+        for coeffs, rel, rhs in rows_z:
             # make the right-hand side nonnegative; an inequality whose
             # right-hand side is zero takes the sign that puts +1 on its slack
             flip = rhs < 0 or (rel == ">=" and not rhs)
@@ -237,18 +239,21 @@ class _Tableau:
                 rhs = -rhs
             else:
                 entries = list(coeffs)
-            basic = self.art_start + i
+            start = art
             if rel != "==":
-                slack = nz + slack_at
-                slack_at += 1
-                if (rel == "<=") != flip:
-                    entries.append((slack, one))
-                    basic = slack  # feasible at the row's right-hand side
-                else:
-                    entries.append((slack, -one))
-            entries.append((self.art_start + i, one))
-            self.matrix.append(self._row(entries, rhs))
-            self.basis.append(basic)
+                slack_starts = (rel == "<=") != flip  # feasible at the right-hand side
+                entries.append((slack, one if slack_starts else -one))
+                if slack_starts:
+                    start = slack
+                slack += 1
+            if start == art:
+                entries.append((art, one))
+                art += 1
+            self.start.append(start)
+            rows.append((entries, rhs))
+        self.width = art
+        self.matrix = [self._row(entries, rhs) for entries, rhs in rows]
+        self.basis = list(self.start)
 
     def pivot(self, i: int, j: int, z_row) -> None:
         self._eliminate(i, j, z_row)
@@ -299,12 +304,16 @@ class _Tableau:
                 z[b] = self.value(self.matrix[i], self.width)
         return z
 
-    def duals_from_artificials(self, z_row, art_cost):
-        """Row duals of the standardised system, via artificial reduced costs."""
+    def duals(self, z_row, cost):
+        """Row duals of the standardised system, via start-column reduced costs.
+
+        A slack start's column equals the artificial its row would otherwise
+        have, so one rule serves both kinds of start, in both phases.
+        """
         y = {}
         for rid in self.row_ids:
-            col = self.art_start + rid
-            y[rid] = self.sigma[rid] * (art_cost - self.value(z_row, col))
+            col = self.start[rid]
+            y[rid] = self.sigma[rid] * (cost[col] - self.value(z_row, col))
         return y
 
 
@@ -504,20 +513,9 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
     for cidx, (var, mult) in enumerate(cols):
         c_z[cidx] = c_z[cidx] + c_work[var] * mult
 
-    if m == 0:
-        for cidx in range(nz):
-            if c_z[cidx] < -tol:
-                ray_z = [zero] * nz
-                ray_z[cidx] = ops.one
-                point = _recover_x(cols, shifts, [zero] * nz, lp.n_vars)
-                ray = _recover_x(cols, [zero] * lp.n_vars, ray_z, lp.n_vars)
-                return Unbounded(point, ray, 0)
-        x = _recover_x(cols, shifts, [zero] * nz, lp.n_vars)
-        value = sum((ops.convert(ci) * xi for ci, xi in zip(lp.objective, x)), zero)
-        return Optimal(x, (), value, 0)
-
     tab = _Tableau(rows_z, nz, ops)
-    max_pivots = 20000 + 200 * (m + tab.width)
+    # the cap counts an artificial for every row, as the standard form has
+    max_pivots = 20000 + 200 * (m + tab.art_start + m)
 
     phase1_cost = [zero] * tab.width
     for k in range(tab.art_start, tab.width):
@@ -527,7 +525,7 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
     assert unbounded_col is None  # phase 1 is bounded below by zero
     residue = -tab.value(z_row, tab.width)
     if residue > (tol * m if tol else zero):
-        duals = tab.duals_from_artificials(z_row, ops.one)
+        duals = tab.duals(z_row, phase1_cost)
         certificate = tuple(duals[i] for i in range(m))
         return Infeasible(certificate, tab.pivots)
 
@@ -547,14 +545,14 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
         for i, b in enumerate(tab.basis):
             if b < nz:
                 ray_z[b] = ray_z[b] - tab.value(tab.matrix[i], unbounded_col)
-        point = _recover_x(cols, shifts, z, lp.n_vars)
-        ray = _recover_x(cols, [zero] * lp.n_vars, ray_z, lp.n_vars)
+        point = _recover_x(cols, shifts, z)
+        ray = _recover_x(cols, [zero] * lp.n_vars, ray_z)
         return Unbounded(point, ray, tab.pivots)
 
     z = tab.z_values()
-    x = _recover_x(cols, shifts, z, lp.n_vars)
+    x = _recover_x(cols, shifts, z)
     value = sum((ops.convert(ci) * xi for ci, xi in zip(lp.objective, x)), zero)
-    duals = tab.duals_from_artificials(z_row, zero)
+    duals = tab.duals(z_row, phase2_cost)
     n_user = len(lp.rows)
     y = [zero] * n_user
     for i in range(m):

@@ -22,7 +22,7 @@ Top-level keys::
     claims           [payoff expression, ...]
     target           [path index, ...]
     split            int
-    tolerances       {feasibility, label, duality}   (float mode only)
+    tolerances       {feasibility, label, duality}   (float mode only; feasibility > 0)
 
 Numbers may be written as YAML integers or floats, or as strings such as
 ``"2/3"`` which are read exactly in rational mode.  Lattice ratios follow the
@@ -43,6 +43,7 @@ asset coordinates, or a mapping naming a catalog variable::
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -544,8 +545,13 @@ def _parse_tolerances(doc: dict, mode: str, errs: _Collector) -> Optional[ModeOp
     for key, attr in (("feasibility", "feas_tol"), ("label", "label_tol"), ("duality", "dual_tol")):
         if key in mapping:
             got = mapping[key]
-            if not isinstance(got, (int, float)) or isinstance(got, bool) or got < 0:
-                errs.add(f"tolerances.{key}", f"expected a nonnegative number, got {got!r}")
+            # at a feasibility tolerance of 0 the float simplex pivots on round-off
+            least = "positive" if key == "feasibility" else "nonnegative"
+            number = isinstance(got, (int, float)) and not isinstance(got, bool)
+            # nan fails both comparisons; an int too large for a float fails the second
+            in_range = number and 0 <= got <= sys.float_info.max
+            if not in_range or (got == 0 and least == "positive"):
+                errs.add(f"tolerances.{key}", f"expected a finite {least} number, got {got!r}")
                 continue
             values[attr] = float(got)
     return ModeOps(

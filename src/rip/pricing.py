@@ -204,6 +204,15 @@ def _measure_from_x(
     return measure
 
 
+def _measure_value(outcome) -> Any:
+    """A measure program's value, ``-inf`` for an empty class; weights are bounded."""
+    if isinstance(outcome, Optimal):
+        return outcome.value
+    if isinstance(outcome, Infeasible):
+        return NEG_INF
+    raise InternalCheckError("a probability-weight program cannot be unbounded")
+
+
 def _price_table(space, atoms, target, info, claim, book, interval) -> AtomTable:
     """One price per atom meeting the target, over the paths they share."""
     target_set = set(target)
@@ -214,14 +223,13 @@ def _price_table(space, atoms, target, info, claim, book, interval) -> AtomTable
             continue
         lp = build_measure_lp(space, meet, info, book, interval, claim)
         outcome = solve_checked(lp, space.ops)
+        value = _measure_value(outcome)
         if isinstance(outcome, Optimal):
             measure = _measure_from_x(space, meet, outcome.x, info, book, interval)
-            value = PriceValue(outcome.value, measure=measure, pivots=outcome.pivots)
-        elif isinstance(outcome, Infeasible):
-            value = PriceValue(NEG_INF, certificate=outcome.certificate, pivots=outcome.pivots)
+            entry = PriceValue(value, measure=measure, pivots=outcome.pivots)
         else:
-            raise InternalCheckError("a probability-weight program cannot be unbounded")
-        entries.append((atom, value))
+            entry = PriceValue(value, certificate=outcome.certificate, pivots=outcome.pivots)
+        entries.append((atom, entry))
     return AtomTable(entries)
 
 
@@ -390,12 +398,7 @@ def approx_price(
     """
     book = book or StaticOptionBook.cash_only()
     lp = _approx_lp(space, tuple(support), eta, claim, book)
-    outcome = solve_checked(lp, space.ops)
-    if isinstance(outcome, Optimal):
-        return outcome.value
-    if isinstance(outcome, Infeasible):
-        return NEG_INF
-    raise InternalCheckError("a probability-weight program cannot be unbounded")
+    return _measure_value(solve_checked(lp, space.ops))
 
 
 def approx_price_limit(
@@ -477,8 +480,7 @@ def dpp_price(
     )
     floor = [inner.for_path(p).value for p in range(n)]
     lp = LinearProgram.build("max", floor, base.rows, base.bounds)
-    outcome = solve_checked(lp, ops)
-    composed = outcome.value if isinstance(outcome, Optimal) else NEG_INF
+    composed = _measure_value(solve_checked(lp, ops))
     return DppDecomposition(direct, composed, split, inner, space.mode)
 
 

@@ -51,6 +51,3 @@ def to_text(report: dict) -> str:
     """Render a report; equal reports give byte-identical text."""
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
-
-def from_text(text: str) -> dict:
-    return json.loads(text)

@@ -24,10 +24,10 @@ from .information import (
     check_scaling_form,
     z_partition,
 )
-from .lp import LinearProgram, Optimal, solve_checked
+from .lp import LinearProgram, solve_checked
 from .paths import PathSpace, StaticOptionBook
 from .payoff import Expr, TailClaim, validate_payoff
-from .pricing import PriceValue, build_measure_lp, model_price
+from .pricing import PriceValue, _measure_value, build_measure_lp, model_price
 
 
 def _max_or_neg_inf(values: Iterable[Any]):
@@ -126,8 +126,7 @@ def chain_quantities(
                 coeffs[p] = ops.one
                 extra.append((coeffs, "==", ops.zero))
         lp = LinearProgram.build("max", base.objective, list(base.rows) + extra, base.bounds)
-        outcome = solve_checked(lp, ops)
-        forced[atom.label] = outcome.value if isinstance(outcome, Optimal) else NEG_INF
+        forced[atom.label] = _measure_value(solve_checked(lp, ops))
 
     price_minus = model_price(space, None, minus, claim, book).single().value
 

@@ -116,10 +116,10 @@ def solve(lp):
             if c_z[cidx] < 0:
                 ray_z = [zero] * nz
                 ray_z[cidx] = one
-                point = _recover_x(cols, shifts, [zero] * nz, lp.n_vars)
-                ray = _recover_x(cols, [zero] * lp.n_vars, ray_z, lp.n_vars)
+                point = _recover_x(cols, shifts, [zero] * nz)
+                ray = _recover_x(cols, [zero] * lp.n_vars, ray_z)
                 return Unbounded(point, ray, 0)
-        x = _recover_x(cols, shifts, [zero] * nz, lp.n_vars)
+        x = _recover_x(cols, shifts, [zero] * nz)
         value = sum((ops.convert(ci) * xi for ci, xi in zip(lp.objective, x)), zero)
         return Optimal(x, (), value, 0)
 
@@ -155,11 +155,11 @@ def solve(lp):
         for i, b in enumerate(tab.basis):
             if b < nz:
                 ray_z[b] = ray_z[b] - tab.matrix[i][unbounded_col]
-        point = _recover_x(cols, shifts, z, lp.n_vars)
-        ray = _recover_x(cols, [zero] * lp.n_vars, ray_z, lp.n_vars)
+        point = _recover_x(cols, shifts, z)
+        ray = _recover_x(cols, [zero] * lp.n_vars, ray_z)
         return Unbounded(point, ray, tab.pivots)
 
-    x = _recover_x(cols, shifts, z, lp.n_vars)
+    x = _recover_x(cols, shifts, z)
     value = sum((ops.convert(ci) * xi for ci, xi in zip(lp.objective, x)), zero)
     duals = tab.duals(z_row, zero)
     y = [zero] * len(lp.rows)

@@ -8,7 +8,6 @@ import textwrap
 import pytest
 
 from rip.cli import main
-from rip.report import from_text
 
 CALL_MODEL = """
 grid: {steps: 1}
@@ -255,7 +254,7 @@ class TestFlags:
         )
         assert code == 0
         assert out == ""
-        report = from_text(target.read_text())
+        report = json.loads(target.read_text())
         assert report["command"] == "price"
 
     def test_out_failure_is_an_error(self, model_file, tmp_path, capsys):

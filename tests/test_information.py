@@ -198,6 +198,14 @@ class TestFiltration:
         assert filtration(tri2, info) is filtration(tri2, info)
         assert atoms_at(tri2, info, 1) is atoms_at(tri2, info, 1)
 
+    def test_equal_structures_share_one_map(self, tri2, hits_one):
+        assert filtration(tri2, InfoStructure.none()) is filtration(tri2, InfoStructure.none())
+        minus = filtration(tri2, InfoStructure.minus(hits_one))
+        assert filtration(tri2, InfoStructure.minus(hits_one)) is minus
+        # an information variable is still compared by identity
+        twin = InfoVariable(hits_one.name, hits_one.labeler)
+        assert filtration(tri2, InfoStructure.minus(twin)) is not minus
+
     def test_partitions_are_cached_in_their_space(self, tri2, hits_one):
         assert market_partition(tri2, 1) == market_partition(tri2, 1)
         assert z_partition(tri2, hits_one) == z_partition(tri2, hits_one)
@@ -209,7 +217,7 @@ class TestFiltration:
         assert all(tri2._partition_cache[key] is value for key, value in cached.items())
 
     def test_spaces_die_with_their_partitions(self):
-        # only the filtration map's 16-entry cache may keep a space alive
+        # every partition and filtration map lives in its space's own store
         claim = parse_payoff("pos(S[1,T] - 1)")
         refs = []
         for _ in range(40):
@@ -221,7 +229,7 @@ class TestFiltration:
             refs.append(weakref.ref(space))
         del space
         gc.collect()
-        assert sum(ref() is not None for ref in refs) <= 16
+        assert sum(ref() is not None for ref in refs) == 0
 
     def test_bad_indices_are_rejected(self, tri2, no_info):
         for t in (-2, 3):

@@ -9,11 +9,16 @@ from hypothesis import given, settings, strategies as st
 from rip import (
     FLOAT_OPS,
     Infeasible,
+    InfoStructure,
     LinearProgram,
     Optimal,
     PreconditionError,
     RATIONAL_OPS,
+    StaticOptionBook,
     Unbounded,
+    build_hedge_problem,
+    build_lattice,
+    parse_payoff,
     rat,
     solve,
     solve_checked,
@@ -470,6 +475,50 @@ class TestConvert:
 
 
 # ---------------------------------------------------------------------------
+# one start column per row: a row starts on its slack when the slack is
+# feasible at the right-hand side, and on an artificial of its own otherwise
+
+
+def _slack_starts(rel, rhs):
+    return (rel == "<=" and rhs >= 0) or (rel == ">=" and rhs <= 0)
+
+
+@given(lp=st.one_of(sparse_lp(), random_lp()))
+@settings(max_examples=200, deadline=None)
+@pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
+def test_only_rows_without_a_slack_start_get_an_artificial(ops, lp):
+    cols, _, rows_z = _standardise(lp, ops)
+    tab = _Tableau(rows_z, len(cols), ops)
+    n_slack = sum(rel != "==" for _, rel, _ in rows_z)
+    no_slack = [r for r, (_, rel, rhs) in enumerate(rows_z) if not _slack_starts(rel, rhs)]
+    assert tab.width == len(cols) + n_slack + len(no_slack)
+    assert tab.art_start == len(cols) + n_slack
+    assert tab.basis == tab.start
+    # the artificials follow the slacks, in row order
+    assert [tab.start[r] for r in no_slack] == list(range(tab.art_start, tab.width))
+    for r, (_, rel, rhs) in enumerate(rows_z):
+        if _slack_starts(rel, rhs):
+            assert len(cols) <= tab.start[r] < tab.art_start
+    assert all(len(row) == tab.width + (2 if ops is RATIONAL_OPS else 1) for row in tab.matrix)
+
+
+@pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
+def test_a_hedge_tableau_has_no_artificial_column(ops):
+    mode = "rational" if ops is RATIONAL_OPS else "float"
+    space = build_lattice(1, 3, ["1/2", 1, 2], mode=mode)
+    values = space.claim_values(parse_payoff("pos(S[1,T] - 1)"))
+    problem = build_hedge_problem(
+        space, space.all_paths(), InfoStructure.none(), values, StaticOptionBook.cash_only()
+    )
+    cols, _, rows_z = _standardise(problem.lp, ops)
+    tab = _Tableau(rows_z, len(cols), ops)
+    assert tab.width == tab.art_start
+    assert tab.basis == tab.start
+    # 27 rows over 2 x 14 split free columns and 27 slacks
+    assert tab.size() == "27 x 55"
+
+
+# ---------------------------------------------------------------------------
 # solver errors name the layer and the program's size
 
 
@@ -491,15 +540,29 @@ class TestSolverErrors:
 
     def test_pivot_cap(self):
         tab, z_row = self._tableau()
-        message = r"^lp: simplex stopped after 1 pivots, over its cap of 0, on a 2 x 6 tableau"
+        message = r"^lp: simplex stopped after 1 pivots, over its cap of 0, on a 2 x 4 tableau"
         with pytest.raises(CapacityError, match=message):
             tab.run(z_row, tab.art_start, max_pivots=0)
+
+    def test_the_pivot_cap_counts_an_artificial_for_every_row(self, monkeypatch):
+        caps = []
+        run = _Tableau.run
+
+        def recorded(tab, z_row, allowed_width, max_pivots):
+            caps.append((tab.width, max_pivots))
+            return run(tab, z_row, allowed_width, max_pivots)
+
+        monkeypatch.setattr(_Tableau, "run", recorded)
+        solve(lp_min([-1, -1], [([1, 2], "<=", 4), ([3, 1], "<=", 6)]))
+        # 2 rows over 2 structural, 2 slack and 2 artificial columns, though
+        # the tableau holds no artificial
+        assert caps == [(4, 20000 + 200 * (2 + 6))] * 2
 
     def test_bit_guard(self, monkeypatch):
         monkeypatch.setattr(rip.lp, "_BIT_GUARD", 1)
         tab, z_row = self._tableau()
         tab.pivot(0, 0, z_row)
-        message = r"^lp: exact tableau coefficients reached 3 bits after 1 pivots on a 2 x 6 "
+        message = r"^lp: exact tableau coefficients reached 3 bits after 1 pivots on a 2 x 4 "
         with pytest.raises(CapacityError, match=message):
             tab._capacity_guard()
 
@@ -512,7 +575,7 @@ class TestSolverErrors:
         tab._capacity_guard()
         tab.matrix[0][-1] = 32
         assert max(abs(v) for v in tab.matrix[0][:-1]).bit_length() <= 3
-        message = r"^lp: exact tableau coefficients reached 6 bits after 0 pivots on a 2 x 6 "
+        message = r"^lp: exact tableau coefficients reached 6 bits after 0 pivots on a 2 x 4 "
         with pytest.raises(CapacityError, match=message):
             tab._capacity_guard()
 

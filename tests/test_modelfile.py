@@ -492,6 +492,34 @@ class TestModesAndTolerances:
         )
         assert any("tolerances.duality" in m for m in messages)
 
+    def test_zero_feasibility_tolerance_is_rejected(self):
+        # the float simplex would pivot on round-off and fail its certificate
+        messages = errors_of(
+            """
+            mode: float
+            grid: {steps: 1}
+            lattice: {ratios: [0.5, 2]}
+            tolerances: {feasibility: 0, label: 0, duality: 0}
+            """
+        )
+        assert any("tolerances.feasibility" in m and "positive" in m for m in messages)
+        assert not any("tolerances.label" in m or "tolerances.duality" in m for m in messages)
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "1" + "0" * 400])
+    def test_non_finite_tolerances_are_rejected(self, value):
+        # a float comparison against nan or inf decides nothing, and the
+        # certificate check failed only after the whole solve
+        messages = errors_of(
+            f"""
+            mode: float
+            grid: {{steps: 1}}
+            lattice: {{ratios: [0.5, 2]}}
+            tolerances: {{feasibility: {value}, label: {value}, duality: {value}}}
+            """
+        )
+        for key in ("feasibility", "label", "duality"):
+            assert any(f"tolerances.{key}" in m and "finite" in m for m in messages), key
+
 
 class TestSelections:
     def test_target_is_sorted_and_deduplicated(self):

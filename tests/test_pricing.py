@@ -11,10 +11,12 @@ from rip import (
     InfoStructure,
     InternalCheckError,
     PreconditionError,
+    Unbounded,
     approx_price,
     approx_price_limit,
     build_lattice,
     build_measure_lp,
+    chain_quantities,
     concatenate_measure,
     condition_measure,
     dpp_price,
@@ -27,6 +29,8 @@ from rip import (
     rat,
     space_from_paths,
 )
+import rip.pricing
+import rip.valuation
 
 
 class TestModelPrice:
@@ -182,6 +186,50 @@ def test_build_measure_lp_var_order_is_sorted_target(tri2, call_at_2, no_info):
     mass_row = lp.rows[0]
     assert mass_row[1] == "=="
     assert mass_row[2] == 1
+
+
+# ---------------------------------------------------------------------------
+# probability weights are bounded: every route that solves a measure program
+# treats an unbounded outcome as a fault, not as an empty class
+
+
+def _unbounded_on(monkeypatch, module, picked):
+    """Have ``module.solve_checked`` report ``Unbounded`` on the programs ``picked`` accepts."""
+    solve = module.solve_checked
+
+    def patched(lp, ops):
+        return Unbounded((), (), 0) if picked(lp) else solve(lp, ops)
+
+    monkeypatch.setattr(module, "solve_checked", patched)
+
+
+def test_an_unbounded_composed_program_is_a_fault(monkeypatch, tri2, call_at_2, no_info):
+    prefix = build_measure_lp(tri2, tri2.all_paths(), no_info, None, (0, 1))
+    _unbounded_on(monkeypatch, rip.pricing, lambda lp: lp.rows == prefix.rows)
+    with pytest.raises(InternalCheckError, match="cannot be unbounded"):
+        dpp_price(tri2, call_at_2, 1, no_info)
+
+
+def test_an_unbounded_forced_program_is_a_fault(monkeypatch, tri2, call_at_2, hits_one):
+    base = build_measure_lp(
+        tri2, tri2.all_paths(), InfoStructure.minus(hits_one), None, None, call_at_2
+    )
+    k = len(base.rows)
+    _unbounded_on(
+        monkeypatch, rip.valuation, lambda lp: len(lp.rows) > k and lp.rows[:k] == base.rows
+    )
+    with pytest.raises(InternalCheckError, match="cannot be unbounded"):
+        chain_quantities(tri2, hits_one, call_at_2)
+
+
+@pytest.mark.parametrize("route", ["model_price", "approx_price"])
+def test_an_unbounded_price_program_is_a_fault(monkeypatch, tri1, call_at_1, no_info, route):
+    _unbounded_on(monkeypatch, rip.pricing, lambda lp: True)
+    with pytest.raises(InternalCheckError, match="cannot be unbounded"):
+        if route == "model_price":
+            model_price(tri1, None, no_info, call_at_1)
+        else:
+            approx_price(tri1, [1], rat(1, 10), call_at_1)
 
 
 def random_measure(space, objective):
