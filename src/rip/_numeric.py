@@ -27,11 +27,8 @@ POS_INF = float("inf")
 
 try:
     from gmpy2 import mpq as _ratio
-
-    _HAVE_GMPY = True
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     _ratio = Fraction
-    _HAVE_GMPY = False
 
 
 def rat(numerator: Any, denominator: Any = 1):

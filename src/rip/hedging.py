@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
-from ._numeric import NEG_INF, get_ops, is_neg_inf
+from ._numeric import NEG_INF, ModeOps, is_neg_inf
 from .errors import InternalCheckError, PreconditionError, UndefinedHoldingError
 from .information import (
     AtomTable,
@@ -102,10 +102,8 @@ def gains(
     for a holding at every ``t`` in ``[t_from, t_to)`` and raises
     :class:`UndefinedHoldingError` if a non-empty map misses one.
     """
-    if not 0 <= t_from <= t_to <= space.n_steps:
-        raise PreconditionError(f"need 0 <= {t_from} <= {t_to} <= {space.n_steps}")
-    if not 0 <= path_index < len(space.paths):
-        raise PreconditionError(f"path index {path_index} out of range")
+    space.interval((t_from, t_to))
+    space.path_set((path_index,))
     if isinstance(dynamic, Strategy):
         dynamic = dynamic.dynamic
     return _gains(space, _holding_index(dynamic), path_index, t_from, t_to)
@@ -186,17 +184,10 @@ def build_hedge_problem(
     to the value and the cash position.
     """
     ops = space.ops
-    target = tuple(sorted(set(target)))
-    if not target:
-        raise PreconditionError("cannot hedge over an empty path set")
-    for p in target:
-        if not 0 <= p < len(space.paths):
-            raise PreconditionError(f"path index {p} out of range")
+    target = space.path_set(target)
     if len(claim_values) != len(space.paths):
         raise PreconditionError("need one claim value per path of the space")
-    t_from, t_to = interval if interval is not None else (0, space.n_steps)
-    if not 0 <= t_from <= t_to <= space.n_steps:
-        raise PreconditionError(f"bad interval ({t_from}, {t_to})")
+    t_from, t_to = space.interval(interval)
     values = tuple(claim_values[p] for p in target)
     cash_shift = max(values)
     payoff_rows = book.payoff_matrix(space)
@@ -301,14 +292,11 @@ def _hedge_table(space, atoms, target, info, claim, book, interval) -> AtomTable
     """One hedge per atom meeting the target, over the paths they share."""
     validate_payoff(claim, space.n_coords, space.n_steps)
     values = space.claim_values(claim)
-    target_set = set(target)
-    entries = []
-    for atom in atoms:
-        meet = sorted(target_set.intersection(atom.paths))
-        if meet:
-            problem = build_hedge_problem(space, meet, info, values, book, interval)
-            entries.append((atom, _hedge_value(problem)))
-    return AtomTable(entries)
+    return AtomTable.over(
+        atoms,
+        target,
+        lambda meet: _hedge_value(build_hedge_problem(space, meet, info, values, book, interval)),
+    )
 
 
 def superhedge(
@@ -326,9 +314,7 @@ def superhedge(
     value on an atom is constant across its paths by construction, and is
     ``-inf`` with an arbitrage witness when the program is unbounded.
     """
-    target = space.all_paths() if target is None else tuple(target)
-    if not target:
-        raise PreconditionError("cannot hedge over an empty path set")
+    target = space.all_paths() if target is None else space.path_set(target)
     book = book or StaticOptionBook.cash_only()
     atoms = atoms_at(space, info, -1)
     return _hedge_table(space, atoms, target, info, claim, book, (0, space.n_steps))
@@ -357,15 +343,14 @@ class DppDecomposition:
     composed: Any
     split: int
     inner: AtomTable
-    mode: str
+    ops: ModeOps
 
     @property
     def agree(self) -> bool:
         """Equal values, exactly in rational mode and within ``dual_tol`` in float."""
         if is_neg_inf(self.direct) or is_neg_inf(self.composed):
             return is_neg_inf(self.direct) and is_neg_inf(self.composed)
-        ops = get_ops(self.mode)
-        return ops.eq(self.direct, self.composed, ops.dual_tol)
+        return self.ops.eq(self.direct, self.composed, self.ops.dual_tol)
 
 
 def _check_dpp_info(space: PathSpace, info: InfoStructure, split: int) -> None:
@@ -402,18 +387,15 @@ def dpp_superhedge(
     direct = superhedge(space, None, info, claim).single().value
 
     inner = interval_value_table(space, split, info, claim)
-    floor = [NEG_INF] * len(space.paths)
-    for atom, hv in inner:
-        for p in atom.paths:
-            floor[p] = hv.value
+    floor = [inner.for_path(p).value for p in space.all_paths()]
     finite = [p for p, value in enumerate(floor) if not is_neg_inf(value)]
     if not finite:
-        return DppDecomposition(direct, NEG_INF, split, inner, space.mode)
+        return DppDecomposition(direct, NEG_INF, split, inner, space.ops)
     outer = build_hedge_problem(
         space, finite, info, floor, StaticOptionBook.cash_only(), (0, split)
     )
     composed = _hedge_value(outer).value
-    return DppDecomposition(direct, composed, split, inner, space.mode)
+    return DppDecomposition(direct, composed, split, inner, space.ops)
 
 
 __all__ = [

@@ -27,7 +27,7 @@ from typing import Any, Callable, Optional, Sequence
 from ._numeric import FLOAT, ModeOps
 from .errors import PreconditionError
 from .payoff import Expr, evaluate_payoff, parse_payoff
-from .paths import Path, PathSpace, _prefix_groups
+from .paths import Path, PathSpace
 
 VARIANT_NONE = "none"
 VARIANT_PLUS = "plus"
@@ -131,14 +131,26 @@ class AtomTable:
             for p in atom.paths:
                 self._by_path[p] = (atom, value)
 
+    @classmethod
+    def over(cls, atoms: Sequence[Atom], target, value_of: Callable) -> "AtomTable":
+        """One entry per atom meeting ``target``, in partition order.
+
+        ``value_of`` receives the ascending paths that the atom shares with
+        the target; atoms that miss the target are left out.
+        """
+        target_set = set(target)
+        entries = []
+        for atom in atoms:
+            meet = tuple(p for p in atom.paths if p in target_set)
+            if meet:
+                entries.append((atom, value_of(meet)))
+        return cls(entries)
+
     def __iter__(self):
         return iter(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def atoms(self) -> tuple:
-        return tuple(atom for atom, _ in self.entries)
 
     def values(self) -> tuple:
         return tuple(value for _, value in self.entries)
@@ -176,11 +188,6 @@ def _per_space(build):
 
 
 @_per_space
-def _market_groups(space: PathSpace, t: int) -> tuple:
-    return tuple(tuple(g) for g in _prefix_groups(space.paths, t))
-
-
-@_per_space
 def _labels(space: PathSpace, variable: InfoVariable) -> tuple:
     raw = [variable.label(path, space.ops) for path in space.paths]
     if space.mode != FLOAT:
@@ -198,13 +205,6 @@ def _labels(space: PathSpace, variable: InfoVariable) -> tuple:
     return tuple(rep_of[x] for x in raw)
 
 
-def market_partition(space: PathSpace, t: int) -> tuple:
-    """Atoms of the market filtration at grid index ``t``."""
-    if not 0 <= t <= space.n_steps:
-        raise PreconditionError(f"grid index {t} outside 0..{space.n_steps}")
-    return tuple(Atom(t, g) for g in _market_groups(space, t))
-
-
 def z_partition(space: PathSpace, variable: InfoVariable) -> tuple:
     """Level sets of an information variable, ordered by label."""
     labels = _labels(space, variable)
@@ -214,40 +214,6 @@ def z_partition(space: PathSpace, variable: InfoVariable) -> tuple:
     return tuple(
         Atom(-1, tuple(groups[lab]), lab) for lab in sorted(groups.keys())
     )
-
-
-@_per_space
-def _joined_groups(space: PathSpace, variable: InfoVariable, t: int) -> tuple:
-    labels = _labels(space, variable)
-    groups: dict = {}
-    for p, path in enumerate(space.paths):
-        groups.setdefault((path.values[: t + 1], labels[p]), []).append(p)
-    ordered = sorted(groups.items(), key=lambda kv: kv[1][0])
-    return tuple((lab, tuple(g)) for (_, lab), g in ordered)
-
-
-def joined_partition(space: PathSpace, variable: InfoVariable, t: int) -> tuple:
-    """Common refinement of the market partition at ``t`` and the level sets."""
-    return tuple(Atom(t, g, lab) for lab, g in _joined_groups(space, variable, t))
-
-
-def _check_arrival(space: PathSpace, info: InfoStructure) -> None:
-    if info.variant == VARIANT_DYNAMIC and not 1 <= info.arrival <= space.n_steps - 1:
-        raise PreconditionError(
-            f"arrival index {info.arrival} must lie strictly inside 1..{space.n_steps - 1}"
-        )
-
-
-def _partition(space: PathSpace, info: InfoStructure, t: int) -> tuple:
-    if t == -1:
-        if info.variant == VARIANT_PLUS:
-            return joined_partition(space, info.variable, 0)
-        return (Atom(-1, space.all_paths()),)
-    if info.variant == VARIANT_NONE:
-        return market_partition(space, t)
-    if info.variant == VARIANT_DYNAMIC and t < info.arrival:
-        return market_partition(space, t)
-    return joined_partition(space, info.variable, t)
 
 
 @dataclass(frozen=True)
@@ -281,22 +247,50 @@ class Filtration:
 
 @_per_space
 def _filtration(space: PathSpace, info: InfoStructure) -> Filtration:
+    # the agent holds the label from grid index `known` on; 'none' has no label
+    rows = [path.values for path in space.paths]
+    if info.variant == VARIANT_NONE:
+        labels = (None,) * len(rows)
+    else:
+        labels = _labels(space, info.variable)
+    known = info.arrival if info.variant == VARIANT_DYNAMIC else 0
     atoms = []
     cells = []
-    for t in list(range(space.n_steps + 1)) + [-1]:
-        partition = _partition(space, info, t)
-        cell = [0] * len(space.paths)
-        for k, atom in enumerate(partition):
-            for p in atom.paths:
-                cell[p] = k
-        atoms.append(partition)
+    previous = [0] * len(rows)
+    for t in range(space.n_steps + 1):
+        # a path's atom at t - 1 and its row at t pin its prefix up to t
+        index: dict = {}
+        groups = []
+        cell = []
+        for p, values in enumerate(rows):
+            key = (previous[p], values[t], labels[p] if t >= known else None)
+            k = index.setdefault(key, len(groups))
+            if k == len(groups):
+                groups.append([])
+            groups[k].append(p)
+            cell.append(k)
+        # groups open in path order, so the atoms come ordered by first member
+        atoms.append(tuple(Atom(t, tuple(g), key[2]) for key, g in zip(index, groups)))
         cells.append(tuple(cell))
-    rows = [path.values for path in space.paths]
+        previous = cell
+    if info.variant == VARIANT_PLUS:
+        atoms.append(atoms[0])
+        cells.append(cells[0])
+    else:
+        atoms.append((Atom(-1, space.all_paths()),))
+        cells.append((0,) * len(rows))
     delta = tuple(
         tuple(tuple(b - a for a, b in zip(v[t], v[t + 1])) for v in rows)
         for t in range(space.n_steps)
     )
     return Filtration(tuple(atoms), tuple(cells), delta)
+
+
+def _check_arrival(space: PathSpace, info: InfoStructure) -> None:
+    if info.variant == VARIANT_DYNAMIC and not 1 <= info.arrival <= space.n_steps - 1:
+        raise PreconditionError(
+            f"arrival index {info.arrival} must lie strictly inside 1..{space.n_steps - 1}"
+        )
 
 
 def filtration(space: PathSpace, info: InfoStructure) -> Filtration:
@@ -305,12 +299,26 @@ def filtration(space: PathSpace, info: InfoStructure) -> Filtration:
     return _filtration(space, info)
 
 
+def _partition_at(space: PathSpace, info: InfoStructure, t: int, first: int = 0) -> tuple:
+    if not first <= t <= space.n_steps:
+        raise PreconditionError(f"grid index {t} outside {first}..{space.n_steps}")
+    return filtration(space, info).atoms[t]
+
+
 def atoms_at(space: PathSpace, info: InfoStructure, t: int) -> tuple:
     """The agent's partition at grid index ``t``; ``t = -1`` is the
     initial-capital partition."""
-    if not -1 <= t <= space.n_steps:
-        raise PreconditionError(f"grid index {t} outside -1..{space.n_steps}")
-    return filtration(space, info).atoms[t]
+    return _partition_at(space, info, t, -1)
+
+
+def market_partition(space: PathSpace, t: int) -> tuple:
+    """Atoms of the market filtration at grid index ``t``."""
+    return _partition_at(space, InfoStructure.none(), t)
+
+
+def joined_partition(space: PathSpace, variable: InfoVariable, t: int) -> tuple:
+    """Common refinement of the market partition at ``t`` and the level sets."""
+    return _partition_at(space, InfoStructure.minus(variable), t)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ asset coordinates, or a mapping naming a catalog variable::
 
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -108,7 +108,6 @@ class ModelConfig:
     claims: Tuple[Expr, ...] = ()
     target: Optional[Tuple[int, ...]] = None
     split: Optional[int] = None
-    mode: str = RATIONAL
     scales: Tuple[Any, ...] = ()
     claim_text: str = ""
     claim_texts: Tuple[str, ...] = ()
@@ -140,18 +139,24 @@ def _as_int(value: Any, where: str, errs: _Collector) -> Optional[int]:
 
 
 def _as_number(value: Any, mode: str, where: str, errs: _Collector):
-    if isinstance(value, bool):
+    """A finite number of the mode, or ``None`` with the problem reported."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         errs.add(where, f"expected a number, got {value!r}")
         return None
-    if isinstance(value, (int, float, str)):
-        try:
-            parsed = rat(str(value)) if isinstance(value, str) else value
-        except (ValueError, ZeroDivisionError) as exc:
-            errs.add(where, f"could not read {value!r} as a number ({exc})")
-            return None
-        return float(parsed) if mode == FLOAT else get_ops(RATIONAL).convert(parsed)
-    errs.add(where, f"expected a number, got {value!r}")
-    return None
+    try:
+        parsed = rat(value) if isinstance(value, str) else value
+    except (ValueError, ZeroDivisionError) as exc:
+        errs.add(where, f"could not read {value!r} as a number ({exc})")
+        return None
+    try:
+        number = float(parsed) if mode == FLOAT else get_ops(RATIONAL).convert(parsed)
+        finite = mode != FLOAT or math.isfinite(number)
+    except (OverflowError, PreconditionError):  # too large for a float; nan or inf read exactly
+        finite = False
+    if not finite:
+        errs.add(where, f"expected a finite number, got {value!r}")
+        return None
+    return number
 
 
 def _as_mapping(value: Any, where: str, errs: _Collector) -> Optional[dict]:
@@ -174,29 +179,15 @@ def _check_keys(mapping: dict, allowed: set, where: str, errs: _Collector) -> No
             errs.add(where, f"unknown key {key!r}")
 
 
-def _parse_expr(text: Any, where: str, errs: _Collector) -> Optional[Expr]:
+def _expr(text: Any, n_coords: int, n_steps: int, where: str, errs: _Collector) -> Optional[Expr]:
+    """A payoff parsed and checked against the space's shape; ``None`` on a reported problem."""
     if not isinstance(text, str):
         errs.add(where, f"expected a payoff expression string, got {text!r}")
         return None
     try:
-        return parse_payoff(text)
+        expr = parse_payoff(text)
+        validate_payoff(expr, n_coords, n_steps)
     except RipError as exc:
-        errs.add(where, str(exc))
-        return None
-
-
-def _validated_expr(
-    expr: Optional[Expr],
-    n_assets: int,
-    n_steps: int,
-    where: str,
-    errs: _Collector,
-) -> Optional[Expr]:
-    if expr is None:
-        return None
-    try:
-        validate_payoff(expr, n_assets, n_steps)
-    except PreconditionError as exc:
         errs.add(where, str(exc))
         return None
     return expr
@@ -330,6 +321,30 @@ def _build_base_space(
     return space, tuple(scales)
 
 
+def _option_entries(
+    entries: list, key: str, kind: type, default_name: str,
+    n_coords: int, n_steps: int, mode: str, errs: _Collector,
+) -> list:
+    """The ``{payoff, price, name}`` entries of an option list that read cleanly.
+
+    Dynamic options pay on the base assets, static ones on every coordinate,
+    so the caller passes the coordinate count the payoffs may reference.
+    """
+    options = []
+    for i, entry in enumerate(entries):
+        where = f"{key}[{i}]"
+        mapping = _as_mapping(entry, where, errs)
+        if mapping is None:
+            continue
+        _check_keys(mapping, {"payoff", "price", "name"}, where, errs)
+        payoff = _expr(mapping.get("payoff"), n_coords, n_steps, f"{where}.payoff", errs)
+        price = _as_number(mapping.get("price"), mode, f"{where}.price", errs)
+        name = mapping.get("name", f"{default_name}{i + 1}")
+        if payoff is not None and price is not None:
+            options.append(kind(payoff=payoff, price=price, name=str(name)))
+    return options
+
+
 def _parse_dynamic_options(
     doc: dict, space: PathSpace, mode: str, errs: _Collector
 ) -> Optional[PathSpace]:
@@ -353,25 +368,10 @@ def _parse_dynamic_options(
         return space
 
     mark = errs.mark()
-    options = []
-    for i, entry in enumerate(entries):
-        where = f"dynamic_options[{i}]"
-        mapping = _as_mapping(entry, where, errs)
-        if mapping is None:
-            continue
-        _check_keys(mapping, {"payoff", "price", "name"}, where, errs)
-        payoff = _validated_expr(
-            _parse_expr(mapping.get("payoff"), f"{where}.payoff", errs),
-            space.n_assets,
-            space.n_steps,
-            f"{where}.payoff",
-            errs,
-        )
-        price = _as_number(mapping.get("price"), mode, f"{where}.price", errs)
-        name = mapping.get("name", f"option{i + 1}")
-        if payoff is None or price is None:
-            continue
-        options.append(DynamicOption(payoff=payoff, price=price, name=str(name)))
+    options = _option_entries(
+        entries, "dynamic_options", DynamicOption, "option",
+        space.n_assets, space.n_steps, mode, errs,
+    )
     if not options and not errs.grew(mark):
         errs.add("dynamic_options", "no options given")
     if errs.grew(mark):
@@ -405,25 +405,10 @@ def _parse_static_options(
     if rows is None:
         return StaticOptionBook.cash_only()
     mark = errs.mark()
-    options = []
-    for i, entry in enumerate(rows):
-        where = f"static_options[{i}]"
-        mapping = _as_mapping(entry, where, errs)
-        if mapping is None:
-            continue
-        _check_keys(mapping, {"payoff", "price", "name"}, where, errs)
-        payoff = _validated_expr(
-            _parse_expr(mapping.get("payoff"), f"{where}.payoff", errs),
-            space.n_coords,
-            space.n_steps,
-            f"{where}.payoff",
-            errs,
-        )
-        price = _as_number(mapping.get("price"), mode, f"{where}.price", errs)
-        name = mapping.get("name", f"static{i + 1}")
-        if payoff is None or price is None:
-            continue
-        options.append(StaticOption(payoff=payoff, price=price, name=str(name)))
+    options = _option_entries(
+        rows, "static_options", StaticOption, "static",
+        space.n_coords, space.n_steps, mode, errs,
+    )
     if errs.grew(mark):
         return StaticOptionBook.cash_only()
     return StaticOptionBook.of(*options)
@@ -431,13 +416,7 @@ def _parse_static_options(
 
 def _parse_variable(spec: Any, space: PathSpace, mode: str, errs: _Collector) -> Optional[InfoVariable]:
     if isinstance(spec, str):
-        expr = _validated_expr(
-            _parse_expr(spec, "info.variable", errs),
-            space.n_assets,
-            space.n_steps,
-            "info.variable",
-            errs,
-        )
+        expr = _expr(spec, space.n_assets, space.n_steps, "info.variable", errs)
         if expr is None:
             return None
         return info_from_payoff(expr, name=spec)
@@ -544,16 +523,16 @@ def _parse_tolerances(doc: dict, mode: str, errs: _Collector) -> Optional[ModeOp
     values = {}
     for key, attr in (("feasibility", "feas_tol"), ("label", "label_tol"), ("duality", "dual_tol")):
         if key in mapping:
-            got = mapping[key]
+            got = _as_number(mapping[key], FLOAT, f"tolerances.{key}", errs)
+            if got is None:
+                continue
             # at a feasibility tolerance of 0 the float simplex pivots on round-off
             least = "positive" if key == "feasibility" else "nonnegative"
-            number = isinstance(got, (int, float)) and not isinstance(got, bool)
-            # nan fails both comparisons; an int too large for a float fails the second
-            in_range = number and 0 <= got <= sys.float_info.max
-            if not in_range or (got == 0 and least == "positive"):
-                errs.add(f"tolerances.{key}", f"expected a finite {least} number, got {got!r}")
+            if got < 0 or (got == 0 and least == "positive"):
+                message = f"expected a finite {least} number, got {mapping[key]!r}"
+                errs.add(f"tolerances.{key}", message)
                 continue
-            values[attr] = float(got)
+            values[attr] = got
     return ModeOps(
         mode=FLOAT,
         feas_tol=values.get("feas_tol", base.feas_tol),
@@ -608,13 +587,7 @@ def parse_model(source: Any, mode_override: Optional[str] = None) -> ModelConfig
     claim = None
     claim_text = ""
     if "claim" in doc:
-        claim = _validated_expr(
-            _parse_expr(doc["claim"], "claim", errs),
-            space.n_coords,
-            space.n_steps,
-            "claim",
-            errs,
-        )
+        claim = _expr(doc["claim"], space.n_coords, space.n_steps, "claim", errs)
         claim_text = doc["claim"] if isinstance(doc["claim"], str) else ""
 
     claims: List[Expr] = []
@@ -622,13 +595,7 @@ def parse_model(source: Any, mode_override: Optional[str] = None) -> ModelConfig
     if "claims" in doc:
         rows = _as_list(doc["claims"], "claims", errs)
         for i, row in enumerate(rows or []):
-            got = _validated_expr(
-                _parse_expr(row, f"claims[{i}]", errs),
-                space.n_coords,
-                space.n_steps,
-                f"claims[{i}]",
-                errs,
-            )
+            got = _expr(row, space.n_coords, space.n_steps, f"claims[{i}]", errs)
             if got is not None:
                 claims.append(got)
                 claim_texts.append(row)
@@ -665,7 +632,6 @@ def parse_model(source: Any, mode_override: Optional[str] = None) -> ModelConfig
         claims=tuple(claims),
         target=target,
         split=split,
-        mode=mode,
         scales=scales,
         claim_text=claim_text,
         claim_texts=tuple(claim_texts),

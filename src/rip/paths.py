@@ -58,24 +58,12 @@ class TimeGrid:
         if self.n_steps < 1:
             raise PreconditionError("a time grid needs at least one step")
 
-    @property
-    def indices(self) -> range:
-        return range(self.n_steps + 1)
-
-    def times(self, ops: ModeOps) -> tuple:
-        h = ops.convert(self.horizon)
-        return tuple(h * k / self.n_steps for k in self.indices)
-
 
 @dataclass(frozen=True)
 class Path:
     """One price trajectory: ``values[k][i-1]`` is coordinate ``i`` at index ``k``."""
 
     values: tuple
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.values) - 1
 
     @property
     def n_coords(self) -> int:
@@ -87,12 +75,6 @@ class Path:
 
     def series(self, asset: int) -> tuple:
         return tuple(row[asset - 1] for row in self.values)
-
-    def __str__(self) -> str:
-        rows = []
-        for row in self.values:
-            rows.append("(" + ", ".join(format_number(x) for x in row) + ")")
-        return " -> ".join(rows)
 
 
 @dataclass(frozen=True)
@@ -236,6 +218,23 @@ class PathSpace:
     def all_paths(self) -> tuple:
         return tuple(range(len(self.paths)))
 
+    def path_set(self, paths: Iterable[int]) -> tuple:
+        """``paths`` ascending without repeats; each must index a path, and one at least."""
+        members = tuple(sorted(set(paths)))
+        if not members:
+            raise PreconditionError("the path set is empty")
+        for p in members:
+            if not 0 <= p < len(self.paths):
+                raise PreconditionError(f"path index {p} out of range")
+        return members
+
+    def interval(self, interval: Optional[tuple]) -> tuple:
+        """``(t_from, t_to)`` checked against the grid; ``None`` is ``(0, n)``."""
+        t_from, t_to = interval if interval is not None else (0, self.n_steps)
+        if not 0 <= t_from <= t_to <= self.n_steps:
+            raise PreconditionError(f"bad interval ({t_from}, {t_to})")
+        return t_from, t_to
+
     def claim_values(self, claim: Expr) -> tuple:
         """Evaluate a payoff on every path, cached per expression."""
         key = claim
@@ -376,13 +375,6 @@ def space_from_paths(
     )
 
 
-def _prefix_groups(paths: Sequence[Path], t: int) -> list:
-    groups: dict = {}
-    for p, path in enumerate(paths):
-        groups.setdefault(path.values[: t + 1], []).append(p)
-    return sorted(groups.values(), key=lambda g: g[0])
-
-
 def _geometric_interior(y, k: int, n: int, ops: ModeOps):
     """The value ``y ** (k/n)``, exact in rational mode or an error.
 
@@ -428,6 +420,8 @@ def build_info_space(
         raise PreconditionError("options can only be adjoined to a pure asset space")
     if not options:
         raise PreconditionError("need at least one option to adjoin")
+    from .information import market_partition  # information builds on this module
+
     ops = base.ops
     n = base.n_steps
 
@@ -475,15 +469,15 @@ def build_info_space(
                 )
             col = [[None] * (n + 1) for _ in range(len(base.paths))]
             for k in range(n + 1):
-                for group in _prefix_groups(base.paths, k):
-                    mass = sum(weights[p] for p in group)
+                for atom in market_partition(base, k):
+                    mass = sum(weights[p] for p in atom.paths)
                     if not ops.pos(mass):
                         raise PreconditionError(
                             "reference measure gives zero mass to a prefix class; "
                             "conditional values are undefined there"
                         )
-                    value = sum(weights[p] * terminal[p] for p in group) / mass
-                    for p in group:
+                    value = sum(weights[p] * terminal[p] for p in atom.paths) / mass
+                    for p in atom.paths:
                         col[p][k] = value
         columns.append(col)
 
@@ -514,12 +508,7 @@ def fatten(space: PathSpace, subset: Iterable[int], radius) -> tuple:
     eps = space.ops.convert(radius)
     if eps < 0:
         raise PreconditionError("fattening radius must be nonnegative")
-    core = sorted(set(subset))
-    if not core:
-        raise PreconditionError("cannot fatten an empty set")
-    for p in core:
-        if not 0 <= p < len(space.paths):
-            raise PreconditionError(f"path index {p} out of range")
+    core = space.path_set(subset)
     out = []
     for q in range(len(space.paths)):
         dist = min(sup_dist(space.paths[q], space.paths[p]) for p in core)

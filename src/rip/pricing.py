@@ -140,15 +140,8 @@ def build_measure_lp(
     """
     ops = space.ops
     book = book or StaticOptionBook.cash_only()
-    vars_paths = tuple(sorted(set(target)))
-    if not vars_paths:
-        raise PreconditionError("cannot price over an empty path set")
-    for p in vars_paths:
-        if not 0 <= p < len(space.paths):
-            raise PreconditionError(f"path index {p} out of range")
-    t_from, t_to = interval if interval is not None else (0, space.n_steps)
-    if not 0 <= t_from <= t_to <= space.n_steps:
-        raise PreconditionError(f"bad interval ({t_from}, {t_to})")
+    vars_paths = space.path_set(target)
+    t_from, t_to = space.interval(interval)
     index_of = {p: k for k, p in enumerate(vars_paths)}
     n = len(vars_paths)
     fm = filtration(space, info)
@@ -215,22 +208,17 @@ def _measure_value(outcome) -> Any:
 
 def _price_table(space, atoms, target, info, claim, book, interval) -> AtomTable:
     """One price per atom meeting the target, over the paths they share."""
-    target_set = set(target)
-    entries = []
-    for atom in atoms:
-        meet = tuple(sorted(target_set.intersection(atom.paths)))
-        if not meet:
-            continue
+
+    def price(meet: tuple) -> PriceValue:
         lp = build_measure_lp(space, meet, info, book, interval, claim)
         outcome = solve_checked(lp, space.ops)
         value = _measure_value(outcome)
         if isinstance(outcome, Optimal):
             measure = _measure_from_x(space, meet, outcome.x, info, book, interval)
-            entry = PriceValue(value, measure=measure, pivots=outcome.pivots)
-        else:
-            entry = PriceValue(value, certificate=outcome.certificate, pivots=outcome.pivots)
-        entries.append((atom, entry))
-    return AtomTable(entries)
+            return PriceValue(value, measure=measure, pivots=outcome.pivots)
+        return PriceValue(value, certificate=outcome.certificate, pivots=outcome.pivots)
+
+    return AtomTable.over(atoms, target, price)
 
 
 def model_price(
@@ -247,9 +235,7 @@ def model_price(
     when that class is empty the value is ``-inf`` and the entry carries
     the separating certificate instead of a measure.
     """
-    target = space.all_paths() if target is None else tuple(target)
-    if not target:
-        raise PreconditionError("cannot price over an empty path set")
+    target = space.all_paths() if target is None else space.path_set(target)
     book = book or StaticOptionBook.cash_only()
     atoms = atoms_at(space, info, -1)
     return _price_table(space, atoms, target, info, claim, book, (0, space.n_steps))
@@ -481,7 +467,7 @@ def dpp_price(
     floor = [inner.for_path(p).value for p in range(n)]
     lp = LinearProgram.build("max", floor, base.rows, base.bounds)
     composed = _measure_value(solve_checked(lp, ops))
-    return DppDecomposition(direct, composed, split, inner, space.mode)
+    return DppDecomposition(direct, composed, split, inner, space.ops)
 
 
 __all__ = [

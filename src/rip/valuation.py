@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
-from ._numeric import NEG_INF, format_number, get_ops, is_neg_inf
+from ._numeric import NEG_INF, ModeOps, format_number, is_neg_inf
 from .errors import PreconditionError
 from .hedging import HedgeValue, superhedge
 from .information import (
@@ -72,7 +72,7 @@ class ChainQuantities:
     price_forced_best: Any
     price_uninformed_capital: Any
     per_atom: tuple  # (label, hedge, price, forced price)
-    mode: str
+    ops: ModeOps
 
     def values(self) -> tuple:
         return (
@@ -91,8 +91,7 @@ class ChainQuantities:
             return True
         if any(is_neg_inf(v) for v in vals):
             return False
-        ops = get_ops(self.mode)
-        return all(ops.eq(v, vals[0], ops.dual_tol) for v in vals)
+        return all(self.ops.eq(v, vals[0], self.ops.dual_tol) for v in vals)
 
 
 def chain_quantities(
@@ -142,7 +141,7 @@ def chain_quantities(
         _max_or_neg_inf(forced.values()),
         price_minus,
         tuple(per_atom),
-        space.mode,
+        space.ops,
     )
 
 
@@ -154,12 +153,12 @@ class DualityReport:
     aggregate_hedge: Any  # worst finite atom hedge: capital fixed before the label
     aggregate_price: Any  # best atom price
     chain: Optional[ChainQuantities]
-    mode: str
+    ops: ModeOps
 
     @property
     def tight_everywhere(self) -> bool:
         """Every gap is zero, within ``dual_tol`` in float mode."""
-        ops = get_ops(self.mode)
+        ops = self.ops
         for entry in self.entries:
             if entry.feasible:
                 if not ops.eq(entry.gap, ops.zero, ops.dual_tol):
@@ -199,7 +198,7 @@ def duality_report(
         _max_or_neg_inf(hv.value for hv in hedges.values()),
         _max_or_neg_inf(pv.value for pv in prices.values()),
         chain,
-        space.mode,
+        space.ops,
     )
 
 
@@ -240,14 +239,13 @@ def info_value_claim(
     label either way).  Undefined, and an error, when either side is
     ``-inf``.
     """
-    base = _uninformed_value(space, claim)
-    informed = _informed_value(space, variable, arrival, claim)
-    if is_neg_inf(base) or is_neg_inf(informed):
+    (entry,) = info_value_report(space, variable, arrival, [claim]).entries
+    if entry.flag:
         raise PreconditionError(
             "superhedging degenerates to -inf here; the information premium "
             "is undefined"
         )
-    return base - informed
+    return entry.value
 
 
 def info_value(

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rip import (
+    AtomTable,
+    DppDecomposition,
+    FLOAT,
     InfoStructure,
+    ModeOps,
     Optimal,
     PreconditionError,
     StaticOption,
@@ -206,6 +210,13 @@ class TestDpp:
     def test_minus_variant_is_out_of_scope(self, tri2, call_at_2, hits_one):
         with pytest.raises(PreconditionError):
             dpp_superhedge(tri2, call_at_2, 1, InfoStructure.minus(hits_one))
+
+    def test_agreement_reads_the_tolerance_of_the_run(self):
+        loose = ModeOps(FLOAT, feas_tol=1e-9, label_tol=1e-12, dual_tol=1e-4)
+        dec = DppDecomposition(1.0, 1.0 + 5e-5, 1, AtomTable(()), loose)
+        assert dec.agree
+        default = build_lattice(1, 1, [0.5, 2.0], mode="float").ops
+        assert not DppDecomposition(1.0, 1.0 + 5e-5, 1, AtomTable(()), default).agree
 
 
 class TestApprox:

@@ -8,6 +8,7 @@ import pytest
 
 from rip import (
     Atom,
+    AtomTable,
     InfoStructure,
     InfoVariable,
     PreconditionError,
@@ -235,6 +236,36 @@ class TestFiltration:
         for t in (-2, 3):
             with pytest.raises(PreconditionError):
                 atoms_at(tri2, no_info, t)
+
+
+class TestPartitionViews:
+    """Market and joined partitions are read off the filtration map."""
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_views_equal_the_maps_of_none_and_minus(self, mode):
+        space = build_lattice(1, 3, ["1/2", 1, 2], mode=mode)
+        variable = tail_max_ratio(1)
+        for t in range(space.n_steps + 1):
+            assert market_partition(space, t) == atoms_at(space, InfoStructure.none(), t)
+            joined = joined_partition(space, variable, t)
+            assert joined == atoms_at(space, InfoStructure.minus(variable), t)
+        # the label splits the paths from time 0 on
+        assert len(joined_partition(space, variable, 0)) > 1
+
+    def test_joined_partition_checks_its_index(self, tri2, hits_one):
+        for t in (-1, 3):
+            with pytest.raises(PreconditionError):
+                joined_partition(tri2, hits_one, t)
+            with pytest.raises(PreconditionError):
+                market_partition(tri2, t)
+
+    def test_tables_skip_atoms_that_miss_the_target(self, tri2):
+        atoms = market_partition(tri2, 1)
+        seen = []
+        table = AtomTable.over(atoms, [8, 0, 7, 1], lambda meet: seen.append(meet) or len(meet))
+        assert seen == [(0, 1), (7, 8)]
+        assert [atom for atom, _ in table] == [atoms[0], atoms[2]]
+        assert table.values() == (2, 2)
 
 
 def test_labels_are_quantised_in_float_mode():

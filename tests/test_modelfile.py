@@ -31,7 +31,7 @@ class TestLatticeModels:
             claim: pos(S[1,2] - 1)
             """
         )
-        assert config.mode == "rational"
+        assert config.space.mode == "rational"
         assert config.space.n_assets == 1
         assert config.space.n_steps == 2
         assert len(config.space.paths) == 9
@@ -444,7 +444,7 @@ class TestModesAndTolerances:
             """,
             mode_override="float",
         )
-        assert config.mode == "float"
+        assert config.space.mode == "float"
         assert isinstance(config.space.paths[0].coord(1, 1), float)
 
     def test_bad_override_is_reported(self):
@@ -519,6 +519,45 @@ class TestModesAndTolerances:
         )
         for key in ("feasibility", "label", "duality"):
             assert any(f"tolerances.{key}" in m and "finite" in m for m in messages), key
+
+
+    def test_tolerances_are_read_like_every_number(self):
+        # YAML reads 1e-9, without a dot, as a string
+        config = parse_model(
+            """
+            mode: float
+            grid: {steps: 1}
+            lattice: {ratios: [0.5, 2]}
+            tolerances: {feasibility: 1e-9, duality: "1/1000"}
+            claim: S[1,1]
+            """
+        )
+        assert config.space.ops.feas_tol == 1e-9
+        assert config.space.ops.dual_tol == 0.001
+
+
+class TestNumbers:
+    @pytest.mark.parametrize("ratio", ["'1e400'", "1" + "0" * 400], ids=["text", "integer"])
+    def test_float_overflow_is_reported(self, ratio):
+        messages = errors_of(
+            f"""
+            mode: float
+            grid: {{steps: 1}}
+            lattice: {{ratios: [0.5, {ratio}]}}
+            """
+        )
+        assert any(m.startswith("lattice.ratios:") and "finite" in m for m in messages)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_nan_is_reported(self, mode):
+        messages = errors_of(
+            f"""
+            mode: {mode}
+            grid: {{steps: 1}}
+            lattice: {{ratios: [0.5, .nan]}}
+            """
+        )
+        assert any(m.startswith("lattice.ratios:") and "finite" in m for m in messages)
 
 
 class TestSelections:

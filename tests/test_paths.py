@@ -9,10 +9,15 @@ from rip import (
     CapacityError,
     DynamicOption,
     FLOAT,
+    InfoStructure,
     PreconditionError,
+    StaticOptionBook,
+    build_hedge_problem,
     build_info_space,
     build_lattice,
+    build_measure_lp,
     fatten,
+    gains,
     min_separation,
     parse_claim,
     parse_payoff,
@@ -117,6 +122,56 @@ class TestFatten:
             fatten(tri1, [7], rat(1))
         with pytest.raises(PreconditionError):
             fatten(tri1, [1], rat(-1))
+
+
+class TestPathSetsAndIntervals:
+    """Both builders, ``gains`` and ``fatten`` read their paths through the space."""
+
+    @staticmethod
+    def builders(space, claim):
+        info, book = InfoStructure.none(), StaticOptionBook.cash_only()
+        values = space.claim_values(claim)
+        return (
+            lambda paths, interval=None: build_hedge_problem(
+                space, paths, info, values, book, interval
+            ),
+            lambda paths, interval=None: build_measure_lp(
+                space, paths, info, book, interval, claim
+            ),
+        )
+
+    def test_path_sets_are_sorted_and_deduplicated(self, tri1):
+        assert tri1.path_set([2, 0, 2]) == (0, 2)
+        assert tri1.interval(None) == (0, 1)
+
+    @pytest.mark.parametrize("paths", [[], [0, 3], [-1, 1]])
+    def test_bad_path_sets_get_one_message_everywhere(self, tri1, call_at_1, paths):
+        messages = set()
+        for build in self.builders(tri1, call_at_1):
+            with pytest.raises(PreconditionError) as caught:
+                build(paths)
+            messages.add(str(caught.value))
+        with pytest.raises(PreconditionError) as caught:
+            fatten(tri1, paths, 0)
+        messages.add(str(caught.value))
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_gains_rejects_a_path_out_of_range(self, tri1, index):
+        with pytest.raises(PreconditionError, match="out of range"):
+            gains(tri1, None, index, 0, 1)
+
+    @pytest.mark.parametrize("interval", [(1, 0), (-1, 1), (0, 2)])
+    def test_bad_intervals_get_one_message_everywhere(self, tri1, call_at_1, interval):
+        messages = set()
+        for build in self.builders(tri1, call_at_1):
+            with pytest.raises(PreconditionError) as caught:
+                build([0, 1, 2], interval)
+            messages.add(str(caught.value))
+        with pytest.raises(PreconditionError) as caught:
+            gains(tri1, None, 0, *interval)
+        messages.add(str(caught.value))
+        assert len(messages) == 1
 
 
 def test_min_separation(tri1):
