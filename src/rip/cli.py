@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 from ._numeric import MODES, is_neg_inf
 from .errors import InvalidModelError, RipError
 from .hedging import dpp_superhedge, superhedge
-from .information import InfoStructure, VARIANT_DYNAMIC, VARIANT_NONE
+from .information import InfoStructure, VARIANT_DYNAMIC
 from .modelfile import ModelConfig, load_model
 from .payoff import payoff_to_text
 from .pricing import dpp_price, model_price

@@ -26,7 +26,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from ._numeric import FLOAT, ModeOps
 from .errors import PreconditionError
-from .payoff import Expr, evaluate_payoff, parse_payoff
+from .payoff import evaluate_payoff, parse_payoff
 from .paths import Path, PathSpace
 
 VARIANT_NONE = "none"

@@ -1,16 +1,18 @@
 """A small, deterministic linear-programming kernel with checkable output.
 
-The solver is a dense two-phase primal simplex using Bland's rule (lowest
-eligible index enters; ties in the ratio test go to the lowest basic
-index), so it terminates on every input and never makes a data-dependent
-random choice: the same program yields the same outcome object, pivot for
-pivot.  In rational mode the tableau is fraction-free (Edmonds 1967;
-Bareiss 1968): each row, the reduced-cost row included, is a list of
-integer numerators over one positive integer denominator, kept in lowest
-terms by one gcd per updated row, so a pivot builds no rational number.
-Exact rationals are built only for what the solver reports, and the
-reported values, certificates, and infeasibility witnesses are exact.  In
-float mode the rows are floats.
+The solver is a two-phase primal simplex on a full tableau using Bland's
+rule (lowest eligible index enters; ties in the ratio test go to the lowest
+basic index), so it terminates on every input and never makes a
+data-dependent random choice: the same program yields the same outcome
+object, pivot for pivot.  In rational mode the tableau is fraction-free
+(Edmonds 1967; Bareiss 1968) and sparse: each row, the reduced-cost row
+included, holds only its nonzero integer numerators, keyed by column, over
+one positive integer denominator, and is kept in lowest terms by one gcd
+per updated row.  A pivot builds no rational number, and its cost follows
+the nonzeros of the rows it touches, not the tableau's width.  Exact
+rationals are built only for what the solver reports, and the reported
+values, certificates, and infeasibility witnesses are exact.  In float mode
+the rows are dense lists of floats.
 
 Each row starts on one basic column.  An inequality row whose slack can be
 basic at a nonnegative value (``<=`` with right-hand side ``>= 0``, or
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional, Union
 
 from ._numeric import FLOAT, ModeOps, RATIONAL_OPS, _ratio
 from .errors import CapacityError, InternalCheckError, PreconditionError
@@ -194,18 +196,22 @@ def _recover_x(cols, shifts, z):
 
 
 class _Tableau:
-    """The dense simplex tableau: bookkeeping and Bland's rule for both modes.
+    """The simplex tableau: bookkeeping and Bland's rule for both modes.
 
-    Row ``i`` holds columns ``0..width-1`` and its right-hand side at index
+    Row ``i`` has columns ``0..width-1`` and its right-hand side as column
     ``width``; its basic column is ``basis[i]`` and it came from standardised
     row ``row_ids[i]``.  Columns are the ``nz`` structural ones, then one
     slack per inequality row, then, from ``art_start`` on, one artificial per
     row without a slack start, in row order.  ``start[r]`` is the column
-    standardised row ``r`` starts on.  The mode picks the arithmetic:
-    constructing a ``_Tableau`` gives an :class:`_IntegerTableau` in rational
-    mode and a :class:`_FloatTableau` in float mode.  They store the rows and
-    do the ratio test, the elimination and the reduced costs; the pivot rule,
-    the pivot count and its cap live here.
+    standardised row ``r`` starts on.  The mode picks the arithmetic and the
+    row storage: constructing a ``_Tableau`` gives an :class:`_IntegerTableau`
+    (sparse integer rows) in rational mode and a :class:`_FloatTableau` (dense
+    float rows) in float mode.  They store the rows and do the ratio test,
+    the elimination and the reduced costs; ``value(row, k)`` reads entry
+    ``k`` of a row, and ``first_column(row, limit, negative)`` finds the
+    lowest column below ``limit`` whose entry is nonzero, or negative, past
+    the mode's feasibility tolerance.  The pivot rule, the pivot count and
+    its cap live here and read rows only through those two.
     """
 
     def __new__(cls, rows_z, nz: int, ops: ModeOps):
@@ -272,16 +278,11 @@ class _Tableau:
 
     def run(self, z_row, allowed_width: int, max_pivots: int) -> Optional[int]:
         """Pivot until optimal (returns None) or unbounded (returns the column)."""
-        tol = self.ops.feas_tol
         basis = self.basis
         while True:
             # Bland's rule: the lowest column with a negative reduced cost
             # enters, and ties in the ratio test go to the lowest basic index
-            enter = -1
-            for j in range(allowed_width):
-                if z_row[j] < -tol:
-                    enter = j
-                    break
+            enter = self.first_column(z_row, allowed_width, negative=True)
             if enter < 0:
                 return None
             leave = -1
@@ -330,6 +331,18 @@ class _FloatTableau(_Tableau):
     def value(self, row, k):
         return row[k]
 
+    def first_column(self, row, limit: int, negative: bool = False) -> int:
+        tol = self.ops.feas_tol
+        if negative:
+            for j in range(limit):
+                if row[j] < -tol:
+                    return j
+        else:
+            for j in range(limit):
+                if abs(row[j]) > tol:
+                    return j
+        return -1
+
     def objective_row(self, cost):
         """Reduced costs for the given per-column cost vector (basis-aware)."""
         z_row = list(cost) + [0.0]
@@ -376,33 +389,51 @@ class _FloatTableau(_Tableau):
                 z_row[k] = z_row[k] - f * v
 
 
-class _IntegerTableau(_Tableau):
-    """Fraction-free rows: integer numerators over one positive denominator.
+class _IntegerRow:
+    """One fraction-free row: nonzero integer numerators over one denominator.
 
-    A row is a list of ints, columns and right-hand side as in
-    :class:`_Tableau`, with its denominator appended at index ``width + 1``;
-    entry ``k`` stands for ``row[k] / row[-1]``.  Every row, the reduced-cost
-    row included, is kept in lowest terms: the gcd of its entries and its
-    denominator is 1.  Since denominators are positive, the sign of an entry
-    is the sign of its numerator, and a ratio ``rhs / a`` within a row needs
-    no denominator at all.  Rationals are built only for reported values.
+    ``nums`` maps a column, or ``width`` for the right-hand side, to its
+    numerator and holds no zero; ``den`` is positive.  Entry ``k`` stands
+    for ``nums.get(k, 0) / den``.
     """
 
-    def _row(self, entries, rhs) -> list:
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: dict, den: int):
+        self.nums = nums
+        self.den = den
+
+
+class _IntegerTableau(_Tableau):
+    """Fraction-free sparse rows: every row is an :class:`_IntegerRow`.
+
+    Every row, the reduced-cost row included, is kept in lowest terms: the
+    gcd of its numerators and its denominator is 1.  Since denominators are
+    positive, the sign of an entry is the sign of its numerator, and a ratio
+    ``rhs / a`` within a row needs no denominator at all.  A row update, its
+    gcd and the bit guard cost O(nonzeros), and the ratio test reads one
+    entry per row.  Rationals are built only for reported values.
+    """
+
+    def _row(self, entries, rhs) -> _IntegerRow:
         """The integer row of ``entries`` (nonzero ``(column, rational)``) and ``rhs``."""
-        size = self.width + 1
         if rhs:
-            entries = entries + [(size - 1, rhs)]
+            entries = entries + [(self.width, rhs)]
         dens = [int(v.denominator) for _, v in entries]
         den = lcm(*dens)
-        row = [0] * (size + 1)
-        for (k, v), d in zip(entries, dens):
-            row[k] = int(v.numerator) * (den // d)
-        row[-1] = den
-        return row
+        return _IntegerRow(
+            {k: int(v.numerator) * (den // d) for (k, v), d in zip(entries, dens)}, den
+        )
 
     def value(self, row, k):
-        return _ratio(row[k], row[-1])
+        return _ratio(row.nums.get(k, 0), row.den)
+
+    def first_column(self, row, limit: int, negative: bool = False) -> int:
+        first = limit
+        for k, v in row.nums.items():
+            if k < first and (v < 0 or not negative):
+                first = k
+        return first if first < limit else -1
 
     def objective_row(self, cost):
         """Reduced costs for the given per-column cost vector (basis-aware)."""
@@ -412,24 +443,26 @@ class _IntegerTableau(_Tableau):
             if cb:
                 # z/dz - (p/q)(r/d) = (q d z - p dz r) / (q d dz)
                 p, q = int(cb.numerator), int(cb.denominator)
-                _combine(z_row, q * row[-1], p * z_row[-1], _integer_nonzeros(row))
+                _combine(z_row, q * row.den, p * z_row.den, list(row.nums.items()))
         return z_row
 
     def _least_ratio_rows(self, enter: int) -> list:
         w = self.width
         ties = []
         for i, row in enumerate(self.matrix):
-            a = row[enter]
+            nums = row.nums
+            a = nums.get(enter, 0)
             if a > 0:
+                rhs = nums.get(w, 0)
                 if not ties:
                     ties = [i]
-                    best_rhs, best_a = row[w], a
+                    best_rhs, best_a = rhs, a
                     continue
                 # rhs / a against the best, with both denominators positive
-                cross = row[w] * best_a - best_rhs * a
+                cross = rhs * best_a - best_rhs * a
                 if cross < 0:
                     ties = [i]
-                    best_rhs, best_a = row[w], a
+                    best_rhs, best_a = rhs, a
                 elif cross == 0:
                     ties.append(i)
         return ties
@@ -437,32 +470,34 @@ class _IntegerTableau(_Tableau):
     def _eliminate(self, i: int, j: int, z_row) -> None:
         matrix = self.matrix
         row = matrix[i]
-        a = row[j]
-        # divided by its entry a/den, the pivot row is row / a
+        nums = row.nums
+        a = nums[j]
+        # divided by its entry a/den, the pivot row is nums / a
         if a < 0:
-            row[:] = [-v for v in row]
+            nums = {k: -v for k, v in nums.items()}
             a = -a
-        row[-1] = a
-        g = gcd(*row)
+        g = gcd(a, *nums.values())
         if g != 1:
-            row[:] = [v // g for v in row]
-        den = row[-1]
-        nonzeros = _integer_nonzeros(row)
+            nums = {k: v // g for k, v in nums.items()}
+            a //= g
+        row.nums, row.den = nums, a
+        source = list(nums.items())
         for other in matrix:
             if other is not row:
-                f = other[j]
+                f = other.nums.get(j)
                 if f:
-                    _combine(other, den, f, nonzeros)
-        f = z_row[j]
+                    _combine(other, a, f, source)
+        f = z_row.nums.get(j)
         if f:
-            _combine(z_row, den, f, nonzeros)
+            _combine(z_row, a, f, source)
 
     def _capacity_guard(self) -> None:
-        # the bits of a row's entries and its denominator bound those of
+        # the bits of a row's numerators and its denominator bound those of
         # every entry in lowest terms
         worst = 0
         for row in self.matrix:
-            size = max(max(row).bit_length(), min(row).bit_length())
+            nums = row.nums.values()
+            size = max(row.den, max(nums, default=0), -min(nums, default=0)).bit_length()
             if size > worst:
                 worst = size
         if worst > _BIT_GUARD:
@@ -473,30 +508,35 @@ class _IntegerTableau(_Tableau):
             )
 
 
-def _integer_nonzeros(row) -> list:
-    """An integer row's nonzero ``(index, numerator)`` pairs, denominator excluded."""
-    pairs = [(k, v) for k, v in enumerate(row) if v]
-    pairs.pop()  # the denominator, which is positive and last
-    return pairs
-
-
-def _combine(target: list, scale, f, source_nonzeros) -> None:
+def _combine(target: _IntegerRow, scale, f, source) -> None:
     """``target <- scale * target - f * source`` on integer rows, in lowest terms.
 
-    The denominator of ``target`` becomes ``scale`` times its own; the
-    denominator of ``source`` takes no part, so ``source_nonzeros`` leaves it out.
+    ``source`` holds the ``(column, numerator)`` pairs of another row; its
+    denominator takes no part, and the denominator of ``target`` becomes
+    ``scale`` times its own.  An entry that cancels to 0 is deleted.
     """
     h = gcd(scale, f)  # a common factor of both leaves the value as it is
     if h != 1:
         scale //= h
         f //= h
+    nums = target.nums
     if scale != 1:
-        target[:] = [scale * v for v in target]
-    for k, v in source_nonzeros:
-        target[k] -= f * v
-    g = gcd(*target)
+        nums = {k: scale * v for k, v in nums.items()}
+    for k, v in source:
+        if k in nums:
+            v = nums[k] - f * v
+            if v:
+                nums[k] = v
+            else:
+                del nums[k]
+        else:
+            nums[k] = -f * v
+    den = target.den * scale
+    g = gcd(den, *nums.values())
     if g != 1:
-        target[:] = [v // g for v in target]
+        nums = {k: v // g for k, v in nums.items()}
+        den //= g
+    target.nums, target.den = nums, den
 
 
 def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
@@ -563,17 +603,11 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
 
 def _drive_out_artificials(tab: _Tableau, z_row) -> None:
     """Pivot basic artificials onto structural columns; drop redundant rows."""
-    ops = tab.ops
-    tol = ops.feas_tol
     drop = []
     for i in range(len(tab.matrix)):
         if tab.basis[i] < tab.art_start:
             continue
-        pivot_col = -1
-        for j in range(tab.art_start):
-            if abs(tab.matrix[i][j]) > tol:
-                pivot_col = j
-                break
+        pivot_col = tab.first_column(tab.matrix[i], tab.art_start)
         if pivot_col >= 0:
             tab.pivot(i, pivot_col, z_row)
         else:

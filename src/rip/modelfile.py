@@ -44,8 +44,8 @@ asset coordinates, or a mapping naming a catalog variable::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Optional, Tuple
 
 import yaml
 

@@ -270,7 +270,8 @@ def condition_measure(
         weights = [ops.zero] * len(space.paths)
         for p in atom.paths:
             weights[p] = measure.weights[p] / mass
-        support = tuple(p for p in measure.support if p in set(atom.paths))
+        members = set(atom.paths)
+        support = tuple(p for p in measure.support if p in members)
         out.append(
             (
                 atom,

@@ -10,7 +10,7 @@ deterministic function of the report content.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any
 
 from ._numeric import format_number
 from .information import Atom

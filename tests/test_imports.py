@@ -1,0 +1,78 @@
+"""Every name a module of ``rip`` imports is used there or listed in its ``__all__``.
+
+No linter is part of the test environment, so this reads each module's
+syntax tree instead.  A name counts as used when the module's code or one
+of its annotations, quoted ones included, refers to it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rip"
+
+
+def _imported(tree):
+    """``(name, line)`` for each name an import binds, ``__future__`` left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _names(node) -> set:
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+
+def _used(tree) -> set:
+    used = _names(tree)
+    for annotation in _annotations(tree):
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used |= _names(ast.parse(sub.value, mode="eval"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {item.value for item in node.value.elts}
+    return used
+
+
+def _unused(source: str) -> list:
+    tree = ast.parse(source)
+    used = _used(tree)
+    return [(name, line) for name, line in _imported(tree) if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert _unused(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_unused_and_exported_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import Any, Sequence\n"
+        "from .errors import RipError\n"
+        "from .paths import PathSpace\n"
+        "def f(x: 'Any') -> int:\n"
+        "    return os.path.sep\n"
+        "__all__ = ['RipError']\n"
+    )
+    assert _unused(source) == [("Sequence", 3), ("PathSpace", 5)]

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -499,7 +500,39 @@ def test_only_rows_without_a_slack_start_get_an_artificial(ops, lp):
     for r, (_, rel, rhs) in enumerate(rows_z):
         if _slack_starts(rel, rhs):
             assert len(cols) <= tab.start[r] < tab.art_start
-    assert all(len(row) == tab.width + (2 if ops is RATIONAL_OPS else 1) for row in tab.matrix)
+    # each row spans the columns and the right-hand side, and holds 1 on its start
+    for r, row in enumerate(tab.matrix):
+        if ops is RATIONAL_OPS:
+            _assert_integer_row(row, tab.width)
+        else:
+            assert len(row) == tab.width + 1
+        assert tab.value(row, tab.start[r]) == 1
+
+
+def _assert_integer_row(row, width):
+    """Only nonzero numerators, on columns and the right-hand side, in lowest terms."""
+    assert all(row.nums.values())
+    assert all(0 <= k <= width for k in row.nums)
+    assert row.den > 0
+    assert gcd(row.den, *row.nums.values()) == 1
+
+
+@given(lp=st.one_of(sparse_lp(), random_lp()))
+@settings(max_examples=200, deadline=None)
+def test_integer_rows_stay_sparse_and_in_lowest_terms_after_every_pivot(lp):
+    checked = []
+    pivot = _Tableau.pivot
+
+    def checked_pivot(tab, i, j, z_row):
+        pivot(tab, i, j, z_row)
+        for row in tab.matrix + [z_row]:
+            _assert_integer_row(row, tab.width)
+        checked.append(j)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Tableau, "pivot", checked_pivot)
+        out = solve(lp)
+    assert out.pivots == len(checked)
 
 
 @pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
@@ -573,8 +606,9 @@ class TestSolverErrors:
         monkeypatch.setattr(rip.lp, "_BIT_GUARD", 5)
         tab, _ = self._tableau()
         tab._capacity_guard()
-        tab.matrix[0][-1] = 32
-        assert max(abs(v) for v in tab.matrix[0][:-1]).bit_length() <= 3
+        row = tab.matrix[0]
+        row.den = 32
+        assert max(abs(v) for v in row.nums.values()).bit_length() <= 3
         message = r"^lp: exact tableau coefficients reached 6 bits after 0 pivots on a 2 x 4 "
         with pytest.raises(CapacityError, match=message):
             tab._capacity_guard()

@@ -5,7 +5,6 @@ import textwrap
 import pytest
 
 from rip import (
-    InfoStructure,
     InvalidModelError,
     load_model,
     parse_model,
