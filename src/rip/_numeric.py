@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Any
 
 from .errors import PreconditionError
@@ -116,6 +117,20 @@ class ModeOps:
                 raise PreconditionError("cannot convert a non-finite float to a rational")
             return rat(x)
         return rat(x)
+
+    def over_common(self, values) -> tuple:
+        """``values`` as ``(numerators, denominator)``, each one ``numerator / denominator``.
+
+        In rational mode the numerators are ints over the lcm of the values'
+        denominators; in float mode they are the floats themselves over 1,
+        so that scaling by the denominator leaves float arithmetic as it is.
+        """
+        if self.mode == FLOAT:
+            return [v if type(v) is float else self.convert(v) for v in values], 1
+        exact = [v if isinstance(v, int) or type(v) is _ratio else self.convert(v) for v in values]
+        dens = [int(v.denominator) for v in exact]
+        den = lcm(*dens)
+        return [int(v.numerator) * (den // d) for v, d in zip(exact, dens)], den
 
     def eq(self, a, b, tol=None) -> bool:
         t = self.feas_tol if tol is None else tol

@@ -23,15 +23,22 @@ when every row has one.  A row's dual is read off the reduced cost of its
 start column, in both phases.  A program with no rows is an empty tableau.
 
 Every outcome carries a certificate that :func:`verify_certificate` checks
-against the problem data by direct arithmetic, without trusting anything
-the solver did internally:
+by direct arithmetic on the program alone, sharing no row or state with the
+solver:
 
 * ``Optimal`` holds a primal point and row duals; verification checks
-  feasibility, complementary slackness, and the sign pattern of reduced
-  costs against each variable's bounds.
+  feasibility, the objective value, complementary slackness, and the sign
+  pattern of reduced costs against each variable's bounds.
 * ``Infeasible`` holds a separating vector for the standardised system
   (original rows first, then one row per finite upper bound).
 * ``Unbounded`` holds a feasible point and an improving ray.
+
+The checks run on integers.  Each row's nonzero coefficients and right-hand
+side are put over one positive denominator, once, and so are the point
+(with the bounds), the duals, the Farkas vector and the ray; comparisons
+cross-multiply these denominators, and tolerances are scaled by them, so
+each test is the exact one.  In float mode every denominator is 1 and the
+same code does plain float arithmetic.
 
 Bounds may be ``"free"``, ``"nonneg"``, or a ``(low, high)`` pair with
 ``None`` for a missing side.  Relations are ``"<="``, ``">="``, ``"=="``.
@@ -171,9 +178,8 @@ def _standardise(lp: LinearProgram, ops: ModeOps):
         row = []
         adjust = zero
         for j, c in enumerate(coeffs):
-            if not c:
-                continue
-            c = ops.convert(c)
+            if not c or not (c := ops.convert(c)):
+                continue  # zero, or text such as "0"
             for cidx, mult in var_cols[j]:
                 row.append((cidx, c if mult > 0 else -c))
             if shifts[j]:
@@ -649,134 +655,139 @@ def verify_certificate(
     return False
 
 
-def _nonzeros(coeffs, ops) -> list:
-    """A row's nonzero coefficients as ``(index, value)`` pairs, converted once."""
-    return [(j, ops.convert(c)) for j, c in enumerate(coeffs) if c]
+def _scaled(coeffs, rhs, ops: ModeOps):
+    """A dense row as ``(index, nums, den)``: entry ``index[k]`` is ``nums[k] / den``,
+    every other entry is 0, and the right-hand side is ``nums[-1] / den``."""
+    index = [j for j, c in enumerate(coeffs) if c]
+    nums, den = ops.over_common([coeffs[j] for j in index] + [rhs])
+    return index, nums, den
 
 
-def _dot(pairs, x, zero):
-    return sum((c * x[j] for j, c in pairs), zero)
+def _dot(index, nums, v):
+    return sum([a * v[j] for j, a in zip(index, nums)])
 
 
-def _primal_feasible(lp: LinearProgram, x, lhs, ops: ModeOps, tol) -> bool:
-    """Whether ``x`` meets every row, whose left-hand sides are ``lhs``, and bound."""
-    for value, (_, rel, rhs) in zip(lhs, lp.rows):
-        rhs = ops.convert(rhs)
-        if rel == "==" and not ops.eq(value, rhs, tol):
-            return False
-        if rel == "<=" and not value <= rhs + tol:
-            return False
-        if rel == ">=" and not value >= rhs - tol:
-            return False
-    for xj, bnd in zip(x, lp.bounds):
-        lo, hi = _bound_sides(bnd)
-        if lo is not None and xj < ops.convert(lo) - tol:
-            return False
-        if hi is not None and xj > ops.convert(hi) + tol:
-            return False
-    return True
+def _weighted_sum(rows, weights, width: int):
+    """``sum_i weights[i] * row_i`` as ``(columns, rhs, den)``: numerators over
+    ``den``, the lcm of the denominators of the rows taking part, times the
+    weights' denominator."""
+    den = lcm(*(row[2] for w, row in zip(weights, rows) if w))
+    columns = [0] * width
+    rhs_sum = 0
+    for w, (index, nums, d) in zip(weights, rows):
+        if w:
+            w = w * (den // d)
+            for j, a in zip(index, nums):
+                columns[j] = columns[j] + w * a
+            rhs_sum = rhs_sum + w * nums[-1]
+    return columns, rhs_sum, den
+
+
+def _feasible(lp: LinearProgram, rows, point, ops: ModeOps, tol):
+    """``(nums, bounds, den, lhs)`` if ``point`` is feasible, else None.
+
+    ``point[j]`` is ``nums[j] / den``, ``bounds[j]`` holds the ``(low, high)``
+    numerators over ``den`` (None for a missing side), and row ``i``, over
+    ``d``, has left-hand side ``lhs[i] / (d * den)``.
+    """
+    sides = [_bound_sides(bnd) for bnd in lp.bounds]
+    nums, den = ops.over_common(list(point) + [v for pair in sides for v in pair if v is not None])
+    it = iter(nums[len(point) :])
+    bounds = [(a if a is None else next(it), b if b is None else next(it)) for a, b in sides]
+    nums, x_tol = nums[: len(point)], tol * den
+    lhs = [_dot(index, row, nums) for index, row, _ in rows]
+    for value, (_, row, d), (_, rel, _) in zip(lhs, rows, lp.rows):
+        rhs, slack = row[-1] * den, tol * d * den
+        if rel == "==" and not ops.eq(value, rhs, slack):
+            return None
+        if rel == "<=" and not value <= rhs + slack:
+            return None
+        if rel == ">=" and not value >= rhs - slack:
+            return None
+    for xj, (lo, hi) in zip(nums, bounds):
+        if (lo is not None and xj < lo - x_tol) or (hi is not None and xj > hi + x_tol):
+            return None
+    return nums, bounds, den, lhs
 
 
 def _verify_optimal(lp: LinearProgram, outcome: Optimal, ops: ModeOps) -> bool:
     tol = ops.dual_tol
-    zero = ops.zero
-    x, y = outcome.x, outcome.y
-    if len(x) != lp.n_vars or len(y) != len(lp.rows):
+    if len(outcome.x) != lp.n_vars or len(outcome.y) != len(lp.rows):
         return False
-    rows = [_nonzeros(coeffs, ops) for coeffs, _, _ in lp.rows]
-    lhs = [_dot(pairs, x, zero) for pairs in rows]
-    if not _primal_feasible(lp, x, lhs, ops, tol):
+    rows = [_scaled(coeffs, rhs, ops) for coeffs, _, rhs in lp.rows]
+    point = _feasible(lp, rows, outcome.x, ops, tol)
+    if point is None:
         return False
-    value = _dot(_nonzeros(lp.objective, ops), x, zero)
-    if not ops.eq(value, outcome.value, tol):
+    x, bounds, dx, lhs = point
+    # the objective, checked as the row c . x == value
+    index, c, dc = _scaled(lp.objective, outcome.value, ops)
+    if not ops.eq(_dot(index, c, x), c[-1] * dx, tol * dc * dx):
         return False
 
-    minimise = lp.sense == "min"
-    for yi, row_lhs, (_, rel, rhs) in zip(y, lhs, lp.rows):
-        want = yi if minimise else -yi
-        if rel == ">=" and want < -tol:
+    sign = 1 if lp.sense == "min" else -1
+    y, dy = ops.over_common(outcome.y)
+    y_tol = tol * dy
+    for yi, row_lhs, (_, row, d), (_, rel, _) in zip(y, lhs, rows, lp.rows):
+        if (rel == ">=" and sign * yi < -y_tol) or (rel == "<=" and sign * yi > y_tol):
             return False
-        if rel == "<=" and want > tol:
-            return False
-        if not ops.eq(yi, zero, tol) and not ops.eq(row_lhs, ops.convert(rhs), tol):
+        if not ops.eq(yi, 0, y_tol) and not ops.eq(row_lhs, row[-1] * dx, tol * d * dx):
             return False
 
-    # y^T A, accumulated row by row over the nonzeros
-    ya = [zero] * lp.n_vars
-    for yi, pairs in zip(y, rows):
-        if yi:
-            for j, a in pairs:
-                ya[j] = ya[j] + yi * a
-    for j in range(lp.n_vars):
-        r = ops.convert(lp.objective[j]) - ya[j]
-        if not minimise:
-            r = -r
-        lo, hi = _bound_sides(lp.bounds[j])
-        at_lo = lo is not None and ops.eq(x[j], ops.convert(lo), tol)
-        at_hi = hi is not None and ops.eq(x[j], ops.convert(hi), tol)
+    # reduced costs c - y^T A, as numerators over dc * dy * den
+    ya, _, den = _weighted_sum(rows, y, lp.n_vars)
+    c = dict(zip(index, c))
+    r_tol = tol * dc * dy * den
+    for j, (lo, hi) in enumerate(bounds):
+        r = sign * (c.get(j, 0) * dy * den - ya[j] * dc)
+        at_lo = lo is not None and ops.eq(x[j], lo, tol * dx)
+        at_hi = hi is not None and ops.eq(x[j], hi, tol * dx)
         if at_lo and at_hi:
             continue  # pinned variable: any reduced cost is consistent
-        if at_lo:
-            if r < -tol:
-                return False
-        elif at_hi:
-            if r > tol:
-                return False
-        elif not ops.eq(r, zero, tol):
+        if (at_lo and r < -r_tol) or (at_hi and r > r_tol):
+            return False
+        if not at_lo and not at_hi and not ops.eq(r, 0, r_tol):
             return False
     return True
 
 
 def _verify_infeasible(lp: LinearProgram, outcome: Infeasible, ops: ModeOps) -> bool:
     tol = ops.dual_tol
-    zero = ops.zero
     cols, _, rows_z = _standardise(lp, ops)
-    y = outcome.certificate
-    if len(y) != len(rows_z):
+    if len(outcome.certificate) != len(rows_z):
         return False
+    y, dy = ops.over_common(outcome.certificate)
     for yi, (_, rel, _) in zip(y, rows_z):
-        if rel == ">=" and yi < -tol:
+        if (rel == ">=" and yi < -tol * dy) or (rel == "<=" and yi > tol * dy):
             return False
-        if rel == "<=" and yi > tol:
-            return False
-    combo = [zero] * len(cols)
-    for yi, (row, _, _) in zip(y, rows_z):
-        if yi:
-            for cidx, v in row:
-                combo[cidx] = combo[cidx] + yi * v
-    if any(c > tol for c in combo):
-        return False
-    money = sum((yi * rhs for yi, (_, _, rhs) in zip(y, rows_z) if yi), zero)
-    return money > tol
+    rows = [([k for k, _ in r], *ops.over_common([v for _, v in r] + [b])) for r, _, b in rows_z]
+    combo, money, den = _weighted_sum(rows, y, len(cols))
+    slack = tol * dy * den
+    return not any(v > slack for v in combo) and money > slack
 
 
 def _verify_unbounded(lp: LinearProgram, outcome: Unbounded, ops: ModeOps) -> bool:
     tol = ops.dual_tol
-    zero = ops.zero
-    point, d = outcome.point, outcome.ray
-    if len(point) != lp.n_vars or len(d) != lp.n_vars:
+    if len(outcome.point) != lp.n_vars or len(outcome.ray) != lp.n_vars:
         return False
-    rows = [_nonzeros(coeffs, ops) for coeffs, _, _ in lp.rows]
-    if not _primal_feasible(lp, point, [_dot(pairs, point, zero) for pairs in rows], ops, tol):
+    rows = [_scaled(coeffs, rhs, ops) for coeffs, _, rhs in lp.rows]
+    if _feasible(lp, rows, outcome.point, ops, tol) is None:
         return False
-    for pairs, (_, rel, _) in zip(rows, lp.rows):
-        move = _dot(pairs, d, zero)
-        if rel == "==" and not ops.eq(move, zero, tol):
+    d, dd = ops.over_common(outcome.ray)
+    for (index, row, den), (_, rel, _) in zip(rows, lp.rows):
+        move, slack = _dot(index, row, d), tol * den * dd
+        if rel == "==" and not ops.eq(move, 0, slack):
             return False
-        if rel == "<=" and move > tol:
+        if rel == "<=" and move > slack:
             return False
-        if rel == ">=" and move < -tol:
+        if rel == ">=" and move < -slack:
             return False
     for dj, bnd in zip(d, lp.bounds):
         lo, hi = _bound_sides(bnd)
-        if lo is not None and dj < -tol:
+        if (lo is not None and dj < -tol * dd) or (hi is not None and dj > tol * dd):
             return False
-        if hi is not None and dj > tol:
-            return False
-    gain = _dot(_nonzeros(lp.objective, ops), d, zero)
-    if lp.sense == "min":
-        return gain < -tol if tol else gain < zero
-    return gain > tol if tol else gain > zero
+    index, c, dc = _scaled(lp.objective, 0, ops)
+    gain = _dot(index, c, d)
+    return (gain if lp.sense == "min" else -gain) < -tol * dc * dd
 
 
 def solve_checked(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:

@@ -24,6 +24,9 @@ Top-level keys::
     split            int
     tolerances       {feasibility, label, duality}   (float mode only; feasibility > 0)
 
+``grid.horizon`` is read and checked, and then nothing depends on it: no
+value, report or check changes with a model's horizon.
+
 Numbers may be written as YAML integers or floats, or as strings such as
 ``"2/3"`` which are read exactly in rational mode.  Lattice ratios follow the
 shapes accepted by :func:`rip.paths.build_lattice`.  Explicit ``paths`` rows

@@ -262,22 +262,26 @@ def condition_measure(
     :meth:`MartingaleMeasure.audit` is for).
     """
     ops = space.ops
+    # the support sorted into atoms in one pass, in support order
+    owner = {p: k for k, atom in enumerate(partition) for p in atom.paths}
+    supports = [[] for _ in partition]
+    for p in measure.support:
+        if p in owner:
+            supports[owner[p]].append(p)
     out = []
-    for atom in partition:
+    for atom, support in zip(partition, supports):
         mass = measure.mass(atom.paths, ops)
         if not ops.pos(mass):
             continue
         weights = [ops.zero] * len(space.paths)
         for p in atom.paths:
             weights[p] = measure.weights[p] / mass
-        members = set(atom.paths)
-        support = tuple(p for p in measure.support if p in members)
         out.append(
             (
                 atom,
                 mass,
                 MartingaleMeasure(
-                    tuple(weights), measure.info, measure.book, measure.interval, support
+                    tuple(weights), measure.info, measure.book, measure.interval, tuple(support)
                 ),
             )
         )

@@ -47,9 +47,7 @@ from rip import (
     tail_range_indicator,
     transport_claim,
     verify_certificate,
-    z_partition,
 )
-from rip._numeric import FLOAT_OPS
 
 RATIO_POOL = ["1/4", "1/3", "1/2", "2/3", "1", "3/2", "2", "3"]
 

@@ -133,6 +133,18 @@ class TestReports:
         assert report["timings"]["lp_solves"] == 1
         assert report["timings"]["simplex_pivots"] >= 1
 
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_the_horizon_changes_no_price_report(self, model_file, capsys, mode):
+        # grid.horizon is read and checked, and no value or report depends on it
+        runs = []
+        for horizon in ('"1/4"', "1"):
+            source = FOUR_STEP_MODEL.replace("{steps: 4}", f"{{steps: 4, horizon: {horizon}}}")
+            assert "horizon" in source
+            argv = ["price", "--model", model_file(source), "--mode", mode]
+            runs.append(run(argv, capsys))
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+
     def test_price_measure_weights_sum_to_one(self, model_file, capsys):
         from fractions import Fraction
 

@@ -15,7 +15,6 @@ from rip import (
     ModeOps,
     Optimal,
     PreconditionError,
-    StaticOption,
     StaticOptionBook,
     UndefinedHoldingError,
     build_hedge_problem,

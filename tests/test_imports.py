@@ -1,4 +1,4 @@
-"""Every name a module of ``rip`` imports is used there or listed in its ``__all__``.
+"""Every name a module of ``rip`` or a test imports is used there or listed in its ``__all__``.
 
 No linter is part of the test environment, so this reads each module's
 syntax tree instead.  A name counts as used when the module's code or one
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rip"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "rip"
 
 
 def _imported(tree):
@@ -61,6 +62,11 @@ def _unused(source: str) -> list:
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
+    assert _unused(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_every_name_a_test_imports_is_used(path):
     assert _unused(path.read_text(encoding="utf-8")) == []
 
 

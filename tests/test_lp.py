@@ -383,21 +383,26 @@ def _dense_verify(lp, out, ops):
     return sign * dot(lp.objective, d) < -tol
 
 
-# three coefficients in four are zero
-_sparse_coef = st.tuples(st.integers(min_value=0, max_value=3), _coef).map(
-    lambda pair: pair[1] if pair[0] == 0 else Fraction(0)
-)
-_nonzero_bound = st.fractions(min_value=Fraction(-3), max_value=Fraction(2)).filter(bool)
+_bound = st.fractions(min_value=Fraction(-3), max_value=Fraction(2))
+_width = st.fractions(min_value=Fraction(0), max_value=Fraction(3))
+# denominators up to 10**6, so that rows and points have large common ones
+_wide_coef = st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=10**6)
+# eighths are floats exactly, so a program reads the same as floats
+_eighths = st.integers(min_value=-32, max_value=32).map(lambda k: Fraction(k, 8))
 
 
 @st.composite
-def sparse_lp(draw):
+def sparse_lp(draw, coef=_coef, bound=_bound, width=_width):
+    # three coefficients in four are zero
+    sparse_coef = st.tuples(st.integers(min_value=0, max_value=3), coef).map(
+        lambda pair: pair[1] if pair[0] == 0 else Fraction(0)
+    )
     n = draw(st.integers(min_value=1, max_value=6))
     m = draw(st.integers(min_value=0, max_value=5))
     sense = draw(st.sampled_from(["min", "max"]))
-    objective = [draw(_sparse_coef) for _ in range(n)]
+    objective = [draw(sparse_coef) for _ in range(n)]
     rows = [
-        ([draw(_sparse_coef) for _ in range(n)], draw(st.sampled_from(RELATIONS)), draw(_coef))
+        ([draw(sparse_coef) for _ in range(n)], draw(st.sampled_from(RELATIONS)), draw(coef))
         for _ in range(m)
     ]
     bounds = []
@@ -406,11 +411,10 @@ def sparse_lp(draw):
         if kind in ("free", "nonneg"):
             bounds.append(kind)
         elif kind == "upper":
-            bounds.append((None, draw(_nonzero_bound)))
+            bounds.append((None, draw(bound.filter(bool))))
         else:
-            lo = draw(_nonzero_bound)
-            width = draw(st.fractions(min_value=Fraction(0), max_value=Fraction(3)))
-            bounds.append((lo, lo + width if kind == "box" else None))
+            lo = draw(bound.filter(bool))
+            bounds.append((lo, lo + draw(width) if kind == "box" else None))
     return LinearProgram.build(sense, objective, rows, bounds)
 
 
@@ -435,8 +439,8 @@ def _perturbed(out, field, index, delta):
 _FIELDS = {Optimal: ("x", "y"), Infeasible: ("certificate",), Unbounded: ("ray",)}
 
 
-@given(lp=sparse_lp(), data=st.data())
-@settings(max_examples=100, deadline=None)
+@given(lp=st.one_of(sparse_lp(), sparse_lp(coef=_wide_coef)), data=st.data())
+@settings(max_examples=150, deadline=None)
 @pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
 def test_sparse_verification_matches_the_dense_reference(ops, lp, data):
     if ops is FLOAT_OPS:
@@ -456,6 +460,86 @@ def test_sparse_verification_matches_the_dense_reference(ops, lp, data):
         assert verify_certificate(lp, bad, ops) == _dense_verify(lp, bad, ops), field
 
 
+# one part in 10**30 is far below every denominator of these programs
+_TINY = Fraction(1, 10**30)
+
+
+def _mixed_denominator_outcomes():
+    """An Optimal, an Infeasible and an Unbounded outcome of programs whose
+    rows mix denominators, each with every entry of its certificate needed."""
+    free = ["free", "free"]
+    # two equality rows on two free variables: one point, every dual needed
+    rows = [([rat(1, 3), rat(2, 7)], "==", rat(5, 11)), ([rat(3, 4), rat(-1, 9)], "==", rat(2, 13))]
+    optimal = LinearProgram.build("min", [rat(3, 5), rat(7, 17)], rows, free)
+    # a >= row against a <= row over the same free combination
+    pair = [rat(1, 3), rat(2, 7)]
+    infeasible = LinearProgram.build(
+        "min", [0, 0], [(pair, ">=", rat(5, 11)), (pair, "<=", rat(-2, 13))], free
+    )
+    # a ray along an equality row with both variables free
+    unbounded = LinearProgram.build(
+        "min", [rat(-3, 5), 0], [([rat(2, 3), rat(-5, 7)], "==", rat(1, 11))], free
+    )
+    outcomes = [(lp, solve(lp)) for lp in (optimal, infeasible, unbounded)]
+    kinds = [type(out) for _, out in outcomes]
+    assert kinds == [Optimal, Infeasible, Unbounded]
+    return outcomes
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
+def test_a_perturbation_of_one_part_in_ten_to_the_thirty_is_rejected(sign):
+    for lp, out in _mixed_denominator_outcomes():
+        assert verify_certificate(lp, out) and _dense_verify(lp, out, RATIONAL_OPS)
+        for field in _FIELDS[type(out)]:
+            for index in range(len(getattr(out, field))):
+                bad = _perturbed(out, field, index, sign * _TINY)
+                assert not verify_certificate(lp, bad), (type(out).__name__, field, index)
+                assert not _dense_verify(lp, bad, RATIONAL_OPS)
+
+
+def _retyped(lp, kind):
+    """``lp`` with its numbers written as ``kind``: ``"int"`` (ints wherever
+    the value is whole), ``"str"`` (``"p/q"`` text) or ``"float"``."""
+
+    def number(v):
+        if v is None:
+            return None
+        if kind == "str":
+            return str(v)
+        if kind == "float":
+            return float(v)
+        return int(v) if v.denominator == 1 else v
+
+    def bound(b):
+        # text bounds are not compared as numbers, so they stay rational
+        if isinstance(b, str) or kind == "str":
+            return b
+        return (number(b[0]), number(b[1]))
+
+    return LinearProgram.build(
+        lp.sense,
+        [number(c) for c in lp.objective],
+        [([number(c) for c in coeffs], rel, number(b)) for coeffs, rel, b in lp.rows],
+        [bound(b) for b in lp.bounds],
+    )
+
+
+@given(lp=sparse_lp(coef=_eighths, bound=_eighths, width=_eighths.map(abs)), data=st.data())
+@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("kind", ["int", "str", "float"])
+def test_ints_text_floats_and_fractions_get_the_same_verdicts(kind, lp, data):
+    typed = _retyped(lp, kind)
+    out = solve(lp)
+    assert solve(typed) == out
+    assert verify_certificate(typed, out)
+    for field in _FIELDS[type(out)]:
+        size = len(getattr(out, field))
+        if size:
+            index = data.draw(st.integers(min_value=0, max_value=size - 1))
+            bad = _perturbed(out, field, index, data.draw(_eighths.filter(bool)))
+            assert verify_certificate(typed, bad) == verify_certificate(lp, bad), field
+
+
 class TestConvert:
     def test_a_rational_comes_back_unchanged(self):
         value = rat(-2, 7)
@@ -468,6 +552,13 @@ class TestConvert:
         assert RATIONAL_OPS.convert(0.5) == rat(1, 2)
         assert FLOAT_OPS.convert("0.25") == 0.25
         assert FLOAT_OPS.convert(rat(1, 4)) == 0.25
+
+    def test_text_zeros_are_no_tableau_entries(self):
+        # a "0" is truthy text; stored in a row, the row's zero could be pivoted on
+        rows = [(["0", "1"], "==", "1"), (["0", "0"], "==", "0")]
+        text = LinearProgram.build("min", ["1", "0"], rows, ["nonneg", "nonneg"])
+        numbers = lp_min([1, 0], [([0, 1], "==", 1), ([0, 0], "==", 0)])
+        assert solve(text) == solve(numbers)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_floats_are_refused(self, bad):

@@ -4,6 +4,8 @@ Oracle-marked expectations come from tests/oracle.py (independent vertex
 enumeration over exact rationals).
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,12 +22,10 @@ from rip import (
     concatenate_measure,
     condition_measure,
     dpp_price,
-    info_from_payoff,
     interval_price_table,
     is_neg_inf,
     market_partition,
     model_price,
-    parse_payoff,
     rat,
     space_from_paths,
 )
@@ -267,3 +267,20 @@ def test_conditioning_preserves_structure(tri2, call_at_2, objective):
     kernels = {tuple(atom.paths): cond for atom, _, cond in pieces}
     rebuilt = concatenate_measure(tri2, measure, kernels, 1)
     assert rebuilt.weights == measure.weights
+
+
+@given(
+    objective=st.lists(st.integers(min_value=-5, max_value=5), min_size=9, max_size=9),
+    split=st.integers(min_value=0, max_value=2),
+)
+@settings(max_examples=40, deadline=None)
+def test_conditional_supports_partition_the_support(tri2, objective, split):
+    """Each atom's conditional keeps the parent's support inside it, in order."""
+    measure = random_measure(tri2, [rat(c) for c in objective])
+    support = tuple(p for p, w in enumerate(measure.weights) if w)
+    measure = replace(measure, support=support)
+    pieces = condition_measure(tri2, measure, market_partition(tri2, split))
+    for atom, _, cond in pieces:
+        assert cond.support == tuple(p for p in support if p in atom.paths)
+    # every support path has positive weight, so its atom is kept
+    assert sorted(p for _, _, cond in pieces for p in cond.support) == list(support)
