@@ -28,7 +28,7 @@ from rip import (
 import reference_simplex
 import rip.lp
 from rip.errors import CapacityError, InternalCheckError
-from rip.lp import RELATIONS, _Tableau, _standardise
+from rip.lp import RELATIONS, _Tableau, _cancel, _standardise
 
 
 def lp_min(objective, rows, bounds=None):
@@ -269,6 +269,21 @@ def test_beale_cycling_example_from_the_slack_start(as_ge):
     assert first == second
 
 
+@pytest.mark.parametrize("as_ge", [False, True], ids=["le-rows", "ge-zero-row"])
+def test_beale_cycling_example_terminates_in_float_mode(as_ge):
+    rows = [([float(c) for c in coeffs], rel, float(rhs)) for coeffs, rel, rhs in _BEALE_ROWS]
+    if as_ge:
+        coeffs, _, rhs = rows[0]
+        rows[0] = ([-c for c in coeffs], ">=", rhs)
+    lp = lp_min([float(c) for c in _BEALE_OBJECTIVE], rows)
+    first, second = solve(lp, FLOAT_OPS), solve(lp, FLOAT_OPS)
+    assert isinstance(first, Optimal)
+    assert first.value == pytest.approx(-1.25, abs=FLOAT_OPS.dual_tol)
+    assert first.x == pytest.approx((1.0, 0.0, 1.0, 0.0), abs=FLOAT_OPS.dual_tol)
+    assert verify_certificate(lp, first, FLOAT_OPS)
+    assert first == second
+
+
 # ---------------------------------------------------------------------------
 # sparse verification against a dense reference: the checks written out over
 # every coefficient, zeros included, as an independent oracle
@@ -497,6 +512,40 @@ def test_a_perturbation_of_one_part_in_ten_to_the_thirty_is_rejected(sign):
                 assert not _dense_verify(lp, bad, RATIONAL_OPS)
 
 
+# one variable x under each kind of bound, a row on x and a Farkas vector over
+# the standardised rows (the row, then x's bound row if x has two sides)
+_FARKAS_CASES = [
+    ("box", (1, 3), [([1], ">=", 4)], (1, -1), True),
+    ("box, feasible", (1, 3), [([1], ">=", 2)], (1, -1), False),
+    ("box, halved", (1, 3), [([1], ">=", 4)], (Fraction(1, 2), Fraction(-1, 2)), True),
+    ("box, halved, feasible", (1, 3), [([1], ">=", 2)], (Fraction(1, 2), Fraction(-1, 2)), False),
+    ("box, bound row left out", (1, 3), [([1], ">=", 4)], (1, 0), False),
+    ("box, from below", (1, 3), [([-1], ">=", 0)], (1, 0), True),
+    ("box, positive bound-row multiplier", (1, 3), [([-1], ">=", 0)], (1, 1), False),
+    ("upper only", (None, 3), [([1], ">=", 4)], (1,), True),
+    ("upper only, feasible", (None, 3), [([1], ">=", 2)], (1,), False),
+    ("lower only", (2, None), [([1], "<=", 1)], (-1,), True),
+    ("lower only, feasible", (2, None), [([1], "<=", 3)], (-1,), False),
+    ("free, two rows", "free", [([1], ">=", 4), ([1], "<=", 3)], (1, -1), True),
+    ("free, one side", "free", [([-1], ">=", 4)], (1,), False),
+    ("wrong length", (1, 3), [([1], ">=", 4)], (1,), False),
+]
+
+
+@pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
+@pytest.mark.parametrize(
+    "bound, rows, certificate, valid", [case[1:] for case in _FARKAS_CASES],
+    ids=[case[0] for case in _FARKAS_CASES],
+)
+def test_farkas_vectors_are_checked_against_the_bounds(ops, bound, rows, certificate, valid):
+    lp = LinearProgram.build("min", [0], rows, [bound])
+    if ops is FLOAT_OPS:
+        lp = _as_float(lp)
+    out = Infeasible(tuple(ops.convert(v) for v in certificate))
+    assert verify_certificate(lp, out, ops) is valid
+    assert _dense_verify(lp, out, ops) is valid
+
+
 def _retyped(lp, kind):
     """``lp`` with its numbers written as ``kind``: ``"int"`` (ints wherever
     the value is whole), ``"str"`` (``"p/q"`` text) or ``"float"``."""
@@ -538,6 +587,18 @@ def test_ints_text_floats_and_fractions_get_the_same_verdicts(kind, lp, data):
             index = data.draw(st.integers(min_value=0, max_value=size - 1))
             bad = _perturbed(out, field, index, data.draw(_eighths.filter(bool)))
             assert verify_certificate(typed, bad) == verify_certificate(lp, bad), field
+
+
+@given(lp=sparse_lp(coef=_eighths, bound=_eighths, width=_eighths.map(abs)))
+@settings(max_examples=200, deadline=None)
+def test_float_mode_agrees_with_rational_mode_on_programs_in_eighths(lp):
+    exact = solve(lp)
+    as_float = _as_float(lp)
+    approx = solve(as_float, FLOAT_OPS)
+    assert type(approx) is type(exact)
+    assert verify_certificate(as_float, approx, FLOAT_OPS)
+    if isinstance(exact, Optimal):
+        assert abs(approx.value - float(exact.value)) <= FLOAT_OPS.dual_tol
 
 
 class TestConvert:
@@ -591,39 +652,60 @@ def test_only_rows_without_a_slack_start_get_an_artificial(ops, lp):
     for r, (_, rel, rhs) in enumerate(rows_z):
         if _slack_starts(rel, rhs):
             assert len(cols) <= tab.start[r] < tab.art_start
-    # each row spans the columns and the right-hand side, and holds 1 on its start
+    # each row holds entries on columns and the right-hand side, 1 on its start
     for r, row in enumerate(tab.matrix):
-        if ops is RATIONAL_OPS:
-            _assert_integer_row(row, tab.width)
-        else:
-            assert len(row) == tab.width + 1
+        (_assert_integer_row if ops is RATIONAL_OPS else _assert_sparse_row)(row, tab.width)
         assert tab.value(row, tab.start[r]) == 1
 
 
-def _assert_integer_row(row, width):
-    """Only nonzero numerators, on columns and the right-hand side, in lowest terms."""
+def _assert_sparse_row(row, width):
+    """Only nonzero entries, on columns and the right-hand side."""
     assert all(row.nums.values())
     assert all(0 <= k <= width for k in row.nums)
+
+
+def _assert_integer_row(row, width):
+    """A sparse row of integer numerators in lowest terms."""
+    _assert_sparse_row(row, width)
     assert row.den > 0
     assert gcd(row.den, *row.nums.values()) == 1
 
 
-@given(lp=st.one_of(sparse_lp(), random_lp()))
-@settings(max_examples=200, deadline=None)
-def test_integer_rows_stay_sparse_and_in_lowest_terms_after_every_pivot(lp):
+def _check_rows_after_every_pivot(lp, ops, check_row):
+    """Solve ``lp``, running ``check_row`` on every row after every pivot."""
     checked = []
     pivot = _Tableau.pivot
 
     def checked_pivot(tab, i, j, z_row):
         pivot(tab, i, j, z_row)
         for row in tab.matrix + [z_row]:
-            _assert_integer_row(row, tab.width)
+            check_row(row, tab.width)
         checked.append(j)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Tableau, "pivot", checked_pivot)
-        out = solve(lp)
+        out = solve(lp, ops)
     assert out.pivots == len(checked)
+
+
+@given(lp=st.one_of(sparse_lp(), random_lp()))
+@settings(max_examples=200, deadline=None)
+def test_integer_rows_stay_sparse_and_in_lowest_terms_after_every_pivot(lp):
+    _check_rows_after_every_pivot(lp, RATIONAL_OPS, _assert_integer_row)
+
+
+@given(lp=st.one_of(sparse_lp(), random_lp()))
+@settings(max_examples=100, deadline=None)
+def test_float_rows_hold_no_zero_after_every_pivot(lp):
+    _check_rows_after_every_pivot(_as_float(lp), FLOAT_OPS, _assert_sparse_row)
+
+
+def test_an_update_that_cancels_to_round_off_deletes_the_entry():
+    nums = {0: 0.1 + 0.2, 1: 0.5, 2: 1e-20, 3: 1.0}
+    _cancel(nums, 1.0, [(0, 0.3), (1, 0.5), (2, 1e-21), (4, 1e-20)])
+    # 0.1 + 0.2 - 0.3 leaves round-off and 0.5 - 0.5 an exact zero: both go;
+    # 1e-20 - 1e-21 and the new entry -1e-20 are small but cancel nothing
+    assert nums == {2: 1e-20 - 1e-21, 3: 1.0, 4: -1e-20}
 
 
 @pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
