@@ -205,18 +205,16 @@ def build_hedge_problem(
 
     rows = []
     for p, value in zip(target, values):
-        coeffs = [ops.zero] * n_vars
-        for l in range(n_static):
-            coeffs[l] = payoff_rows[l][p]
+        nonzeros = [(l, payoffs[p]) for l, payoffs in enumerate(payoff_rows) if payoffs[p]]
         for t in range(t_from, t_to):
             first = column[(t, fm.cell[t][p])]
             for i, delta in enumerate(fm.delta[t][p]):
                 if delta:
-                    coeffs[first + i] = delta
-        rows.append((coeffs, ">=", value - cash_shift))
+                    nonzeros.append((first + i, delta))
+        rows.append((tuple(nonzeros), ">=", value - cash_shift))
 
-    objective = list(book.prices(ops)) + [ops.zero] * len(dynamic_vars)
-    lp = LinearProgram.build("min", objective, rows, ["free"] * n_vars)
+    objective = tuple(book.prices(ops)) + (ops.zero,) * len(dynamic_vars)
+    lp = LinearProgram("min", objective, tuple(rows), ("free",) * n_vars)
     return HedgeProblem(
         space, target, values, book, (t_from, t_to), tuple(dynamic_vars), lp, cash_shift
     )

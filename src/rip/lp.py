@@ -43,9 +43,8 @@ side are put over one positive denominator, once, and so are the point
 (with the bounds), the duals, the Farkas vector (with the bounds) and the
 ray; comparisons cross-multiply these denominators, and tolerances are
 scaled by them, so each test is the exact one.  In float mode every
-denominator is 1 and the same code does plain float arithmetic.  A dense
-row is scanned once, by :func:`itertools.compress`, and only its nonzeros
-are converted.
+denominator is 1 and the same code does plain float arithmetic.  A
+program's rows hold only their nonzeros, so no zero is scanned or converted.
 
 Bounds may be ``"free"``, ``"nonneg"``, or a ``(low, high)`` pair with
 ``None`` for a missing side.  Relations are ``"<="``, ``">="``, ``"=="``.
@@ -54,7 +53,6 @@ Bounds may be ``"free"``, ``"nonneg"``, or a ``(low, high)`` pair with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from math import gcd, lcm
 from typing import Any, Optional, Union
 
@@ -73,11 +71,14 @@ _DROP = 2.0**-40
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """``sense`` the objective ``c`` subject to rows ``a . x rel b``."""
+    """``sense`` the objective ``c`` subject to rows ``a . x rel b``.
+
+    ``objective`` is dense.  A row is ``(nonzeros, relation, rhs)``, its nonzero
+    ``(column, coefficient)`` pairs at strictly increasing columns; see :meth:`build`."""
 
     sense: str
     objective: tuple
-    rows: tuple  # of (coeffs, relation, rhs)
+    rows: tuple  # of (((column, coeff), ...), relation, rhs)
     bounds: tuple
 
     def __post_init__(self):
@@ -96,18 +97,29 @@ class LinearProgram:
             ):
                 continue
             raise PreconditionError(f"bad bound spec {b!r}")
-        for coeffs, rel, _ in self.rows:
-            if len(coeffs) != n:
-                raise PreconditionError("row length does not match the objective")
+        for nonzeros, rel, _ in self.rows:
+            last = -1
+            for j, _ in nonzeros:
+                if not last < j < n:
+                    raise PreconditionError(f"row columns must increase within 0..{n - 1}")
+                last = j
             if rel not in RELATIONS:
                 raise PreconditionError(f"relation must be one of {RELATIONS}")
 
     @classmethod
     def build(cls, sense: str, objective, rows, bounds) -> "LinearProgram":
+        """A program from dense rows ``(coeffs, relation, rhs)``, numeric zeros
+        dropped; text such as ``"0"`` is left to :func:`_standardise`."""
+        n = len(objective)
+        sparse = []
+        for coeffs, rel, rhs in rows:
+            if len(coeffs) != n:
+                raise PreconditionError("row length does not match the objective")
+            sparse.append((tuple((j, c) for j, c in enumerate(coeffs) if c), rel, rhs))
         return cls(
             sense,
             tuple(objective),
-            tuple((tuple(c), rel, rhs) for c, rel, rhs in rows),
+            tuple(sparse),
             tuple(tuple(b) if isinstance(b, (list, tuple)) else b for b in bounds),
         )
 
@@ -152,8 +164,8 @@ def _standardise(lp: LinearProgram, ops: ModeOps):
     and ``rows_z`` lists ``(coeffs, rel, rhs)`` over the z variables: the
     original rows first, then one ``<=`` row per variable bounded on both
     sides.  A row's ``coeffs`` are its nonzero ``(column, coefficient)``
-    pairs in column order.  Each nonzero coefficient is converted once;
-    zero entries are skipped by :func:`itertools.compress`.
+    pairs in column order.  Each of the program's nonzeros is converted
+    once, and one that converts to 0 (text such as ``"0"``) is skipped.
     """
     zero = ops.zero
     cols: list = []
@@ -185,11 +197,11 @@ def _standardise(lp: LinearProgram, ops: ModeOps):
         var_cols[var].append((cidx, mult))
 
     rows_z = []
-    for coeffs, rel, rhs in lp.rows:
+    for nonzeros, rel, rhs in lp.rows:
         row = []
         adjust = zero
-        for j in compress(range(len(coeffs)), coeffs):
-            c = ops.convert(coeffs[j])
+        for j, c in nonzeros:
+            c = ops.convert(c)
             if not c:
                 continue  # text such as "0"
             for cidx, mult in var_cols[j]:
@@ -586,12 +598,10 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
     # the cap counts an artificial for every row, as the standard form has
     max_pivots = 20000 + 200 * (m + tab.art_start + m)
 
-    phase1_cost = [zero] * tab.width
-    for k in range(tab.art_start, tab.width):
-        phase1_cost[k] = ops.one
+    phase1_cost = [zero] * tab.art_start + [ops.one] * (tab.width - tab.art_start)
     z_row = tab.objective_row(phase1_cost)
-    unbounded_col = tab.run(z_row, tab.art_start, max_pivots)
-    assert unbounded_col is None  # phase 1 is bounded below by zero
+    # phase 1 is bounded below by zero: a column it finds unbounded is float round-off
+    tab.run(z_row, tab.art_start, max_pivots)
     residue = -tab.value(z_row, tab.width)
     if residue > (tol * m if tol else zero):
         duals = tab.duals(z_row, phase1_cost)
@@ -600,9 +610,7 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
 
     _drive_out_artificials(tab, z_row)
 
-    phase2_cost = [zero] * tab.width
-    for cidx in range(nz):
-        phase2_cost[cidx] = c_z[cidx]
+    phase2_cost = c_z + [zero] * (tab.width - nz)
     z_row = tab.objective_row(phase2_cost)
     unbounded_col = tab.run(z_row, tab.art_start, max_pivots)
 
@@ -674,12 +682,16 @@ def verify_certificate(
     return False
 
 
-def _scaled(coeffs, rhs, ops: ModeOps):
-    """A dense row as ``(index, nums, den)``: entry ``index[k]`` is ``nums[k] / den``,
+def _scaled(nonzeros, rhs, ops: ModeOps):
+    """A sparse row as ``(index, nums, den)``: entry ``index[k]`` is ``nums[k] / den``,
     every other entry is 0, and the right-hand side is ``nums[-1] / den``."""
-    index = list(compress(range(len(coeffs)), coeffs))
-    nums, den = ops.over_common([*map(coeffs.__getitem__, index), rhs])
-    return index, nums, den
+    nums, den = ops.over_common([*(c for _, c in nonzeros), rhs])
+    return [j for j, _ in nonzeros], nums, den
+
+
+def _scaled_objective(lp: LinearProgram, value, ops: ModeOps):
+    """The objective as the row ``c . x == value``, scaled by :func:`_scaled`."""
+    return _scaled([(j, c) for j, c in enumerate(lp.objective) if c], value, ops)
 
 
 def _dot(index, nums, v):
@@ -742,13 +754,13 @@ def _verify_optimal(lp: LinearProgram, outcome: Optimal, ops: ModeOps) -> bool:
     tol = ops.dual_tol
     if len(outcome.x) != lp.n_vars or len(outcome.y) != len(lp.rows):
         return False
-    rows = [_scaled(coeffs, rhs, ops) for coeffs, _, rhs in lp.rows]
+    rows = [_scaled(nonzeros, rhs, ops) for nonzeros, _, rhs in lp.rows]
     point = _feasible(lp, rows, outcome.x, ops, tol)
     if point is None:
         return False
     x, bounds, dx, lhs = point
     # the objective, checked as the row c . x == value
-    index, c, dc = _scaled(lp.objective, outcome.value, ops)
+    index, c, dc = _scaled_objective(lp, outcome.value, ops)
     if not ops.eq(_dot(index, c, x), c[-1] * dx, tol * dc * dx):
         return False
 
@@ -804,7 +816,7 @@ def _verify_infeasible(lp: LinearProgram, outcome: Infeasible, ops: ModeOps) -> 
             return False
     if any(yi > y_tol for yi in y[m:]):
         return False
-    rows = [_scaled(coeffs, rhs, ops) for coeffs, _, rhs in lp.rows]
+    rows = [_scaled(nonzeros, rhs, ops) for nonzeros, _, rhs in lp.rows]
     # g_j is g[j] / (den * dy), and the combined right-hand side is money / (den * dy**2)
     g, money, den = _weighted_sum(rows, y[:m], lp.n_vars)
     money *= dy
@@ -831,7 +843,7 @@ def _verify_unbounded(lp: LinearProgram, outcome: Unbounded, ops: ModeOps) -> bo
     tol = ops.dual_tol
     if len(outcome.point) != lp.n_vars or len(outcome.ray) != lp.n_vars:
         return False
-    rows = [_scaled(coeffs, rhs, ops) for coeffs, _, rhs in lp.rows]
+    rows = [_scaled(nonzeros, rhs, ops) for nonzeros, _, rhs in lp.rows]
     point = _feasible(lp, rows, outcome.point, ops, tol)
     if point is None:
         return False
@@ -848,7 +860,7 @@ def _verify_unbounded(lp: LinearProgram, outcome: Unbounded, ops: ModeOps) -> bo
     for dj, (lo, hi) in zip(d, bounds):
         if (lo is not None and dj < -tol * dd) or (hi is not None and dj > tol * dd):
             return False
-    index, c, dc = _scaled(lp.objective, 0, ops)
+    index, c, dc = _scaled_objective(lp, 0, ops)
     gain = _dot(index, c, d)
     return (gain if lp.sense == "min" else -gain) < -tol * dc * dd
 

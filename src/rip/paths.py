@@ -528,13 +528,6 @@ def min_separation(space: PathSpace):
     return best
 
 
-def parse_claim(text: str, space: PathSpace) -> Expr:
-    """Parse payoff text and check it against a space's shape."""
-    expr = parse_payoff(text)
-    validate_payoff(expr, space.n_coords, space.n_steps)
-    return expr
-
-
 __all__ = [
     "PATH_CAP",
     "TimeGrid",
@@ -549,6 +542,7 @@ __all__ = [
     "sup_dist",
     "fatten",
     "min_separation",
-    "parse_claim",
     "constant_payoff",
+    # re-exported, uncalled here: perfbench's span wrappers look it up in this module
+    "parse_payoff",
 ]

@@ -16,7 +16,7 @@ are rechecked by direct summation before the object is handed out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, Optional, Sequence
 
 from ._numeric import NEG_INF, format_number, is_neg_inf
@@ -146,36 +146,37 @@ def build_measure_lp(
     n = len(vars_paths)
     fm = filtration(space, info)
 
-    rows = [([ops.one] * n, "==", ops.one)]
+    rows = [(tuple(zip(range(n), [ops.one] * n)), "==", ops.one)]
     for t in range(t_from, t_to):
         for _, overlap in fm.meet(t, vars_paths):
             for i in range(space.n_coords):
-                coeffs = [ops.zero] * n
-                nonzero = False
+                nonzeros = []
                 for p in overlap:
                     delta = fm.delta[t][p][i]
                     if delta:
-                        coeffs[index_of[p]] = delta
-                        nonzero = True
-                if nonzero:
-                    rows.append((coeffs, "==", ops.zero))
+                        nonzeros.append((index_of[p], delta))
+                if nonzeros:
+                    rows.append((tuple(nonzeros), "==", ops.zero))
     if t_from == 0 and not book.is_cash_only:
         payoff_rows = book.payoff_matrix(space)
         prices = book.prices(ops)
         for _, overlap in fm.meet(-1, vars_paths):
             for l in range(1, book.size):
-                coeffs = [ops.zero] * n
-                for p in overlap:
-                    coeffs[index_of[p]] = payoff_rows[l][p] - prices[l]
-                rows.append((coeffs, "==", ops.zero))
+                rows.append((_excess(overlap, payoff_rows[l], prices[l], index_of), "==", ops.zero))
 
     if claim is None:
-        objective = [ops.zero] * n
+        objective = (ops.zero,) * n
     else:
         validate_payoff(claim, space.n_coords, space.n_steps)
         values = space.claim_values(claim)
-        objective = [values[p] for p in vars_paths]
-    return LinearProgram.build("max", objective, rows, ["nonneg"] * n)
+        objective = tuple(values[p] for p in vars_paths)
+    return LinearProgram("max", objective, tuple(rows), ("nonneg",) * n)
+
+
+def _excess(paths, payoffs, price, column) -> tuple:
+    """A calibration row's nonzeros: payoff less price on ``paths``, path ``p`` at ``column[p]``."""
+    excess = ((column[p], payoffs[p] - price) for p in paths)
+    return tuple(pair for pair in excess if pair[1])
 
 
 def _measure_from_x(
@@ -353,22 +354,21 @@ def _approx_lp(
         raise PreconditionError("the relaxation radius must be nonnegative")
     slack = eta - eta / 1000  # strict interior margin: mass and calibration slack
     fat = set(fatten(space, support, eta))
-    n = len(space.paths)
 
     base = build_measure_lp(
         space, space.all_paths(), InfoStructure.none(), None, (0, space.n_steps), claim
     )
-    rows = [row for row in base.rows]
-    mass_row = [ops.one if p in fat else ops.zero for p in range(n)]
-    rows.append((mass_row, ">=", ops.one - slack))
+    # the variables are all the paths, in order: path p is column p
+    paths = range(len(space.paths))
+    rows = [(tuple((p, ops.one) for p in sorted(fat)), ">=", ops.one - slack)]
     if not book.is_cash_only:
         payoff_rows = book.payoff_matrix(space)
         prices = book.prices(ops)
         for l in range(1, book.size):
-            coeffs = [payoff_rows[l][p] - prices[l] for p in range(n)]
-            rows.append((coeffs, "<=", slack))
-            rows.append((coeffs, ">=", -slack))
-    return LinearProgram.build("max", base.objective, rows, base.bounds)
+            nonzeros = _excess(paths, payoff_rows[l], prices[l], paths)
+            rows.append((nonzeros, "<=", slack))
+            rows.append((nonzeros, ">=", -slack))
+    return replace(base, rows=base.rows + tuple(rows))
 
 
 def approx_price(
@@ -465,12 +465,11 @@ def dpp_price(
 
     direct = model_price(space, None, info, claim, book).single().value
 
-    n = len(space.paths)
     base = build_measure_lp(
         space, space.all_paths(), info, book, (0, split), None
     )
-    floor = [inner.for_path(p).value for p in range(n)]
-    lp = LinearProgram.build("max", floor, base.rows, base.bounds)
+    floor = tuple(inner.for_path(p).value for p in range(len(space.paths)))
+    lp = replace(base, objective=floor)
     composed = _measure_value(solve_checked(lp, ops))
     return DppDecomposition(direct, composed, split, inner, space.ops)
 

@@ -11,7 +11,7 @@ internal consistency statement the package can make.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Optional, Sequence
 
 from ._numeric import NEG_INF, ModeOps, format_number, is_neg_inf
@@ -24,7 +24,7 @@ from .information import (
     check_scaling_form,
     z_partition,
 )
-from .lp import LinearProgram, solve_checked
+from .lp import solve_checked
 from .paths import PathSpace, StaticOptionBook
 from .payoff import Expr, TailClaim, validate_payoff
 from .pricing import PriceValue, _measure_value, build_measure_lp, model_price
@@ -115,16 +115,12 @@ def chain_quantities(
 
     forced = {}
     base = build_measure_lp(space, space.all_paths(), minus, book, None, claim)
-    n = len(space.paths)
     for atom in z_partition(space, variable):
         inside = set(atom.paths)
-        extra = []
-        for p in range(n):
-            if p not in inside:
-                coeffs = [ops.zero] * n
-                coeffs[p] = ops.one
-                extra.append((coeffs, "==", ops.zero))
-        lp = LinearProgram.build("max", base.objective, list(base.rows) + extra, base.bounds)
+        # weight 0 on every path outside the atom; path p is column p
+        outside = (p for p in range(len(space.paths)) if p not in inside)
+        extra = tuple((((p, ops.one),), "==", ops.zero) for p in outside)
+        lp = replace(base, rows=base.rows + extra)
         forced[atom.label] = _measure_value(solve_checked(lp, ops))
 
     price_minus = model_price(space, None, minus, claim, book).single().value

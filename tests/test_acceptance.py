@@ -9,6 +9,7 @@ Run it alone with ``pytest tests/test_acceptance.py -v``.
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -408,7 +409,7 @@ def test_criterion_8_condition_and_recombine(tri2, criterion):
     done = 0
     for _ in range(100):
         objective = [rat(rng.randint(-5, 5)) for _ in range(9)]
-        lp = LinearProgram.build("max", objective, base.rows, base.bounds)
+        lp = replace(base, objective=tuple(objective))
         out = solve_checked(lp, tri2.ops)
         assert isinstance(out, Optimal)
         measure = MartingaleMeasure(

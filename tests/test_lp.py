@@ -15,10 +15,13 @@ from rip import (
     Optimal,
     PreconditionError,
     RATIONAL_OPS,
+    StaticOption,
     StaticOptionBook,
     Unbounded,
     build_hedge_problem,
     build_lattice,
+    build_measure_lp,
+    chain_quantities,
     parse_payoff,
     rat,
     solve,
@@ -27,8 +30,10 @@ from rip import (
 )
 import reference_simplex
 import rip.lp
+import rip.valuation
 from rip.errors import CapacityError, InternalCheckError
 from rip.lp import RELATIONS, _Tableau, _cancel, _standardise
+from rip.pricing import _approx_lp
 
 
 def lp_min(objective, rows, bounds=None):
@@ -98,6 +103,32 @@ class TestBasics:
             LinearProgram.build("min", [1], [([1], "~", 0)], ["nonneg"])
         with pytest.raises(PreconditionError):
             LinearProgram.build("min", [1], [], [(3, 2)])
+        with pytest.raises(PreconditionError):
+            LinearProgram.build("min", [1, 1], [([1], ">=", 0)], ["nonneg", "nonneg"])
+        # the sparse form: columns in range and strictly increasing
+        for nonzeros in [((2, 1),), ((-1, 1),), ((0, 1), (0, 2)), ((1, 1), (0, 2))]:
+            with pytest.raises(PreconditionError):
+                LinearProgram("min", (1, 1), ((nonzeros, ">=", 0),), ("nonneg", "nonneg"))
+
+    def test_build_drops_the_zeros_of_dense_rows(self):
+        bounds = ["nonneg", "free", (0, 1)]
+        rows = [
+            ([0, 1, rat(-1, 2)], "<=", 3),
+            ([0, 0, 0], "==", 0),
+            ([rat(1, 3), 0, 0], ">=", -1),
+        ]
+        dense = LinearProgram.build("max", [0, 2, 0], rows, bounds)
+        sparse = LinearProgram(
+            "max",
+            (0, 2, 0),
+            (
+                (((1, 1), (2, rat(-1, 2))), "<=", 3),
+                ((), "==", 0),
+                (((0, rat(1, 3)),), ">=", -1),
+            ),
+            ("nonneg", "free", (0, 1)),
+        )
+        assert dense == sparse
 
 
 class TestDuals:
@@ -284,9 +315,32 @@ def test_beale_cycling_example_terminates_in_float_mode(as_ge):
     assert first == second
 
 
+def test_a_round_off_reduced_cost_ends_phase_1_in_float_mode():
+    # x >= 8427465369893 and x >= 908102 as <= rows: after two pivots phase 1
+    # sees a reduced cost of -1.00003e-9, past the tolerance, on a column
+    # with no positive entry, which only round-off can make
+    rows = [([-1 / 8427465369893], "<=", -1.0), ([0.0], "<=", 0.0), ([-1 / 908102], "<=", -1.0)]
+    lp = lp_min([0.0], rows)
+    out = solve(lp, FLOAT_OPS)
+    assert isinstance(out, Optimal) and out.pivots == 2
+    assert verify_certificate(lp, out, FLOAT_OPS)
+
+
 # ---------------------------------------------------------------------------
 # sparse verification against a dense reference: the checks written out over
 # every coefficient, zeros included, as an independent oracle
+
+
+def _dense_rows(lp):
+    """``lp.rows`` as dense ``(coeffs, rel, rhs)`` with every zero written out:
+    the reference code reads the program's rows through this view alone."""
+    rows = []
+    for nonzeros, rel, rhs in lp.rows:
+        coeffs = [0] * lp.n_vars
+        for j, c in nonzeros:
+            coeffs[j] = c
+        rows.append((coeffs, rel, rhs))
+    return rows
 
 
 def _sides(bnd):
@@ -315,7 +369,7 @@ def _dense_standard_rows(lp, ops):
             cols.append((j, -1))
             shifts.append(conv(hi))
     rows = []
-    for coeffs, rel, rhs in lp.rows:
+    for coeffs, rel, rhs in _dense_rows(lp):
         shift = sum((conv(c) * s for c, s in zip(coeffs, shifts)), zero)
         rows.append(([conv(coeffs[v]) * m for v, m in cols], rel, conv(rhs) - shift))
     for k, ub in box:
@@ -325,6 +379,7 @@ def _dense_standard_rows(lp, ops):
 
 def _dense_verify(lp, out, ops):
     conv, zero, tol, n = ops.convert, ops.zero, ops.dual_tol, lp.n_vars
+    dense = _dense_rows(lp)
 
     def dot(coeffs, v):
         return sum((conv(c) * x for c, x in zip(coeffs, v)), zero)
@@ -332,7 +387,7 @@ def _dense_verify(lp, out, ops):
     def feasible(x):
         if len(x) != n:
             return False
-        for coeffs, rel, rhs in lp.rows:
+        for coeffs, rel, rhs in dense:
             lhs, b = dot(coeffs, x), conv(rhs)
             if rel == "==" and not ops.eq(lhs, b, tol):
                 return False
@@ -349,17 +404,17 @@ def _dense_verify(lp, out, ops):
     sign = 1 if lp.sense == "min" else -1
     if isinstance(out, Optimal):
         x, y = out.x, out.y
-        if len(y) != len(lp.rows) or not feasible(x):
+        if len(y) != len(dense) or not feasible(x):
             return False
         if not ops.eq(dot(lp.objective, x), out.value, tol):
             return False
-        for yi, (coeffs, rel, rhs) in zip(y, lp.rows):
+        for yi, (coeffs, rel, rhs) in zip(y, dense):
             if (rel == ">=" and sign * yi < -tol) or (rel == "<=" and sign * yi > tol):
                 return False
             if not ops.eq(yi, zero, tol) and not ops.eq(dot(coeffs, x), conv(rhs), tol):
                 return False
         for j in range(n):
-            column = [coeffs[j] for coeffs, _, _ in lp.rows]
+            column = [coeffs[j] for coeffs, _, _ in dense]
             r = sign * (conv(lp.objective[j]) - dot(column, y))
             lo, hi = _sides(lp.bounds[j])
             at_lo = lo is not None and ops.eq(x[j], conv(lo), tol)
@@ -385,7 +440,7 @@ def _dense_verify(lp, out, ops):
     d = out.ray
     if not feasible(out.point) or len(d) != n:
         return False
-    for coeffs, rel, _ in lp.rows:
+    for coeffs, rel, _ in dense:
         move = dot(coeffs, d)
         if rel == "==" and not ops.eq(move, zero, tol):
             return False
@@ -440,7 +495,7 @@ def _as_float(lp):
     return LinearProgram.build(
         lp.sense,
         [float(c) for c in lp.objective],
-        [([float(c) for c in coeffs], rel, float(b)) for coeffs, rel, b in lp.rows],
+        [([float(c) for c in coeffs], rel, float(b)) for coeffs, rel, b in _dense_rows(lp)],
         [b if isinstance(b, str) else (f(b[0]), f(b[1])) for b in lp.bounds],
     )
 
@@ -568,7 +623,7 @@ def _retyped(lp, kind):
     return LinearProgram.build(
         lp.sense,
         [number(c) for c in lp.objective],
-        [([number(c) for c in coeffs], rel, number(b)) for coeffs, rel, b in lp.rows],
+        [([number(c) for c in coeffs], rel, number(b)) for coeffs, rel, b in _dense_rows(lp)],
         [bound(b) for b in lp.bounds],
     )
 
@@ -874,3 +929,43 @@ def test_infeasible_and_unbounded_programs_match_the_reference():
     assert isinstance(unbounded, Unbounded) and unbounded.pivots > 0
     no_rows = _matches_the_reference(lp_min([-1], []))
     assert isinstance(no_rows, Unbounded)
+
+
+# ---------------------------------------------------------------------------
+# the builders hand over their rows' nonzeros, in column order
+
+
+def test_builders_write_nonzeros_at_increasing_columns(monkeypatch, tri2, hits_one):
+    claim = parse_payoff("pos(S[1,T] - 1)")
+    at_its_payoff = StaticOption(parse_payoff("ind(S[1,2] == 1)"), rat(1), "at-its-payoff")
+    flat_digital = StaticOption(parse_payoff("ind(S[1,1] == 1)"), rat(1, 5), "flat-digital")
+    # the first option is worth its price on some paths, where its
+    # calibration coefficient is 0; the second pays nothing on some paths
+    book = StaticOptionBook.of(at_its_payoff, flat_digital)
+    minus = InfoStructure.minus(hits_one)
+    values = tri2.claim_values(claim)
+    measure = build_measure_lp(tri2, tri2.all_paths(), minus, book, None, claim)
+    # the mass row, a martingale row per atom at t = 0 and 1, and one
+    # calibration row per option: the label is not known at time 0
+    assert len(measure.rows) == 1 + (1 + 3) + 2
+    programs = [
+        build_hedge_problem(tri2, tri2.all_paths(), minus, values, book).lp,
+        measure,
+        _approx_lp(tri2, [4], rat(1, 2), claim, book),
+    ]
+    forced = []
+    solve_checked = rip.valuation.solve_checked
+
+    def recorded(lp, ops):
+        forced.append(lp)
+        return solve_checked(lp, ops)
+
+    monkeypatch.setattr(rip.valuation, "solve_checked", recorded)
+    chain_quantities(tri2, hits_one, claim)
+    assert forced
+    for lp in programs + forced:
+        for nonzeros, _, _ in lp.rows:
+            columns = [j for j, _ in nonzeros]
+            assert all(c for _, c in nonzeros)
+            assert columns == sorted(set(columns))
+            assert all(0 <= j < lp.n_vars for j in columns)

@@ -19,7 +19,6 @@ from rip import (
     fatten,
     gains,
     min_separation,
-    parse_claim,
     parse_payoff,
     rat,
     space_from_paths,
@@ -235,13 +234,6 @@ class TestInfoSpace:
         )
         with pytest.raises(PreconditionError):
             build_info_space(space, [option])
-
-
-def test_parse_claim_checks_against_the_space(tri1):
-    expr = parse_claim("pos(S[1,T] - 1)", tri1)
-    assert tri1.claim_values(expr) == (0, 0, 1)
-    with pytest.raises(PreconditionError):
-        parse_claim("S[2,T]", tri1)
 
 
 @given(

@@ -234,10 +234,10 @@ def test_an_unbounded_price_program_is_a_fault(monkeypatch, tri1, call_at_1, no_
 
 def random_measure(space, objective):
     """An extreme point of the measure polytope favouring the objective."""
-    from rip import LinearProgram, MartingaleMeasure, Optimal, StaticOptionBook, solve_checked
+    from rip import MartingaleMeasure, Optimal, StaticOptionBook, solve_checked
 
     base = build_measure_lp(space, space.all_paths(), InfoStructure.none())
-    lp = LinearProgram.build("max", objective, base.rows, base.bounds)
+    lp = replace(base, objective=tuple(objective))
     out = solve_checked(lp, space.ops)
     assert isinstance(out, Optimal)
     return MartingaleMeasure(
