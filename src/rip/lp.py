@@ -17,6 +17,20 @@ and an update that cancels an entry down to round-off (at most ``_DROP``
 of its old magnitude) deletes it, so that round-off does not fill the
 tableau.
 
+Each variable gets one tableau column.  A bounded one is shifted onto a
+nonnegative column; a free one keeps its column, which may enter the basis
+in either direction.  The textbook standard form splits a free variable into
+``x+ - x-`` on two nonnegative columns, and in every tableau of that form the
+``x-`` column is the negation of ``x+``, since ``B^-1 (-a) = -B^-1 a`` for
+any basis ``B``.  So the tableau here is the split one with each ``x-``
+column deleted: a free column whose reduced cost is positive enters with
+orientation ``s = -1``, as ``x-`` would, and the ratio test and the
+elimination read ``s`` times its entries.  ``x+`` and ``x-`` are adjacent in
+the split order, so Bland's rule and the ratio test's tie-break choose as on
+the split tableau, pivot for pivot.  A basic variable's orientation is the
+sign of its row's entry in its own column.  Float negation is exact and
+rounding is symmetric in sign, so the float tableau mirrors too.
+
 Each row starts on one basic column.  An inequality row whose slack can be
 basic at a nonnegative value (``<=`` with right-hand side ``>= 0``, or
 ``>=`` with right-hand side ``<= 0``) starts on that slack; every other row
@@ -157,44 +171,47 @@ LPOutcome = Union[Optimal, Infeasible, Unbounded]
 
 
 def _standardise(lp: LinearProgram, ops: ModeOps):
-    """Rewrite onto nonnegative variables.
+    """Rewrite onto one column per variable, nonnegative unless it is free.
 
-    Returns ``(cols, shifts, rows_z)`` where each column is ``(var, mult)``,
-    ``x[var] = shifts[var] + sum(mult * z)`` over the variable's columns,
-    and ``rows_z`` lists ``(coeffs, rel, rhs)`` over the z variables: the
-    original rows first, then one ``<=`` row per variable bounded on both
-    sides.  A row's ``coeffs`` are its nonzero ``(column, coefficient)``
-    pairs in column order.  Each of the program's nonzeros is converted
-    once, and one that converts to 0 (text such as ``"0"``) is skipped.
+    Returns ``(signs, shifts, free, rows_z)``: ``x[j] = shifts[j] + signs[j]
+    * z[j]``, where ``z[j]`` is the variable's column and ``free`` the set of
+    columns without a sign constraint; a bounded column is ``z >= 0``, shifted
+    by the lower bound if there is one and mirrored below the upper bound if
+    that stands alone.  ``rows_z`` lists ``(coeffs, rel, rhs)`` over the z
+    variables: the original rows first, then one ``<=`` row per variable
+    bounded on both sides.  A row's ``coeffs`` are its nonzero ``(column,
+    coefficient)`` pairs in column order.  Each of the program's nonzeros is
+    converted once, and one that converts to 0 (text such as ``"0"``) is
+    skipped.
+
+    A free column stands for the split ``z+ - z-`` onto two nonnegative
+    columns, ``z-`` the negation of ``z+``; the tableau keeps ``z+`` alone
+    and reads ``z-`` off it with a sign (see :class:`_Tableau`).
     """
     zero = ops.zero
-    cols: list = []
+    signs: list = []
     shifts: list = []
+    free = set()
     box: list = []
     for j, bnd in enumerate(lp.bounds):
         if bnd == "nonneg":
-            shifts.append(zero)
-            cols.append((j, 1))
-            continue
-        if bnd == "free":
+            lo, hi = zero, None
+        elif bnd == "free":
             lo = hi = None
         else:
-            lo, hi = bnd
-        if lo is None and hi is None:
-            shifts.append(zero)
-            cols.append((j, 1))
-            cols.append((j, -1))
-        elif lo is not None:
-            shifts.append(ops.convert(lo))
-            cols.append((j, 1))
+            lo, hi = (None if b is None else ops.convert(b) for b in bnd)
+        if lo is not None:
+            signs.append(1)
+            shifts.append(lo)
             if hi is not None:
-                box.append((len(cols) - 1, ops.convert(hi) - ops.convert(lo)))
+                box.append((j, hi - lo))
+        elif hi is not None:
+            signs.append(-1)
+            shifts.append(hi)
         else:
-            shifts.append(ops.convert(hi))
-            cols.append((j, -1))
-    var_cols: list = [[] for _ in lp.bounds]
-    for cidx, (var, mult) in enumerate(cols):
-        var_cols[var].append((cidx, mult))
+            signs.append(1)
+            shifts.append(zero)
+            free.add(j)
 
     rows_z = []
     for nonzeros, rel, rhs in lp.rows:
@@ -204,21 +221,17 @@ def _standardise(lp: LinearProgram, ops: ModeOps):
             c = ops.convert(c)
             if not c:
                 continue  # text such as "0"
-            for cidx, mult in var_cols[j]:
-                row.append((cidx, c if mult > 0 else -c))
+            row.append((j, c if signs[j] > 0 else -c))
             if shifts[j]:
                 adjust = adjust + c * shifts[j]
         rows_z.append((row, rel, ops.convert(rhs) - adjust))
-    for cidx, ub in box:
-        rows_z.append(([(cidx, ops.one)], "<=", ub))
-    return cols, shifts, rows_z
+    for j, ub in box:
+        rows_z.append(([(j, ops.one)], "<=", ub))
+    return signs, shifts, frozenset(free), rows_z
 
 
-def _recover_x(cols, shifts, z):
-    x = list(shifts)
-    for cidx, (var, mult) in enumerate(cols):
-        x[var] = x[var] + mult * z[cidx]
-    return tuple(x)
+def _recover_x(signs, shifts, z):
+    return tuple(h + s * v for s, h, v in zip(signs, shifts, z))
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +260,16 @@ class _Tableau:
     Row ``i`` is a :class:`_Row` over columns ``0..width-1`` with its
     right-hand side as column ``width``; its basic column is ``basis[i]``
     and it came from standardised row ``row_ids[i]``.  Columns are the
-    ``nz`` structural ones, then one slack per inequality row, then, from
-    ``art_start`` on, one artificial per row without a slack start, in row
-    order.  ``start[r]`` is the column standardised row ``r`` starts on.
+    ``nz`` structural ones, one per variable, then one slack per inequality
+    row, then, from ``art_start`` on, one artificial per row without a
+    slack start, in row order.  ``start[r]`` is the column standardised row
+    ``r`` starts on.  The structural columns in ``free`` may enter with
+    orientation ``s = -1``: a pivot then divides the row by ``s`` times its
+    entry and eliminates ``s`` times the other rows' entries, which is the
+    pivot on the deleted ``x-`` column of the split form.  ``orientation(i)``
+    reads the sign back off row ``i``'s entry in its basic column, which is
+    ``s`` there; the reduced costs, the basic values and the unbounded ray
+    apply it.
     The mode picks the arithmetic: constructing a ``_Tableau`` gives an
     :class:`_IntegerTableau` in rational mode and a :class:`_FloatTableau`
     in float mode.  Each stores a row (``_row``), reads entry ``k`` of a row
@@ -260,17 +280,18 @@ class _Tableau:
     and serve both.
     """
 
-    def __new__(cls, rows_z, nz: int, ops: ModeOps):
+    def __new__(cls, rows_z, nz: int, free, ops: ModeOps):
         if cls is _Tableau:
             cls = _FloatTableau if ops.mode == FLOAT else _IntegerTableau
         return super().__new__(cls)
 
-    def __init__(self, rows_z, nz: int, ops: ModeOps):
+    def __init__(self, rows_z, nz: int, free, ops: ModeOps):
         self.ops = ops
         one = ops.one
         m = len(rows_z)
         n_slack = sum(1 for _, rel, _ in rows_z if rel != "==")
         self.nz = nz
+        self.free = free
         self.n_slack = n_slack
         self.art_start = nz + n_slack
         self.sigma = []
@@ -308,15 +329,22 @@ class _Tableau:
         self.basis = list(self.start)
 
     def first_column(self, row, limit: int, negative: bool = False) -> int:
-        """The lowest column below ``limit`` whose entry is negative, or
-        nonzero, past the feasibility tolerance; -1 if there is none."""
+        """The lowest column below ``limit`` whose entry is nonzero past the
+        feasibility tolerance, or with ``negative``, negative past it or, on
+        a free column, positive past it; -1 if there is none."""
         high = self.ops.feas_tol
         low = -high
+        free = self.free
         first = limit
         for k, v in row.nums.items():
-            if k < first and (v < low or (not negative and v > high)):
+            if k < first and (v < low or (v > high and (not negative or k in free))):
                 first = k
         return first if first < limit else -1
+
+    def orientation(self, i: int) -> int:
+        """The sign of row ``i``'s entry in its basic column: -1 where a free
+        variable entered as the negation of its column."""
+        return -1 if self.matrix[i].nums[self.basis[i]] < 0 else 1
 
     def objective_row(self, cost) -> _Row:
         """Reduced costs for the given per-column cost vector (basis-aware)."""
@@ -324,11 +352,12 @@ class _Tableau:
         for i, row in enumerate(self.matrix):
             cb = cost[self.basis[i]]
             if cb:
-                self._subtract(z_row, cb, row)
+                self._subtract(z_row, cb * self.orientation(i), row)
         return z_row
 
-    def pivot(self, i: int, j: int, z_row) -> None:
-        self._eliminate(i, j, z_row)
+    def pivot(self, i: int, j: int, z_row, s: int) -> None:
+        """Pivot column ``j``, taken with orientation ``s``, into row ``i``."""
+        self._eliminate(i, j, z_row, s)
         self.basis[i] = j
         self.pivots += 1
         self.guard_clock += 1
@@ -342,22 +371,24 @@ class _Tableau:
     def size(self) -> str:
         return f"{len(self.matrix)} x {self.width}"
 
-    def run(self, z_row, allowed_width: int, max_pivots: int) -> Optional[int]:
-        """Pivot until optimal (returns None) or unbounded (returns the column)."""
+    def run(self, z_row, allowed_width: int, max_pivots: int) -> Optional[tuple]:
+        """Pivot until optimal (returns None) or unbounded (returns the
+        column and its orientation)."""
         basis = self.basis
         while True:
-            # Bland's rule: the lowest column with a negative reduced cost
+            # Bland's rule: the lowest column with an improving reduced cost
             # enters, and ties in the ratio test go to the lowest basic index
             enter = self.first_column(z_row, allowed_width, negative=True)
             if enter < 0:
                 return None
+            s = 1 if z_row.nums[enter] < 0 else -1
             leave = -1
-            for i in self._least_ratio_rows(enter):
+            for i in self._least_ratio_rows(enter, s):
                 if leave < 0 or basis[i] < basis[leave]:
                     leave = i
             if leave < 0:
-                return enter
-            self.pivot(leave, enter, z_row)
+                return enter, s
+            self.pivot(leave, enter, z_row, s)
             if self.pivots > max_pivots:
                 raise CapacityError(
                     f"lp: simplex stopped after {self.pivots} pivots, over its cap "
@@ -368,7 +399,8 @@ class _Tableau:
         z = [self.ops.zero] * self.nz
         for i, b in enumerate(self.basis):
             if b < self.nz:
-                z[b] = self.value(self.matrix[i], self.width)
+                v = self.value(self.matrix[i], self.width)
+                z[b] = v if self.orientation(i) > 0 else -v
         return z
 
     def duals(self, z_row, cost):
@@ -407,14 +439,16 @@ class _FloatTableau(_Tableau):
     def _subtract(self, target: _Row, c, row: _Row) -> None:
         _cancel(target.nums, c, row.nums.items())
 
-    def _least_ratio_rows(self, enter: int) -> list:
+    def _least_ratio_rows(self, enter: int, s: int) -> list:
         tol = self.ops.feas_tol
         w = self.width
         ties = []
         best = None
         for i, row in enumerate(self.matrix):
             nums = row.nums
-            a = nums.get(enter, 0.0)
+            if enter not in nums:
+                continue
+            a = s * nums[enter]
             if a > tol:
                 ratio = nums.get(w, 0.0) / a
                 if best is None or ratio < best:
@@ -424,18 +458,18 @@ class _FloatTableau(_Tableau):
                     ties.append(i)
         return ties
 
-    def _eliminate(self, i: int, j: int, z_row) -> None:
+    def _eliminate(self, i: int, j: int, z_row, s: int) -> None:
         row = self.matrix[i]
-        inv = 1 / row.nums[j]
+        inv = 1 / (s * row.nums[j])
         row.nums = {k: v * inv for k, v in row.nums.items()}
         source = list(row.nums.items())
         for other in self.matrix:
             nums = other.nums
             if j in nums and other is not row:
-                _cancel(nums, nums[j], source)
+                _cancel(nums, s * nums[j], source)
         nums = z_row.nums
         if j in nums:
-            _cancel(nums, nums[j], source)
+            _cancel(nums, s * nums[j], source)
 
 
 def _cancel(nums: dict, f: float, source) -> None:
@@ -487,12 +521,14 @@ class _IntegerTableau(_Tableau):
         p, q = int(c.numerator), int(c.denominator)
         _combine(target, q * row.den, p * target.den, list(row.nums.items()))
 
-    def _least_ratio_rows(self, enter: int) -> list:
+    def _least_ratio_rows(self, enter: int, s: int) -> list:
         w = self.width
         ties = []
         for i, row in enumerate(self.matrix):
             nums = row.nums
-            a = nums.get(enter, 0)
+            if enter not in nums:
+                continue
+            a = s * nums[enter]
             if a > 0:
                 rhs = nums.get(w, 0)
                 if not ties:
@@ -508,15 +544,15 @@ class _IntegerTableau(_Tableau):
                     ties.append(i)
         return ties
 
-    def _eliminate(self, i: int, j: int, z_row) -> None:
+    def _eliminate(self, i: int, j: int, z_row, s: int) -> None:
         matrix = self.matrix
         row = matrix[i]
         nums = row.nums
         a = nums[j]
-        # divided by its entry a/den, the pivot row is nums / a
-        if a < 0:
+        # divided by its oriented entry s*a/den, the pivot row is nums / (s*a)
+        if s * a < 0:
             nums = {k: -v for k, v in nums.items()}
-            a = -a
+        a = abs(a)
         g = gcd(a, *nums.values())
         if g != 1:
             nums = {k: v // g for k, v in nums.items()}
@@ -527,10 +563,10 @@ class _IntegerTableau(_Tableau):
             if other is not row:
                 f = other.nums.get(j)
                 if f:
-                    _combine(other, a, f, source)
+                    _combine(other, a, s * f, source)
         f = z_row.nums.get(j)
         if f:
-            _combine(z_row, a, f, source)
+            _combine(z_row, a, s * f, source)
 
     def _capacity_guard(self) -> None:
         # the bits of a row's numerators and its denominator bound those of
@@ -584,19 +620,17 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
     """Solve a linear program, returning an outcome with its certificate."""
     minimise = lp.sense == "min"
     c_work = [ops.convert(v) if minimise else -ops.convert(v) for v in lp.objective]
-    cols, shifts, rows_z = _standardise(lp, ops)
-    nz = len(cols)
+    signs, shifts, free, rows_z = _standardise(lp, ops)
+    nz = len(signs)
     zero = ops.zero
     tol = ops.feas_tol
     m = len(rows_z)
+    c_z = [c * sign for c, sign in zip(c_work, signs)]
 
-    c_z = [zero] * nz
-    for cidx, (var, mult) in enumerate(cols):
-        c_z[cidx] = c_z[cidx] + c_work[var] * mult
-
-    tab = _Tableau(rows_z, nz, ops)
-    # the cap counts an artificial for every row, as the standard form has
-    max_pivots = 20000 + 200 * (m + tab.art_start + m)
+    tab = _Tableau(rows_z, nz, free, ops)
+    # the cap counts two columns per free variable and an artificial for
+    # every row, as the split standard form has
+    max_pivots = 20000 + 200 * (m + tab.art_start + len(free) + m)
 
     phase1_cost = [zero] * tab.art_start + [ops.one] * (tab.width - tab.art_start)
     z_row = tab.objective_row(phase1_cost)
@@ -612,22 +646,23 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
 
     phase2_cost = c_z + [zero] * (tab.width - nz)
     z_row = tab.objective_row(phase2_cost)
-    unbounded_col = tab.run(z_row, tab.art_start, max_pivots)
+    unbounded = tab.run(z_row, tab.art_start, max_pivots)
 
-    if unbounded_col is not None:
+    if unbounded is not None:
+        col, s = unbounded
         z = tab.z_values()
         ray_z = [zero] * nz
-        if unbounded_col < nz:
-            ray_z[unbounded_col] = ops.one
+        if col < nz:
+            ray_z[col] = s * ops.one
         for i, b in enumerate(tab.basis):
             if b < nz:
-                ray_z[b] = ray_z[b] - tab.value(tab.matrix[i], unbounded_col)
-        point = _recover_x(cols, shifts, z)
-        ray = _recover_x(cols, [zero] * lp.n_vars, ray_z)
+                ray_z[b] = -s * tab.orientation(i) * tab.value(tab.matrix[i], col)
+        point = _recover_x(signs, shifts, z)
+        ray = _recover_x(signs, [zero] * nz, ray_z)
         return Unbounded(point, ray, tab.pivots)
 
     z = tab.z_values()
-    x = _recover_x(cols, shifts, z)
+    x = _recover_x(signs, shifts, z)
     value = sum((ops.convert(ci) * xi for ci, xi in zip(lp.objective, x)), zero)
     duals = tab.duals(z_row, phase2_cost)
     n_user = len(lp.rows)
@@ -646,7 +681,7 @@ def _drive_out_artificials(tab: _Tableau, z_row) -> None:
             continue
         pivot_col = tab.first_column(tab.matrix[i], tab.art_start)
         if pivot_col >= 0:
-            tab.pivot(i, pivot_col, z_row)
+            tab.pivot(i, pivot_col, z_row, 1)
         else:
             drop.append(i)
     if drop:
@@ -793,13 +828,14 @@ def _verify_optimal(lp: LinearProgram, outcome: Optimal, ops: ModeOps) -> bool:
 def _verify_infeasible(lp: LinearProgram, outcome: Infeasible, ops: ModeOps) -> bool:
     """The Farkas check on the standardised rows, formed from the program's.
 
-    Standardising puts ``x_j = shift_j + z`` on one column per finite side
-    (two, ``+z`` and ``-z``, for a free variable), with ``shift_j`` the
-    lower bound if there is one, else the upper bound, else 0, and adds the
-    row ``z <= high - low`` for each variable bounded on both sides.  With
-    ``g = y^T A`` over the original rows, a column's entry of ``y^T A_z`` is
-    ``g_j``, or ``-g_j`` on an upper bound alone or a free variable's second
-    column, plus the multiplier of the variable's bound row; the combined
+    Standardising puts ``x_j = shift_j + z`` (``- z`` below an upper bound
+    alone) on one column, with ``shift_j`` the lower bound if there is one,
+    else the upper bound, else 0, and adds the row ``z <= high - low`` for
+    each variable bounded on both sides.  With ``g = y^T A`` over the
+    original rows, a column's entry of ``y^T A_z`` is ``g_j``, or ``-g_j``
+    on an upper bound alone, plus the multiplier of the variable's bound
+    row; a free variable's column has no sign, so the condition on it is
+    that of the split ``+z`` and ``-z`` columns together.  The combined
     right-hand side is ``y^T b - g . shift`` plus ``high - low`` times each
     bound row's multiplier.
     """
@@ -830,8 +866,9 @@ def _verify_infeasible(lp: LinearProgram, outcome: Infeasible, ops: ModeOps) -> 
             yk = next(box) * den
             gj += yk
             money += yk * (hi - lo)
-        # the +z column, unless an upper bound stands alone, and the -z
-        # column, unless there is a lower bound
+        # g_j <= 0 on a column +z, unless an upper bound stands alone, and
+        # g_j >= 0 on a column -z, unless there is a lower bound; both on a
+        # free column
         if (lo is not None or hi is None) and gj > slack:
             return False
         if lo is None and -gj > slack:

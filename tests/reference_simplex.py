@@ -3,14 +3,67 @@
 This is the dense two-phase Bland simplex of ``rip.lp`` written with the
 mode's rational type in every entry: each pivot divides the pivot row by its
 entry and subtracts multiples of it from the other rows, one rational
-operation per nonzero.  ``rip.lp`` keeps its rows as integers over one
-denominator each; the differential tests require it to return outcomes
-equal to this reference's, pivot count included.  Only rational mode is
-covered, and no capacity guard or pivot cap is applied.
+operation per nonzero.  It splits every free variable into two nonnegative
+columns, ``x+`` and ``x-`` side by side, where ``rip.lp`` keeps one column
+and reads ``x-`` off it with a sign; and ``rip.lp`` keeps its rows as
+integers over one denominator each.  The differential tests require it to
+return outcomes equal to this reference's, pivot count included.  Only
+rational mode is covered, and no capacity guard or pivot cap is applied.
 """
 
 from rip import RATIONAL_OPS
-from rip.lp import Infeasible, Optimal, Unbounded, _recover_x, _standardise
+from rip.lp import Infeasible, Optimal, Unbounded
+
+
+def _standardise(lp, ops):
+    """Rewrite onto nonnegative columns, a free variable on two.
+
+    Returns ``(cols, shifts, rows_z)`` where each column is ``(var, mult)``,
+    ``x[var] = shifts[var] + sum(mult * z)`` over the variable's columns,
+    and ``rows_z`` lists ``(coeffs, rel, rhs)`` over the z variables: the
+    original rows first, then one ``<=`` row per variable bounded on both
+    sides.  A row's ``coeffs`` are its nonzero ``(column, coefficient)``
+    pairs in column order.
+    """
+    zero = ops.zero
+    cols, shifts, box = [], [], []
+    for j, bnd in enumerate(lp.bounds):
+        lo, hi = {"free": (None, None), "nonneg": (0, None)}.get(bnd, bnd)
+        if lo is None and hi is None:
+            shifts.append(zero)
+            cols += [(j, 1), (j, -1)]
+        elif lo is not None:
+            shifts.append(ops.convert(lo))
+            cols.append((j, 1))
+            if hi is not None:
+                box.append((len(cols) - 1, ops.convert(hi) - ops.convert(lo)))
+        else:
+            shifts.append(ops.convert(hi))
+            cols.append((j, -1))
+    var_cols = [[] for _ in lp.bounds]
+    for cidx, (var, mult) in enumerate(cols):
+        var_cols[var].append((cidx, mult))
+
+    rows_z = []
+    for nonzeros, rel, rhs in lp.rows:
+        row, adjust = [], zero
+        for j, c in nonzeros:
+            c = ops.convert(c)
+            if not c:
+                continue
+            row += [(cidx, c if mult > 0 else -c) for cidx, mult in var_cols[j]]
+            adjust = adjust + c * shifts[j]
+        rows_z.append((row, rel, ops.convert(rhs) - adjust))
+    for cidx, ub in box:
+        rows_z.append(([(cidx, ops.one)], "<=", ub))
+    return cols, shifts, rows_z
+
+
+def _recover_x(cols, shifts, z):
+    x = list(shifts)
+    for cidx, (var, mult) in enumerate(cols):
+        x[var] = x[var] + mult * z[cidx]
+    return tuple(x)
 
 
 class Tableau:

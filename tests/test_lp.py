@@ -22,13 +22,17 @@ from rip import (
     build_lattice,
     build_measure_lp,
     chain_quantities,
+    constant_payoff,
+    dpp_superhedge,
     parse_payoff,
     rat,
     solve,
     solve_checked,
+    space_from_paths,
     verify_certificate,
 )
 import reference_simplex
+import rip.hedging
 import rip.lp
 import rip.valuation
 from rip.errors import CapacityError, InternalCheckError
@@ -288,8 +292,8 @@ def test_beale_cycling_example_from_the_slack_start(as_ge):
     lp = lp_min(_BEALE_OBJECTIVE, rows)
 
     # every row is an inequality that its slack satisfies at the origin
-    _, _, rows_z = _standardise(lp, RATIONAL_OPS)
-    tab = _Tableau(rows_z, lp.n_vars, RATIONAL_OPS)
+    _, _, free, rows_z = _standardise(lp, RATIONAL_OPS)
+    tab = _Tableau(rows_z, lp.n_vars, free, RATIONAL_OPS)
     assert tab.basis == [tab.nz + i for i in range(len(rows))]
 
     first, second = solve(lp), solve(lp)
@@ -695,18 +699,18 @@ def _slack_starts(rel, rhs):
 @settings(max_examples=200, deadline=None)
 @pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
 def test_only_rows_without_a_slack_start_get_an_artificial(ops, lp):
-    cols, _, rows_z = _standardise(lp, ops)
-    tab = _Tableau(rows_z, len(cols), ops)
+    signs, _, free, rows_z = _standardise(lp, ops)
+    tab = _Tableau(rows_z, len(signs), free, ops)
     n_slack = sum(rel != "==" for _, rel, _ in rows_z)
     no_slack = [r for r, (_, rel, rhs) in enumerate(rows_z) if not _slack_starts(rel, rhs)]
-    assert tab.width == len(cols) + n_slack + len(no_slack)
-    assert tab.art_start == len(cols) + n_slack
+    assert tab.width == len(signs) + n_slack + len(no_slack)
+    assert tab.art_start == len(signs) + n_slack
     assert tab.basis == tab.start
     # the artificials follow the slacks, in row order
     assert [tab.start[r] for r in no_slack] == list(range(tab.art_start, tab.width))
     for r, (_, rel, rhs) in enumerate(rows_z):
         if _slack_starts(rel, rhs):
-            assert len(cols) <= tab.start[r] < tab.art_start
+            assert len(signs) <= tab.start[r] < tab.art_start
     # each row holds entries on columns and the right-hand side, 1 on its start
     for r, row in enumerate(tab.matrix):
         (_assert_integer_row if ops is RATIONAL_OPS else _assert_sparse_row)(row, tab.width)
@@ -731,8 +735,8 @@ def _check_rows_after_every_pivot(lp, ops, check_row):
     checked = []
     pivot = _Tableau.pivot
 
-    def checked_pivot(tab, i, j, z_row):
-        pivot(tab, i, j, z_row)
+    def checked_pivot(tab, i, j, z_row, s):
+        pivot(tab, i, j, z_row, s)
         for row in tab.matrix + [z_row]:
             check_row(row, tab.width)
         checked.append(j)
@@ -771,12 +775,13 @@ def test_a_hedge_tableau_has_no_artificial_column(ops):
     problem = build_hedge_problem(
         space, space.all_paths(), InfoStructure.none(), values, StaticOptionBook.cash_only()
     )
-    cols, _, rows_z = _standardise(problem.lp, ops)
-    tab = _Tableau(rows_z, len(cols), ops)
+    signs, _, free, rows_z = _standardise(problem.lp, ops)
+    tab = _Tableau(rows_z, len(signs), free, ops)
     assert tab.width == tab.art_start
     assert tab.basis == tab.start
-    # 27 rows over 2 x 14 split free columns and 27 slacks
-    assert tab.size() == "27 x 55"
+    # 27 rows over 14 free columns, one per variable, and 27 slacks
+    assert len(free) == 14
+    assert tab.size() == "27 x 41"
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +791,8 @@ def test_a_hedge_tableau_has_no_artificial_column(ops):
 class TestSolverErrors:
     def _tableau(self):
         lp = lp_min([-1, -1], [([1, 2], "<=", 4), ([3, 1], "<=", 6)])
-        cols, _, rows_z = _standardise(lp, RATIONAL_OPS)
-        tab = _Tableau(rows_z, len(cols), RATIONAL_OPS)
+        signs, _, free, rows_z = _standardise(lp, RATIONAL_OPS)
+        tab = _Tableau(rows_z, len(signs), free, RATIONAL_OPS)
         cost = [RATIONAL_OPS.zero] * tab.width
         cost[0] = cost[1] = -RATIONAL_OPS.one
         return tab, tab.objective_row(cost)
@@ -822,7 +827,7 @@ class TestSolverErrors:
     def test_bit_guard(self, monkeypatch):
         monkeypatch.setattr(rip.lp, "_BIT_GUARD", 1)
         tab, z_row = self._tableau()
-        tab.pivot(0, 0, z_row)
+        tab.pivot(0, 0, z_row, 1)
         message = r"^lp: exact tableau coefficients reached 3 bits after 1 pivots on a 2 x 4 "
         with pytest.raises(CapacityError, match=message):
             tab._capacity_guard()
@@ -929,6 +934,118 @@ def test_infeasible_and_unbounded_programs_match_the_reference():
     assert isinstance(unbounded, Unbounded) and unbounded.pivots > 0
     no_rows = _matches_the_reference(lp_min([-1], []))
     assert isinstance(no_rows, Unbounded)
+
+
+# ---------------------------------------------------------------------------
+# one column per free variable against the split program, in both modes: a
+# free variable replaced by two adjacent nonnegative ones, x+ and x-, with
+# coefficients c and -c, gives the same pivots, duals and Farkas vectors,
+# and the point, the optimum and the ray are x+ - x-
+
+
+def _split(lp):
+    """``lp`` with each free variable on two nonnegative ones, and for each
+    variable of ``lp`` its columns in the split program."""
+    columns, bounds = [], []
+    for bnd in lp.bounds:
+        pair = bnd == "free"
+        columns.append(tuple(range(len(bounds), len(bounds) + 1 + pair)))
+        bounds += ["nonneg"] * 2 if pair else [bnd]
+
+    def widen(nonzeros):
+        return tuple(
+            (k, c if k == columns[j][0] else -c) for j, c in nonzeros for k in columns[j]
+        )
+
+    objective = tuple(c for _, c in widen(enumerate(lp.objective)))
+    rows = tuple((widen(nonzeros), rel, rhs) for nonzeros, rel, rhs in lp.rows)
+    return LinearProgram(lp.sense, objective, rows, tuple(bounds)), columns
+
+
+def _merged(values, columns):
+    return tuple(values[c[0]] - values[c[1]] if len(c) == 2 else values[c[0]] for c in columns)
+
+
+def _mirrors_the_split(lp, ops):
+    split, columns = _split(lp)
+    out, ref = solve(lp, ops), solve(split, ops)
+    assert type(out) is type(ref) and out.pivots == ref.pivots
+    if isinstance(out, Optimal):
+        assert (out.x, out.y, out.value) == (_merged(ref.x, columns), ref.y, ref.value)
+    elif isinstance(out, Infeasible):
+        assert out.certificate == ref.certificate
+    else:
+        assert out.point == _merged(ref.point, columns)
+        assert out.ray == _merged(ref.ray, columns)
+    # a float ray can improve by less than the verifier's tolerance: min
+    # 1e-7 * x over a free x is Unbounded, and its ray fails the check
+    assert ops is FLOAT_OPS or verify_certificate(lp, out, ops)
+    return out
+
+
+_MODES = pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
+
+
+@given(lp=sparse_lp())
+@settings(max_examples=200, deadline=None)
+@_MODES
+def test_free_columns_mirror_the_split_program(ops, lp):
+    _mirrors_the_split(_as_float(lp) if ops is FLOAT_OPS else lp, ops)
+
+
+@_MODES
+def test_a_free_column_enters_negated_leaves_and_enters_again(ops, monkeypatch):
+    # x1 enters as its negation in place of the first row's artificial, x2
+    # takes its place, and x1 comes back in its own direction
+    pivots = []
+    pivot = _Tableau.pivot
+
+    def recorded(tab, i, j, z_row, s):
+        pivots.append((tab.basis[i], j, s))
+        pivot(tab, i, j, z_row, s)
+
+    monkeypatch.setattr(_Tableau, "pivot", recorded)
+    rows = [([-3, -3, -3], ">=", 2), ([3, -3, 1], "<=", 4), ([-2, 0, -2], ">=", 2)]
+    lp = lp_min([3, -3, -3], rows, ["nonneg", "free", "free"])
+    if ops is FLOAT_OPS:
+        lp = _as_float(lp)
+    out = _mirrors_the_split(lp, ops)
+    assert isinstance(out, Optimal) and verify_certificate(lp, out, ops)
+    assert pivots[:3] == [(6, 1, -1), (1, 2, -1), (7, 1, 1)]
+
+
+def _hedge_lp(space, claim, interval=None):
+    values = space.claim_values(claim)
+    book = StaticOptionBook.cash_only()
+    return build_hedge_problem(
+        space, space.all_paths(), InfoStructure.none(), values, book, interval
+    ).lp
+
+
+@_MODES
+def test_hedge_programs_mirror_their_split(ops, monkeypatch):
+    mode = "rational" if ops is RATIONAL_OPS else "float"
+    tri3 = build_lattice(1, 3, ["1/2", 1, 2], mode=mode)
+    optimal = _mirrors_the_split(_hedge_lp(tri3, parse_payoff("pos(S[1,T] - 1)")), ops)
+    assert isinstance(optimal, Optimal) and optimal.pivots > 0
+    # the asset can only go up: shorting cash against it is an arbitrage
+    rising = space_from_paths([[(1,), (2,)], [(1,), (3,)]], n_assets=1, mode=mode)
+    arbitrage = _mirrors_the_split(_hedge_lp(rising, constant_payoff(0)), ops)
+    assert isinstance(arbitrage, Unbounded)
+
+    # the outer program of the decomposition at step 1 is the last hedge built
+    built = []
+    build = rip.hedging.build_hedge_problem
+
+    def recorded(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(rip.hedging, "build_hedge_problem", recorded)
+    dpp_superhedge(tri3, parse_payoff("pos(S[1,T] - 1)"), 1, InfoStructure.none())
+    outer = built[-1]
+    assert outer.interval == (0, 1)
+    assert isinstance(_mirrors_the_split(outer.lp, ops), Optimal)
 
 
 # ---------------------------------------------------------------------------
