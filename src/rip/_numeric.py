@@ -1,10 +1,10 @@
 """Numeric contexts: exact rationals or floats, selected once per model.
 
 Every quantity in a model lives in one of two modes.  In rational mode all
-arithmetic is arbitrary-precision rational (gmpy2 when available, falling
-back to :class:`fractions.Fraction`), comparisons are exact, and equalities
-established by the solver are mathematical facts.  In float mode the same
-code paths run on IEEE doubles and comparisons take explicit tolerances.
+arithmetic is arbitrary-precision rational on :class:`fractions.Fraction`,
+comparisons are exact, and equalities established by the solver are
+mathematical facts.  In float mode the same code paths run on IEEE doubles
+and comparisons take explicit tolerances.
 
 The :class:`ModeOps` object bundles the conversion and the comparisons so
 that downstream code never branches on the mode by hand.
@@ -26,19 +26,12 @@ MODES = (RATIONAL, FLOAT)
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-try:
-    from gmpy2 import mpq as _ratio
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _ratio = Fraction
-
 
 def rat(numerator: Any, denominator: Any = 1):
     """Build an exact rational.
 
     Accepts ints, existing rationals, and strings in the forms ``"3"``,
     ``"-2/7"`` or ``"0.25"``.  Floats are converted exactly (binary value).
-    Fractions are taken apart into plain ints first: gmpy2 refuses
-    Fractions whose internals are mpz, which Fraction(mpq) quietly creates.
     """
     if isinstance(numerator, str):
         if denominator != 1:
@@ -47,13 +40,9 @@ def rat(numerator: Any, denominator: Any = 1):
             numerator = Fraction(numerator.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational number: {numerator!r}") from exc
-    if isinstance(numerator, Fraction):
-        numerator = _ratio(int(numerator.numerator), int(numerator.denominator))
-    if isinstance(denominator, Fraction):
-        denominator = _ratio(int(denominator.numerator), int(denominator.denominator))
     if denominator == 1:
-        return _ratio(numerator)
-    return _ratio(numerator) / _ratio(denominator)
+        return Fraction(numerator)
+    return Fraction(numerator) / Fraction(denominator)
 
 
 def is_neg_inf(x: Any) -> bool:
@@ -103,14 +92,14 @@ class ModeOps:
     def convert(self, x: Any):
         """Coerce a number into this mode, parsing strings along the way.
 
-        A value that already has the mode's rational type is returned as it
-        is: rationals are immutable and always kept in lowest terms.
+        A Fraction is returned as it is: Fractions are immutable and always
+        kept in lowest terms.
         """
         if isinstance(x, str):
             return parse_number(x, self.mode)
         if self.mode == FLOAT:
             return float(x)
-        if type(x) is _ratio:
+        if type(x) is Fraction:
             return x
         if isinstance(x, float):
             if x != x or x in (NEG_INF, POS_INF):
@@ -127,10 +116,10 @@ class ModeOps:
         """
         if self.mode == FLOAT:
             return [v if type(v) is float else self.convert(v) for v in values], 1
-        exact = [v if isinstance(v, int) or type(v) is _ratio else self.convert(v) for v in values]
-        dens = [int(v.denominator) for v in exact]
+        exact = [v if isinstance(v, int) or type(v) is Fraction else self.convert(v) for v in values]
+        dens = [v.denominator for v in exact]
         den = lcm(*dens)
-        return [int(v.numerator) * (den // d) for v, d in zip(exact, dens)], den
+        return [v.numerator * (den // d) for v, d in zip(exact, dens)], den
 
     def eq(self, a, b, tol=None) -> bool:
         t = self.feas_tol if tol is None else tol

@@ -49,9 +49,6 @@ class Atom:
     paths: tuple
     label: Any = None
 
-    def __contains__(self, path_index: int) -> bool:
-        return path_index in self.paths
-
 
 @dataclass(frozen=True, eq=False)
 class InfoVariable:

@@ -67,10 +67,11 @@ Bounds may be ``"free"``, ``"nonneg"``, or a ``(low, high)`` pair with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Optional, Union
 
-from ._numeric import FLOAT, ModeOps, RATIONAL_OPS, _ratio
+from ._numeric import FLOAT, ModeOps, RATIONAL_OPS
 from .errors import CapacityError, InternalCheckError, PreconditionError
 
 RELATIONS = ("<=", ">=", "==")
@@ -509,16 +510,16 @@ class _IntegerTableau(_Tableau):
         """The row of ``entries`` (nonzero ``(column, rational)``) and ``rhs``."""
         if rhs:
             entries = entries + [(self.width, rhs)]
-        dens = [int(v.denominator) for _, v in entries]
+        dens = [v.denominator for _, v in entries]
         den = lcm(*dens)
-        return _Row({k: int(v.numerator) * (den // d) for (k, v), d in zip(entries, dens)}, den)
+        return _Row({k: v.numerator * (den // d) for (k, v), d in zip(entries, dens)}, den)
 
     def value(self, row, k):
-        return _ratio(row.nums.get(k, 0), row.den)
+        return Fraction(row.nums.get(k, 0), row.den)
 
     def _subtract(self, target: _Row, c, row: _Row) -> None:
         # z/dz - (p/q)(r/d) = (q d z - p dz r) / (q d dz)
-        p, q = int(c.numerator), int(c.denominator)
+        p, q = c.numerator, c.denominator
         _combine(target, q * row.den, p * target.den, list(row.nums.items()))
 
     def _least_ratio_rows(self, enter: int, s: int) -> list:

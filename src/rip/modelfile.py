@@ -196,13 +196,14 @@ def _expr(text: Any, n_coords: int, n_steps: int, where: str, errs: _Collector) 
     return expr
 
 
-def _parse_grid(doc: dict, mode: str, errs: _Collector) -> Tuple[Optional[int], Any]:
+def _parse_grid(doc: dict, mode: str, errs: _Collector) -> Optional[int]:
+    """``grid.steps``, or None; ``grid.horizon`` is checked and then dropped."""
     grid = doc.get("grid")
     if grid is None:
-        return None, 1
+        return None
     mapping = _as_mapping(grid, "grid", errs)
     if mapping is None:
-        return None, 1
+        return None
     _check_keys(mapping, {"steps", "horizon"}, "grid", errs)
     steps = None
     if "steps" in mapping:
@@ -210,12 +211,9 @@ def _parse_grid(doc: dict, mode: str, errs: _Collector) -> Tuple[Optional[int], 
         if steps is not None and steps < 1:
             errs.add("grid.steps", "must be at least 1")
             steps = None
-    horizon = 1
     if "horizon" in mapping:
-        got = _as_number(mapping["horizon"], mode, "grid.horizon", errs)
-        if got is not None:
-            horizon = got
-    return steps, horizon
+        _as_number(mapping["horizon"], mode, "grid.horizon", errs)
+    return steps
 
 
 def _parse_ratio_entry(entry: Any, mode: str, where: str, errs: _Collector):
@@ -225,7 +223,7 @@ def _parse_ratio_entry(entry: Any, mode: str, where: str, errs: _Collector):
 
 
 def _build_base_space(
-    doc: dict, mode: str, steps: Optional[int], horizon: Any, errs: _Collector
+    doc: dict, mode: str, steps: Optional[int], errs: _Collector
 ) -> Tuple[Optional[PathSpace], Tuple[Any, ...]]:
     has_lattice = "lattice" in doc
     has_paths = "paths" in doc
@@ -257,7 +255,7 @@ def _build_base_space(
         if errs.grew(mark):
             return None, ()
         try:
-            space = build_lattice(assets, steps, ratios, mode=mode, horizon=horizon)
+            space = build_lattice(assets, steps, ratios, mode=mode)
         except RipError as exc:
             errs.add("lattice", str(exc))
             return None, ()
@@ -317,7 +315,7 @@ def _build_base_space(
         for row in parsed_rows
     ]
     try:
-        space = space_from_paths(normalised, n_assets=n_assets, mode=mode, horizon=horizon)
+        space = space_from_paths(normalised, n_assets=n_assets, mode=mode)
     except RipError as exc:
         errs.add("paths", str(exc))
         return None, ()
@@ -574,8 +572,8 @@ def parse_model(source: Any, mode_override: Optional[str] = None) -> ModelConfig
         else:
             mode = mode_override
 
-    steps, horizon = _parse_grid(doc, mode, errs)
-    space, scales = _build_base_space(doc, mode, steps, horizon, errs)
+    steps = _parse_grid(doc, mode, errs)
+    space, scales = _build_base_space(doc, mode, steps, errs)
     if space is None:
         errs.raise_if_any()
         raise InvalidModelError(["model: no path space could be built"])

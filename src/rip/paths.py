@@ -28,35 +28,22 @@ from .payoff import Expr, constant_payoff, evaluate_payoff, parse_payoff, valida
 
 PATH_CAP = 10**6
 
-try:
-    from gmpy2 import iroot as _iroot
 
-    def _nth_root_exact(n: int, k: int) -> Optional[int]:
-        root, exact = _iroot(n, k)
-        return int(root) if exact else None
+def _nth_root_exact(n: int, k: int) -> Optional[int]:
+    """The integer ``r >= 0`` with ``r ** k == n``, or None when ``n`` is no k-th power.
 
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-
-    def _nth_root_exact(n: int, k: int) -> Optional[int]:
-        if n == 0:
-            return 0
-        root = round(n ** (1.0 / k))
-        for cand in (root - 1, root, root + 1):
-            if cand >= 0 and cand**k == n:
-                return cand
-        return None
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """A uniform grid with ``n_steps`` steps on ``[0, horizon]``."""
-
-    n_steps: int
-    horizon: Any = 1
-
-    def __post_init__(self):
-        if self.n_steps < 1:
-            raise PreconditionError("a time grid needs at least one step")
+    Integer Newton iteration from above: the start ``2 ** ceil(bits / k)``
+    exceeds the root, and each step falls strictly until it reaches
+    ``floor(n ** (1/k))``.  No float is involved, so any size is exact.
+    """
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x**k == n else None
+        x = y
 
 
 @dataclass(frozen=True)
@@ -146,7 +133,7 @@ class StaticOptionBook:
 
 @dataclass(eq=False)
 class PathSpace:
-    """A finite family of distinct paths sharing one grid and numeric mode.
+    """A finite family of distinct paths sharing ``n_steps`` steps and one numeric mode.
 
     Instances are immutable in practice and hashable by identity, which the
     filtration cache relies on.  Claim values and partitions are cached in
@@ -156,7 +143,7 @@ class PathSpace:
     coordinates.
     """
 
-    grid: TimeGrid
+    n_steps: int
     n_assets: int
     n_options: int
     paths: tuple
@@ -166,6 +153,8 @@ class PathSpace:
     _partition_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if self.n_steps < 1:
+            raise PreconditionError("a time grid needs at least one step")
         self.ops = get_ops(self.mode)
         if self.n_assets < 1:
             raise PreconditionError("a path space needs at least one asset")
@@ -174,7 +163,7 @@ class PathSpace:
         width = self.n_assets + self.n_options
         seen = set()
         for p, path in enumerate(self.paths):
-            if len(path.values) != self.grid.n_steps + 1:
+            if len(path.values) != self.n_steps + 1:
                 raise PreconditionError(f"path {p} does not match the grid length")
             for row in path.values:
                 if len(row) != width:
@@ -192,7 +181,7 @@ class PathSpace:
         self._verify_option_terminals()
 
     def _verify_option_terminals(self):
-        last = self.grid.n_steps
+        last = self.n_steps
         for j, option in enumerate(self.dynamic_options):
             coord = self.n_assets + 1 + j
             price = self.ops.convert(option.price)
@@ -210,10 +199,6 @@ class PathSpace:
     @property
     def n_coords(self) -> int:
         return self.n_assets + self.n_options
-
-    @property
-    def n_steps(self) -> int:
-        return self.grid.n_steps
 
     def all_paths(self) -> tuple:
         return tuple(range(len(self.paths)))
@@ -257,7 +242,7 @@ class PathSpace:
     def describe(self) -> dict:
         return {
             "paths": len(self.paths),
-            "steps": self.grid.n_steps,
+            "steps": self.n_steps,
             "assets": self.n_assets,
             "traded_options": self.n_options,
             "mode": self.mode,
@@ -311,7 +296,6 @@ def build_lattice(
     n_steps: int,
     ratios,
     mode: str = RATIONAL,
-    horizon: Any = 1,
 ) -> PathSpace:
     """Enumerate every path whose per-step moves multiply by listed ratios.
 
@@ -347,14 +331,13 @@ def build_lattice(
         prefixes = grown
 
     paths = tuple(Path(values) for values in prefixes)
-    return PathSpace(TimeGrid(n_steps, horizon), n_assets, 0, paths, mode)
+    return PathSpace(n_steps, n_assets, 0, paths, mode)
 
 
 def space_from_paths(
     values: Sequence[Sequence[Sequence[Any]]],
     n_assets: int,
     mode: str = RATIONAL,
-    horizon: Any = 1,
     dynamic_options: tuple = (),
 ) -> PathSpace:
     """Build a space from explicit per-path coordinate rows."""
@@ -370,9 +353,7 @@ def space_from_paths(
     if n_steps < 1:
         raise PreconditionError("paths need at least one step")
     n_options = len(dynamic_options)
-    return PathSpace(
-        TimeGrid(n_steps, horizon), n_assets, n_options, paths, mode, tuple(dynamic_options)
-    )
+    return PathSpace(n_steps, n_assets, n_options, paths, mode, tuple(dynamic_options))
 
 
 def _geometric_interior(y, k: int, n: int, ops: ModeOps):
@@ -488,9 +469,7 @@ def build_info_space(
             rows.append(tuple(row) + tuple(columns[j][p][k] for j in range(len(options))))
         new_paths.append(tuple(rows))
 
-    return space_from_paths(
-        new_paths, base.n_assets, base.mode, base.grid.horizon, tuple(options)
-    )
+    return space_from_paths(new_paths, base.n_assets, base.mode, tuple(options))
 
 
 def sup_dist(a: Path, b: Path):
@@ -530,7 +509,6 @@ def min_separation(space: PathSpace):
 
 __all__ = [
     "PATH_CAP",
-    "TimeGrid",
     "Path",
     "PathSpace",
     "DynamicOption",

@@ -38,18 +38,12 @@ _CMP_OPS = ("<", "<=", ">", ">=", "==")
 
 @dataclass(frozen=True)
 class Num:
-    """A literal constant, stored exactly.
-
-    Normalisation goes through plain ints: a Fraction built straight from
-    a gmpy2 rational keeps mpz internals, which gmpy2 itself then refuses
-    to convert back.
-    """
+    """A literal constant, stored exactly."""
 
     value: Fraction
 
     def __post_init__(self):
-        v = Fraction(self.value)
-        object.__setattr__(self, "value", Fraction(int(v.numerator), int(v.denominator)))
+        object.__setattr__(self, "value", Fraction(self.value))
 
 
 @dataclass(frozen=True)

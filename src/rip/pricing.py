@@ -392,12 +392,14 @@ def approx_price(
     return _measure_value(solve_checked(lp, space.ops))
 
 
+_MAX_HALVINGS = 80  # radius halvings before approx_price_limit gives up
+
+
 def approx_price_limit(
     space: PathSpace,
     support: Iterable[int],
     claim: Expr,
     book: Optional[StaticOptionBook] = None,
-    max_halvings: int = 80,
 ) -> Any:
     """The exact limit of :func:`approx_price` as the radius shrinks to zero.
 
@@ -419,7 +421,7 @@ def approx_price_limit(
 
     previous_extrapolation = None
     v_here = approx_price(space, support, eta, claim, book)
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         if is_neg_inf(v_here):
             return NEG_INF
         v_half = approx_price(space, support, eta / 2, claim, book)

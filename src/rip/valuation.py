@@ -104,12 +104,24 @@ def chain_quantities(
     cover every label the market can present, so the binding atom is the
     costliest finite one, and only an all-hopeless table yields ``-inf``.
     """
+    return _chain_quantities(space, variable, claim, None, None)
+
+
+def _chain_quantities(
+    space: PathSpace, variable: InfoVariable, claim: Expr, hedge_minus: Any, price_minus: Any
+) -> ChainQuantities:
+    """:func:`chain_quantities`, reusing the ``minus`` hedge and price a caller has solved.
+
+    Either value may be None, and is then solved here, in the same order
+    as without it.
+    """
     minus = InfoStructure.minus(variable)
     plus = InfoStructure.plus(variable)
     book = StaticOptionBook.cash_only()
     ops = space.ops
 
-    hedge_minus = superhedge(space, None, minus, claim, book).single().value
+    if hedge_minus is None:
+        hedge_minus = superhedge(space, None, minus, claim, book).single().value
     plus_hedges = superhedge(space, None, plus, claim, book)
     plus_prices = model_price(space, None, plus, claim, book)
 
@@ -123,7 +135,8 @@ def chain_quantities(
         lp = replace(base, rows=base.rows + extra)
         forced[atom.label] = _measure_value(solve_checked(lp, ops))
 
-    price_minus = model_price(space, None, minus, claim, book).single().value
+    if price_minus is None:
+        price_minus = model_price(space, None, minus, claim, book).single().value
 
     per_atom = []
     for atom, hv in plus_hedges:
@@ -187,7 +200,10 @@ def duality_report(
 
     chain = None
     if info.variant == VARIANT_MINUS and book.is_cash_only:
-        chain = chain_quantities(space, info.variable, claim)
+        # info is InfoStructure.minus(info.variable): its two tables are the chain's
+        chain = _chain_quantities(
+            space, info.variable, claim, hedges.single().value, prices.single().value
+        )
 
     return DualityReport(
         tuple(entries),

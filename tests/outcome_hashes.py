@@ -10,17 +10,14 @@ numeric mode, the SHA-256 of the ``repr`` of every outcome in call order,
 the number of programs solved and their pivots.  Pivots and outcomes are
 meant to stay the same through a change to the solver's internals; the
 script exits 1 when a hash, program count or pivot count differs from its
-pinned value.  ``mpq`` values print differently from ``Fraction``, so it
-exits 2 without running when ``rip`` computes with ``gmpy2``.  The
-workloads are read from ``perfbench/`` and nothing is written there:
-``models`` writes its model files into a temporary directory.
+pinned value.  The workloads are read from ``perfbench/`` and nothing is
+written there: ``models`` writes its model files into a temporary directory.
 """
 
 import hashlib
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -81,9 +78,6 @@ def outcome_hashes(name, seed):
 
 
 def main() -> int:
-    if rip._numeric._ratio is not Fraction:
-        print("refusing to run: rip computes with gmpy2, whose mpq reprs differ", file=sys.stderr)
-        return 2
     differ = 0
     for name, seed in SEEDS.items():
         hashes = outcome_hashes(name, seed)

@@ -7,6 +7,7 @@ import textwrap
 
 import pytest
 
+import rip.lp
 from rip.cli import main
 
 CALL_MODEL = """
@@ -54,6 +55,13 @@ FOUR_STEP_MODEL = """
 grid: {steps: 4}
 lattice: {ratios: ["1/2", 1, 2]}
 claim: pos(S[1,T] - 1)
+"""
+
+# capital fixed before a max-abs-deviation label that the strategy sees from time 0
+FOUR_STEP_LABEL_MODEL = FOUR_STEP_MODEL + """
+info:
+  variant: minus
+  variable: {catalog: max-abs-deviation, asset: 1}
 """
 
 FOUR_STEP_BOOK_MODEL = FOUR_STEP_MODEL + """
@@ -172,6 +180,21 @@ class TestReports:
         assert report["aggregate"] == {"hedge": "1/3", "price": "1/3"}
         assert report["chain"]["all_equal"] is True
         assert report["chain"]["values"] == ["1/3"] * 5
+
+    def test_duality_solves_no_program_twice(self, model_file, capsys, monkeypatch):
+        # the minus hedge and price of the duality table are two of the chain's values
+        programs = []
+        solve = rip.lp.solve
+
+        def counted(lp, ops):
+            programs.append(lp)
+            return solve(lp, ops)
+
+        monkeypatch.setattr(rip.lp, "solve", counted)
+        code, out, _ = run(["duality", "--model", model_file(FOUR_STEP_LABEL_MODEL)], capsys)
+        assert code == 0
+        assert json.loads(out)["chain"]["all_equal"] is True
+        assert len(programs) == len(set(programs)) == 29
 
     def test_duality_report_skips_chain_without_info(self, model_file, capsys):
         _, out, _ = run(["duality", "--model", model_file(CALL_MODEL)], capsys)

@@ -189,7 +189,7 @@ class TestFiltration:
         fm = filtration(tri3, self._info(variant, tail_max_ratio(1)))
         for t in range(-1, 4):
             for p in range(len(tri3.paths)):
-                assert p in fm.atoms[t][fm.cell[t][p]]
+                assert p in fm.atoms[t][fm.cell[t][p]].paths
         for t in range(3):
             for p, path in enumerate(tri3.paths):
                 assert fm.delta[t][p] == (path.coord(1, t + 1) - path.coord(1, t),)

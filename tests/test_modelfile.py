@@ -66,15 +66,16 @@ class TestLatticeModels:
         assert config.space.n_assets == 2
         assert len(config.space.paths) == 16
 
-    def test_horizon_reaches_the_claims(self):
-        config = parse_model(
-            """
-            grid: {steps: 1, horizon: "1/4"}
+    def test_horizon_is_checked_and_dropped(self):
+        model = """
+            grid: {steps: 1, horizon: %s}
             lattice: {ratios: [1, 2]}
             claim: maxt(1)
             """
-        )
-        assert config.space.grid.horizon == rat(1, 4)
+        (message,) = errors_of(model % '"x"')
+        assert message.startswith("grid.horizon: ")
+        config = parse_model(model % '"1/4"')
+        assert config.space.n_steps == 1
 
     def test_loaded_model_prices(self, tmp_path):
         source = textwrap.dedent(

@@ -24,6 +24,7 @@ from rip import (
     space_from_paths,
     sup_dist,
 )
+from rip.paths import _nth_root_exact
 
 
 def test_lattice_sizes():
@@ -173,6 +174,24 @@ class TestPathSetsAndIntervals:
         assert len(messages) == 1
 
 
+class TestExactRoots:
+    def test_a_root_past_float_precision(self):
+        c = 3**40 + 7
+        assert _nth_root_exact(c**3, 3) == c
+        assert _nth_root_exact(c**3 + 1, 3) is None
+
+    def test_a_root_past_float_range(self):
+        assert _nth_root_exact(10**400, 2) == 10**200
+        assert _nth_root_exact(10**400, 3) is None
+
+    @given(root=st.integers(min_value=0, max_value=10**60), k=st.integers(min_value=1, max_value=7))
+    def test_powers_have_their_root_and_their_neighbours_none(self, root, k):
+        assert _nth_root_exact(root**k, k) == root
+        if k >= 2 and root >= 2:
+            assert _nth_root_exact(root**k - 1, k) is None
+            assert _nth_root_exact(root**k + 1, k) is None
+
+
 def test_min_separation(tri1):
     # distances: flat-down 1/2, flat-up 1, down-up 3/2
     assert min_separation(tri1) == rat(1, 2)
@@ -192,6 +211,22 @@ class TestInfoSpace:
         option = DynamicOption(parse_payoff("ind(S[1,T] >= 2)"), rat(1, 2), "digital")
         with pytest.raises(PreconditionError, match="reference measure|float mode"):
             build_info_space(tri2, [option])
+
+    def test_geometric_interior_takes_roots_past_float_precision(self):
+        # (3**40 + 7)**3 has 190 bits; a float cube root misses the integer
+        c = 3**40 + 7
+        base = build_lattice(1, 3, ["1/8", 1, 8])
+        option = DynamicOption(parse_payoff("S[1,T]"), Fraction(1, c**3), "cubed")
+        space = build_info_space(base, [option])
+        for path in space.paths:
+            terminal = path.coord(2, 3)
+            assert path.coord(2, 1) ** 3 == terminal
+            assert path.coord(2, 2) ** 3 == terminal**2
+
+    def test_geometric_interior_refuses_a_root_past_float_range(self, tri3):
+        option = DynamicOption(parse_payoff("S[1,T]"), Fraction(1, 10**400), "huge")
+        with pytest.raises(PreconditionError, match="is not rational"):
+            build_info_space(tri3, [option])
 
     def test_float_mode_takes_real_roots(self):
         base = build_lattice(1, 2, [0.5, 1.0, 2.0], mode=FLOAT)
