@@ -9,8 +9,10 @@ object, pivot for pivot.  In rational mode the tableau is fraction-free
 included, holds only its nonzero integer numerators, keyed by column, over
 one positive integer denominator, and is kept in lowest terms by one gcd
 per updated row.  A pivot builds no rational number, and its cost follows
-the nonzeros of the rows it touches, not the tableau's width.  Exact
-rationals are built only for what the solver reports, and the reported
+the nonzeros of the rows it touches, not the tableau's width.  The set-up
+and the read-out are integer too: rows and phase costs are put over one
+denominator once, and each reported number is one quotient of integers, so
+exact rationals are built only for what the solver reports; the reported
 values, certificates, and infeasibility witnesses are exact.  In float
 mode the rows are stored the same way, as floats over a denominator of 1,
 and an update that cancels an entry down to round-off (at most ``_DROP``
@@ -69,6 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import truediv
 from typing import Any, Optional, Union
 
 from ._numeric import FLOAT, ModeOps, RATIONAL_OPS
@@ -174,65 +177,71 @@ LPOutcome = Union[Optimal, Infeasible, Unbounded]
 def _standardise(lp: LinearProgram, ops: ModeOps):
     """Rewrite onto one column per variable, nonnegative unless it is free.
 
-    Returns ``(signs, shifts, free, rows_z)``: ``x[j] = shifts[j] + signs[j]
-    * z[j]``, where ``z[j]`` is the variable's column and ``free`` the set of
-    columns without a sign constraint; a bounded column is ``z >= 0``, shifted
-    by the lower bound if there is one and mirrored below the upper bound if
-    that stands alone.  ``rows_z`` lists ``(coeffs, rel, rhs)`` over the z
-    variables: the original rows first, then one ``<=`` row per variable
-    bounded on both sides.  A row's ``coeffs`` are its nonzero ``(column,
-    coefficient)`` pairs in column order.  Each of the program's nonzeros is
-    converted once, and one that converts to 0 (text such as ``"0"``) is
-    skipped.
+    Returns ``(signs, shifts, free, rows_z)``: ``x[j] = shifts.get(j, 0) +
+    signs[j] * z[j]``, where ``z[j]`` is the variable's column, ``shifts``
+    holds the variables bounded by a ``(low, high)`` pair and ``free`` the
+    columns without a sign constraint; a bounded column is ``z >= 0``,
+    shifted by the lower bound if there is one and mirrored below the upper
+    bound if that stands alone.  ``rows_z`` lists ``(nums, rel, rhs, den)``
+    over the z variables, the original rows first, then one ``<=`` row per
+    variable bounded on both sides: the row's nonzeros ``{column: nums[k]}``
+    and ``rhs``, over ``den`` as :meth:`ModeOps.over_common` puts them.  A
+    nonzero that converts to 0 (text such as ``"0"``) is dropped.
 
     A free column stands for the split ``z+ - z-`` onto two nonnegative
     columns, ``z-`` the negation of ``z+``; the tableau keeps ``z+`` alone
     and reads ``z-`` off it with a sign (see :class:`_Tableau`).
     """
-    zero = ops.zero
-    signs: list = []
-    shifts: list = []
+    signs = [1] * len(lp.bounds)
+    shifts: dict = {}
     free = set()
     box: list = []
     for j, bnd in enumerate(lp.bounds):
-        if bnd == "nonneg":
-            lo, hi = zero, None
-        elif bnd == "free":
-            lo = hi = None
-        else:
-            lo, hi = (None if b is None else ops.convert(b) for b in bnd)
-        if lo is not None:
-            signs.append(1)
-            shifts.append(lo)
-            if hi is not None:
-                box.append((j, hi - lo))
-        elif hi is not None:
-            signs.append(-1)
-            shifts.append(hi)
-        else:
-            signs.append(1)
-            shifts.append(zero)
+        if bnd == "free":
             free.add(j)
+        elif bnd != "nonneg":
+            lo, hi = (None if b is None else ops.convert(b) for b in bnd)
+            if lo is not None:
+                shifts[j] = lo
+                if hi is not None:
+                    box.append((j, hi - lo))
+            elif hi is not None:
+                signs[j] = -1
+                shifts[j] = hi
+            else:
+                free.add(j)
+    mirrored = {j for j, s in enumerate(signs) if s < 0}
+    moved = {j: h for j, h in shifts.items() if h}
 
     rows_z = []
     for nonzeros, rel, rhs in lp.rows:
-        row = []
-        adjust = zero
-        for j, c in nonzeros:
-            c = ops.convert(c)
-            if not c:
-                continue  # text such as "0"
-            row.append((j, c if signs[j] > 0 else -c))
-            if shifts[j]:
-                adjust = adjust + c * shifts[j]
-        rows_z.append((row, rel, ops.convert(rhs) - adjust))
+        if moved:
+            adjust = ops.zero
+            for j, c in nonzeros:
+                if j in moved:
+                    adjust = adjust + ops.convert(c) * moved[j]
+            rhs = ops.convert(rhs) - adjust
+        nums, den = ops.over_common([*(c for _, c in nonzeros), rhs])
+        rhs = nums.pop()
+        row = {j: -v if j in mirrored else v for (j, _), v in zip(nonzeros, nums) if v}
+        rows_z.append((row, rel, rhs, den))
     for j, ub in box:
-        rows_z.append(([(j, ops.one)], "<=", ub))
+        (num, rhs), den = ops.over_common([ops.one, ub])
+        rows_z.append(({j: num}, "<=", rhs, den))
     return signs, shifts, frozenset(free), rows_z
 
 
-def _recover_x(signs, shifts, z):
-    return tuple(h + s * v for s, h, v in zip(signs, shifts, z))
+def _recover_x(tab: "_Tableau", signs, shifts: dict, z: dict) -> tuple:
+    """``x[j] = shifts.get(j, 0) + signs[j] * z[j]``, ``z[j]`` given as
+    ``(numerator, denominator)`` and 0 where ``z`` has no entry; every column
+    with sign -1 is in ``shifts``.  Elsewhere ``x[j]`` is one quotient, of
+    ``0 + numerator`` as ``0 + z[j]`` has it: float ``-0.0`` becomes ``0.0``."""
+    x = [tab.ops.zero] * len(signs)
+    for j, (n, d) in z.items():
+        x[j] = tab.ratio(n if j in shifts else tab.ZERO + n, d)
+    for j, h in shifts.items():
+        x[j] = h + signs[j] * x[j]
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +282,12 @@ class _Tableau:
     apply it.
     The mode picks the arithmetic: constructing a ``_Tableau`` gives an
     :class:`_IntegerTableau` in rational mode and a :class:`_FloatTableau`
-    in float mode.  Each stores a row (``_row``), reads entry ``k`` of a row
-    (``value``), subtracts a multiple of one row from another
-    (``_subtract``) and does the ratio test and the elimination in its own
-    arithmetic.  The rows' entries and start columns, the reduced costs,
-    ``first_column``, the pivot rule, the pivot count and its cap live here
+    in float mode.  Each has its own zero and one numerators (``ZERO``,
+    ``ONE``), builds the reported number ``n / d`` (``ratio``), subtracts a
+    multiple of one row from another (``_subtract``) and does the ratio
+    test and the elimination in its own arithmetic.  The rows' entries and
+    start columns, the reduced costs, ``first_column``, the pivot rule, the
+    pivot count and its cap, and the read-out of values and duals live here
     and serve both.
     """
 
@@ -288,9 +298,9 @@ class _Tableau:
 
     def __init__(self, rows_z, nz: int, free, ops: ModeOps):
         self.ops = ops
-        one = ops.one
+        one = self.ONE
         m = len(rows_z)
-        n_slack = sum(1 for _, rel, _ in rows_z if rel != "==")
+        n_slack = sum(1 for _, rel, _, _ in rows_z if rel != "==")
         self.nz = nz
         self.free = free
         self.n_slack = n_slack
@@ -303,30 +313,31 @@ class _Tableau:
 
         rows = []
         slack, art = nz, self.art_start
-        for coeffs, rel, rhs in rows_z:
+        for entries, rel, rhs, den in rows_z:
             # make the right-hand side nonnegative; an inequality whose
             # right-hand side is zero takes the sign that puts +1 on its slack
             flip = rhs < 0 or (rel == ">=" and not rhs)
             self.sigma.append(-1 if flip else 1)
             if flip:
-                entries = [(k, -v) for k, v in coeffs]
+                nums = {k: -v for k, v in entries.items()}
                 rhs = -rhs
             else:
-                entries = list(coeffs)
+                nums = dict(entries)
+            den = den * one  # a float row's 1 is the float 1.0
             start = art
             if rel != "==":
                 slack_starts = (rel == "<=") != flip  # feasible at the right-hand side
-                entries.append((slack, one if slack_starts else -one))
+                nums[slack] = den if slack_starts else -den
                 if slack_starts:
                     start = slack
                 slack += 1
             if start == art:
-                entries.append((art, one))
+                nums[art] = den
                 art += 1
             self.start.append(start)
-            rows.append((entries, rhs))
+            rows.append((nums, den, rhs))
         self.width = art
-        self.matrix = [self._row(entries, rhs) for entries, rhs in rows]
+        self.matrix = [_Row({**nums, art: rhs} if rhs else nums, den) for nums, den, rhs in rows]
         self.basis = list(self.start)
 
     def first_column(self, row, limit: int, negative: bool = False) -> int:
@@ -347,13 +358,14 @@ class _Tableau:
         variable entered as the negation of its column."""
         return -1 if self.matrix[i].nums[self.basis[i]] < 0 else 1
 
-    def objective_row(self, cost) -> _Row:
-        """Reduced costs for the given per-column cost vector (basis-aware)."""
-        z_row = self._row([(j, c) for j, c in enumerate(cost) if c], 0)
-        for i, row in enumerate(self.matrix):
-            cb = cost[self.basis[i]]
+    def objective_row(self, cost: dict, den) -> _Row:
+        """Reduced costs (basis-aware) for ``cost[k] / den`` on columns ``k``
+        and 0 elsewhere, ``den`` a row denominator (integers in lowest terms)."""
+        z_row = _Row(dict(cost), den)
+        for i, b in enumerate(self.basis):
+            cb = cost.get(b)
             if cb:
-                self._subtract(z_row, cb * self.orientation(i), row)
+                self._subtract(z_row, cb * self.orientation(i), den, self.matrix[i])
         return z_row
 
     def pivot(self, i: int, j: int, z_row, s: int) -> None:
@@ -396,24 +408,32 @@ class _Tableau:
                     f"of {max_pivots}, on a {self.size()} tableau"
                 )
 
-    def z_values(self):
-        z = [self.ops.zero] * self.nz
+    def column(self, k, s: int = 1) -> dict:
+        """``{basic structural column: (numerator, den)}`` of ``s`` times entry
+        ``k`` of its row, oriented; ``k = width`` gives the basic values."""
+        zero = self.ZERO
+        out = {}
         for i, b in enumerate(self.basis):
             if b < self.nz:
-                v = self.value(self.matrix[i], self.width)
-                z[b] = v if self.orientation(i) > 0 else -v
-        return z
+                row = self.matrix[i]
+                out[b] = (s * self.orientation(i) * row.nums.get(k, zero), row.den)
+        return out
 
-    def duals(self, z_row, cost):
-        """Row duals of the standardised system, via start-column reduced costs.
+    def duals(self, z_row: _Row, cost: dict, den, sign: int = 1) -> dict:
+        """``sign`` times the row duals of the standardised system, read off
+        the start columns' reduced costs ``r / dz`` for the costs of
+        :meth:`objective_row`: ``sigma * (cost / den - r / dz)``, one quotient.
 
         A slack start's column equals the artificial its row would otherwise
         have, so one rule serves both kinds of start, in both phases.
         """
+        zero = self.ZERO
+        nums, dz = z_row.nums, z_row.den
         y = {}
         for rid in self.row_ids:
             col = self.start[rid]
-            y[rid] = self.sigma[rid] * (cost[col] - self.value(z_row, col))
+            n = cost.get(col, zero) * dz - nums.get(col, zero) * den
+            y[rid] = self.ratio(sign * self.sigma[rid] * n, den * dz)
         return y
 
 
@@ -427,17 +447,11 @@ class _FloatTableau(_Tableau):
     and its solve is several times slower.
     """
 
-    def _row(self, entries, rhs) -> _Row:
-        """The row of ``entries`` (nonzero ``(column, float)`` pairs) and ``rhs``."""
-        nums = dict(entries)
-        if rhs:
-            nums[self.width] = rhs
-        return _Row(nums, 1)
+    ZERO, ONE = 0.0, 1.0
+    ratio = staticmethod(truediv)
 
-    def value(self, row, k):
-        return row.nums.get(k, 0.0)
-
-    def _subtract(self, target: _Row, c, row: _Row) -> None:
+    def _subtract(self, target: _Row, c, den, row: _Row) -> None:
+        # float costs are over 1
         _cancel(target.nums, c, row.nums.items())
 
     def _least_ratio_rows(self, enter: int, s: int) -> list:
@@ -506,20 +520,11 @@ class _IntegerTableau(_Tableau):
     entry per row.  Rationals are built only for reported values.
     """
 
-    def _row(self, entries, rhs) -> _Row:
-        """The row of ``entries`` (nonzero ``(column, rational)``) and ``rhs``."""
-        if rhs:
-            entries = entries + [(self.width, rhs)]
-        dens = [v.denominator for _, v in entries]
-        den = lcm(*dens)
-        return _Row({k: v.numerator * (den // d) for (k, v), d in zip(entries, dens)}, den)
+    ZERO, ONE = 0, 1
+    ratio = Fraction
 
-    def value(self, row, k):
-        return Fraction(row.nums.get(k, 0), row.den)
-
-    def _subtract(self, target: _Row, c, row: _Row) -> None:
+    def _subtract(self, target: _Row, p, q, row: _Row) -> None:
         # z/dz - (p/q)(r/d) = (q d z - p dz r) / (q d dz)
-        p, q = c.numerator, c.denominator
         _combine(target, q * row.den, p * target.den, list(row.nums.items()))
 
     def _least_ratio_rows(self, enter: int, s: int) -> list:
@@ -620,58 +625,50 @@ def _combine(target: _Row, scale, f, source) -> None:
 def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
     """Solve a linear program, returning an outcome with its certificate."""
     minimise = lp.sense == "min"
-    c_work = [ops.convert(v) if minimise else -ops.convert(v) for v in lp.objective]
     signs, shifts, free, rows_z = _standardise(lp, ops)
     nz = len(signs)
-    zero = ops.zero
-    tol = ops.feas_tol
     m = len(rows_z)
-    c_z = [c * sign for c, sign in zip(c_work, signs)]
 
     tab = _Tableau(rows_z, nz, free, ops)
     # the cap counts two columns per free variable and an artificial for
     # every row, as the split standard form has
     max_pivots = 20000 + 200 * (m + tab.art_start + len(free) + m)
 
-    phase1_cost = [zero] * tab.art_start + [ops.one] * (tab.width - tab.art_start)
-    z_row = tab.objective_row(phase1_cost)
+    phase1_cost = dict.fromkeys(range(tab.art_start, tab.width), tab.ONE)
+    z_row = tab.objective_row(phase1_cost, 1)
     # phase 1 is bounded below by zero: a column it finds unbounded is float round-off
     tab.run(z_row, tab.art_start, max_pivots)
-    residue = -tab.value(z_row, tab.width)
-    if residue > (tol * m if tol else zero):
-        duals = tab.duals(z_row, phase1_cost)
-        certificate = tuple(duals[i] for i in range(m))
-        return Infeasible(certificate, tab.pivots)
+    # the artificials' sum is minus the right-hand side of the reduced costs
+    if -z_row.nums.get(tab.width, tab.ZERO) > ops.feas_tol * m * z_row.den:
+        duals = tab.duals(z_row, phase1_cost, 1)
+        return Infeasible(tuple(duals[i] for i in range(m)), tab.pivots)
 
     _drive_out_artificials(tab, z_row)
 
-    phase2_cost = c_z + [zero] * (tab.width - nz)
-    z_row = tab.objective_row(phase2_cost)
+    # the objective over one denominator, negated to minimise a max and on mirrored columns
+    objective, den = ops.over_common(lp.objective)
+    cost = {j: c if (signs[j] > 0) == minimise else -c for j, c in enumerate(objective) if c}
+    z_row = tab.objective_row(cost, den)
     unbounded = tab.run(z_row, tab.art_start, max_pivots)
+    x = _recover_x(tab, signs, shifts, tab.column(tab.width))
 
     if unbounded is not None:
         col, s = unbounded
-        z = tab.z_values()
-        ray_z = [zero] * nz
+        ray_z = tab.column(col, -s)
         if col < nz:
-            ray_z[col] = s * ops.one
-        for i, b in enumerate(tab.basis):
-            if b < nz:
-                ray_z[b] = -s * tab.orientation(i) * tab.value(tab.matrix[i], col)
-        point = _recover_x(signs, shifts, z)
-        ray = _recover_x(signs, [zero] * nz, ray_z)
-        return Unbounded(point, ray, tab.pivots)
+            ray_z[col] = (s * tab.ONE, 1)
+        # a ray has no shift, but a mirrored column still takes its sign
+        ray = _recover_x(tab, signs, dict.fromkeys(shifts, ops.zero), ray_z)
+        return Unbounded(x, ray, tab.pivots)
 
-    z = tab.z_values()
-    x = _recover_x(signs, shifts, z)
-    value = sum((ops.convert(ci) * xi for ci, xi in zip(lp.objective, x)), zero)
-    duals = tab.duals(z_row, phase2_cost)
-    n_user = len(lp.rows)
-    y = [zero] * n_user
-    for i in range(m):
-        if i < n_user and i in duals:
-            y[i] = duals[i] if minimise else -duals[i]
-    return Optimal(x, tuple(y), value, tab.pivots)
+    # the value over the objective's nonzeros, added left to right: the
+    # built-in sum compensates float sums from Python 3.12 on
+    value = ops.zero
+    for j in cost:
+        value = value + ops.convert(lp.objective[j]) * x[j]
+    duals = tab.duals(z_row, cost, den, 1 if minimise else -1)
+    y = tuple(duals.get(i, ops.zero) for i in range(len(lp.rows)))
+    return Optimal(x, y, value, tab.pivots)
 
 
 def _drive_out_artificials(tab: _Tableau, z_row) -> None:
