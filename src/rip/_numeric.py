@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Any
+from operator import truediv
+from typing import Any, Iterable
 
 from .errors import PreconditionError
 
@@ -43,6 +44,18 @@ def rat(numerator: Any, denominator: Any = 1):
     if denominator == 1:
         return Fraction(numerator)
     return Fraction(numerator) / Fraction(denominator)
+
+
+def left_sum(values: Iterable[Any], start: Any = 0) -> Any:
+    """``start`` plus each of ``values`` in turn, added from the left.
+
+    The built-in ``sum`` adds floats with compensation from Python 3.12 on,
+    so a float total would depend on the Python version; this one does not.
+    """
+    total = start
+    for v in values:
+        total = total + v
+    return total
 
 
 def is_neg_inf(x: Any) -> bool:
@@ -120,6 +133,13 @@ class ModeOps:
         dens = [v.denominator for v in exact]
         den = lcm(*dens)
         return [v.numerator * (den // d) for v, d in zip(exact, dens)], den
+
+    def ratio(self, numerator, denominator):
+        """``numerator / denominator`` as this mode's number: an exact rational
+        of two ints, or a float division."""
+        if self.mode == FLOAT:
+            return truediv(numerator, denominator)
+        return Fraction(numerator, denominator)
 
     def eq(self, a, b, tol=None) -> bool:
         t = self.feas_tol if tol is None else tol

@@ -9,6 +9,10 @@ claim on every path of the set; it is one linear program per
 initial-capital atom, and the value is ``-inf`` exactly when the program
 is unbounded, in which case the improving direction is an arbitrage and is
 kept as a witness.
+
+Every optimal strategy is re-checked pathwise before it is returned
+(:func:`extract_strategy`), on Python ints in rational mode, through the
+space's integer view of its coordinates.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
-from ._numeric import NEG_INF, ModeOps, is_neg_inf
+from ._numeric import NEG_INF, ModeOps, is_neg_inf, left_sum
 from .errors import InternalCheckError, PreconditionError, UndefinedHoldingError
 from .information import (
     AtomTable,
@@ -50,41 +54,46 @@ class Strategy:
 
     def cost(self, book: StaticOptionBook, ops) -> Any:
         prices = book.prices(ops)
-        return sum((a * p for a, p in zip(self.static, prices)), ops.zero)
+        return left_sum((a * p for a, p in zip(self.static, prices)), ops.zero)
 
 
-def _holding_index(dynamic: Optional[dict]) -> Optional[dict]:
-    """``(t, path) -> holding`` for every path of every atom in the map.
+def _scaled_holdings(dynamic: dict, ops: ModeOps, static: Sequence[Any] = ()) -> tuple:
+    """Positions and holdings over one denominator: ``(static, held, den)``.
 
-    ``None`` for a missing or empty map, which holds nothing.
+    ``static[l] / den`` is position ``l``, and ``held`` maps ``(t, p)`` to
+    the numerators of the holding in force from ``t`` to ``t + 1`` on the
+    atom of ``dynamic`` that holds path ``p``.
     """
-    if not dynamic:
-        return None
-    index: dict = {}
+    flat = [*static, *(h for holding in dynamic.values() for h in holding)]
+    nums, den = ops.over_common(flat)
+    held: dict = {}
+    start = len(static)
     for (t, paths), holding in dynamic.items():
+        scaled = tuple(nums[start : start + len(holding)])
+        start += len(holding)
         for p in paths:
-            index.setdefault((t, p), holding)
-    return index
+            held.setdefault((t, p), scaled)
+    return nums[: len(static)], held, den
 
 
-def _gains(
-    space: PathSpace, index: Optional[dict], path_index: int, t_from: int, t_to: int
-) -> Any:
-    """:func:`gains` over a holding index from :func:`_holding_index`."""
-    total = space.ops.zero
-    if index is None:
-        return total
-    values = space.paths[path_index].values
+def _path_gains(space: PathSpace, held: dict, p: int, t_from: int, t_to: int) -> Any:
+    """Gains along path ``p`` over ``[t_from, t_to]`` of the holdings ``held``.
+
+    ``held`` is that of :func:`_scaled_holdings`, and the gains are a numerator
+    over its denominator times ``space.den``: the increments are read off
+    the space's integer view, so rational mode adds Python ints.
+    """
+    rows = space.nums[p]
+    total = 0
     for t in range(t_from, t_to):
         try:
-            holding = index[t, path_index]
+            holding = held[t, p]
         except KeyError:
             raise UndefinedHoldingError(
-                f"strategy defines no holding at t={t} on an atom containing path {path_index}"
+                f"strategy defines no holding at t={t} on an atom containing path {p}"
             ) from None
-        row_now, row_next = values[t], values[t + 1]
-        for i in range(space.n_coords):
-            total = total + holding[i] * (row_next[i] - row_now[i])
+        for h, now, after in zip(holding, rows[t], rows[t + 1]):
+            total = total + h * (after - now)
     return total
 
 
@@ -106,7 +115,11 @@ def gains(
     space.path_set((path_index,))
     if isinstance(dynamic, Strategy):
         dynamic = dynamic.dynamic
-    return _gains(space, _holding_index(dynamic), path_index, t_from, t_to)
+    if not dynamic:
+        return space.ops.zero
+    _, held, den = _scaled_holdings(dynamic, space.ops)
+    total = _path_gains(space, held, path_index, t_from, t_to)
+    return space.ops.ratio(total, den * space.den)
 
 
 @dataclass(frozen=True)
@@ -237,6 +250,11 @@ def extract_strategy(outcome, problem: HedgeProblem) -> Strategy:
     cost matches the reported value plus the cash shift; a failure raises
     :class:`InternalCheckError`.  Passing an unbounded or infeasible outcome
     is an error.
+
+    The pathwise check cross-multiplies numerators: positions and holdings
+    over one denominator, claim and payoffs over another, increments from
+    the space's integer view, and the tolerance scaled to match.  Float
+    mode runs it over denominators of 1, in the order of a direct sum.
     """
     if not isinstance(outcome, Optimal):
         raise PreconditionError("only an optimal outcome carries a strategy")
@@ -247,16 +265,27 @@ def extract_strategy(outcome, problem: HedgeProblem) -> Strategy:
 
     space = problem.space
     ops = space.ops
-    payoff_rows = problem.book.payoff_matrix(space)
     cost = strategy.cost(problem.book, ops)
     if not ops.eq(cost, outcome.value + problem.cash_shift, ops.dual_tol):
         raise InternalCheckError("strategy cost does not match the solver value")
-    index = _holding_index(dynamic)
-    for row_idx, p in enumerate(problem.target):
-        wealth = sum(
-            (static[l] * payoff_rows[l][p] for l in range(n_static)), ops.zero
-        ) + _gains(space, index, p, *problem.interval)
-        if wealth < problem.claim_values[row_idx] - ops.dual_tol:
+
+    # wealth, a numerator over dx * dc * space.den, against the claim over dc
+    positions, held, dx = _scaled_holdings(dynamic, ops, static)
+    target = problem.target
+    m = len(target)
+    payoffs = [space.claim_values(option.payoff) for option in problem.book.options]
+    scaled, dc = ops.over_common(
+        [*problem.claim_values, *(values[p] for values in payoffs for p in target)]
+    )
+    payoff_rows = [[dc] * m] + [scaled[l * m : (l + 1) * m] for l in range(1, n_static)]
+    claim_scale = dx * space.den
+    slack = ops.dual_tol * dx * dc * space.den
+    for r, p in enumerate(target):
+        wealth = 0
+        for position, row in zip(positions, payoff_rows):
+            wealth = wealth + position * row[r]
+        wealth = wealth * space.den + dc * _path_gains(space, held, p, *problem.interval)
+        if wealth < scaled[r] * claim_scale - slack:
             raise InternalCheckError(
                 f"extracted strategy fails to dominate the claim on path {p}"
             )

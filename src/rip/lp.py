@@ -728,7 +728,11 @@ def _scaled_objective(lp: LinearProgram, value, ops: ModeOps):
 
 
 def _dot(index, nums, v):
-    return sum([a * v[j] for j, a in zip(index, nums)])
+    # added left to right, as the built-in sum does for floats only before 3.12
+    total = 0
+    for j, a in zip(index, nums):
+        total = total + a * v[j]
+    return total
 
 
 def _weighted_sum(rows, weights, width: int):

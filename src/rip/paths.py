@@ -21,6 +21,7 @@ from ._numeric import (
     RATIONAL,
     format_number,
     get_ops,
+    left_sum,
     rat,
 )
 from .errors import CapacityError, PreconditionError
@@ -141,6 +142,14 @@ class PathSpace:
     ``n_assets`` counts base assets and ``n_options`` the adjoined
     dynamically traded options; path rows have ``n_assets + n_options``
     coordinates.
+
+    ``nums[p][k][i] / den`` is coordinate ``i + 1`` of path ``p`` at grid
+    index ``k``: one integer view of the coordinates, int numerators over
+    one positive denominator, built once here.  The validation reads it (a
+    path starts at 1 when its first numerators equal ``den``; duplicates
+    hash int tuples), and so do the strategy re-check and the measure
+    audit.  ``den`` stays small on lattices: at most 15 bits on every space
+    of the benchmark's three workloads.
     """
 
     n_steps: int
@@ -160,25 +169,40 @@ class PathSpace:
             raise PreconditionError("a path space needs at least one asset")
         if len(self.dynamic_options) != self.n_options:
             raise PreconditionError("one dynamic option record per option coordinate")
+        self.nums, self.den = self._integer_view()
         width = self.n_assets + self.n_options
         seen = set()
-        for p, path in enumerate(self.paths):
-            if len(path.values) != self.n_steps + 1:
+        for p, rows in enumerate(self.nums):
+            if len(rows) != self.n_steps + 1:
                 raise PreconditionError(f"path {p} does not match the grid length")
-            for row in path.values:
+            for row in rows:
                 if len(row) != width:
                     raise PreconditionError(f"path {p} does not have {width} coordinates")
                 for x in row:
                     if x < 0:
                         raise PreconditionError(f"path {p} has a negative coordinate")
-            if any(x != self.ops.one for x in path.values[0]):
+            if any(x != self.den for x in rows[0]):
                 raise PreconditionError(f"path {p} does not start at 1 in every coordinate")
-            if path.values in seen:
+            if rows in seen:
                 raise PreconditionError(f"path {p} duplicates an earlier path")
-            seen.add(path.values)
+            seen.add(rows)
         if not self.paths:
             raise PreconditionError("a path space needs at least one path")
         self._verify_option_terminals()
+
+    def _integer_view(self) -> tuple:
+        """``(nums, den)``: ints over the lcm of the coordinates' denominators,
+        with each row that paths share (a lattice's prefixes) scaled once; in
+        float mode, the paths' own rows over 1, not a copy."""
+        if self.mode == FLOAT:
+            return tuple(path.values for path in self.paths), 1
+        rows = {id(row): row for path in self.paths for row in path.values}
+        nums, den = self.ops.over_common([x for row in rows.values() for x in row])
+        start = 0
+        for key, row in rows.items():
+            rows[key] = tuple(nums[start : start + len(row)])
+            start += len(row)
+        return tuple(tuple(rows[id(row)] for row in path.values) for path in self.paths), den
 
     def _verify_option_terminals(self):
         last = self.n_steps
@@ -412,7 +436,7 @@ def build_info_space(
         weights = [ops.convert(w) for w in reference]
         if len(weights) != len(base.paths):
             raise PreconditionError("reference weights must cover every base path")
-        if any(w < 0 for w in weights) or not ops.eq(sum(weights), ops.one):
+        if any(w < 0 for w in weights) or not ops.eq(left_sum(weights, ops.zero), ops.one):
             raise PreconditionError("reference weights must be a probability vector")
     elif interior == "geometric":
         weights = None
@@ -442,7 +466,7 @@ def build_info_space(
                 for p in range(len(base.paths))
             ]
         else:
-            expected = sum(w * y for w, y in zip(weights, terminal))
+            expected = left_sum((w * y for w, y in zip(weights, terminal)), ops.zero)
             if not ops.eq(expected, ops.one):
                 raise PreconditionError(
                     f"option {j + 1}: reference measure prices it at "
@@ -451,13 +475,14 @@ def build_info_space(
             col = [[None] * (n + 1) for _ in range(len(base.paths))]
             for k in range(n + 1):
                 for atom in market_partition(base, k):
-                    mass = sum(weights[p] for p in atom.paths)
+                    mass = left_sum((weights[p] for p in atom.paths), ops.zero)
                     if not ops.pos(mass):
                         raise PreconditionError(
                             "reference measure gives zero mass to a prefix class; "
                             "conditional values are undefined there"
                         )
-                    value = sum(weights[p] * terminal[p] for p in atom.paths) / mass
+                    value = left_sum((weights[p] * terminal[p] for p in atom.paths), ops.zero)
+                    value = value / mass
                     for p in atom.paths:
                         col[p][k] = value
         columns.append(col)

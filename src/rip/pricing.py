@@ -11,7 +11,9 @@ value among those measures; an empty polytope prices the claim at
 witness.
 
 Measures returned anywhere in this module are audited: the defining rows
-are rechecked by direct summation before the object is handed out.
+are rechecked by direct summation before the object is handed out, on
+Python ints in rational mode, through the space's integer view of its
+coordinates.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, Optional, Sequence
 
-from ._numeric import NEG_INF, format_number, is_neg_inf
+from ._numeric import NEG_INF, format_number, is_neg_inf, left_sum
 from .errors import InternalCheckError, PreconditionError
 from .information import (
     AtomTable,
@@ -50,57 +52,67 @@ class MartingaleMeasure:
     support: tuple
 
     def mass(self, paths: Iterable[int], ops) -> Any:
-        return sum((self.weights[p] for p in paths), ops.zero)
+        return left_sum((self.weights[p] for p in paths), ops.zero)
 
     def expectation(self, values: Sequence[Any], ops) -> Any:
-        return sum((w * v for w, v in zip(self.weights, values)), ops.zero)
+        return left_sum((w * v for w, v in zip(self.weights, values)), ops.zero)
 
     def audit(self, space: PathSpace) -> list:
-        """Recheck every defining row by direct summation; returns violations."""
+        """Recheck every defining row by direct summation; returns violations.
+
+        The sums add numerators: the weights over one denominator, each
+        static option's price and payoffs over another, increments from the
+        space's integer view, and tolerances scaled to match.  Float mode
+        runs them over denominators of 1, in the order of a direct sum.
+        """
         ops = space.ops
         tol = ops.dual_tol
         problems = []
         if len(self.weights) != len(space.paths):
             return ["weight vector does not match the space"]
+        weights, dw = ops.over_common(self.weights)
+        w_tol = tol * dw
         support_set = set(self.support)
-        for p, w in enumerate(self.weights):
-            if w < -tol:
+        for p, w in enumerate(weights):
+            if w < -w_tol:
                 problems.append(f"negative weight on path {p}")
-            if p not in support_set and not ops.eq(w, ops.zero, tol):
+            if p not in support_set and not ops.eq(w, 0, w_tol):
                 problems.append(f"weight off the support on path {p}")
-        total = sum(self.weights, ops.zero) if self.weights else ops.zero
-        if not ops.eq(total, ops.one, tol):
+        if not ops.eq(left_sum(weights), dw, w_tol):
+            total = self.mass(range(len(weights)), ops)
             problems.append(f"total mass {format_number(total)} is not 1")
+        nums = space.nums
+        drift_tol = w_tol * space.den
         t_from, t_to = self.interval
         for t in range(t_from, t_to):
             for atom in atoms_at(space, self.info, t):
                 for i in range(space.n_coords):
-                    drift = ops.zero
+                    drift = 0
                     for p in atom.paths:
-                        w = self.weights[p]
+                        w = weights[p]
                         if w:
-                            path = space.paths[p]
-                            drift = drift + w * (path.values[t + 1][i] - path.values[t][i])
-                    if not ops.eq(drift, ops.zero, tol):
+                            rows = nums[p]
+                            drift = drift + w * (rows[t + 1][i] - rows[t][i])
+                    if not ops.eq(drift, 0, drift_tol):
                         problems.append(
                             f"coordinate {i + 1} drifts on an atom at t={t}"
                         )
         if t_from == 0 and not self.book.is_cash_only:
-            payoff_rows = self.book.payoff_matrix(space)
-            prices = self.book.prices(ops)
+            # per static option: its price, then its payoff on every path, over one denominator
+            options = [
+                ops.over_common([option.price, *space.claim_values(option.payoff)])
+                for option in self.book.options
+            ]
             for atom in atoms_at(space, self.info, -1):
                 overlap = [p for p in atom.paths if p in support_set]
                 if not overlap:
                     continue
-                for l in range(1, self.book.size):
-                    err = sum(
-                        (
-                            self.weights[p] * (payoff_rows[l][p] - prices[l])
-                            for p in overlap
-                        ),
-                        ops.zero,
-                    )
-                    if not ops.eq(err, ops.zero, tol):
+                for l, (scaled, dc) in enumerate(options, start=1):
+                    price = scaled[0]
+                    err = 0
+                    for p in overlap:
+                        err = err + weights[p] * (scaled[p + 1] - price)
+                    if not ops.eq(err, 0, w_tol * dc):
                         problems.append(
                             f"static option {l} is mispriced on an initial atom"
                         )

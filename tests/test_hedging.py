@@ -4,6 +4,8 @@ Fixture expectations marked "oracle" were frozen from tests/oracle.py,
 which enumerates measure-polytope vertices independently of the package.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,9 @@ from rip import (
     AtomTable,
     DppDecomposition,
     FLOAT,
+    FLOAT_OPS,
     InfoStructure,
+    InternalCheckError,
     ModeOps,
     Optimal,
     PreconditionError,
@@ -105,6 +109,55 @@ class TestStrategyMechanics:
             gains(tri2, {}, 0, 2, 1)
         with pytest.raises(PreconditionError):
             gains(tri2, {}, 0, 0, 5)
+
+
+# one perturbation per mode: 2**-200 is lost by any rounding of an exact
+# comparison, and 10 * dual_tol is well past the float tolerance
+_PERTURBATIONS = [
+    pytest.param("rational", rat(1, 2**200), id="rational"),
+    pytest.param("float", 10 * FLOAT_OPS.dual_tol, id="float"),
+]
+
+
+class TestStrategyRecheckBranches:
+    """Each failure branch of the pathwise re-check, on optimal outcomes moved
+    by a perturbation at the edge of each mode."""
+
+    @staticmethod
+    def _solved(mode, book):
+        space = build_lattice(1, 1, ["1/2", 1, 2], mode=mode)
+        # claims of 1 and more: wealth and claim are both far from 0 on every path
+        claim = parse_payoff("1 + pos(S[1,T] - 1)")
+        problem = build_hedge_problem(
+            space, space.all_paths(), InfoStructure.none(), space.claim_values(claim), book
+        )
+        outcome = solve_checked(problem.lp, space.ops)
+        extract_strategy(outcome, problem)  # the optimum itself passes
+        return problem, outcome
+
+    @pytest.mark.parametrize("with_book", [False, True], ids=["cash", "book"])
+    @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
+    def test_less_cash_fails_to_dominate(
+        self, mode, eps, with_book, flat_digital_book
+    ):
+        book = flat_digital_book if with_book else StaticOptionBook.cash_only()
+        problem, outcome = self._solved(mode, book)
+        # cost and value still match; the wealth falls short on a tight path
+        poorer = replace(
+            outcome, x=(outcome.x[0] - eps,) + outcome.x[1:], value=outcome.value - eps
+        )
+        with pytest.raises(InternalCheckError, match="fails to dominate the claim on path"):
+            extract_strategy(poorer, problem)
+
+    @pytest.mark.parametrize("with_book", [False, True], ids=["cash", "book"])
+    @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
+    def test_a_cost_that_does_not_match(
+        self, mode, eps, with_book, flat_digital_book
+    ):
+        book = flat_digital_book if with_book else StaticOptionBook.cash_only()
+        problem, outcome = self._solved(mode, book)
+        with pytest.raises(InternalCheckError, match="does not match the solver value"):
+            extract_strategy(replace(outcome, value=outcome.value - eps), problem)
 
 
 def _market(space, t):

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rip import (
+    FLOAT_OPS,
     InfoStructure,
     InternalCheckError,
+    MartingaleMeasure,
     PreconditionError,
+    StaticOptionBook,
     Unbounded,
     approx_price,
     approx_price_limit,
@@ -22,6 +25,7 @@ from rip import (
     concatenate_measure,
     condition_measure,
     dpp_price,
+    format_number,
     interval_price_table,
     is_neg_inf,
     market_partition,
@@ -85,6 +89,80 @@ class TestMeasureAudit:
         values = tri1.claim_values(call_at_1)
         assert pv.measure.expectation(values, tri1.ops) == pv.value
         assert pv.measure.mass(range(3), tri1.ops) == 1
+
+    def test_float_sums_add_left_to_right(self, no_info):
+        # a compensated sum reads 1.0 here
+        measure = MartingaleMeasure(
+            (0.1,) * 10, no_info, StaticOptionBook.cash_only(), (0, 1), tuple(range(10))
+        )
+        assert measure.expectation([1.0] * 10, FLOAT_OPS) == 0.9999999999999999
+        assert measure.mass(range(10), FLOAT_OPS) == 0.9999999999999999
+
+
+# one perturbation per mode: 2**-200 is lost by any rounding of an exact
+# comparison, and 10 * dual_tol is well past the float tolerance
+_PERTURBATIONS = [
+    pytest.param("rational", rat(1, 2**200), id="rational"),
+    pytest.param("float", 10 * FLOAT_OPS.dual_tol, id="float"),
+]
+
+
+def _moved(measure, shift):
+    """``measure`` with ``shift[p]`` added to the weight of path ``p``."""
+    return replace(measure, weights=tuple(w + d for w, d in zip(measure.weights, shift)))
+
+
+class TestMeasureAuditBranches:
+    """Each failure branch of the audit, on perturbations at the edge of each mode.
+
+    On the trinomial step (paths 1/2, 1, 2), moving weight along
+    ``(2, -3, 1)`` keeps the mass and the drift and changes only the weight
+    of the flat path.
+    """
+
+    @staticmethod
+    def _measure(mode, call_at_1, no_info, target=None, book=None):
+        space = build_lattice(1, 1, ["1/2", 1, 2], mode=mode)
+        return space, model_price(space, target, no_info, call_at_1, book).single().measure
+
+    @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
+    def test_a_negative_weight(self, mode, eps, call_at_1, no_info):
+        space, measure = self._measure(mode, call_at_1, no_info)
+        assert measure.weights[1] == 0 and not measure.audit(space)
+        bad = _moved(measure, (2 * eps, -3 * eps, eps))
+        assert bad.audit(space) == ["negative weight on path 1"]
+
+    @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
+    def test_a_weight_off_the_support(self, mode, eps, call_at_1, no_info):
+        space, measure = self._measure(mode, call_at_1, no_info, target=[0, 2])
+        assert measure.support == (0, 2) and not measure.audit(space)
+        bad = _moved(measure, (-2 * eps, 3 * eps, -eps))
+        assert bad.audit(space) == ["weight off the support on path 1"]
+
+    @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
+    def test_a_total_mass_off_one(self, mode, eps, call_at_1, no_info):
+        space, measure = self._measure(mode, call_at_1, no_info)
+        assert not measure.audit(space)
+        bad = _moved(measure, (0, eps, 0))
+        total = format_number(bad.mass(range(3), space.ops))
+        assert bad.audit(space) == [f"total mass {total} is not 1"]
+
+    @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
+    def test_a_drift(self, mode, eps, call_at_1, no_info):
+        # weight moved between two paths of the one atom at t=0
+        space, measure = self._measure(mode, call_at_1, no_info)
+        assert not measure.audit(space)
+        bad = _moved(measure, (-eps, eps, 0))
+        assert bad.audit(space) == ["coordinate 1 drifts on an atom at t=0"]
+
+    @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
+    def test_a_mispriced_static_option(
+        self, mode, eps, call_at_1, no_info, flat_digital_book
+    ):
+        space, measure = self._measure(mode, call_at_1, no_info, book=flat_digital_book)
+        assert not measure.audit(space)
+        bad = _moved(measure, (2 * eps, -3 * eps, eps))
+        assert bad.audit(space) == ["static option 1 is mispriced on an initial atom"]
 
 
 class TestConditionAndConcatenate:
