@@ -11,8 +11,8 @@ is unbounded, in which case the improving direction is an arbitrage and is
 kept as a witness.
 
 Every optimal strategy is re-checked pathwise before it is returned
-(:func:`extract_strategy`), on Python ints in rational mode, through the
-space's integer view of its coordinates.
+(:func:`verify_strategy`, called by :func:`extract_strategy`), on Python
+ints in rational mode, through the space's integer view of its coordinates.
 """
 
 from __future__ import annotations
@@ -81,8 +81,11 @@ def _path_gains(space: PathSpace, held: dict, p: int, t_from: int, t_to: int) ->
 
     ``held`` is that of :func:`_scaled_holdings`, and the gains are a numerator
     over its denominator times ``space.den``: the increments are read off
-    the space's integer view, so rational mode adds Python ints.
+    the space's integer view, so rational mode adds Python ints.  An empty
+    ``held`` holds nothing; any other must cover every ``t`` in the interval.
     """
+    if not held:
+        return 0
     rows = space.nums[p]
     total = 0
     for t in range(t_from, t_to):
@@ -113,11 +116,7 @@ def gains(
     """
     space.interval((t_from, t_to))
     space.path_set((path_index,))
-    if isinstance(dynamic, Strategy):
-        dynamic = dynamic.dynamic
-    if not dynamic:
-        return space.ops.zero
-    _, held, den = _scaled_holdings(dynamic, space.ops)
+    _, held, den = _scaled_holdings(dynamic or {}, space.ops)
     total = _path_gains(space, held, path_index, t_from, t_to)
     return space.ops.ratio(total, den * space.den)
 
@@ -170,10 +169,6 @@ class HedgeProblem:
     lp: LinearProgram
     cash_shift: Any
 
-    @property
-    def n_static(self) -> int:
-        return self.book.size
-
 
 def build_hedge_problem(
     space: PathSpace,
@@ -203,7 +198,7 @@ def build_hedge_problem(
     t_from, t_to = space.interval(interval)
     values = tuple(claim_values[p] for p in target)
     cash_shift = max(values)
-    payoff_rows = book.payoff_matrix(space)
+    payoffs = [space.claim_values(option.payoff) for option in book.options]
     fm = filtration(space, info)
 
     n_static = book.size
@@ -218,7 +213,7 @@ def build_hedge_problem(
 
     rows = []
     for p, value in zip(target, values):
-        nonzeros = [(l, payoffs[p]) for l, payoffs in enumerate(payoff_rows) if payoffs[p]]
+        nonzeros = [(0, ops.one)] + [(l, v[p]) for l, v in enumerate(payoffs, 1) if v[p]]
         for t in range(t_from, t_to):
             first = column[(t, fm.cell[t][p])]
             for i, delta in enumerate(fm.delta[t][p]):
@@ -242,53 +237,65 @@ def _holdings(problem: HedgeProblem, values: Sequence[Any]) -> dict:
     return {key: tuple(holding) for key, holding in out.items()}
 
 
-def extract_strategy(outcome, problem: HedgeProblem) -> Strategy:
-    """Read a strategy off an optimal hedge solve and re-verify it pathwise.
+def verify_strategy(
+    space: PathSpace, strategy: Strategy, book: StaticOptionBook,
+    target: Sequence[int], claim_values: Sequence[Any], cost: Any,
+) -> None:
+    """Re-verify pathwise that a strategy superhedges a claim at a given cost.
 
-    Checks, by direct evaluation, that the strategy's wealth at the
-    interval's end dominates the claim on every target path and that its
-    cost matches the reported value plus the cash shift; a failure raises
-    :class:`InternalCheckError`.  Passing an unbounded or infeasible outcome
-    is an error.
+    ``claim_values`` is aligned with ``target``.  Checks, by direct
+    evaluation, that the strategy costs ``cost`` and that its wealth at the
+    end of ``strategy.span`` dominates the claim on every target path; a
+    failure raises :class:`InternalCheckError`, and a holding missing on a
+    target path :class:`UndefinedHoldingError`.
 
     The pathwise check cross-multiplies numerators: positions and holdings
     over one denominator, claim and payoffs over another, increments from
     the space's integer view, and the tolerance scaled to match.  Float
     mode runs it over denominators of 1, in the order of a direct sum.
     """
-    if not isinstance(outcome, Optimal):
-        raise PreconditionError("only an optimal outcome carries a strategy")
-    n_static = problem.n_static
-    static = (outcome.x[0] + problem.cash_shift,) + tuple(outcome.x[1:n_static])
-    dynamic = _holdings(problem, outcome.x[n_static:])
-    strategy = Strategy(static, dynamic, problem.interval)
-
-    space = problem.space
     ops = space.ops
-    cost = strategy.cost(problem.book, ops)
-    if not ops.eq(cost, outcome.value + problem.cash_shift, ops.dual_tol):
+    interval = space.interval(strategy.span)
+    if len(claim_values) != len(target) or len(strategy.static) != book.size:
+        raise PreconditionError("need one claim value per target path and one position per slot")
+    if not ops.eq(strategy.cost(book, ops), cost, ops.dual_tol):
         raise InternalCheckError("strategy cost does not match the solver value")
 
     # wealth, a numerator over dx * dc * space.den, against the claim over dc
-    positions, held, dx = _scaled_holdings(dynamic, ops, static)
-    target = problem.target
+    positions, held, dx = _scaled_holdings(strategy.dynamic, ops, strategy.static)
     m = len(target)
-    payoffs = [space.claim_values(option.payoff) for option in problem.book.options]
-    scaled, dc = ops.over_common(
-        [*problem.claim_values, *(values[p] for values in payoffs for p in target)]
-    )
-    payoff_rows = [[dc] * m] + [scaled[l * m : (l + 1) * m] for l in range(1, n_static)]
+    payoffs = [space.claim_values(option.payoff) for option in book.options]
+    scaled, dc = ops.over_common([*claim_values, *(v[p] for v in payoffs for p in target)])
+    payoff_rows = [[dc] * m] + [scaled[l * m : (l + 1) * m] for l in range(1, book.size)]
     claim_scale = dx * space.den
     slack = ops.dual_tol * dx * dc * space.den
     for r, p in enumerate(target):
         wealth = 0
         for position, row in zip(positions, payoff_rows):
             wealth = wealth + position * row[r]
-        wealth = wealth * space.den + dc * _path_gains(space, held, p, *problem.interval)
+        wealth = wealth * space.den + dc * _path_gains(space, held, p, *interval)
         if wealth < scaled[r] * claim_scale - slack:
             raise InternalCheckError(
                 f"extracted strategy fails to dominate the claim on path {p}"
             )
+
+
+def extract_strategy(outcome, problem: HedgeProblem) -> Strategy:
+    """Read a strategy off an optimal hedge solve and re-verify it pathwise.
+
+    The strategy goes through :func:`verify_strategy` against the
+    problem's target and claim, at the reported value plus the cash shift.
+    Passing an unbounded or infeasible outcome is an error.
+    """
+    if not isinstance(outcome, Optimal):
+        raise PreconditionError("only an optimal outcome carries a strategy")
+    n_static = problem.book.size
+    static = (outcome.x[0] + problem.cash_shift,) + tuple(outcome.x[1:n_static])
+    strategy = Strategy(static, _holdings(problem, outcome.x[n_static:]), problem.interval)
+    cost = outcome.value + problem.cash_shift
+    verify_strategy(
+        problem.space, strategy, problem.book, problem.target, problem.claim_values, cost
+    )
     return strategy
 
 
@@ -300,7 +307,7 @@ def _hedge_value(problem: HedgeProblem) -> HedgeValue:
         return HedgeValue(value, strategy=strategy, pivots=outcome.pivots)
     if isinstance(outcome, Unbounded):
         ops = problem.space.ops
-        n_static = problem.n_static
+        n_static = problem.book.size
         ray = outcome.ray
         cost = Strategy(ray[:n_static], {}).cost(problem.book, ops)
         if cost < 0:
@@ -434,6 +441,7 @@ __all__ = [
     "gains",
     "build_hedge_problem",
     "extract_strategy",
+    "verify_strategy",
     "superhedge",
     "interval_value_table",
     "dpp_superhedge",

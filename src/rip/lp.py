@@ -74,7 +74,7 @@ from math import gcd, lcm
 from operator import truediv
 from typing import Any, Optional, Union
 
-from ._numeric import FLOAT, ModeOps, RATIONAL_OPS
+from ._numeric import FLOAT, ModeOps, RATIONAL_OPS, rat
 from .errors import CapacityError, InternalCheckError, PreconditionError
 
 RELATIONS = ("<=", ">=", "==")
@@ -108,13 +108,13 @@ class LinearProgram:
         for b in self.bounds:
             if b in ("free", "nonneg"):
                 continue
-            if (
-                isinstance(b, tuple)
-                and len(b) == 2
-                and (b[0] is None or b[1] is None or b[0] <= b[1])
-            ):
-                continue
-            raise PreconditionError(f"bad bound spec {b!r}")
+            try:  # text is read as `rat` reads it, as in _standardise
+                lo, hi = (rat(v) if isinstance(v, str) else v for v in b)
+                ok = isinstance(b, tuple) and (lo is None or hi is None or lo <= hi)
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise PreconditionError(f"bad bound spec {b!r}")
         for nonzeros, rel, _ in self.rows:
             last = -1
             for j, _ in nonzeros:

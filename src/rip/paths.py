@@ -112,13 +112,6 @@ class StaticOptionBook:
     def prices(self, ops: ModeOps) -> list:
         return [ops.one] + [ops.convert(o.price) for o in self.options]
 
-    def payoff_matrix(self, space: "PathSpace") -> list:
-        """Per-instrument payoff vectors over the space's paths, cash first."""
-        rows = [[space.ops.one] * len(space.paths)]
-        for option in self.options:
-            rows.append([space.claim_value(option.payoff, p) for p in range(len(space.paths))])
-        return rows
-
     def describe(self) -> list:
         out = []
         for i, o in enumerate(self.options, start=1):
@@ -259,9 +252,6 @@ class PathSpace:
         if key is not None:
             self._claim_cache[key] = values
         return values
-
-    def claim_value(self, claim: Expr, path_index: int):
-        return self.claim_values(claim)[path_index]
 
     def describe(self) -> dict:
         return {
@@ -452,8 +442,8 @@ def build_info_space(
         if not ops.pos(price):
             raise PreconditionError(f"option {j + 1}: price must be positive")
         terminal = []
-        for p in range(len(base.paths)):
-            y = base.claim_value(option.payoff, p) / price
+        for p, payoff in enumerate(base.claim_values(option.payoff)):
+            y = payoff / price
             if y < 0:
                 raise PreconditionError(
                     f"option {j + 1}: payoff is negative on path {p}; "

@@ -170,11 +170,11 @@ def build_measure_lp(
                 if nonzeros:
                     rows.append((tuple(nonzeros), "==", ops.zero))
     if t_from == 0 and not book.is_cash_only:
-        payoff_rows = book.payoff_matrix(space)
-        prices = book.prices(ops)
+        payoffs = [space.claim_values(option.payoff) for option in book.options]
+        prices = book.prices(ops)[1:]
         for _, overlap in fm.meet(-1, vars_paths):
-            for l in range(1, book.size):
-                rows.append((_excess(overlap, payoff_rows[l], prices[l], index_of), "==", ops.zero))
+            for values, price in zip(payoffs, prices):
+                rows.append((_excess(overlap, values, price, index_of), "==", ops.zero))
 
     if claim is None:
         objective = (ops.zero,) * n
@@ -373,13 +373,10 @@ def _approx_lp(
     # the variables are all the paths, in order: path p is column p
     paths = range(len(space.paths))
     rows = [(tuple((p, ops.one) for p in sorted(fat)), ">=", ops.one - slack)]
-    if not book.is_cash_only:
-        payoff_rows = book.payoff_matrix(space)
-        prices = book.prices(ops)
-        for l in range(1, book.size):
-            nonzeros = _excess(paths, payoff_rows[l], prices[l], paths)
-            rows.append((nonzeros, "<=", slack))
-            rows.append((nonzeros, ">=", -slack))
+    for option, price in zip(book.options, book.prices(ops)[1:]):
+        nonzeros = _excess(paths, space.claim_values(option.payoff), price, paths)
+        rows.append((nonzeros, "<=", slack))
+        rows.append((nonzeros, ">=", -slack))
     return replace(base, rows=base.rows + tuple(rows))
 
 

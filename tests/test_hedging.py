@@ -20,6 +20,7 @@ from rip import (
     Optimal,
     PreconditionError,
     StaticOptionBook,
+    Strategy,
     UndefinedHoldingError,
     build_hedge_problem,
     build_lattice,
@@ -36,6 +37,7 @@ from rip import (
     solve_checked,
     space_from_paths,
     superhedge,
+    verify_strategy,
 )
 
 
@@ -160,6 +162,96 @@ class TestStrategyRecheckBranches:
             extract_strategy(replace(outcome, value=outcome.value - eps), problem)
 
 
+class TestVerifyStrategy:
+    """The pathwise check on `Strategy` objects, apart from any LP outcome,
+    with the perturbations of the re-check branches above."""
+
+    @staticmethod
+    def _optimum(mode, book):
+        """A two-step hedge's optimal strategy with what it is checked against."""
+        space = build_lattice(1, 2, ["1/2", 1, 2], mode=mode)
+        claim = parse_payoff("1 + pos(S[1,T] - 1)")
+        target = space.all_paths()
+        hv = superhedge(space, target, InfoStructure.none(), claim, book).single()
+        return space, hv.strategy, target, space.claim_values(claim), hv.value
+
+    @staticmethod
+    def _with_cash(strategy, cash, dynamic=None):
+        dynamic = strategy.dynamic if dynamic is None else dynamic
+        return Strategy((cash,) + strategy.static[1:], dynamic, strategy.span)
+
+    @pytest.mark.parametrize("with_book", [False, True], ids=["cash", "book"])
+    @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
+    def test_the_optimum_passes_and_less_cash_fails(self, mode, eps, with_book, flat_digital_book):
+        book = flat_digital_book if with_book else StaticOptionBook.cash_only()
+        space, strategy, target, claims, value = self._optimum(mode, book)
+        verify_strategy(space, strategy, book, target, claims, value)
+        # the optimum is tight on some path, where eps less cash falls short
+        poorer = self._with_cash(strategy, strategy.static[0] - eps)
+        with pytest.raises(InternalCheckError, match="fails to dominate the claim on path"):
+            verify_strategy(space, poorer, book, target, claims, value - eps)
+
+    @pytest.mark.parametrize("with_book", [False, True], ids=["cash", "book"])
+    @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
+    def test_a_cost_that_does_not_match(self, mode, eps, with_book, flat_digital_book):
+        book = flat_digital_book if with_book else StaticOptionBook.cash_only()
+        space, strategy, target, claims, value = self._optimum(mode, book)
+        with pytest.raises(InternalCheckError, match="does not match the solver value"):
+            verify_strategy(space, strategy, book, target, claims, value - eps)
+
+    @pytest.mark.parametrize("with_book", [False, True], ids=["cash", "book"])
+    @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
+    def test_a_missing_holding(self, mode, eps, with_book, flat_digital_book):
+        book = flat_digital_book if with_book else StaticOptionBook.cash_only()
+        space, strategy, target, claims, value = self._optimum(mode, book)
+        # drop the holding on one atom at t=1; the other atoms keep theirs
+        dropped = next(key for key in strategy.dynamic if key[0] == 1)
+        partial = {k: h for k, h in strategy.dynamic.items() if k != dropped}
+        richer = self._with_cash(strategy, strategy.static[0] + eps, partial)
+        missing = f"t=1 on an atom containing path {dropped[1][0]}"
+        with pytest.raises(UndefinedHoldingError, match=missing):
+            verify_strategy(space, richer, book, target, claims, value + eps)
+
+    @pytest.mark.parametrize("with_book", [False, True], ids=["cash", "book"])
+    @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
+    def test_a_static_only_strategy(self, mode, eps, with_book, flat_digital_book):
+        book = flat_digital_book if with_book else StaticOptionBook.cash_only()
+        space, strategy, target, claims, _ = self._optimum(mode, book)
+        # an empty dynamic map holds nothing: cash alone must cover the claim
+        top = max(claims)
+        static_only = Strategy((top,) + (space.ops.zero,) * (book.size - 1), {}, (0, 2))
+        verify_strategy(space, static_only, book, target, claims, top)
+        short = Strategy((top - eps,) + static_only.static[1:], {}, (0, 2))
+        with pytest.raises(InternalCheckError, match="fails to dominate the claim on path"):
+            verify_strategy(space, short, book, target, claims, top - eps)
+
+    @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
+    def test_a_static_option_pays_its_payoff(self, mode, eps, flat_digital_book):
+        space = build_lattice(1, 2, ["1/2", 1, 2], mode=mode)
+        claims = space.claim_values(flat_digital_book.options[0].payoff)
+        one = space.ops.one
+        price = flat_digital_book.prices(space.ops)[1]
+        # one unit of the quoted option, and nothing else, covers its own payoff
+        unit = Strategy((space.ops.zero, one), {}, (0, 2))
+        verify_strategy(space, unit, flat_digital_book, space.all_paths(), claims, price)
+        short = Strategy((space.ops.zero, one - eps), {}, (0, 2))
+        with pytest.raises(InternalCheckError, match="fails to dominate the claim on path"):
+            verify_strategy(
+                space, short, flat_digital_book, space.all_paths(), claims, price * (one - eps)
+            )
+
+    def test_inputs_must_align(self, tri1, call_at_1):
+        claims = tri1.claim_values(call_at_1)
+        book = StaticOptionBook.cash_only()
+        verify_strategy(tri1, Strategy((2,), {}, (0, 1)), book, (0, 1, 2), claims, 2)
+        with pytest.raises(PreconditionError):
+            verify_strategy(tri1, Strategy((2,), {}, (0, 1)), book, (0, 1), claims, 2)
+        with pytest.raises(PreconditionError):
+            verify_strategy(tri1, Strategy((2, 0), {}, (0, 1)), book, (0, 1, 2), claims, 2)
+        with pytest.raises(PreconditionError):
+            verify_strategy(tri1, Strategy((2,), {}, (0, 2)), book, (0, 1, 2), claims, 2)
+
+
 def _market(space, t):
     from rip import market_partition
 
@@ -200,7 +292,7 @@ class TestIntervalValues:
         table = interval_value_table(tri2, 2, no_info, call_at_2)
         assert len(table) == 9
         for p in range(9):
-            assert table.for_path(p).value == tri2.claim_value(call_at_2, p)
+            assert table.for_path(p).value == tri2.claim_values(call_at_2)[p]
 
     def test_interval_hedge_starts_feasible(self, tri2, no_info):
         # cash above the floor's maximum: every row starts on its slack

@@ -113,6 +113,13 @@ class TestBasics:
         for nonzeros in [((2, 1),), ((-1, 1),), ((0, 1), (0, 2)), ((1, 1), (0, 2))]:
             with pytest.raises(PreconditionError):
                 LinearProgram("min", (1, 1), ((nonzeros, ">=", 0),), ("nonneg", "nonneg"))
+        # bounds given as text compare as the numbers they spell, not as strings
+        for ops in (RATIONAL_OPS, FLOAT_OPS):
+            assert solve(LinearProgram.build("min", [1], [], [("9", "10")]), ops).x == (9,)
+            assert solve(LinearProgram.build("min", [1], [], [(1, "3")]), ops).x == (1,)
+        for bound in [("10", "9"), (2, "3/2"), ("x", 1), (None, "1/0")]:
+            with pytest.raises(PreconditionError, match="bad bound spec"):
+                LinearProgram.build("min", [1], [], [bound])
 
     def test_build_drops_the_zeros_of_dense_rows(self):
         bounds = ["nonneg", "free", (0, 1)]

@@ -136,14 +136,14 @@ class TestTransport:
         moved = transport_claim(call_at_2, 0, tri2)
         assert isinstance(moved, TailClaim)
         for p in range(9):
-            assert tri2.claim_value(moved, p) == tri2.claim_value(call_at_2, p)
+            assert tri2.claim_values(moved)[p] == tri2.claim_values(call_at_2)[p]
 
     def test_transport_reads_the_renormalised_tail(self, tri2):
         short_call = parse_payoff("pos(S[1,T] - 1)")
         moved = transport_claim(short_call, 1, tri2)
         for p, path in enumerate(tri2.paths):
             ratio = path.coord(1, 2) / path.coord(1, 1)
-            assert tri2.claim_value(moved, p) == max(ratio - 1, 0)
+            assert tri2.claim_values(moved)[p] == max(ratio - 1, 0)
 
     def test_transport_validates_the_fit(self, tri2, call_at_2):
         with pytest.raises(PreconditionError):
