@@ -244,8 +244,9 @@ class Filtration:
 
 @_per_space
 def _filtration(space: PathSpace, info: InfoStructure) -> Filtration:
-    # the agent holds the label from grid index `known` on; 'none' has no label
-    rows = [path.values for path in space.paths]
+    # the agent holds the label from grid index `known` on; 'none' has no label;
+    # paths are keyed on the space's integer view, the paths' own rows in float mode
+    rows = space.nums
     if info.variant == VARIANT_NONE:
         labels = (None,) * len(rows)
     else:
@@ -280,6 +281,10 @@ def _filtration(space: PathSpace, info: InfoStructure) -> Filtration:
         tuple(tuple(b - a for a, b in zip(v[t], v[t + 1])) for v in rows)
         for t in range(space.n_steps)
     )
+    if space.mode != FLOAT:
+        # int differences over the space's denominator, each distinct one made rational once
+        exact = {d: space.ops.ratio(d, space.den) for step in delta for row in step for d in row}
+        delta = tuple(tuple(tuple(exact[d] for d in row) for row in step) for step in delta)
     return Filtration(tuple(atoms), tuple(cells), delta)
 
 

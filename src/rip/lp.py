@@ -9,15 +9,17 @@ object, pivot for pivot.  In rational mode the tableau is fraction-free
 included, holds only its nonzero integer numerators, keyed by column, over
 one positive integer denominator, and is kept in lowest terms by one gcd
 per updated row.  A pivot builds no rational number, and its cost follows
-the nonzeros of the rows it touches, not the tableau's width.  The set-up
-and the read-out are integer too: rows and phase costs are put over one
-denominator once, and each reported number is one quotient of integers, so
-exact rationals are built only for what the solver reports; the reported
-values, certificates, and infeasibility witnesses are exact.  In float
-mode the rows are stored the same way, as floats over a denominator of 1,
-and an update that cancels an entry down to round-off (at most ``_DROP``
-of its old magnitude) deletes it, so that round-off does not fill the
-tableau.
+the nonzeros of the rows it touches, not the tableau's width: the ratio
+test collects the rows that hold the entering column as it scans them, and
+the elimination updates only those, so a pivot passes over the rows once.
+The set-up and the read-out are integer too: rows and phase costs are put
+over one denominator once, and each reported number is one quotient of
+integers, so exact rationals are built only for what the solver reports;
+the reported values, certificates, and infeasibility witnesses are exact.
+In float mode the rows are stored the same way, as floats over a
+denominator of 1, and an update that cancels an entry down to round-off
+(at most ``_DROP`` of its old magnitude) deletes it, so that round-off does
+not fill the tableau.
 
 Each variable gets one tableau column.  A bounded one is shifted onto a
 nonnegative column; a free one keeps its column, which may enter the basis
@@ -285,10 +287,12 @@ class _Tableau:
     in float mode.  Each has its own zero and one numerators (``ZERO``,
     ``ONE``), builds the reported number ``n / d`` (``ratio``), subtracts a
     multiple of one row from another (``_subtract``) and does the ratio
-    test and the elimination in its own arithmetic.  The rows' entries and
-    start columns, the reduced costs, ``first_column``, the pivot rule, the
-    pivot count and its cap, and the read-out of values and duals live here
-    and serve both.
+    test and the elimination in its own arithmetic.  The ratio test returns
+    the tied rows and, from the same scan, the rows that hold the entering
+    column, in row order; the elimination updates only those.  The rows'
+    entries and start columns, the reduced costs, ``first_column``, the
+    pivot rule, the pivot count and its cap, and the read-out of values and
+    duals live here and serve both.
     """
 
     def __new__(cls, rows_z, nz: int, free, ops: ModeOps):
@@ -368,9 +372,11 @@ class _Tableau:
                 self._subtract(z_row, cb * self.orientation(i), den, self.matrix[i])
         return z_row
 
-    def pivot(self, i: int, j: int, z_row, s: int) -> None:
-        """Pivot column ``j``, taken with orientation ``s``, into row ``i``."""
-        self._eliminate(i, j, z_row, s)
+    def pivot(self, i: int, j: int, z_row, s: int, rows: list) -> None:
+        """Pivot column ``j``, taken with orientation ``s``, into row ``i``;
+        ``rows`` are the :class:`_Row` objects that hold column ``j``, row
+        ``i`` among them, and the only ones the elimination updates."""
+        self._eliminate(i, j, z_row, s, rows)
         self.basis[i] = j
         self.pivots += 1
         self.guard_clock += 1
@@ -395,13 +401,14 @@ class _Tableau:
             if enter < 0:
                 return None
             s = 1 if z_row.nums[enter] < 0 else -1
+            ties, rows = self._least_ratio_rows(enter, s)
             leave = -1
-            for i in self._least_ratio_rows(enter, s):
+            for i in ties:
                 if leave < 0 or basis[i] < basis[leave]:
                     leave = i
             if leave < 0:
                 return enter, s
-            self.pivot(leave, enter, z_row, s)
+            self.pivot(leave, enter, z_row, s, rows)
             if self.pivots > max_pivots:
                 raise CapacityError(
                     f"lp: simplex stopped after {self.pivots} pivots, over its cap "
@@ -454,15 +461,17 @@ class _FloatTableau(_Tableau):
         # float costs are over 1
         _cancel(target.nums, c, row.nums.items())
 
-    def _least_ratio_rows(self, enter: int, s: int) -> list:
+    def _least_ratio_rows(self, enter: int, s: int) -> tuple:
         tol = self.ops.feas_tol
         w = self.width
         ties = []
+        rows = []
         best = None
         for i, row in enumerate(self.matrix):
             nums = row.nums
             if enter not in nums:
                 continue
+            rows.append(row)
             a = s * nums[enter]
             if a > tol:
                 ratio = nums.get(w, 0.0) / a
@@ -471,16 +480,16 @@ class _FloatTableau(_Tableau):
                     ties = [i]
                 elif ratio == best:
                     ties.append(i)
-        return ties
+        return ties, rows
 
-    def _eliminate(self, i: int, j: int, z_row, s: int) -> None:
+    def _eliminate(self, i: int, j: int, z_row, s: int, rows: list) -> None:
         row = self.matrix[i]
         inv = 1 / (s * row.nums[j])
         row.nums = {k: v * inv for k, v in row.nums.items()}
         source = list(row.nums.items())
-        for other in self.matrix:
-            nums = other.nums
-            if j in nums and other is not row:
+        for other in rows:
+            if other is not row:
+                nums = other.nums
                 _cancel(nums, s * nums[j], source)
         nums = z_row.nums
         if j in nums:
@@ -498,15 +507,15 @@ def _cancel(nums: dict, f: float, source) -> None:
     high = _DROP
     low = -high
     for k, v in source:
-        if k in nums:
-            old = nums[k]
+        old = nums.get(k)
+        if old is None:
+            nums[k] = -f * v
+        else:
             new = old - f * v
             if low <= new / old <= high:
                 del nums[k]
             else:
                 nums[k] = new
-        else:
-            nums[k] = -f * v
 
 
 class _IntegerTableau(_Tableau):
@@ -527,13 +536,15 @@ class _IntegerTableau(_Tableau):
         # z/dz - (p/q)(r/d) = (q d z - p dz r) / (q d dz)
         _combine(target, q * row.den, p * target.den, list(row.nums.items()))
 
-    def _least_ratio_rows(self, enter: int, s: int) -> list:
+    def _least_ratio_rows(self, enter: int, s: int) -> tuple:
         w = self.width
         ties = []
+        rows = []
         for i, row in enumerate(self.matrix):
             nums = row.nums
             if enter not in nums:
                 continue
+            rows.append(row)
             a = s * nums[enter]
             if a > 0:
                 rhs = nums.get(w, 0)
@@ -548,11 +559,10 @@ class _IntegerTableau(_Tableau):
                     best_rhs, best_a = rhs, a
                 elif cross == 0:
                     ties.append(i)
-        return ties
+        return ties, rows
 
-    def _eliminate(self, i: int, j: int, z_row, s: int) -> None:
-        matrix = self.matrix
-        row = matrix[i]
+    def _eliminate(self, i: int, j: int, z_row, s: int, rows: list) -> None:
+        row = self.matrix[i]
         nums = row.nums
         a = nums[j]
         # divided by its oriented entry s*a/den, the pivot row is nums / (s*a)
@@ -565,11 +575,9 @@ class _IntegerTableau(_Tableau):
             a //= g
         row.nums, row.den = nums, a
         source = list(nums.items())
-        for other in matrix:
+        for other in rows:
             if other is not row:
-                f = other.nums.get(j)
-                if f:
-                    _combine(other, a, s * f, source)
+                _combine(other, a, s * other.nums[j], source)
         f = z_row.nums.get(j)
         if f:
             _combine(z_row, a, s * f, source)
@@ -606,14 +614,15 @@ def _combine(target: _Row, scale, f, source) -> None:
     if scale != 1:
         nums = {k: scale * v for k, v in nums.items()}
     for k, v in source:
-        if k in nums:
-            v = nums[k] - f * v
+        old = nums.get(k)
+        if old is None:
+            nums[k] = -f * v
+        else:
+            v = old - f * v
             if v:
                 nums[k] = v
             else:
                 del nums[k]
-        else:
-            nums[k] = -f * v
     den = target.den * scale
     g = gcd(den, *nums.values())
     if g != 1:
@@ -679,7 +688,9 @@ def _drive_out_artificials(tab: _Tableau, z_row) -> None:
             continue
         pivot_col = tab.first_column(tab.matrix[i], tab.art_start)
         if pivot_col >= 0:
-            tab.pivot(i, pivot_col, z_row, 1)
+            # no ratio test here: one scan collects the rows to update
+            rows = [row for row in tab.matrix if pivot_col in row.nums]
+            tab.pivot(i, pivot_col, z_row, 1, rows)
         else:
             drop.append(i)
     if drop:

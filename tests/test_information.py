@@ -3,6 +3,7 @@
 import gc
 import itertools
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -193,6 +194,39 @@ class TestFiltration:
         for t in range(3):
             for p, path in enumerate(tri3.paths):
                 assert fm.delta[t][p] == (path.coord(1, t + 1) - path.coord(1, t),)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_two_assets_over_different_denominators(self, mode, variant):
+        # thirds on the first asset, quarters, eighths and sevenths on the second
+        raw = [
+            [(1, 1), ("4/3", "3/4"), ("5/3", "1/2")],
+            [(1, 1), ("4/3", "3/4"), (1, "9/8")],
+            [(1, 1), ("2/3", "5/4"), ("2/3", "9/7")],
+            [(1, 1), ("2/3", "5/4"), ("1/2", "3/4")],
+        ]
+        space = space_from_paths(raw, 2, mode=mode)
+        assert space.mode != "rational" or space.den == 168
+        values = [path.values for path in space.paths]
+        fm = filtration(space, self._info(variant, info_from_payoff(parse_payoff("ind(S[2,2] < 1)"))))
+        # the label crosses the branches at t = 1
+        label = [1, 0, 0, 1]
+        known = {"none": 3, "dynamic": 1}.get(variant, 0)
+
+        def grouped(t):
+            keys = [(v[: t + 1], label[p] if t >= known else None) for p, v in enumerate(values)]
+            groups = [tuple(p for p in range(4) if keys[p] == key) for key in dict.fromkeys(keys)]
+            return groups, tuple(next(k for k, g in enumerate(groups) if p in g) for p in range(4))
+
+        for t in range(3):
+            assert ([atom.paths for atom in fm.atoms[t]], fm.cell[t]) == grouped(t)
+        initial = grouped(0) if variant == "plus" else ([(0, 1, 2, 3)], (0,) * 4)
+        assert ([atom.paths for atom in fm.atoms[-1]], fm.cell[-1]) == initial
+        number = Fraction if mode == "rational" else float
+        for t in range(2):
+            for p, v in enumerate(values):
+                assert fm.delta[t][p] == tuple(b - a for a, b in zip(v[t], v[t + 1]))
+                assert all(type(d) is number for d in fm.delta[t][p])
 
     def test_built_once_per_space_and_structure(self, tri2, hits_one):
         info = InfoStructure.minus(hits_one)

@@ -36,7 +36,7 @@ import rip.hedging
 import rip.lp
 import rip.valuation
 from rip.errors import CapacityError, InternalCheckError
-from rip.lp import RELATIONS, _Tableau, _cancel, _standardise
+from rip.lp import RELATIONS, _Row, _Tableau, _cancel, _combine, _standardise
 from rip.pricing import _approx_lp
 
 
@@ -801,8 +801,8 @@ def _check_rows_after_every_pivot(lp, ops, check_row):
     checked = []
     pivot = _Tableau.pivot
 
-    def checked_pivot(tab, i, j, z_row, s):
-        pivot(tab, i, j, z_row, s)
+    def checked_pivot(tab, i, j, z_row, s, rows):
+        pivot(tab, i, j, z_row, s, rows)
         for row in tab.matrix + [z_row]:
             check_row(row, tab.width)
         checked.append(j)
@@ -831,6 +831,91 @@ def test_an_update_that_cancels_to_round_off_deletes_the_entry():
     # 0.1 + 0.2 - 0.3 leaves round-off and 0.5 - 0.5 an exact zero: both go;
     # 1e-20 - 1e-21 and the new entry -1e-20 are small but cancel nothing
     assert nums == {2: 1e-20 - 1e-21, 3: 1.0, 4: -1e-20}
+
+
+def _combined(nums, den, scale, f, source):
+    row = _Row(dict(nums), den)
+    _combine(row, scale, f, source)
+    # the value is target - (f / scale) * source, both rows over den
+    expected = {
+        k: Fraction(nums.get(k, 0), den) - Fraction(f, scale) * Fraction(dict(source).get(k, 0), den)
+        for k in {*nums, *dict(source)}
+    }
+    assert {k: Fraction(v, row.den) for k, v in row.nums.items()} == {
+        k: v for k, v in expected.items() if v
+    }
+    assert row.den > 0 and gcd(row.den, *row.nums.values()) == 1
+    return row
+
+
+def test_an_integer_update_ends_in_lowest_terms_and_deletes_a_cancelled_entry():
+    nums, source = {0: 1, 1: 2, 2: 5}, [(0, 1), (1, 4), (3, 1)]
+    # 2 * 2 - 4 cancels entry 1, and the denominator becomes scale times its own
+    row = _combined(nums, 3, 2, 1, source)
+    assert row.nums == {0: 1, 2: 10, 3: -1} and row.den == 6
+    # scale 4 and f 2 share the factor 2, which goes before the update
+    row = _combined(nums, 3, 4, 2, source)
+    assert row.nums == {0: 1, 2: 10, 3: -1} and row.den == 3 * 4 // 2
+    # (1, 1) / 2 - (1, -1) / 2 is (0, 2) / 2, put in lowest terms as (0, 1) / 1
+    row = _combined({0: 1, 1: 1}, 2, 1, 1, [(0, 1), (1, -1)])
+    assert row.nums == {1: 1} and row.den == 1
+
+
+def _row_updates_per_pivot(lp, ops):
+    """Solve ``lp``; return, per pivot, the row updates it made and the rows
+    that held the entering column before it, the reduced-cost row included
+    and the pivot row not, and the pivots of :func:`_drive_out_artificials`."""
+    updates = []
+    counts = []
+    driven = []
+    pivot = _Tableau.pivot
+    drive_out = rip.lp._drive_out_artificials
+
+    def counted(update):
+        def wrapped(*args):
+            updates.append(update.__name__)
+            return update(*args)
+
+        return wrapped
+
+    def recorded(tab, i, j, z_row, s, rows):
+        pivot_row = tab.matrix[i]
+        holding = sum(j in row.nums for row in [*tab.matrix, z_row] if row is not pivot_row)
+        before = len(updates)
+        pivot(tab, i, j, z_row, s, rows)
+        counts.append((len(updates) - before, holding))
+
+    def recorded_drive_out(tab, z_row):
+        before = tab.pivots
+        drive_out(tab, z_row)
+        driven.append(tab.pivots - before)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rip.lp, "_combine", counted(_combine))
+        patch.setattr(rip.lp, "_cancel", counted(_cancel))
+        patch.setattr(_Tableau, "pivot", recorded)
+        patch.setattr(rip.lp, "_drive_out_artificials", recorded_drive_out)
+        out = solve(lp, ops)
+    assert out.pivots == len(counts)
+    return counts, sum(driven)
+
+
+@pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
+def test_a_pivot_updates_each_row_that_holds_the_entering_column_once(ops):
+    # phase 1 ends with an artificial basic at 0, which is pivoted out
+    rows = [([1, 0], "==", 2), ([-1, 2], ">=", 0), ([2, -2], "==", 2)]
+    lp = lp_min([-2, 0], rows)
+    counts, driven = _row_updates_per_pivot(_as_float(lp) if ops is FLOAT_OPS else lp, ops)
+    assert driven == 1 and len(counts) == 3
+    assert all(made == holding for made, holding in counts), counts
+
+
+@given(lp=st.one_of(sparse_lp(), random_lp()))
+@settings(max_examples=100, deadline=None)
+@pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
+def test_every_pivot_updates_only_the_rows_that_hold_the_entering_column(ops, lp):
+    counts, _ = _row_updates_per_pivot(_as_float(lp) if ops is FLOAT_OPS else lp, ops)
+    assert all(made == holding for made, holding in counts), counts
 
 
 @pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
@@ -891,7 +976,7 @@ class TestSolverErrors:
     def test_bit_guard(self, monkeypatch):
         monkeypatch.setattr(rip.lp, "_BIT_GUARD", 1)
         tab, z_row = self._tableau()
-        tab.pivot(0, 0, z_row, 1)
+        tab.pivot(0, 0, z_row, 1, tab.matrix)  # both rows hold column 0
         message = r"^lp: exact tableau coefficients reached 3 bits after 1 pivots on a 2 x 4 "
         with pytest.raises(CapacityError, match=message):
             tab._capacity_guard()
@@ -1067,9 +1152,9 @@ def test_a_free_column_enters_negated_leaves_and_enters_again(ops, monkeypatch):
     pivots = []
     pivot = _Tableau.pivot
 
-    def recorded(tab, i, j, z_row, s):
+    def recorded(tab, i, j, z_row, s, rows):
         pivots.append((tab.basis[i], j, s))
-        pivot(tab, i, j, z_row, s)
+        pivot(tab, i, j, z_row, s, rows)
 
     monkeypatch.setattr(_Tableau, "pivot", recorded)
     rows = [([-3, -3, -3], ">=", 2), ([3, -3, 1], "<=", 4), ([-2, 0, -2], ">=", 2)]
