@@ -124,15 +124,26 @@ class ModeOps:
         """``values`` as ``(numerators, denominator)``, each one ``numerator / denominator``.
 
         In rational mode the numerators are ints over the lcm of the values'
-        denominators; in float mode they are the floats themselves over 1,
-        so that scaling by the denominator leaves float arithmetic as it is.
+        denominators: each value, converted if it is neither an int nor a
+        ``Fraction``, is read once as ``as_integer_ratio()``, and when the lcm
+        is 1 the numerators are returned as they are.  No values give
+        ``([], 1)``.  In float mode they are the floats themselves over 1, so
+        that scaling by the denominator leaves float arithmetic as it is.
         """
         if self.mode == FLOAT:
             return [v if type(v) is float else self.convert(v) for v in values], 1
-        exact = [v if isinstance(v, int) or type(v) is Fraction else self.convert(v) for v in values]
-        dens = [v.denominator for v in exact]
+        nums = []
+        dens = []
+        for v in values:
+            if not (isinstance(v, int) or type(v) is Fraction):
+                v = self.convert(v)
+            n, d = v.as_integer_ratio()
+            nums.append(n)
+            dens.append(d)
         den = lcm(*dens)
-        return [v.numerator * (den // d) for v, d in zip(exact, dens)], den
+        if den == 1:
+            return nums, 1
+        return [n * (den // d) for n, d in zip(nums, dens)], den
 
     def ratio(self, numerator, denominator):
         """``numerator / denominator`` as this mode's number: an exact rational

@@ -438,12 +438,20 @@ def check_scaling_form(space: PathSpace, variable: InfoVariable, arrival: int) -
 
     Requires a single-asset space without traded options.  True when paths
     with equal renormalised tails always carry equal labels and every path
-    sitting at zero at ``arrival`` carries label 1.
+    sitting at zero at ``arrival`` carries label 1.  The arguments are
+    checked on every call; the scan over the tails is made once per space,
+    variable and arrival, and cached in the space.
     """
     if space.n_assets != 1 or space.n_options != 0:
         raise PreconditionError("scaling form is defined for single-asset spaces only")
     if not 0 <= arrival <= space.n_steps:
         raise PreconditionError(f"arrival {arrival} outside grid 0..{space.n_steps}")
+    return _scaling_form(space, variable, arrival)
+
+
+@_per_space
+def _scaling_form(space: PathSpace, variable: InfoVariable, arrival: int) -> bool:
+    # the tail scan of check_scaling_form, once per space, variable and arrival
     labels = _labels(space, variable)
     by_tail: dict = {}
     for p, path in enumerate(space.paths):

@@ -12,14 +12,18 @@ per updated row.  A pivot builds no rational number, and its cost follows
 the nonzeros of the rows it touches, not the tableau's width: the ratio
 test collects the rows that hold the entering column as it scans them, and
 the elimination updates only those, so a pivot passes over the rows once.
-The set-up and the read-out are integer too: rows and phase costs are put
-over one denominator once, and each reported number is one quotient of
-integers, so exact rationals are built only for what the solver reports;
-the reported values, certificates, and infeasibility witnesses are exact.
+The set-up and the read-out are integer too.  Rows and phase costs are put
+over one denominator once.  Each phase's reduced-cost row is summed in one
+pass over the lcm of the basic rows' denominators and reduced by one gcd,
+so the set-up is linear in the nonzeros.  Each reported number is one
+quotient of integers, so exact rationals are built only for what the
+solver reports; the reported values, certificates, and infeasibility
+witnesses are exact.
 In float mode the rows are stored the same way, as floats over a
 denominator of 1, and an update that cancels an entry down to round-off
 (at most ``_DROP`` of its old magnitude) deletes it, so that round-off does
-not fill the tableau.
+not fill the tableau; the reduced-cost row cancels the basic rows from the
+costs one at a time, in row order.
 
 Each variable gets one tableau column.  A bounded one is shifted onto a
 nonnegative column; a free one keeps its column, which may enter the basis
@@ -285,14 +289,14 @@ class _Tableau:
     The mode picks the arithmetic: constructing a ``_Tableau`` gives an
     :class:`_IntegerTableau` in rational mode and a :class:`_FloatTableau`
     in float mode.  Each has its own zero and one numerators (``ZERO``,
-    ``ONE``), builds the reported number ``n / d`` (``ratio``), subtracts a
-    multiple of one row from another (``_subtract``) and does the ratio
+    ``ONE``), builds the reported number ``n / d`` (``ratio``), builds the
+    reduced-cost row of a cost vector (``objective_row``) and does the ratio
     test and the elimination in its own arithmetic.  The ratio test returns
     the tied rows and, from the same scan, the rows that hold the entering
     column, in row order; the elimination updates only those.  The rows'
-    entries and start columns, the reduced costs, ``first_column``, the
-    pivot rule, the pivot count and its cap, and the read-out of values and
-    duals live here and serve both.
+    entries and start columns, ``first_column``, the pivot rule, the pivot
+    count and its cap, and the read-out of values and duals live here and
+    serve both.
     """
 
     def __new__(cls, rows_z, nz: int, free, ops: ModeOps):
@@ -361,16 +365,6 @@ class _Tableau:
         """The sign of row ``i``'s entry in its basic column: -1 where a free
         variable entered as the negation of its column."""
         return -1 if self.matrix[i].nums[self.basis[i]] < 0 else 1
-
-    def objective_row(self, cost: dict, den) -> _Row:
-        """Reduced costs (basis-aware) for ``cost[k] / den`` on columns ``k``
-        and 0 elsewhere, ``den`` a row denominator (integers in lowest terms)."""
-        z_row = _Row(dict(cost), den)
-        for i, b in enumerate(self.basis):
-            cb = cost.get(b)
-            if cb:
-                self._subtract(z_row, cb * self.orientation(i), den, self.matrix[i])
-        return z_row
 
     def pivot(self, i: int, j: int, z_row, s: int, rows: list) -> None:
         """Pivot column ``j``, taken with orientation ``s``, into row ``i``;
@@ -457,9 +451,16 @@ class _FloatTableau(_Tableau):
     ZERO, ONE = 0.0, 1.0
     ratio = staticmethod(truediv)
 
-    def _subtract(self, target: _Row, c, den, row: _Row) -> None:
-        # float costs are over 1
-        _cancel(target.nums, c, row.nums.items())
+    def objective_row(self, cost: dict, den) -> _Row:
+        """Reduced costs (basis-aware) for the float costs ``cost[k]`` on
+        columns ``k`` and 0 elsewhere, ``den`` being 1: each basic row with a
+        cost is cancelled from the row in turn, in row order."""
+        z_row = _Row(dict(cost), den)
+        for i, b in enumerate(self.basis):
+            cb = cost.get(b)
+            if cb:
+                _cancel(z_row.nums, cb * self.orientation(i), self.matrix[i].nums.items())
+        return z_row
 
     def _least_ratio_rows(self, enter: int, s: int) -> tuple:
         tol = self.ops.feas_tol
@@ -526,15 +527,53 @@ class _IntegerTableau(_Tableau):
     positive, the sign of an entry is the sign of its numerator, and a ratio
     ``rhs / a`` within a row needs no denominator at all.  A row update, its
     gcd and the bit guard cost O(nonzeros), and the ratio test reads one
-    entry per row.  Rationals are built only for reported values.
+    entry per row.  The reduced-cost row of a phase is built in one pass
+    over the lcm of the basic rows' denominators, so its cost too is
+    O(nonzeros).  Rationals are built only for reported values.
     """
 
     ZERO, ONE = 0, 1
     ratio = Fraction
 
-    def _subtract(self, target: _Row, p, q, row: _Row) -> None:
-        # z/dz - (p/q)(r/d) = (q d z - p dz r) / (q d dz)
-        _combine(target, q * row.den, p * target.den, list(row.nums.items()))
+    def objective_row(self, cost: dict, den) -> _Row:
+        """Reduced costs (basis-aware) for ``cost[k] / den`` on columns ``k``
+        and 0 elsewhere, ``den`` a positive int, in one pass over one lcm.
+
+        With ``c_i`` the oriented cost of the basic row ``r_i / d_i`` and
+        ``L`` the lcm of those ``d_i``, the row is ``(L cost - sum_i c_i
+        (L / d_i) r_i) / (L den)``: each source entry is read once, an entry
+        that cancels is deleted, and one gcd ends it in lowest terms.  A row
+        in lowest terms is unique for its values, so this is the row that
+        subtracting the basic rows one at a time would build.  With no basic
+        row to subtract, ``cost`` and ``den`` are taken as they are.
+        """
+        basic = []
+        for i, b in enumerate(self.basis):
+            cb = cost.get(b)
+            if cb:
+                basic.append((cb * self.orientation(i), self.matrix[i]))
+        if not basic:
+            return _Row(dict(cost), den)
+        big = lcm(*(row.den for _, row in basic))
+        nums = {k: v * big for k, v in cost.items()} if big != 1 else dict(cost)
+        for c, row in basic:
+            f = c * (big // row.den)
+            for k, v in row.nums.items():
+                old = nums.get(k)
+                if old is None:
+                    nums[k] = -f * v
+                else:
+                    v = old - f * v
+                    if v:
+                        nums[k] = v
+                    else:
+                        del nums[k]
+        den = den * big
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: v // g for k, v in nums.items()}
+            den //= g
+        return _Row(nums, den)
 
     def _least_ratio_rows(self, enter: int, s: int) -> tuple:
         w = self.width
@@ -682,7 +721,6 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
 
 def _drive_out_artificials(tab: _Tableau, z_row) -> None:
     """Pivot basic artificials onto structural columns; drop redundant rows."""
-    drop = []
     for i in range(len(tab.matrix)):
         if tab.basis[i] < tab.art_start:
             continue
@@ -691,10 +729,10 @@ def _drive_out_artificials(tab: _Tableau, z_row) -> None:
             # no ratio test here: one scan collects the rows to update
             rows = [row for row in tab.matrix if pivot_col in row.nums]
             tab.pivot(i, pivot_col, z_row, 1, rows)
-        else:
-            drop.append(i)
-    if drop:
-        keep = [i for i in range(len(tab.matrix)) if i not in drop]
+    # a pivot moves only its own row's basis, so the rows still on an
+    # artificial are those with no structural entry left: redundant
+    keep = [i for i, b in enumerate(tab.basis) if b < tab.art_start]
+    if len(keep) < len(tab.matrix):
         tab.matrix = [tab.matrix[i] for i in keep]
         tab.basis = [tab.basis[i] for i in keep]
         tab.row_ids = [tab.row_ids[i] for i in keep]

@@ -2,10 +2,10 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rip import (
     FLOAT_OPS,
@@ -36,7 +36,16 @@ import rip.hedging
 import rip.lp
 import rip.valuation
 from rip.errors import CapacityError, InternalCheckError
-from rip.lp import RELATIONS, _Row, _Tableau, _cancel, _combine, _standardise
+from rip.lp import (
+    RELATIONS,
+    _FloatTableau,
+    _IntegerTableau,
+    _Row,
+    _Tableau,
+    _cancel,
+    _combine,
+    _standardise,
+)
 from rip.pricing import _approx_lp
 
 
@@ -752,6 +761,44 @@ class TestConvert:
             RATIONAL_OPS.convert(bad)
 
 
+class TestOverCommon:
+    def test_ints_come_back_over_one(self):
+        values = [3, -7, 0, 12]
+        nums, den = RATIONAL_OPS.over_common(values)
+        assert (nums, den) == (values, 1)
+        assert all(type(n) is int for n in nums)
+
+    def test_fractions_go_over_the_lcm_of_their_denominators(self):
+        nums, den = RATIONAL_OPS.over_common([rat(1, 6), rat(-3, 4), 2, rat(0)])
+        assert (nums, den) == ([2, -9, 24, 0], 12)
+
+    def test_integral_fractions_come_back_as_ints_over_one(self):
+        nums, den = RATIONAL_OPS.over_common([rat(4), rat(-2, 1), 5])
+        assert (nums, den) == ([4, -2, 5], 1)
+        assert all(type(n) is int for n in nums)
+
+    def test_text_and_exact_floats_are_converted(self):
+        nums, den = RATIONAL_OPS.over_common(["-2/7", "0.25", 0.5, 1.0, "3"])
+        assert (nums, den) == ([-8, 7, 14, 28, 84], 28)
+        assert all(type(n) is int for n in nums)
+
+    def test_no_values_give_an_empty_row_over_one(self):
+        assert RATIONAL_OPS.over_common([]) == ([], 1)
+        assert FLOAT_OPS.over_common([]) == ([], 1)
+
+    def test_float_mode_keeps_the_values_over_one(self):
+        nums, den = FLOAT_OPS.over_common([0.1, 3, rat(1, 4), "0.5"])
+        assert (nums, den) == ([0.1, 3.0, 0.25, 0.5], 1)
+        assert all(type(n) is float for n in nums)
+
+    @given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=40))))
+    def test_each_numerator_over_the_denominator_is_its_value(self, values):
+        nums, den = RATIONAL_OPS.over_common(values)
+        assert den > 0 and all(type(n) is int for n in nums)
+        assert [Fraction(n, den) for n in nums] == [Fraction(v) for v in values]
+        assert den == lcm(*(Fraction(v).denominator for v in values))
+
+
 # ---------------------------------------------------------------------------
 # one start column per row: a row starts on its slack when the slack is
 # feasible at the right-hand side, and on an artificial of its own otherwise
@@ -859,6 +906,125 @@ def test_an_integer_update_ends_in_lowest_terms_and_deletes_a_cancelled_entry():
     # (1, 1) / 2 - (1, -1) / 2 is (0, 2) / 2, put in lowest terms as (0, 1) / 1
     row = _combined({0: 1, 1: 1}, 2, 1, 1, [(0, 1), (1, -1)])
     assert row.nums == {1: 1} and row.den == 1
+
+
+# ---------------------------------------------------------------------------
+# the reduced-cost row: one pass over one lcm in rational mode
+
+
+@st.composite
+def integer_tableau_with_costs(draw):
+    """An integer tableau of rows in lowest terms over pairwise different
+    denominators, each basic on its own column with orientation +1 or -1
+    (-1 on a free column entered negated), and integer costs over ``den``
+    that put a cost on some of the basic columns."""
+    width = draw(st.integers(min_value=2, max_value=7))
+    m = draw(st.integers(min_value=1, max_value=min(width, 5)))
+    basis = draw(st.permutations(range(width)))[:m]
+    dens = draw(st.lists(st.integers(1, 60), min_size=m, max_size=m, unique=True))
+    tab = object.__new__(_IntegerTableau)
+    tab.basis = list(basis)
+    tab.matrix = []
+    for b, d in zip(basis, dens):
+        # a basic column holds +-1, so its numerator is +-den
+        nums = {k: draw(st.integers(-4, 4)) for k in range(width + 1) if k not in basis}
+        nums = {k: v for k, v in nums.items() if v}
+        nums[b] = draw(st.sampled_from([1, -1])) * d
+        g = gcd(d, *nums.values())
+        assume(g == 1)  # lowest terms, with the denominators kept apart
+        tab.matrix.append(_Row(nums, d))
+    cost = {k: draw(st.integers(-5, 5)) for k in range(width)}
+    den = draw(st.integers(1, 12))
+    return tab, {k: c for k, c in cost.items() if c}, den
+
+
+def _sequential_reduced_costs(tab, cost, den):
+    """The reduced costs as Fractions, subtracting the basic rows one at a time."""
+    z = {k: Fraction(c, den) for k, c in cost.items()}
+    for i, b in enumerate(tab.basis):
+        cb = cost.get(b)
+        if cb:
+            row = tab.matrix[i]
+            factor = Fraction(cb * tab.orientation(i), den)
+            for k, v in row.nums.items():
+                z[k] = z.get(k, 0) - factor * Fraction(v, row.den)
+    return {k: v for k, v in z.items() if v}
+
+
+@given(case=integer_tableau_with_costs())
+@settings(max_examples=300, deadline=None)
+def test_the_integer_reduced_costs_equal_the_row_by_row_sum(case):
+    tab, cost, den = case
+    z_row = tab.objective_row(cost, den)
+    assert {k: Fraction(v, z_row.den) for k, v in z_row.nums.items()} == (
+        _sequential_reduced_costs(tab, cost, den)
+    )
+    assert all(type(v) is int and v for v in z_row.nums.values())
+    if any(cost.get(b) for b in tab.basis):
+        assert z_row.den > 0 and gcd(z_row.den, *z_row.nums.values()) == 1
+    else:  # nothing to subtract: the costs come back as they were given
+        assert (z_row.nums, z_row.den) == (cost, den)
+
+
+def test_cancelled_reduced_costs_are_deleted_and_the_row_reduced():
+    tab = object.__new__(_IntegerTableau)
+    # row 0 is x0 + x2 / 2 = 1/2, basic on x0; row 1 is -x1 - 2 x2 / 3 = 1/3,
+    # basic on the free column x1 entered negated; column 3 is the right-hand side
+    tab.basis = [0, 1]
+    tab.matrix = [_Row({0: 2, 2: 1, 3: 1}, 2), _Row({1: -3, 2: -2, 3: 1}, 3)]
+    # costs 1, 2 and 11/6: over lcm(2, 3) = 6 and the cost denominator 6, the
+    # sum is (36, 72, 66) - 6 * 3 * (2, 0, 1, 1) + 12 * 2 * (0, -3, -2, 1), in
+    # which every column but the right-hand side cancels, leaving 6 / 36
+    z_row = tab.objective_row({0: 6, 1: 12, 2: 11}, 6)
+    assert (z_row.nums, z_row.den) == ({3: 1}, 6)
+    assert _sequential_reduced_costs(tab, {0: 6, 1: 12, 2: 11}, 6) == {3: Fraction(1, 6)}
+
+
+def _objective_rows(lp, ops):
+    """Solve ``lp``; return, per call of ``objective_row``, the basic rows
+    that carry a cost and the ``_combine`` and ``_cancel`` calls it made."""
+    calls = []
+    made = []
+    tableau = _IntegerTableau if ops is RATIONAL_OPS else _FloatTableau
+    objective_row = tableau.objective_row
+
+    def counted(update):
+        def wrapped(*args):
+            made.append(update.__name__)
+            return update(*args)
+
+        return wrapped
+
+    def recorded(tab, cost, den):
+        before = len(made)
+        z_row = objective_row(tab, cost, den)
+        with_cost = sum(1 for b in tab.basis if cost.get(b))
+        calls.append((with_cost, made[before:]))
+        return z_row
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rip.lp, "_combine", counted(_combine))
+        patch.setattr(rip.lp, "_cancel", counted(_cancel))
+        patch.setattr(tableau, "objective_row", recorded)
+        solve(lp, ops)
+    return calls
+
+
+@pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
+def test_rational_reduced_costs_make_no_row_update_and_float_ones_one_per_row(ops):
+    # three equality rows start on artificials, over thirds, fifths and
+    # sevenths; phase 2 prices a basis that holds all three variables
+    rows = [
+        ([rat(1, 3), 1, 0], "==", 1),
+        ([0, rat(2, 5), 1], "==", 1),
+        ([1, 0, rat(3, 7)], "==", 2),
+    ]
+    lp = lp_min([1, 2, 3], rows)
+    calls = _objective_rows(_as_float(lp) if ops is FLOAT_OPS else lp, ops)
+    assert [with_cost for with_cost, _ in calls] == [3, 3]
+    for with_cost, updates in calls:
+        # float mode still cancels the basic rows one at a time
+        assert updates == ([] if ops is RATIONAL_OPS else ["_cancel"] * with_cost)
 
 
 def _row_updates_per_pivot(lp, ops):
@@ -1075,6 +1241,23 @@ def test_a_dropped_redundant_row_matches_the_reference(monkeypatch):
     out = _matches_the_reference(lp)
     assert isinstance(out, Optimal)
     assert kept == [2]  # one of the two equal rows is gone
+
+
+def test_forty_copies_of_one_equality_row_keep_one(monkeypatch):
+    kept = []
+    drive_out = rip.lp._drive_out_artificials
+
+    def recorded(tab, z_row):
+        drive_out(tab, z_row)
+        kept.append((len(tab.matrix), list(tab.row_ids)))
+
+    monkeypatch.setattr(rip.lp, "_drive_out_artificials", recorded)
+    rows = [([1, 2, 1], "==", 3)] * 40 + [([1, -1, 0], "<=", 1)]
+    out = _matches_the_reference(lp_min([2, 1, 3], rows))
+    assert isinstance(out, Optimal) and out.pivots > 0
+    # the first copy stays, with the slack-start row; 39 copies go
+    assert kept == [(2, [0, 40])]
+    assert out.y[1:40] == (0,) * 39
 
 
 def test_infeasible_and_unbounded_programs_match_the_reference():

@@ -1,5 +1,7 @@
 """Duality reports, the five-way chain, and information premiums."""
 
+from collections import Counter
+
 import pytest
 
 from rip import (
@@ -8,6 +10,8 @@ from rip import (
     TailClaim,
     build_lattice,
     chain_quantities,
+    check_scaling_form,
+    dpp_superhedge,
     duality_report,
     info_from_payoff,
     info_value,
@@ -18,6 +22,7 @@ from rip import (
     parse_payoff,
     rat,
     space_from_paths,
+    tail_max_ratio,
     tail_range_indicator,
     transport_claim,
 )
@@ -123,12 +128,62 @@ class TestInfoValue:
         with pytest.raises(PreconditionError, match="renormalised tail"):
             info_value_claim(tri2, max_abs_deviation(), 1, call_at_2)
 
+    def test_a_report_scans_the_tails_once(self):
+        space, builds = _counted_space()
+        variable = tail_range_indicator(rat(3, 4), rat(3, 2), 1)
+        claims = [parse_payoff(c) for c in ("pos(S[1,T] - 1)", "ind(S[1,2] / S[1,1] == 1)", "0")]
+        report = info_value_report(space, variable, 1, claims)
+        assert len(report.entries) == 3
+        assert builds["_scaling_form"] == 1
+        # the premiums are those of a space without the cached scan
+        fresh = info_value_report(build_lattice(1, 2, ["1/2", 1, 2]), variable, 1, claims)
+        assert report == fresh
+        # dpp reads the same scan, and still agrees
+        dec = dpp_superhedge(space, claims[0], 1, InfoStructure.dynamic(variable, 1))
+        assert dec.agree and builds["_scaling_form"] == 1
+
+    def test_a_cached_scan_still_rejects_and_checks_its_arguments(self, call_at_2):
+        space, builds = _counted_space()
+        prefix = max_abs_deviation()
+        with pytest.raises(PreconditionError, match="renormalised tail"):
+            info_value_report(space, prefix, 1, [call_at_2, call_at_2])
+        with pytest.raises(PreconditionError, match="renormalised tail"):
+            dpp_superhedge(space, call_at_2, 1, InfoStructure.dynamic(prefix, 1))
+        assert builds["_scaling_form"] == 1
+        variable = tail_max_ratio(1)
+        assert check_scaling_form(space, variable, 1)
+        # the arrival is checked on every call, before the cached scan is read
+        with pytest.raises(PreconditionError, match="outside 0..1"):
+            info_value_report(space, variable, 2, [call_at_2])
+        with pytest.raises(PreconditionError, match="outside grid 0..2"):
+            check_scaling_form(space, variable, 3)
+        assert builds["_scaling_form"] == 2
+
     def test_report_flags_degenerate_entries(self, call_at_1):
         space = space_from_paths([[(1,), (2,)], [(1,), (3,)]], n_assets=1)
         upper = info_from_payoff(parse_payoff("ind(S[1,1] >= 2)"), "up")
         report = info_value_report(space, upper, 0, [call_at_1])
         assert report.entries[0].flag
         assert report.value is None
+
+
+class _CountedStore(dict):
+    """A space's cache that counts, per builder, the entries it stores."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = Counter()
+
+    def __setitem__(self, key, value):
+        self.builds[key[0].__name__] += 1
+        super().__setitem__(key, value)
+
+
+def _counted_space():
+    space = build_lattice(1, 2, ["1/2", 1, 2])
+    store = _CountedStore()
+    object.__setattr__(space, "_partition_cache", store)
+    return space, store.builds
 
 
 class TestTransport:
