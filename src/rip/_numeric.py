@@ -165,6 +165,12 @@ class ModeOps:
     def pos(self, a, tol=None) -> bool:
         return self.lt(self.zero, a, tol)
 
+    def same(self, a, b) -> bool:
+        """Two answers agree: ``-inf`` only with ``-inf``, others within ``dual_tol``."""
+        if is_neg_inf(a) or is_neg_inf(b):
+            return is_neg_inf(a) and is_neg_inf(b)
+        return self.eq(a, b, self.dual_tol)
+
 
 RATIONAL_OPS = ModeOps(RATIONAL, feas_tol=0, label_tol=0, dual_tol=0)
 FLOAT_OPS = ModeOps(FLOAT, feas_tol=1e-9, label_tol=1e-12, dual_tol=1e-7)

@@ -116,20 +116,20 @@ def _filter_atoms(entries: List[dict], label: Optional[str]) -> List[dict]:
     return picked
 
 
-def _timings(lp_solves: int, pivots: int) -> dict:
-    return {"lp_solves": lp_solves, "simplex_pivots": pivots}
+def _timings(answers) -> dict:
+    """The programs behind ``HedgeValue``s and ``PriceValue``s: how many, and their pivots."""
+    answers = tuple(answers)
+    return {"lp_solves": len(answers), "simplex_pivots": sum(a.pivots for a in answers)}
 
 
 def _table_report(command: str, config: ModelConfig, args, table, witness, finding: str):
     """Per-atom entries of a price or hedge table, with the witness fields."""
     findings = []
     entries = []
-    pivots = 0
     for atom, v in table:
         entry = {"atom": atom_entry(atom), "value": num(v.value)}
         entry.update(witness(v))
         entries.append(entry)
-        pivots += v.pivots
         if not v.finite:
             findings.append(f"{finding} on the atom containing path {atom.paths[0]}")
     report = {
@@ -137,7 +137,7 @@ def _table_report(command: str, config: ModelConfig, args, table, witness, findi
         "model": _model_block(config),
         "claim": _claim_text(config),
         "atoms": _filter_atoms(entries, args.atom),
-        "timings": _timings(len(table), pivots),
+        "timings": _timings(table.values()),
     }
     return report, findings
 
@@ -181,7 +181,6 @@ def _run_duality(config: ModelConfig, args) -> Tuple[dict, List[str]]:
     result = duality_report(config.space, claim, config.info, config.book)
     findings = []
     entries = []
-    pivots = 0
     for entry in result.entries:
         row = {
             "atom": atom_entry(entry.atom),
@@ -197,7 +196,6 @@ def _run_duality(config: ModelConfig, args) -> Tuple[dict, List[str]]:
                 f"{entry.atom.paths[0]}"
             )
         entries.append(row)
-        pivots += entry.hedge.pivots + entry.price.pivots
     entries = _filter_atoms(entries, args.atom)
     report = {
         "command": "duality",
@@ -209,7 +207,7 @@ def _run_duality(config: ModelConfig, args) -> Tuple[dict, List[str]]:
             "hedge": num(result.aggregate_hedge),
             "price": num(result.aggregate_price),
         },
-        "timings": _timings(2 * len(result.entries), pivots),
+        "timings": _timings(v for e in result.entries for v in (e.hedge, e.price)),
     }
     if result.chain is not None:
         report["chain"] = {
@@ -245,18 +243,15 @@ def _run_dpp(config: ModelConfig, args) -> Tuple[dict, List[str]]:
     if not price.agree:
         findings.append("price decomposition mismatch (direct != composed)")
 
-    def side(dec, values) -> dict:
-        inner = []
-        pivots = 0
-        for atom, v in dec.inner:
-            inner.append({"atom": atom_entry(atom), "value": num(values(v))})
-            pivots += v.pivots
+    def side(dec) -> dict:
         return {
             "direct": num(dec.direct),
             "composed": num(dec.composed),
             "agree": dec.agree,
-            "interval_values": inner,
-            "timings": _timings(len(dec.inner), pivots),
+            "interval_values": [
+                {"atom": atom_entry(atom), "value": num(v.value)} for atom, v in dec.inner
+            ],
+            "timings": _timings(dec.inner.values()),
         }
 
     report = {
@@ -264,8 +259,8 @@ def _run_dpp(config: ModelConfig, args) -> Tuple[dict, List[str]]:
         "model": _model_block(config),
         "claim": _claim_text(config),
         "split": split,
-        "hedge": side(hedge, lambda hv: hv.value),
-        "price": side(price, lambda pv: pv.value),
+        "hedge": side(hedge),
+        "price": side(price),
     }
     return report, findings
 

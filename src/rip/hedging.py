@@ -10,9 +10,11 @@ initial-capital atom, and the value is ``-inf`` exactly when the program
 is unbounded, in which case the improving direction is an arbitrage and is
 kept as a witness.
 
-Every optimal strategy is re-checked pathwise before it is returned
-(:func:`verify_strategy`, called by :func:`extract_strategy`), on Python
-ints in rational mode, through the space's integer view of its coordinates.
+Every optimal strategy and every arbitrage ray is re-checked pathwise
+before it is returned (:func:`verify_strategy`): a strategy must dominate
+the claim at the solver's value, and a ray, an arbitrage, the zero claim
+at its negative cost.  The check runs on Python ints in rational mode,
+through the space's integer view of its coordinates.
 """
 
 from __future__ import annotations
@@ -276,7 +278,7 @@ def verify_strategy(
         wealth = wealth * space.den + dc * _path_gains(space, held, p, *interval)
         if wealth < scaled[r] * claim_scale - slack:
             raise InternalCheckError(
-                f"extracted strategy fails to dominate the claim on path {p}"
+                f"strategy fails to dominate the claim on path {p}"
             )
 
 
@@ -315,6 +317,11 @@ def _hedge_value(problem: HedgeProblem) -> HedgeValue:
             ray = [d * scale for d in ray]
             cost = -ops.one
         witness = ArbitrageRay(tuple(ray[:n_static]), _holdings(problem, ray[n_static:]), cost)
+        # an arbitrage superhedges the zero claim at a negative cost
+        verify_strategy(
+            problem.space, Strategy(witness.static, witness.dynamic, problem.interval),
+            problem.book, problem.target, [ops.zero] * len(problem.target), cost,
+        )
         return HedgeValue(NEG_INF, ray=witness, pivots=outcome.pivots)
     raise InternalCheckError(
         "a superhedging program can never be infeasible; "
@@ -382,9 +389,7 @@ class DppDecomposition:
     @property
     def agree(self) -> bool:
         """Equal values, exactly in rational mode and within ``dual_tol`` in float."""
-        if is_neg_inf(self.direct) or is_neg_inf(self.composed):
-            return is_neg_inf(self.direct) and is_neg_inf(self.composed)
-        return self.ops.eq(self.direct, self.composed, self.ops.dual_tol)
+        return self.ops.same(self.direct, self.composed)
 
 
 def _check_dpp_info(space: PathSpace, info: InfoStructure, split: int) -> None:

@@ -10,10 +10,12 @@ value among those measures; an empty polytope prices the claim at
 ``-inf``, and the separating certificate from the solver is kept as a
 witness.
 
-Measures returned anywhere in this module are audited: the defining rows
-are rechecked by direct summation before the object is handed out, on
-Python ints in rational mode, through the space's integer view of its
-coordinates.
+Every price this module returns comes from an audited measure or a
+verified certificate.  Each solved program is read by one function,
+``_price_value``: an empty class keeps the Farkas certificate that the
+solver has verified, and an optimal measure's defining rows are rechecked
+by direct summation before the price is handed out, on Python ints in
+rational mode, through the space's integer view of its coordinates.
 """
 
 from __future__ import annotations
@@ -191,32 +193,28 @@ def _excess(paths, payoffs, price, column) -> tuple:
     return tuple(pair for pair in excess if pair[1])
 
 
-def _measure_from_x(
-    space: PathSpace,
-    vars_paths: tuple,
-    x: tuple,
-    info: InfoStructure,
-    book: StaticOptionBook,
-    interval: tuple,
-) -> MartingaleMeasure:
-    ops = space.ops
-    weights = [ops.zero] * len(space.paths)
-    for p, w in zip(vars_paths, x):
+def _price_value(space, lp, paths, info, book, interval) -> PriceValue:
+    """Solve a measure program and read its outcome into a price.
+
+    ``paths`` are the program's variables in column order, and ``info``,
+    ``book`` and ``interval`` the class whose rows :meth:`MartingaleMeasure.audit`
+    rechecks on an optimal measure.  An empty class prices at ``-inf`` with
+    the separating certificate; weights are bounded, so an unbounded
+    outcome is a fault.
+    """
+    outcome = solve_checked(lp, space.ops)
+    if isinstance(outcome, Infeasible):
+        return PriceValue(NEG_INF, certificate=outcome.certificate, pivots=outcome.pivots)
+    if not isinstance(outcome, Optimal):
+        raise InternalCheckError("a probability-weight program cannot be unbounded")
+    weights = [space.ops.zero] * len(space.paths)
+    for p, w in zip(paths, outcome.x):
         weights[p] = w
-    measure = MartingaleMeasure(tuple(weights), info, book, interval, vars_paths)
+    measure = MartingaleMeasure(tuple(weights), info, book, interval, paths)
     problems = measure.audit(space)
     if problems:
         raise InternalCheckError("measure audit failed: " + "; ".join(problems))
-    return measure
-
-
-def _measure_value(outcome) -> Any:
-    """A measure program's value, ``-inf`` for an empty class; weights are bounded."""
-    if isinstance(outcome, Optimal):
-        return outcome.value
-    if isinstance(outcome, Infeasible):
-        return NEG_INF
-    raise InternalCheckError("a probability-weight program cannot be unbounded")
+    return PriceValue(outcome.value, measure=measure, pivots=outcome.pivots)
 
 
 def _price_table(space, atoms, target, info, claim, book, interval) -> AtomTable:
@@ -224,12 +222,7 @@ def _price_table(space, atoms, target, info, claim, book, interval) -> AtomTable
 
     def price(meet: tuple) -> PriceValue:
         lp = build_measure_lp(space, meet, info, book, interval, claim)
-        outcome = solve_checked(lp, space.ops)
-        value = _measure_value(outcome)
-        if isinstance(outcome, Optimal):
-            measure = _measure_from_x(space, meet, outcome.x, info, book, interval)
-            return PriceValue(value, measure=measure, pivots=outcome.pivots)
-        return PriceValue(value, certificate=outcome.certificate, pivots=outcome.pivots)
+        return _price_value(space, lp, meet, info, book, interval)
 
     return AtomTable.over(atoms, target, price)
 
@@ -395,10 +388,16 @@ def approx_price(
     within the same margin of its quote.  Returns ``-inf`` when even the
     relaxed class is empty.  At ``eta = 0`` this is the exact
     support-constrained calibrated price.
+
+    The optimal measure's audit covers the mass row and the martingale
+    rows; the relaxed mass and calibration rows are checked by
+    :func:`~rip.lp.verify_certificate` alone.
     """
     book = book or StaticOptionBook.cash_only()
     lp = _approx_lp(space, tuple(support), eta, claim, book)
-    return _measure_value(solve_checked(lp, space.ops))
+    cash = StaticOptionBook.cash_only()
+    paths = space.all_paths()
+    return _price_value(space, lp, paths, InfoStructure.none(), cash, (0, space.n_steps)).value
 
 
 _MAX_HALVINGS = 80  # radius halvings before approx_price_limit gives up
@@ -463,7 +462,6 @@ def dpp_price(
     interval price of the atom reached.  Cash only.
     """
     _check_dpp_info(space, info, split)
-    ops = space.ops
     book = StaticOptionBook.cash_only()
 
     inner = interval_price_table(space, split, info, claim)
@@ -481,7 +479,7 @@ def dpp_price(
     )
     floor = tuple(inner.for_path(p).value for p in range(len(space.paths)))
     lp = replace(base, objective=floor)
-    composed = _measure_value(solve_checked(lp, ops))
+    composed = _price_value(space, lp, space.all_paths(), info, book, (0, split)).value
     return DppDecomposition(direct, composed, split, inner, space.ops)
 
 

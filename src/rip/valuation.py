@@ -24,10 +24,9 @@ from .information import (
     check_scaling_form,
     z_partition,
 )
-from .lp import solve_checked
 from .paths import PathSpace, StaticOptionBook
 from .payoff import Expr, TailClaim, validate_payoff
-from .pricing import PriceValue, _measure_value, build_measure_lp, model_price
+from .pricing import PriceValue, _price_value, build_measure_lp, model_price
 
 
 def _max_or_neg_inf(values: Iterable[Any]):
@@ -87,11 +86,7 @@ class ChainQuantities:
     def all_equal(self) -> bool:
         """Exactly in rational mode, within ``dual_tol`` in float mode."""
         vals = self.values()
-        if all(is_neg_inf(v) for v in vals):
-            return True
-        if any(is_neg_inf(v) for v in vals):
-            return False
-        return all(self.ops.eq(v, vals[0], self.ops.dual_tol) for v in vals)
+        return all(self.ops.same(v, vals[0]) for v in vals)
 
 
 def chain_quantities(
@@ -133,7 +128,9 @@ def _chain_quantities(
         outside = (p for p in range(len(space.paths)) if p not in inside)
         extra = tuple((((p, ops.one),), "==", ops.zero) for p in outside)
         lp = replace(base, rows=base.rows + extra)
-        forced[atom.label] = _measure_value(solve_checked(lp, ops))
+        forced[atom.label] = _price_value(
+            space, lp, space.all_paths(), minus, book, (0, space.n_steps)
+        ).value
 
     if price_minus is None:
         price_minus = model_price(space, None, minus, claim, book).single().value
@@ -167,14 +164,7 @@ class DualityReport:
     @property
     def tight_everywhere(self) -> bool:
         """Every gap is zero, within ``dual_tol`` in float mode."""
-        ops = self.ops
-        for entry in self.entries:
-            if entry.feasible:
-                if not ops.eq(entry.gap, ops.zero, ops.dual_tol):
-                    return False
-            elif entry.hedge.finite or entry.price.finite:
-                return False
-        return True
+        return all(self.ops.same(e.hedge.value, e.price.value) for e in self.entries)
 
 
 def duality_report(

@@ -21,6 +21,7 @@ from rip import (
     PreconditionError,
     StaticOptionBook,
     Strategy,
+    Unbounded,
     UndefinedHoldingError,
     build_hedge_problem,
     build_lattice,
@@ -39,6 +40,7 @@ from rip import (
     superhedge,
     verify_strategy,
 )
+import rip.hedging
 
 
 class TestSingleStep:
@@ -271,6 +273,16 @@ class TestArbitrage:
         for p in range(len(space.paths)):
             flow = ray.static[0] + gains(space, ray.dynamic, p, 0, space.n_steps)
             assert flow >= 0
+
+    def test_a_ray_that_loses_money_is_refused(self, monkeypatch, tri1, call_at_1, no_info):
+        # cash -1 and nothing traded costs -1, and pays -1 on every path
+        def unbounded(lp, ops):
+            zeros = (ops.zero,) * (lp.n_vars - 1)
+            return Unbounded((ops.zero, *zeros), (-ops.one, *zeros), 0)
+
+        monkeypatch.setattr(rip.hedging, "solve_checked", unbounded)
+        with pytest.raises(InternalCheckError, match="fails to dominate the claim on path"):
+            superhedge(tri1, None, no_info, call_at_1)
 
     def test_feasible_atom_next_to_empty_atom(self, call_at_1):
         space = space_from_paths([[(1,), (2,)], [(1,), (3,)], [(1,), (1,)]], n_assets=1)

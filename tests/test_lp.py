@@ -34,7 +34,7 @@ from rip import (
 import reference_simplex
 import rip.hedging
 import rip.lp
-import rip.valuation
+import rip.pricing
 from rip.errors import CapacityError, InternalCheckError
 from rip.lp import (
     RELATIONS,
@@ -799,6 +799,25 @@ class TestOverCommon:
         assert den == lcm(*(Fraction(v).denominator for v in values))
 
 
+class TestSame:
+    @pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
+    def test_minus_infinity_matches_only_itself(self, ops):
+        neg_inf = float("-inf")
+        assert ops.same(neg_inf, neg_inf)
+        assert not ops.same(neg_inf, ops.one)
+        assert not ops.same(ops.one, neg_inf)
+
+    def test_rationals_are_compared_exactly(self):
+        assert RATIONAL_OPS.same(rat(1, 3), rat(2, 6))
+        assert not RATIONAL_OPS.same(rat(1, 3), rat(1, 3) + rat(1, 10**30))
+
+    def test_floats_are_compared_within_the_duality_tolerance(self):
+        tol = FLOAT_OPS.dual_tol
+        assert FLOAT_OPS.same(1.0, 1.0 + tol / 2) and FLOAT_OPS.same(1.0 + tol / 2, 1.0)
+        assert not FLOAT_OPS.same(1.0, 1.0 + 2 * tol)
+        assert not FLOAT_OPS.same(1.0 + 2 * tol, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # one start column per row: a row starts on its slack when the slack is
 # feasible at the right-hand side, and on an artificial of its own otherwise
@@ -1406,13 +1425,13 @@ def test_builders_write_nonzeros_at_increasing_columns(monkeypatch, tri2, hits_o
         _approx_lp(tri2, [4], rat(1, 2), claim, book),
     ]
     forced = []
-    solve_checked = rip.valuation.solve_checked
+    solve_checked = rip.pricing.solve_checked
 
     def recorded(lp, ops):
         forced.append(lp)
         return solve_checked(lp, ops)
 
-    monkeypatch.setattr(rip.valuation, "solve_checked", recorded)
+    monkeypatch.setattr(rip.pricing, "solve_checked", recorded)
     chain_quantities(tri2, hits_one, claim)
     assert forced
     for lp in programs + forced:

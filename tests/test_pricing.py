@@ -14,6 +14,7 @@ from rip import (
     InfoStructure,
     InternalCheckError,
     MartingaleMeasure,
+    Optimal,
     PreconditionError,
     StaticOptionBook,
     Unbounded,
@@ -33,8 +34,8 @@ from rip import (
     rat,
     space_from_paths,
 )
+import rip.lp
 import rip.pricing
-import rip.valuation
 
 
 class TestModelPrice:
@@ -294,7 +295,7 @@ def test_an_unbounded_forced_program_is_a_fault(monkeypatch, tri2, call_at_2, hi
     )
     k = len(base.rows)
     _unbounded_on(
-        monkeypatch, rip.valuation, lambda lp: len(lp.rows) > k and lp.rows[:k] == base.rows
+        monkeypatch, rip.pricing, lambda lp: len(lp.rows) > k and lp.rows[:k] == base.rows
     )
     with pytest.raises(InternalCheckError, match="cannot be unbounded"):
         chain_quantities(tri2, hits_one, call_at_2)
@@ -308,6 +309,38 @@ def test_an_unbounded_price_program_is_a_fault(monkeypatch, tri1, call_at_1, no_
             model_price(tri1, None, no_info, call_at_1)
         else:
             approx_price(tri1, [1], rat(1, 10), call_at_1)
+
+
+# every price read off an optimal measure program comes with an audited measure
+
+_PRICE_ROUTES = {
+    "model_price": lambda tri2, claim, label: model_price(tri2, None, InfoStructure.none(), claim),
+    "dpp_price": lambda tri2, claim, label: dpp_price(tri2, claim, 1, InfoStructure.none()),
+    "chain_quantities": lambda tri2, claim, label: chain_quantities(tri2, label, claim),
+    "approx_price": lambda tri2, claim, label: approx_price(tri2, [4], rat(1, 10), claim),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_PRICE_ROUTES))
+def test_every_optimal_measure_is_audited(monkeypatch, tri2, call_at_2, hits_one, route):
+    counts = {"optimal": 0, "audits": 0}
+    solve, audit = rip.lp.solve, MartingaleMeasure.audit
+
+    def counted_solve(lp, *args):
+        outcome = solve(lp, *args)
+        if lp.sense == "max" and isinstance(outcome, Optimal):
+            counts["optimal"] += 1
+        return outcome
+
+    def counted_audit(measure, space):
+        counts["audits"] += 1
+        return audit(measure, space)
+
+    monkeypatch.setattr(rip.lp, "solve", counted_solve)
+    monkeypatch.setattr(MartingaleMeasure, "audit", counted_audit)
+    _PRICE_ROUTES[route](tri2, call_at_2, hits_one)
+    assert counts["optimal"] > 0
+    assert counts["audits"] == counts["optimal"]
 
 
 def random_measure(space, objective):
