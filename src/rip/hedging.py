@@ -59,22 +59,29 @@ class Strategy:
         return left_sum((a * p for a, p in zip(self.static, prices)), ops.zero)
 
 
-def _scaled_holdings(dynamic: dict, ops: ModeOps, static: Sequence[Any] = ()) -> tuple:
+def _scaled_holdings(space: PathSpace, dynamic: dict, static: Sequence[Any] = ()) -> tuple:
     """Positions and holdings over one denominator: ``(static, held, den)``.
 
     ``static[l] / den`` is position ``l``, and ``held`` maps ``(t, p)`` to
     the numerators of the holding in force from ``t`` to ``t + 1`` on the
-    atom of ``dynamic`` that holds path ``p``.
+    atom of ``dynamic`` that holds path ``p``.  A holding must have one
+    entry per traded coordinate, and no path may lie in two atoms at one
+    ``t``; either fault raises :class:`PreconditionError`.
     """
+    n = space.n_coords
+    if any(len(holding) != n for holding in dynamic.values()):
+        raise PreconditionError(f"a holding needs one entry per traded coordinate ({n})")
     flat = [*static, *(h for holding in dynamic.values() for h in holding)]
-    nums, den = ops.over_common(flat)
+    nums, den = space.ops.over_common(flat)
     held: dict = {}
     start = len(static)
     for (t, paths), holding in dynamic.items():
-        scaled = tuple(nums[start : start + len(holding)])
-        start += len(holding)
+        scaled = tuple(nums[start : start + n])
+        start += n
         for p in paths:
-            held.setdefault((t, p), scaled)
+            if (t, p) in held:
+                raise PreconditionError(f"two holdings at t={t} cover path {p}")
+            held[t, p] = scaled
     return nums[: len(static)], held, den
 
 
@@ -118,7 +125,7 @@ def gains(
     """
     space.interval((t_from, t_to))
     space.path_set((path_index,))
-    _, held, den = _scaled_holdings(dynamic or {}, space.ops)
+    _, held, den = _scaled_holdings(space, dynamic or {})
     total = _path_gains(space, held, path_index, t_from, t_to)
     return space.ops.ratio(total, den * space.den)
 
@@ -264,7 +271,7 @@ def verify_strategy(
         raise InternalCheckError("strategy cost does not match the solver value")
 
     # wealth, a numerator over dx * dc * space.den, against the claim over dc
-    positions, held, dx = _scaled_holdings(strategy.dynamic, ops, strategy.static)
+    positions, held, dx = _scaled_holdings(space, strategy.dynamic, strategy.static)
     m = len(target)
     payoffs = [space.claim_values(option.payoff) for option in book.options]
     scaled, dc = ops.over_common([*claim_values, *(v[p] for v in payoffs for p in target)])

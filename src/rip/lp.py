@@ -12,10 +12,12 @@ per updated row.  A pivot builds no rational number, and its cost follows
 the nonzeros of the rows it touches, not the tableau's width: the ratio
 test collects the rows that hold the entering column as it scans them, and
 the elimination updates only those, so a pivot passes over the rows once.
-The set-up and the read-out are integer too.  Rows and phase costs are put
-over one denominator once.  Each phase's reduced-cost row is summed in one
-pass over the lcm of the basic rows' denominators and reduced by one gcd,
-so the set-up is linear in the nonzeros.  Each reported number is one
+The set-up and the read-out are integer too.  The tableau is built from
+the program in one pass: each row is put over one denominator as it is
+read, with the bounds' shifts and mirrors and its own sign applied, and so
+is each phase's cost.  Each phase's reduced-cost row is summed in one pass
+over the lcm of the basic rows' denominators and reduced by one gcd, so
+the set-up is linear in the nonzeros.  Each reported number is one
 quotient of integers, so exact rationals are built only for what the
 solver reports; the reported values, certificates, and infeasibility
 witnesses are exact.
@@ -80,7 +82,7 @@ from math import gcd, lcm
 from operator import truediv
 from typing import Any, Optional, Union
 
-from ._numeric import FLOAT, ModeOps, RATIONAL_OPS, rat
+from ._numeric import FLOAT, ModeOps, RATIONAL_OPS, left_sum, rat
 from .errors import CapacityError, InternalCheckError, PreconditionError
 
 RELATIONS = ("<=", ">=", "==")
@@ -114,7 +116,7 @@ class LinearProgram:
         for b in self.bounds:
             if b in ("free", "nonneg"):
                 continue
-            try:  # text is read as `rat` reads it, as in _standardise
+            try:  # text is read as `rat` reads it, as the solver reads it
                 lo, hi = (rat(v) if isinstance(v, str) else v for v in b)
                 ok = isinstance(b, tuple) and (lo is None or hi is None or lo <= hi)
             except (TypeError, ValueError):
@@ -133,7 +135,7 @@ class LinearProgram:
     @classmethod
     def build(cls, sense: str, objective, rows, bounds) -> "LinearProgram":
         """A program from dense rows ``(coeffs, relation, rhs)``, numeric zeros
-        dropped; text such as ``"0"`` is left to :func:`_standardise`."""
+        dropped; text such as ``"0"`` is left to the tableau, which drops it."""
         n = len(objective)
         sparse = []
         for coeffs, rel, rhs in rows:
@@ -177,81 +179,21 @@ LPOutcome = Union[Optimal, Infeasible, Unbounded]
 
 
 # ---------------------------------------------------------------------------
-# standard form
+# the simplex engine
 
 
-def _standardise(lp: LinearProgram, ops: ModeOps):
-    """Rewrite onto one column per variable, nonnegative unless it is free.
-
-    Returns ``(signs, shifts, free, rows_z)``: ``x[j] = shifts.get(j, 0) +
-    signs[j] * z[j]``, where ``z[j]`` is the variable's column, ``shifts``
-    holds the variables bounded by a ``(low, high)`` pair and ``free`` the
-    columns without a sign constraint; a bounded column is ``z >= 0``,
-    shifted by the lower bound if there is one and mirrored below the upper
-    bound if that stands alone.  ``rows_z`` lists ``(nums, rel, rhs, den)``
-    over the z variables, the original rows first, then one ``<=`` row per
-    variable bounded on both sides: the row's nonzeros ``{column: nums[k]}``
-    and ``rhs``, over ``den`` as :meth:`ModeOps.over_common` puts them.  A
-    nonzero that converts to 0 (text such as ``"0"``) is dropped.
-
-    A free column stands for the split ``z+ - z-`` onto two nonnegative
-    columns, ``z-`` the negation of ``z+``; the tableau keeps ``z+`` alone
-    and reads ``z-`` off it with a sign (see :class:`_Tableau`).
-    """
-    signs = [1] * len(lp.bounds)
-    shifts: dict = {}
-    free = set()
-    box: list = []
-    for j, bnd in enumerate(lp.bounds):
-        if bnd == "free":
-            free.add(j)
-        elif bnd != "nonneg":
-            lo, hi = (None if b is None else ops.convert(b) for b in bnd)
-            if lo is not None:
-                shifts[j] = lo
-                if hi is not None:
-                    box.append((j, hi - lo))
-            elif hi is not None:
-                signs[j] = -1
-                shifts[j] = hi
-            else:
-                free.add(j)
-    mirrored = {j for j, s in enumerate(signs) if s < 0}
-    moved = {j: h for j, h in shifts.items() if h}
-
-    rows_z = []
-    for nonzeros, rel, rhs in lp.rows:
-        if moved:
-            adjust = ops.zero
-            for j, c in nonzeros:
-                if j in moved:
-                    adjust = adjust + ops.convert(c) * moved[j]
-            rhs = ops.convert(rhs) - adjust
-        nums, den = ops.over_common([*(c for _, c in nonzeros), rhs])
-        rhs = nums.pop()
-        row = {j: -v if j in mirrored else v for (j, _), v in zip(nonzeros, nums) if v}
-        rows_z.append((row, rel, rhs, den))
-    for j, ub in box:
-        (num, rhs), den = ops.over_common([ops.one, ub])
-        rows_z.append(({j: num}, "<=", rhs, den))
-    return signs, shifts, frozenset(free), rows_z
-
-
-def _recover_x(tab: "_Tableau", signs, shifts: dict, z: dict) -> tuple:
-    """``x[j] = shifts.get(j, 0) + signs[j] * z[j]``, ``z[j]`` given as
+def _recover_x(tab: "_Tableau", shifts: dict, z: dict) -> tuple:
+    """``x[j] = shifts.get(j, 0) + tab.signs[j] * z[j]``, ``z[j]`` given as
     ``(numerator, denominator)`` and 0 where ``z`` has no entry; every column
     with sign -1 is in ``shifts``.  Elsewhere ``x[j]`` is one quotient, of
     ``0 + numerator`` as ``0 + z[j]`` has it: float ``-0.0`` becomes ``0.0``."""
+    signs = tab.signs
     x = [tab.ops.zero] * len(signs)
     for j, (n, d) in z.items():
         x[j] = tab.ratio(n if j in shifts else tab.ZERO + n, d)
     for j, h in shifts.items():
         x[j] = h + signs[j] * x[j]
     return tuple(x)
-
-
-# ---------------------------------------------------------------------------
-# the simplex engine
 
 
 class _Row:
@@ -272,6 +214,18 @@ class _Row:
 
 class _Tableau:
     """The simplex tableau: bookkeeping and Bland's rule for both modes.
+
+    The constructor reads the program in one pass.  Variable ``j`` gets
+    column ``z[j]``, with ``x[j] = shifts.get(j, 0) + signs[j] * z[j]``: a
+    lower bound shifts the column, an upper bound that stands alone shifts
+    and mirrors it (sign -1), and a variable bounded on both sides adds the
+    row ``x[j] <= high``, which the shift makes ``z[j] <= high - low``.  The
+    columns in ``free`` have no sign constraint, and the others are
+    ``z >= 0``.  The standardised rows are the program's rows, then those
+    bound rows.  Each is put over one denominator as
+    :meth:`ModeOps.over_common` puts it, a nonzero that converts to 0 (text
+    such as ``"0"``) dropped, and is negated where that makes its
+    right-hand side nonnegative (``sigma[r] = -1``).
 
     Row ``i`` is a :class:`_Row` over columns ``0..width-1`` with its
     right-hand side as column ``width``; its basic column is ``basis[i]``
@@ -299,54 +253,80 @@ class _Tableau:
     serve both.
     """
 
-    def __new__(cls, rows_z, nz: int, free, ops: ModeOps):
+    def __new__(cls, lp: LinearProgram, ops: ModeOps):
         if cls is _Tableau:
             cls = _FloatTableau if ops.mode == FLOAT else _IntegerTableau
         return super().__new__(cls)
 
-    def __init__(self, rows_z, nz: int, free, ops: ModeOps):
+    def __init__(self, lp: LinearProgram, ops: ModeOps):
         self.ops = ops
-        one = self.ONE
-        m = len(rows_z)
-        n_slack = sum(1 for _, rel, _, _ in rows_z if rel != "==")
+        nz = len(lp.bounds)
+        signs = [1] * nz
+        shifts: dict = {}
+        free = set()
+        box: list = []
+        for j, bnd in enumerate(lp.bounds):
+            if bnd == "free":
+                free.add(j)
+            elif bnd != "nonneg":
+                lo, hi = (None if b is None else ops.convert(b) for b in bnd)
+                if lo is not None:
+                    shifts[j] = lo
+                    if hi is not None:
+                        box.append((j, hi))
+                elif hi is not None:
+                    signs[j] = -1
+                    shifts[j] = hi
+                else:
+                    free.add(j)
         self.nz = nz
-        self.free = free
-        self.n_slack = n_slack
-        self.art_start = nz + n_slack
+        self.signs = signs
+        self.shifts = shifts
+        self.free = frozenset(free)
+        self.art_start = nz + sum(rel != "==" for _, rel, _ in lp.rows) + len(box)
         self.sigma = []
         self.start = []
-        self.row_ids = list(range(m))  # original standardised row per tableau row
+        self.matrix = []
         self.pivots = 0
-        self.guard_clock = 0
 
-        rows = []
+        rows = [*lp.rows, *((((j, ops.one),), "<=", hi) for j, hi in box)] if box else lp.rows
+        moved = {j: h for j, h in shifts.items() if h}
+        one = self.ONE
+        rhs_nums = []
         slack, art = nz, self.art_start
-        for entries, rel, rhs, den in rows_z:
+        for nonzeros, rel, rhs in rows:
+            if moved:
+                shift = (ops.convert(c) * moved[j] for j, c in nonzeros if j in moved)
+                rhs = ops.convert(rhs) - left_sum(shift, ops.zero)
+            nums, den = ops.over_common([*(c for _, c in nonzeros), rhs])
+            rhs = nums.pop()
             # make the right-hand side nonnegative; an inequality whose
             # right-hand side is zero takes the sign that puts +1 on its slack
             flip = rhs < 0 or (rel == ">=" and not rhs)
-            self.sigma.append(-1 if flip else 1)
-            if flip:
-                nums = {k: -v for k, v in entries.items()}
-                rhs = -rhs
-            else:
-                nums = dict(entries)
+            sigma = -1 if flip else 1
+            # a mirrored column and a flipped row each negate an entry
+            entries = {j: v if signs[j] == sigma else -v for (j, _), v in zip(nonzeros, nums) if v}
             den = den * one  # a float row's 1 is the float 1.0
             start = art
             if rel != "==":
                 slack_starts = (rel == "<=") != flip  # feasible at the right-hand side
-                nums[slack] = den if slack_starts else -den
+                entries[slack] = den if slack_starts else -den
                 if slack_starts:
                     start = slack
                 slack += 1
             if start == art:
-                nums[art] = den
+                entries[art] = den
                 art += 1
+            self.sigma.append(sigma)
             self.start.append(start)
-            rows.append((nums, den, rhs))
+            self.matrix.append(_Row(entries, den))
+            rhs_nums.append(-rhs if flip else rhs)
         self.width = art
-        self.matrix = [_Row({**nums, art: rhs} if rhs else nums, den) for nums, den, rhs in rows]
+        for row, rhs in zip(self.matrix, rhs_nums):
+            if rhs:
+                row.nums[art] = rhs
         self.basis = list(self.start)
+        self.row_ids = list(range(len(self.matrix)))  # standardised row per tableau row
 
     def first_column(self, row, limit: int, negative: bool = False) -> int:
         """The lowest column below ``limit`` whose entry is nonzero past the
@@ -373,9 +353,7 @@ class _Tableau:
         self._eliminate(i, j, z_row, s, rows)
         self.basis[i] = j
         self.pivots += 1
-        self.guard_clock += 1
-        if self.guard_clock >= _GUARD_EVERY:
-            self.guard_clock = 0
+        if self.pivots % _GUARD_EVERY == 0:
             self._capacity_guard()
 
     def _capacity_guard(self) -> None:
@@ -673,14 +651,12 @@ def _combine(target: _Row, scale, f, source) -> None:
 def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
     """Solve a linear program, returning an outcome with its certificate."""
     minimise = lp.sense == "min"
-    signs, shifts, free, rows_z = _standardise(lp, ops)
-    nz = len(signs)
-    m = len(rows_z)
-
-    tab = _Tableau(rows_z, nz, free, ops)
+    tab = _Tableau(lp, ops)
+    nz, shifts = tab.nz, tab.shifts
+    m = len(tab.matrix)
     # the cap counts two columns per free variable and an artificial for
     # every row, as the split standard form has
-    max_pivots = 20000 + 200 * (m + tab.art_start + len(free) + m)
+    max_pivots = 20000 + 200 * (m + tab.art_start + len(tab.free) + m)
 
     phase1_cost = dict.fromkeys(range(tab.art_start, tab.width), tab.ONE)
     z_row = tab.objective_row(phase1_cost, 1)
@@ -695,10 +671,10 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
 
     # the objective over one denominator, negated to minimise a max and on mirrored columns
     objective, den = ops.over_common(lp.objective)
-    cost = {j: c if (signs[j] > 0) == minimise else -c for j, c in enumerate(objective) if c}
+    cost = {j: c if (tab.signs[j] > 0) == minimise else -c for j, c in enumerate(objective) if c}
     z_row = tab.objective_row(cost, den)
     unbounded = tab.run(z_row, tab.art_start, max_pivots)
-    x = _recover_x(tab, signs, shifts, tab.column(tab.width))
+    x = _recover_x(tab, shifts, tab.column(tab.width))
 
     if unbounded is not None:
         col, s = unbounded
@@ -706,7 +682,7 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
         if col < nz:
             ray_z[col] = (s * tab.ONE, 1)
         # a ray has no shift, but a mirrored column still takes its sign
-        ray = _recover_x(tab, signs, dict.fromkeys(shifts, ops.zero), ray_z)
+        ray = _recover_x(tab, dict.fromkeys(shifts, ops.zero), ray_z)
         return Unbounded(x, ray, tab.pivots)
 
     # the value over the objective's nonzeros, added left to right: the

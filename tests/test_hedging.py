@@ -113,6 +113,16 @@ class TestStrategyMechanics:
             gains(tri2, {}, 0, 2, 1)
         with pytest.raises(PreconditionError):
             gains(tri2, {}, 0, 0, 5)
+        # malformed holdings on a one-coordinate lattice: path 0 in two atoms
+        # at t = 0, in either order, and a holding with an extra entry
+        one_step = build_lattice(1, 1, ["1/2", 1, 2])
+        for dynamic, p in [
+            ({(0, (0, 1)): (1,), (0, (0, 2)): (5,)}, 0),
+            ({(0, (0, 2)): (5,), (0, (0, 1)): (1,)}, 0),
+            ({(0, (0, 1, 2)): (1, 99)}, 2),
+        ]:
+            with pytest.raises(PreconditionError):
+                gains(one_step, dynamic, p, 0, 1)
 
 
 # one perturbation per mode: 2**-200 is lost by any rounding of an exact

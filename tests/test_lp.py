@@ -44,7 +44,6 @@ from rip.lp import (
     _Tableau,
     _cancel,
     _combine,
-    _standardise,
 )
 from rip.pricing import _approx_lp
 
@@ -308,8 +307,7 @@ def test_beale_cycling_example_from_the_slack_start(as_ge):
     lp = lp_min(_BEALE_OBJECTIVE, rows)
 
     # every row is an inequality that its slack satisfies at the origin
-    _, _, free, rows_z = _standardise(lp, RATIONAL_OPS)
-    tab = _Tableau(rows_z, lp.n_vars, free, RATIONAL_OPS)
+    tab = _Tableau(lp, RATIONAL_OPS)
     assert tab.basis == [tab.nz + i for i in range(len(rows))]
 
     first, second = solve(lp), solve(lp)
@@ -827,22 +825,49 @@ def _slack_starts(rel, rhs):
     return (rel == "<=" and rhs >= 0) or (rel == ">=" and rhs <= 0)
 
 
+def _standardised_relations(lp, ops):
+    """``(relation, rhs)`` of each standardised row, worked out from the
+    program alone: its rows with each variable's lower bound, or its upper
+    bound where that stands alone, moved to the right-hand side, then one
+    ``<=`` row ``high - low`` per variable bounded on both sides."""
+    shift = {}
+    box = []
+    for j, bnd in enumerate(lp.bounds):
+        if bnd in ("free", "nonneg"):
+            continue
+        lo, hi = (None if b is None else ops.convert(b) for b in bnd)
+        if lo is not None:
+            shift[j] = lo
+            if hi is not None:
+                box.append(("<=", hi - lo))
+        elif hi is not None:
+            shift[j] = hi
+    rows = []
+    for nonzeros, rel, rhs in lp.rows:
+        moved = ops.zero  # added left to right, as a float sum must be to match
+        for j, c in nonzeros:
+            if j in shift:
+                moved = moved + ops.convert(c) * shift[j]
+        rows.append((rel, ops.convert(rhs) - moved))
+    return rows + box
+
+
 @given(lp=st.one_of(sparse_lp(), random_lp()))
 @settings(max_examples=200, deadline=None)
 @pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
 def test_only_rows_without_a_slack_start_get_an_artificial(ops, lp):
-    signs, _, free, rows_z = _standardise(lp, ops)
-    tab = _Tableau(rows_z, len(signs), free, ops)
-    n_slack = sum(rel != "==" for _, rel, _, _ in rows_z)
-    no_slack = [r for r, (_, rel, rhs, _) in enumerate(rows_z) if not _slack_starts(rel, rhs)]
-    assert tab.width == len(signs) + n_slack + len(no_slack)
-    assert tab.art_start == len(signs) + n_slack
+    tab = _Tableau(lp, ops)
+    standard = _standardised_relations(lp, ops)
+    n_slack = sum(rel != "==" for rel, _ in standard)
+    no_slack = [r for r, (rel, rhs) in enumerate(standard) if not _slack_starts(rel, rhs)]
+    assert tab.width == lp.n_vars + n_slack + len(no_slack)
+    assert tab.art_start == lp.n_vars + n_slack
     assert tab.basis == tab.start
     # the artificials follow the slacks, in row order
     assert [tab.start[r] for r in no_slack] == list(range(tab.art_start, tab.width))
-    for r, (_, rel, rhs, _) in enumerate(rows_z):
+    for r, (rel, rhs) in enumerate(standard):
         if _slack_starts(rel, rhs):
-            assert len(signs) <= tab.start[r] < tab.art_start
+            assert lp.n_vars <= tab.start[r] < tab.art_start
     # each row holds entries on columns and the right-hand side, 1 on its start
     for r, row in enumerate(tab.matrix):
         (_assert_integer_row if ops is RATIONAL_OPS else _assert_sparse_row)(row, tab.width)
@@ -1111,12 +1136,11 @@ def test_a_hedge_tableau_has_no_artificial_column(ops):
     problem = build_hedge_problem(
         space, space.all_paths(), InfoStructure.none(), values, StaticOptionBook.cash_only()
     )
-    signs, _, free, rows_z = _standardise(problem.lp, ops)
-    tab = _Tableau(rows_z, len(signs), free, ops)
+    tab = _Tableau(problem.lp, ops)
     assert tab.width == tab.art_start
     assert tab.basis == tab.start
     # 27 rows over 14 free columns, one per variable, and 27 slacks
-    assert len(free) == 14
+    assert len(tab.free) == 14
     assert tab.size() == "27 x 41"
 
 
@@ -1127,8 +1151,7 @@ def test_a_hedge_tableau_has_no_artificial_column(ops):
 class TestSolverErrors:
     def _tableau(self):
         lp = lp_min([-1, -1], [([1, 2], "<=", 4), ([3, 1], "<=", 6)])
-        signs, _, free, rows_z = _standardise(lp, RATIONAL_OPS)
-        tab = _Tableau(rows_z, len(signs), free, RATIONAL_OPS)
+        tab = _Tableau(lp, RATIONAL_OPS)
         return tab, tab.objective_row({0: -1, 1: -1}, 1)
 
     def test_failed_certificate(self, monkeypatch):
@@ -1210,6 +1233,51 @@ def _matches_the_reference(lp):
 @settings(max_examples=500, deadline=None)
 def test_integer_rows_match_the_rational_reference(lp):
     _matches_the_reference(lp)
+
+
+# one variable of each bound kind: free, nonneg, a lower bound alone, an
+# upper bound alone (the mirrored column), a box, a fixed value (a box of
+# width 0) and a (None, None) pair; the <= row's right-hand side turns
+# negative after the shifts, so it is negated and starts on an artificial
+_ALL_BOUND_KINDS = LinearProgram.build(
+    "min",
+    [1, 2, 1, -1, -3, 1, 0],
+    [
+        ([1, 1, 1, 0, 1, 0, 0], ">=", 2),
+        ([1, 0, 0, -1, 0, 1, 1], "==", 4),
+        ([0, 1, 0, 0, -1, 0, 1], "<=", -1),
+    ],
+    [
+        "free",
+        "nonneg",
+        (rat(3, 2), None),
+        (None, rat(-2)),
+        (rat(-1, 2), rat(5, 2)),
+        (rat(1, 3), rat(1, 3)),
+        (None, None),
+    ],
+)
+
+
+def test_every_bound_kind_matches_the_reference():
+    lp = _ALL_BOUND_KINDS
+    tab = _Tableau(lp, RATIONAL_OPS)
+    assert tab.signs == [1, 1, 1, -1, 1, 1, 1]
+    assert tab.free == {0, 6}
+    assert sorted(tab.shifts) == [2, 3, 4, 5]
+    # three program rows, then one bound row per box; only the third is negated
+    assert len(tab.matrix) == 5 and tab.sigma == [1, 1, -1, 1, 1]
+    out = _matches_the_reference(lp)
+    assert isinstance(out, Optimal) and out.pivots > 0
+    # the mirrored variable is off its bound, the box is at its top
+    assert out.x[3] < -2 and out.x[4] == rat(5, 2) and out.x[5] == rat(1, 3)
+    assert verify_certificate(lp, out)
+
+
+def test_every_bound_kind_verifies_in_float_mode():
+    out = solve(_ALL_BOUND_KINDS, FLOAT_OPS)
+    assert isinstance(out, Optimal)
+    assert verify_certificate(_ALL_BOUND_KINDS, out, FLOAT_OPS)
 
 
 def _pivots_per_phase(monkeypatch):
