@@ -31,8 +31,8 @@ from .information import (
     VARIANT_NONE,
     atoms_at,
     check_scaling_form,
-    filtration,
     market_partition,
+    trading_terms,
 )
 from .lp import LinearProgram, Optimal, Unbounded, solve_checked
 from .paths import PathSpace, StaticOptionBook
@@ -179,6 +179,14 @@ class HedgeProblem:
     cash_shift: Any
 
 
+def _trading_interval(space: PathSpace, book: StaticOptionBook, interval) -> tuple:
+    """The checked interval: a static book is formed at 0, so a later start takes cash only."""
+    t_from, t_to = space.interval(interval)
+    if t_from > 0 and not book.is_cash_only:
+        raise PreconditionError(f"a static book is formed at 0, not at {t_from}")
+    return t_from, t_to
+
+
 def build_hedge_problem(
     space: PathSpace,
     target: Sequence[int],
@@ -190,10 +198,11 @@ def build_hedge_problem(
     """Assemble the cost-minimising program for one path set.
 
     ``claim_values`` holds the claim's value on every path of the space.
-    Variables are the static positions (cash first) followed by one holding
-    per ``(t, atom, coordinate)`` for ``t`` in the interval (``(0, n)`` by
-    default) and atoms meeting the target; all are free.  One ``>=`` row
-    per target path requires wealth at the interval's end to dominate the
+    Variables are the static positions (cash first) followed by one free
+    holding per term of :func:`~rip.information.trading_terms` over the
+    target and the interval (``(0, n)`` by default, from 0 if the book is
+    not cash only), whose moves are its entries in the ``>=`` rows, one per
+    target path, that make wealth at the interval's end dominate the
     claim there.  Cash is measured above the claim's maximum on the
     target, so every right-hand side is at most zero and the origin (that
     maximum held in cash, nothing traded) is feasible; the solver then
@@ -204,34 +213,25 @@ def build_hedge_problem(
     target = space.path_set(target)
     if len(claim_values) != len(space.paths):
         raise PreconditionError("need one claim value per path of the space")
-    t_from, t_to = space.interval(interval)
+    t_from, t_to = _trading_interval(space, book, interval)
     values = tuple(claim_values[p] for p in target)
     cash_shift = max(values)
     payoffs = [space.claim_values(option.payoff) for option in book.options]
-    fm = filtration(space, info)
 
     n_static = book.size
+    nonzeros = {
+        p: [(0, ops.one)] + [(l, v[p]) for l, v in enumerate(payoffs, 1) if v[p]] for p in target
+    }
     dynamic_vars = []
-    column = {}  # (t, atom index) -> the atom's first holding variable
-    for t in range(t_from, t_to):
-        for k, _ in fm.meet(t, target):
-            column[(t, k)] = n_static + len(dynamic_vars)
-            paths = fm.atoms[t][k].paths
-            dynamic_vars.extend((t, paths, i) for i in range(space.n_coords))
-    n_vars = n_static + len(dynamic_vars)
+    for t, paths, i, moves in trading_terms(space, info, target, (t_from, t_to)):
+        column = n_static + len(dynamic_vars)
+        dynamic_vars.append((t, paths, i))
+        for p, delta in moves:
+            nonzeros[p].append((column, delta))
 
-    rows = []
-    for p, value in zip(target, values):
-        nonzeros = [(0, ops.one)] + [(l, v[p]) for l, v in enumerate(payoffs, 1) if v[p]]
-        for t in range(t_from, t_to):
-            first = column[(t, fm.cell[t][p])]
-            for i, delta in enumerate(fm.delta[t][p]):
-                if delta:
-                    nonzeros.append((first + i, delta))
-        rows.append((tuple(nonzeros), ">=", value - cash_shift))
-
+    rows = tuple((tuple(nonzeros[p]), ">=", value - cash_shift) for p, value in zip(target, values))
     objective = tuple(book.prices(ops)) + (ops.zero,) * len(dynamic_vars)
-    lp = LinearProgram("min", objective, tuple(rows), ("free",) * n_vars)
+    lp = LinearProgram("min", objective, rows, ("free",) * len(objective))
     return HedgeProblem(
         space, target, values, book, (t_from, t_to), tuple(dynamic_vars), lp, cash_shift
     )

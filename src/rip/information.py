@@ -215,19 +215,16 @@ def z_partition(space: PathSpace, variable: InfoVariable) -> tuple:
 
 @dataclass(frozen=True)
 class Filtration:
-    """The agent's partitions with, per path, its atom and its price moves.
+    """The agent's partitions, and per path the atom that holds it.
 
-    ``atoms``, ``cell`` and ``delta`` are indexed by grid index.  ``atoms[t]``
-    is the partition at ``t`` for ``t = -1..n``; the initial-capital
-    partition is stored last, so index ``-1`` reaches it.  ``cell[t][p]`` is
-    the position in ``atoms[t]`` of the atom holding path ``p``, and
-    ``delta[t][p]`` holds the increments ``S[t+1] - S[t]`` of path ``p``,
-    one per coordinate, for ``t = 0..n-1``.
+    ``atoms`` and ``cell`` are indexed by grid index.  ``atoms[t]`` is the
+    partition at ``t`` for ``t = -1..n``; the initial-capital partition is
+    stored last, so index ``-1`` reaches it.  ``cell[t][p]`` is the
+    position in ``atoms[t]`` of the atom holding path ``p``.
     """
 
     atoms: tuple
     cell: tuple
-    delta: tuple
 
     def meet(self, t: int, paths: Sequence[int]) -> list:
         """Group ascending ``paths`` by their atom at ``t``.
@@ -277,28 +274,44 @@ def _filtration(space: PathSpace, info: InfoStructure) -> Filtration:
     else:
         atoms.append((Atom(-1, space.all_paths()),))
         cells.append((0,) * len(rows))
-    delta = tuple(
-        tuple(tuple(b - a for a, b in zip(v[t], v[t + 1])) for v in rows)
-        for t in range(space.n_steps)
-    )
-    if space.mode != FLOAT:
-        # int differences over the space's denominator, each distinct one made rational once
-        exact = {d: space.ops.ratio(d, space.den) for step in delta for row in step for d in row}
-        delta = tuple(tuple(tuple(exact[d] for d in row) for row in step) for step in delta)
-    return Filtration(tuple(atoms), tuple(cells), delta)
+    return Filtration(tuple(atoms), tuple(cells))
 
 
-def _check_arrival(space: PathSpace, info: InfoStructure) -> None:
+def filtration(space: PathSpace, info: InfoStructure) -> Filtration:
+    """The agent's partitions, built once per pair."""
     if info.variant == VARIANT_DYNAMIC and not 1 <= info.arrival <= space.n_steps - 1:
         raise PreconditionError(
             f"arrival index {info.arrival} must lie strictly inside 1..{space.n_steps - 1}"
         )
-
-
-def filtration(space: PathSpace, info: InfoStructure) -> Filtration:
-    """The agent's partitions and price increments, built once per pair."""
-    _check_arrival(space, info)
     return _filtration(space, info)
+
+
+def trading_terms(space: PathSpace, info: InfoStructure, paths: Sequence[int], interval: tuple):
+    """Yield ``(t, atom_paths, i, moves)`` per term of trading over ``paths``.
+
+    One term per ``t`` in ``interval = (t_from, t_to)``, per atom at ``t``
+    meeting the ascending ``paths`` and per coordinate index ``i``, in that
+    order; ``moves`` holds ``(p, S[t+1] - S[t])`` of coordinate ``i + 1``
+    for the shared paths on which it moves, ascending.  A term is a holding
+    of the hedge program and, transposed, a martingale row of the measure
+    program.  Increments are read off the space's integer view, each
+    distinct one made a number of the mode once.
+    """
+    fm = filtration(space, info)
+    nums, den, ratio = space.nums, space.den, space.ops.ratio
+    exact: dict = {}
+    for t in range(*interval):
+        for k, members in fm.meet(t, paths):
+            atom_paths = fm.atoms[t][k].paths
+            for i in range(space.n_coords):
+                moves = []
+                for p in members:
+                    d = nums[p][t + 1][i] - nums[p][t][i]
+                    if d:
+                        if d not in exact:
+                            exact[d] = ratio(d, den)
+                        moves.append((p, exact[d]))
+                yield t, atom_paths, i, moves
 
 
 def _partition_at(space: PathSpace, info: InfoStructure, t: int, first: int = 0) -> tuple:
@@ -316,11 +329,6 @@ def atoms_at(space: PathSpace, info: InfoStructure, t: int) -> tuple:
 def market_partition(space: PathSpace, t: int) -> tuple:
     """Atoms of the market filtration at grid index ``t``."""
     return _partition_at(space, InfoStructure.none(), t)
-
-
-def joined_partition(space: PathSpace, variable: InfoVariable, t: int) -> tuple:
-    """Common refinement of the market partition at ``t`` and the level sets."""
-    return _partition_at(space, InfoStructure.minus(variable), t)
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +490,9 @@ __all__ = [
     "InfoStructure",
     "market_partition",
     "z_partition",
-    "joined_partition",
     "Filtration",
     "filtration",
+    "trading_terms",
     "atoms_at",
     "info_from_payoff",
     "max_abs_deviation",

@@ -31,8 +31,9 @@ from .information import (
     atoms_at,
     filtration,
     market_partition,
+    trading_terms,
 )
-from .hedging import DppDecomposition, _check_dpp_info
+from .hedging import DppDecomposition, _check_dpp_info, _trading_interval
 from .lp import Infeasible, LinearProgram, Optimal, solve_checked
 from .paths import PathSpace, StaticOptionBook, fatten, min_separation
 from .payoff import Expr, validate_payoff
@@ -146,35 +147,28 @@ def build_measure_lp(
     """The measure-class program over a path set.
 
     Variables are weights on ``sorted(set(target))``, in that order.  Rows:
-    total mass 1, one martingale row per (time in the interval, atom
-    meeting the target, coordinate), and one calibration row per non-cash
-    static option and initial-capital atom meeting the target.  The
-    objective maximises the claim's expectation (zero objective when
+    total mass 1, one martingale row per term with moves of
+    :func:`~rip.information.trading_terms` over the target and the interval
+    (from 0 if the book is not cash only), and one calibration row per
+    non-cash static option and initial-capital atom meeting the target.
+    The objective maximises the claim's expectation (zero objective when
     ``claim`` is None, making it a pure feasibility program).
     """
     ops = space.ops
     book = book or StaticOptionBook.cash_only()
     vars_paths = space.path_set(target)
-    t_from, t_to = space.interval(interval)
+    interval = _trading_interval(space, book, interval)
     index_of = {p: k for k, p in enumerate(vars_paths)}
     n = len(vars_paths)
-    fm = filtration(space, info)
 
     rows = [(tuple(zip(range(n), [ops.one] * n)), "==", ops.one)]
-    for t in range(t_from, t_to):
-        for _, overlap in fm.meet(t, vars_paths):
-            for i in range(space.n_coords):
-                nonzeros = []
-                for p in overlap:
-                    delta = fm.delta[t][p][i]
-                    if delta:
-                        nonzeros.append((index_of[p], delta))
-                if nonzeros:
-                    rows.append((tuple(nonzeros), "==", ops.zero))
-    if t_from == 0 and not book.is_cash_only:
+    for _, _, _, moves in trading_terms(space, info, vars_paths, interval):
+        if moves:
+            rows.append((tuple((index_of[p], delta) for p, delta in moves), "==", ops.zero))
+    if not book.is_cash_only:
         payoffs = [space.claim_values(option.payoff) for option in book.options]
         prices = book.prices(ops)[1:]
-        for _, overlap in fm.meet(-1, vars_paths):
+        for _, overlap in filtration(space, info).meet(-1, vars_paths):
             for values, price in zip(payoffs, prices):
                 rows.append((_excess(overlap, values, price, index_of), "==", ops.zero))
 

@@ -19,6 +19,7 @@ from rip import (
     ModeOps,
     Optimal,
     PreconditionError,
+    StaticOption,
     StaticOptionBook,
     Strategy,
     Unbounded,
@@ -331,6 +332,17 @@ class TestIntervalValues:
         for p in range(1, 9):
             wealth = strategy.static[0] + gains(tri2, strategy.dynamic, p, 0, 1)
             assert wealth >= floor[p]
+
+    def test_a_static_book_needs_an_interval_from_zero(self, tri2, no_info):
+        # positions formed at 1 in an option quoted at 0 would hedge at 7/9, below the price of 1
+        flat = StaticOption(parse_payoff("ind(S[1,1] == 1)"), rat(1, 3), "flat")
+        book = StaticOptionBook.of(flat)
+        values = tri2.claim_values(parse_payoff("pos(S[1,T] - 1)"))
+        with pytest.raises(PreconditionError, match="static book"):
+            build_hedge_problem(tri2, tri2.all_paths(), no_info, values, book, (1, 2))
+        build_hedge_problem(tri2, tri2.all_paths(), no_info, values, book, (0, 2))
+        cash = StaticOptionBook.cash_only()
+        build_hedge_problem(tri2, tri2.all_paths(), no_info, values, cash, (1, 2))
 
     def test_table_covers_the_partition(self, tri2, call_at_2, no_info):
         table = interval_value_table(tri2, 1, no_info, call_at_2)

@@ -12,12 +12,15 @@ from rip import (
     AtomTable,
     InfoStructure,
     InfoVariable,
+    ModeOps,
     PreconditionError,
+    StaticOptionBook,
     atoms_at,
+    build_hedge_problem,
     build_lattice,
+    build_measure_lp,
     check_scaling_form,
     info_from_payoff,
-    joined_partition,
     lift_to_tail,
     market_partition,
     max_abs_deviation,
@@ -31,7 +34,7 @@ from rip import (
     tail_range_indicator,
     z_partition,
 )
-from rip.information import filtration
+from rip.information import filtration, trading_terms
 
 
 class TestStructureConstruction:
@@ -86,7 +89,7 @@ class TestZPartition:
 class TestJoinedAndDynamic:
     def test_joined_refines_market(self, tri2, hits_one):
         market = [set(atom.paths) for atom in market_partition(tri2, 1)]
-        joined = joined_partition(tri2, hits_one, 1)
+        joined = atoms_at(tri2, InfoStructure.minus(hits_one), 1)
         assert len(joined) >= len(market)
         for atom in joined:
             assert any(set(atom.paths) <= parent for parent in market)
@@ -157,6 +160,13 @@ class TestScalingForm:
 
 class TestFiltration:
     VARIANTS = ("none", "plus", "minus", "dynamic")
+    # thirds on the first asset, quarters, eighths and sevenths on the second
+    TWO_ASSETS = [
+        [(1, 1), ("4/3", "3/4"), ("5/3", "1/2")],
+        [(1, 1), ("4/3", "3/4"), (1, "9/8")],
+        [(1, 1), ("2/3", "5/4"), ("2/3", "9/7")],
+        [(1, 1), ("2/3", "5/4"), ("1/2", "3/4")],
+    ]
 
     def _info(self, variant, variable):
         if variant == "none":
@@ -171,7 +181,7 @@ class TestFiltration:
         info = self._info(variant, variable)
         fm = filtration(tri3, info)
         initial = (
-            joined_partition(tri3, variable, 0)
+            atoms_at(tri3, InfoStructure.minus(variable), 0)
             if variant == "plus"
             else (Atom(-1, tri3.all_paths()),)
         )
@@ -181,34 +191,53 @@ class TestFiltration:
             expected = (
                 market_partition(tri3, t)
                 if market_only
-                else joined_partition(tri3, variable, t)
+                else atoms_at(tri3, InfoStructure.minus(variable), t)
             )
             assert fm.atoms[t] == atoms_at(tri3, info, t) == expected
 
+    @staticmethod
+    def _increments(space, info, interval):
+        """``{(t, p): increments}`` read off the trading terms over all paths.
+
+        Checks on the way that the terms come one per atom and coordinate,
+        in partition order, with their moves ascending inside the atom; a
+        path left out of a term's moves reads as an increment of 0.
+        """
+        fm = filtration(space, info)
+        terms = list(trading_terms(space, info, space.all_paths(), interval))
+        n = space.n_coords
+        assert [(t, paths, i) for t, paths, i, _ in terms] == [
+            (t, atom.paths, i) for t in range(*interval) for atom in fm.atoms[t] for i in range(n)
+        ]
+        out = {}
+        for t, paths, i, moves in terms:
+            assert [p for p, _ in moves] == sorted(p for p, _ in moves)
+            assert set(p for p, _ in moves) <= set(paths)
+            for p in paths:
+                out.setdefault((t, p), [0] * n)[i] = dict(moves).get(p, 0)
+        return out
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_cells_and_increments_agree_with_the_paths(self, tri3, variant):
-        fm = filtration(tri3, self._info(variant, tail_max_ratio(1)))
+        info = self._info(variant, tail_max_ratio(1))
+        fm = filtration(tri3, info)
         for t in range(-1, 4):
             for p in range(len(tri3.paths)):
                 assert p in fm.atoms[t][fm.cell[t][p]].paths
+        increments = self._increments(tri3, info, (0, 3))
         for t in range(3):
             for p, path in enumerate(tri3.paths):
-                assert fm.delta[t][p] == (path.coord(1, t + 1) - path.coord(1, t),)
+                delta = path.coord(1, t + 1) - path.coord(1, t)
+                assert increments[t, p] == [delta]
 
     @pytest.mark.parametrize("mode", ["rational", "float"])
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_two_assets_over_different_denominators(self, mode, variant):
-        # thirds on the first asset, quarters, eighths and sevenths on the second
-        raw = [
-            [(1, 1), ("4/3", "3/4"), ("5/3", "1/2")],
-            [(1, 1), ("4/3", "3/4"), (1, "9/8")],
-            [(1, 1), ("2/3", "5/4"), ("2/3", "9/7")],
-            [(1, 1), ("2/3", "5/4"), ("1/2", "3/4")],
-        ]
-        space = space_from_paths(raw, 2, mode=mode)
+        space = space_from_paths(self.TWO_ASSETS, 2, mode=mode)
         assert space.mode != "rational" or space.den == 168
         values = [path.values for path in space.paths]
-        fm = filtration(space, self._info(variant, info_from_payoff(parse_payoff("ind(S[2,2] < 1)"))))
+        info = self._info(variant, info_from_payoff(parse_payoff("ind(S[2,2] < 1)")))
+        fm = filtration(space, info)
         # the label crosses the branches at t = 1
         label = [1, 0, 0, 1]
         known = {"none": 3, "dynamic": 1}.get(variant, 0)
@@ -223,10 +252,51 @@ class TestFiltration:
         initial = grouped(0) if variant == "plus" else ([(0, 1, 2, 3)], (0,) * 4)
         assert ([atom.paths for atom in fm.atoms[-1]], fm.cell[-1]) == initial
         number = Fraction if mode == "rational" else float
+        increments = self._increments(space, info, (0, 2))
         for t in range(2):
             for p, v in enumerate(values):
-                assert fm.delta[t][p] == tuple(b - a for a, b in zip(v[t], v[t + 1]))
-                assert all(type(d) is number for d in fm.delta[t][p])
+                assert increments[t, p] == [b - a for a, b in zip(v[t], v[t + 1])]
+                assert all(type(d) is number for d in increments[t, p] if d)
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_holding_columns_are_the_martingale_rows_transposed(self, mode, variant):
+        space = space_from_paths(self.TWO_ASSETS, 2, mode=mode)
+        info = self._info(variant, info_from_payoff(parse_payoff("ind(S[2,2] < 1)")))
+        # the target misses the atom of paths 2 and 3 at t = 1 in every variant
+        target, interval = (0, 1), (1, 2)
+        values = space.claim_values(parse_payoff("pos(S[1,T] - 1)"))
+        cash = StaticOptionBook.cash_only()
+        hedge = build_hedge_problem(space, [1, 0], info, values, cash, interval)
+        columns = [[] for _ in hedge.dynamic_vars]
+        for p, (nonzeros, _, _) in zip(target, hedge.lp.rows):
+            for j, coefficient in nonzeros[1:]:
+                columns[j - 1].append((p, coefficient))
+        measure = build_measure_lp(space, [1, 0], info, cash, interval)
+        rows = [[(target[k], c) for k, c in nonzeros] for nonzeros, _, _ in measure.rows[1:]]
+        assert len(columns) == 2 * len(filtration(space, info).meet(1, target))
+        assert [column for column in columns if column] == rows
+
+    def test_each_distinct_increment_is_made_a_number_once(self, monkeypatch):
+        calls = []
+        ratio = ModeOps.ratio
+
+        def counted(ops, numerator, denominator):
+            calls.append(numerator)
+            return ratio(ops, numerator, denominator)
+
+        monkeypatch.setattr(ModeOps, "ratio", counted)
+        space = build_lattice(1, 4, ["1/2", 1, 2])
+        values = space.claim_values(parse_payoff("pos(S[1,T] - 1)"))
+        steps = {b[0] - a[0] for rows in space.nums for a, b in zip(rows, rows[1:])}
+        increments = sorted(steps - {0})
+        info, cash = InfoStructure.none(), StaticOptionBook.cash_only()
+        calls.clear()
+        build_hedge_problem(space, space.all_paths(), info, values, cash)
+        assert sorted(calls) == increments
+        calls.clear()
+        build_measure_lp(space, space.all_paths(), info)
+        assert sorted(calls) == increments
 
     def test_built_once_per_space_and_structure(self, tri2, hits_one):
         info = InfoStructure.minus(hits_one)
@@ -247,7 +317,7 @@ class TestFiltration:
         cached = dict(tri2._partition_cache)
         assert cached
         market_partition(tri2, 1)
-        joined_partition(tri2, hits_one, 1)
+        atoms_at(tri2, InfoStructure.minus(hits_one), 1)
         z_partition(tri2, hits_one)
         assert all(tri2._partition_cache[key] is value for key, value in cached.items())
 
@@ -279,17 +349,25 @@ class TestPartitionViews:
     def test_views_equal_the_maps_of_none_and_minus(self, mode):
         space = build_lattice(1, 3, ["1/2", 1, 2], mode=mode)
         variable = tail_max_ratio(1)
+        levels = [set(atom.paths) for atom in z_partition(space, variable)]
         for t in range(space.n_steps + 1):
             assert market_partition(space, t) == atoms_at(space, InfoStructure.none(), t)
-            joined = joined_partition(space, variable, t)
-            assert joined == atoms_at(space, InfoStructure.minus(variable), t)
+            # the joined partition is the common refinement of the market and the level sets
+            joined = atoms_at(space, InfoStructure.minus(variable), t)
+            meets = {
+                tuple(sorted(set(atom.paths) & level))
+                for atom in market_partition(space, t)
+                for level in levels
+            }
+            assert sorted(atom.paths for atom in joined) == sorted(meets - {()})
         # the label splits the paths from time 0 on
-        assert len(joined_partition(space, variable, 0)) > 1
+        assert len(atoms_at(space, InfoStructure.minus(variable), 0)) > 1
 
-    def test_joined_partition_checks_its_index(self, tri2, hits_one):
-        for t in (-1, 3):
+    def test_partition_views_check_their_index(self, tri2, hits_one):
+        for t in (-2, 3):
             with pytest.raises(PreconditionError):
-                joined_partition(tri2, hits_one, t)
+                atoms_at(tri2, InfoStructure.minus(hits_one), t)
+        for t in (-1, 3):
             with pytest.raises(PreconditionError):
                 market_partition(tri2, t)
 

@@ -16,6 +16,7 @@ from rip import (
     MartingaleMeasure,
     Optimal,
     PreconditionError,
+    StaticOption,
     StaticOptionBook,
     Unbounded,
     approx_price,
@@ -31,6 +32,7 @@ from rip import (
     is_neg_inf,
     market_partition,
     model_price,
+    parse_payoff,
     rat,
     space_from_paths,
 )
@@ -198,6 +200,16 @@ class TestIntervalPrices:
         assert by_start[rat(2)] == rat(2, 3)  # oracle: tri2_interval_sub2_call2
         assert by_start[rat(1)] == 0
         assert by_start[rat(1, 2)] == 0
+
+    def test_a_static_book_needs_an_interval_from_zero(self, tri2, no_info):
+        # calibration rows hold at 0 only: from 1 the price of 1 would top the hedge's 7/9
+        flat = StaticOption(parse_payoff("ind(S[1,1] == 1)"), rat(1, 3), "flat")
+        book = StaticOptionBook.of(flat)
+        claim = parse_payoff("pos(S[1,T] - 1)")
+        with pytest.raises(PreconditionError, match="static book"):
+            build_measure_lp(tri2, tri2.all_paths(), no_info, book, (1, 2), claim)
+        build_measure_lp(tri2, tri2.all_paths(), no_info, book, (0, 2), claim)
+        build_measure_lp(tri2, tri2.all_paths(), no_info, None, (1, 2), claim)
 
 
 class TestApprox:
