@@ -219,17 +219,17 @@ def build_hedge_problem(
     payoffs = [space.claim_values(option.payoff) for option in book.options]
 
     n_static = book.size
-    nonzeros = {
-        p: [(0, ops.one)] + [(l, v[p]) for l, v in enumerate(payoffs, 1) if v[p]] for p in target
-    }
+    nonzeros = [
+        [(0, ops.one)] + [(l, v[p]) for l, v in enumerate(payoffs, 1) if v[p]] for p in target
+    ]
     dynamic_vars = []
     for t, paths, i, moves in trading_terms(space, info, target, (t_from, t_to)):
         column = n_static + len(dynamic_vars)
         dynamic_vars.append((t, paths, i))
-        for p, delta in moves:
-            nonzeros[p].append((column, delta))
+        for k, delta in moves:
+            nonzeros[k].append((column, delta))
 
-    rows = tuple((tuple(nonzeros[p]), ">=", value - cash_shift) for p, value in zip(target, values))
+    rows = tuple((tuple(row), ">=", value - cash_shift) for row, value in zip(nonzeros, values))
     objective = tuple(book.prices(ops)) + (ops.zero,) * len(dynamic_vars)
     lp = LinearProgram("min", objective, rows, ("free",) * len(objective))
     return HedgeProblem(

@@ -291,14 +291,16 @@ def trading_terms(space: PathSpace, info: InfoStructure, paths: Sequence[int], i
 
     One term per ``t`` in ``interval = (t_from, t_to)``, per atom at ``t``
     meeting the ascending ``paths`` and per coordinate index ``i``, in that
-    order; ``moves`` holds ``(p, S[t+1] - S[t])`` of coordinate ``i + 1``
-    for the shared paths on which it moves, ascending.  A term is a holding
-    of the hedge program and, transposed, a martingale row of the measure
-    program.  Increments are read off the space's integer view, each
+    order; ``moves`` holds ``(k, S[t+1] - S[t])`` of coordinate ``i + 1``
+    for the shared paths on which it moves, ``k`` the path's position in
+    ``paths``, ascending.  A term is a holding of the hedge program (``k`` a
+    row) and, transposed, a martingale row of the measure program (``k`` a
+    column).  Increments are read off the space's integer view, each
     distinct one made a number of the mode once.
     """
     fm = filtration(space, info)
     nums, den, ratio = space.nums, space.den, space.ops.ratio
+    position = {p: k for k, p in enumerate(paths)}
     exact: dict = {}
     for t in range(*interval):
         for k, members in fm.meet(t, paths):
@@ -310,7 +312,7 @@ def trading_terms(space: PathSpace, info: InfoStructure, paths: Sequence[int], i
                     if d:
                         if d not in exact:
                             exact[d] = ratio(d, den)
-                        moves.append((p, exact[d]))
+                        moves.append((position[p], exact[d]))
                 yield t, atom_paths, i, moves
 
 

@@ -7,20 +7,20 @@ data-dependent random choice: the same program yields the same outcome
 object, pivot for pivot.  In rational mode the tableau is fraction-free
 (Edmonds 1967; Bareiss 1968) and sparse: each row, the reduced-cost row
 included, holds only its nonzero integer numerators, keyed by column, over
-one positive integer denominator, and is kept in lowest terms by one gcd
-per updated row.  A pivot builds no rational number, and its cost follows
-the nonzeros of the rows it touches, not the tableau's width: the ratio
-test collects the rows that hold the entering column as it scans them, and
-the elimination updates only those, so a pivot passes over the rows once.
-The set-up and the read-out are integer too.  The tableau is built from
-the program in one pass: each row is put over one denominator as it is
-read, with the bounds' shifts and mirrors and its own sign applied, and so
-is each phase's cost.  Each phase's reduced-cost row is summed in one pass
-over the lcm of the basic rows' denominators and reduced by one gcd, so
-the set-up is linear in the nonzeros.  Each reported number is one
-quotient of integers, so exact rationals are built only for what the
-solver reports; the reported values, certificates, and infeasibility
-witnesses are exact.
+one positive integer denominator; an update keeps the row's common factor,
+which the bit guard divides out of every row every ``_GUARD_EVERY`` pivots.
+A pivot builds no rational number, and its cost follows the nonzeros of
+the rows it touches, not the tableau's width: the ratio test collects the
+rows that hold the entering column as it scans them, and the elimination
+updates only those, so a pivot passes over the rows once.  The set-up and
+the read-out are integer too.  The tableau is built from the program in
+one pass: each row is put over one denominator as it is read, with the
+bounds' shifts and mirrors and its own sign applied, and so is each
+phase's cost.  Each phase's reduced-cost row is summed in one pass over
+the lcm of the basic rows' denominators and reduced by one gcd, so the
+set-up is linear in the nonzeros.  Each reported number is one quotient of
+integers, so exact rationals are built only for what the solver reports;
+the reported values, certificates, and infeasibility witnesses are exact.
 In float mode the rows are stored the same way, as floats over a
 denominator of 1, and an update that cancels an entry down to round-off
 (at most ``_DROP`` of its old magnitude) deletes it, so that round-off does
@@ -88,8 +88,8 @@ from .errors import CapacityError, InternalCheckError, PreconditionError
 RELATIONS = ("<=", ">=", "==")
 SENSES = ("min", "max")
 
-_BIT_GUARD = 4_000_000  # max numerator/denominator bits in exact mode
-_GUARD_EVERY = 64
+_BIT_GUARD = 4_000_000  # max numerator/denominator bits of a row in lowest terms
+_GUARD_EVERY = 64  # pivots between two guards, each of which reduces every row
 # a float tableau entry that an update leaves at no more than this share of
 # its old magnitude is round-off from a cancellation, and is deleted
 _DROP = 2.0**-40
@@ -354,10 +354,10 @@ class _Tableau:
         self.basis[i] = j
         self.pivots += 1
         if self.pivots % _GUARD_EVERY == 0:
-            self._capacity_guard()
+            self._capacity_guard(z_row)
 
-    def _capacity_guard(self) -> None:
-        """Float rows cannot grow; the integer tableau measures its bits."""
+    def _capacity_guard(self, z_row) -> None:
+        """Float rows cannot grow; the integer tableau reduces and measures its rows."""
 
     def size(self) -> str:
         return f"{len(self.matrix)} x {self.width}"
@@ -500,14 +500,14 @@ def _cancel(nums: dict, f: float, source) -> None:
 class _IntegerTableau(_Tableau):
     """Fraction-free sparse rows: integer numerators over one denominator.
 
-    Every row, the reduced-cost row included, is kept in lowest terms: the
-    gcd of its numerators and its denominator is 1.  Since denominators are
-    positive, the sign of an entry is the sign of its numerator, and a ratio
-    ``rhs / a`` within a row needs no denominator at all.  A row update, its
-    gcd and the bit guard cost O(nonzeros), and the ratio test reads one
-    entry per row.  The reduced-cost row of a phase is built in one pass
-    over the lcm of the basic rows' denominators, so its cost too is
-    O(nonzeros).  Rationals are built only for reported values.
+    Updates keep a row's common factor; the pivot row is put in lowest terms,
+    and every row, the reduced-cost row included, at the bit guard.  No read
+    needs lowest terms: denominators are positive, so an entry's sign, all
+    that Bland's rule and the phase-1 test read, is its numerator's; a ratio
+    ``rhs / a`` within a row needs no denominator; and each reported number
+    is one ``Fraction``.  A row update and the bit guard cost O(nonzeros),
+    and the ratio test reads one entry per row.  The reduced-cost row of a
+    phase is built in one pass over the lcm of the basic rows' denominators.
     """
 
     ZERO, ONE = 0, 1
@@ -520,10 +520,10 @@ class _IntegerTableau(_Tableau):
         With ``c_i`` the oriented cost of the basic row ``r_i / d_i`` and
         ``L`` the lcm of those ``d_i``, the row is ``(L cost - sum_i c_i
         (L / d_i) r_i) / (L den)``: each source entry is read once, an entry
-        that cancels is deleted, and one gcd ends it in lowest terms.  A row
-        in lowest terms is unique for its values, so this is the row that
-        subtracting the basic rows one at a time would build.  With no basic
-        row to subtract, ``cost`` and ``den`` are taken as they are.
+        that cancels is deleted, and one gcd ends it in lowest terms.  Its
+        values are those of subtracting the basic rows one at a time, which
+        need not be in lowest terms.  With no basic row to subtract, ``cost``
+        and ``den`` are taken as they are.
         """
         basic = []
         for i, b in enumerate(self.basis):
@@ -546,12 +546,9 @@ class _IntegerTableau(_Tableau):
                         nums[k] = v
                     else:
                         del nums[k]
-        den = den * big
-        g = gcd(den, *nums.values())
-        if g != 1:
-            nums = {k: v // g for k, v in nums.items()}
-            den //= g
-        return _Row(nums, den)
+        z_row = _Row(nums, den * big)
+        _lowest_terms(z_row)
+        return z_row
 
     def _least_ratio_rows(self, enter: int, s: int) -> tuple:
         w = self.width
@@ -585,13 +582,10 @@ class _IntegerTableau(_Tableau):
         # divided by its oriented entry s*a/den, the pivot row is nums / (s*a)
         if s * a < 0:
             nums = {k: -v for k, v in nums.items()}
-        a = abs(a)
-        g = gcd(a, *nums.values())
-        if g != 1:
-            nums = {k: v // g for k, v in nums.items()}
-            a //= g
-        row.nums, row.den = nums, a
-        source = list(nums.items())
+        row.nums, row.den = nums, abs(a)
+        _lowest_terms(row)
+        a = row.den
+        source = list(row.nums.items())
         for other in rows:
             if other is not row:
                 _combine(other, a, s * other.nums[j], source)
@@ -599,11 +593,13 @@ class _IntegerTableau(_Tableau):
         if f:
             _combine(z_row, a, s * f, source)
 
-    def _capacity_guard(self) -> None:
-        # the bits of a row's numerators and its denominator bound those of
-        # every entry in lowest terms
+    def _capacity_guard(self, z_row) -> None:
+        # the updates leave rows unreduced; in lowest terms, the bits of a
+        # row's numerators and its denominator bound those of every entry
+        _lowest_terms(z_row)
         worst = 0
         for row in self.matrix:
+            _lowest_terms(row)
             nums = row.nums.values()
             size = max(row.den, max(nums, default=0), -min(nums, default=0)).bit_length()
             if size > worst:
@@ -616,12 +612,21 @@ class _IntegerTableau(_Tableau):
             )
 
 
+def _lowest_terms(row: _Row) -> None:
+    """Divide an integer row's numerators and denominator by their gcd."""
+    g = gcd(row.den, *row.nums.values())
+    if g != 1:
+        row.nums = {k: v // g for k, v in row.nums.items()}
+        row.den //= g
+
+
 def _combine(target: _Row, scale, f, source) -> None:
-    """``target <- scale * target - f * source`` on integer rows, in lowest terms.
+    """``target <- scale * target - f * source`` on integer rows.
 
     ``source`` holds the ``(column, numerator)`` pairs of another row; its
     denominator takes no part, and the denominator of ``target`` becomes
-    ``scale`` times its own.  An entry that cancels to 0 is deleted.
+    ``scale`` times its own.  An entry that cancels to 0 is deleted, and the
+    row's common factor is left to the bit guard.
     """
     h = gcd(scale, f)  # a common factor of both leaves the value as it is
     if h != 1:
@@ -640,12 +645,7 @@ def _combine(target: _Row, scale, f, source) -> None:
                 nums[k] = v
             else:
                 del nums[k]
-    den = target.den * scale
-    g = gcd(den, *nums.values())
-    if g != 1:
-        nums = {k: v // g for k, v in nums.items()}
-        den //= g
-    target.nums, target.den = nums, den
+    target.nums, target.den = nums, target.den * scale
 
 
 def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:

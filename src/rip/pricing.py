@@ -158,14 +158,14 @@ def build_measure_lp(
     book = book or StaticOptionBook.cash_only()
     vars_paths = space.path_set(target)
     interval = _trading_interval(space, book, interval)
-    index_of = {p: k for k, p in enumerate(vars_paths)}
     n = len(vars_paths)
 
     rows = [(tuple(zip(range(n), [ops.one] * n)), "==", ops.one)]
     for _, _, _, moves in trading_terms(space, info, vars_paths, interval):
         if moves:
-            rows.append((tuple((index_of[p], delta) for p, delta in moves), "==", ops.zero))
+            rows.append((tuple(moves), "==", ops.zero))
     if not book.is_cash_only:
+        index_of = {p: k for k, p in enumerate(vars_paths)}
         payoffs = [space.claim_values(option.payoff) for option in book.options]
         prices = book.prices(ops)[1:]
         for _, overlap in filtration(space, info).meet(-1, vars_paths):

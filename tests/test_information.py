@@ -277,6 +277,17 @@ class TestFiltration:
         assert len(columns) == 2 * len(filtration(space, info).meet(1, target))
         assert [column for column in columns if column] == rows
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_moves_give_positions_in_the_path_set(self, tri3, variant):
+        info = self._info(variant, tail_max_ratio(1))
+        paths = tuple(range(1, len(tri3.paths), 3))  # path paths[k] at position k
+        for t, atom_paths, _, moves in trading_terms(tri3, info, paths, (0, 3)):
+            assert [k for k, _ in moves] == sorted(k for k, _ in moves)
+            steps = {p: tri3.paths[p].coord(1, t + 1) - tri3.paths[p].coord(1, t) for p in paths}
+            assert {paths[k]: d for k, d in moves} == {
+                p: d for p, d in steps.items() if d and p in atom_paths
+            }
+
     def test_each_distinct_increment_is_made_a_number_once(self, monkeypatch):
         calls = []
         ratio = ModeOps.ratio

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rip import (
     FLOAT_OPS,
@@ -887,15 +887,14 @@ def _assert_integer_row(row, width):
     assert gcd(row.den, *row.nums.values()) == 1
 
 
-def _check_rows_after_every_pivot(lp, ops, check_row):
-    """Solve ``lp``, running ``check_row`` on every row after every pivot."""
+def _check_rows_after_every_pivot(lp, ops, check):
+    """Solve ``lp``, running ``check(tab, i, z_row)`` after every pivot into row ``i``."""
     checked = []
     pivot = _Tableau.pivot
 
     def checked_pivot(tab, i, j, z_row, s, rows):
         pivot(tab, i, j, z_row, s, rows)
-        for row in tab.matrix + [z_row]:
-            check_row(row, tab.width)
+        check(tab, i, z_row)
         checked.append(j)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -904,16 +903,37 @@ def _check_rows_after_every_pivot(lp, ops, check_row):
     assert out.pivots == len(checked)
 
 
+def _integer_rows(tab, i, z_row):
+    """Every row sparse, of ints over a positive int; the pivot row in lowest
+    terms, and after a bit guard every row, the reduced-cost row included."""
+    rows = tab.matrix + [z_row]
+    for row in rows:
+        _assert_sparse_row(row, tab.width)
+        assert all(type(v) is int for v in row.nums.values())
+        assert type(row.den) is int and row.den > 0
+    guarded = tab.pivots % rip.lp._GUARD_EVERY == 0
+    for row in rows if guarded else [tab.matrix[i]]:
+        assert gcd(row.den, *row.nums.values()) == 1
+
+
+def _sparse_rows(tab, i, z_row):
+    for row in tab.matrix + [z_row]:
+        _assert_sparse_row(row, tab.width)
+
+
 @given(lp=st.one_of(sparse_lp(), random_lp()))
 @settings(max_examples=200, deadline=None)
-def test_integer_rows_stay_sparse_and_in_lowest_terms_after_every_pivot(lp):
-    _check_rows_after_every_pivot(lp, RATIONAL_OPS, _assert_integer_row)
+def test_integer_rows_stay_sparse_after_every_pivot_and_in_lowest_terms_after_every_guard(lp):
+    # a guard every 3 pivots, so that small programs meet it too
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rip.lp, "_GUARD_EVERY", 3)
+        _check_rows_after_every_pivot(lp, RATIONAL_OPS, _integer_rows)
 
 
 @given(lp=st.one_of(sparse_lp(), random_lp()))
 @settings(max_examples=100, deadline=None)
 def test_float_rows_hold_no_zero_after_every_pivot(lp):
-    _check_rows_after_every_pivot(_as_float(lp), FLOAT_OPS, _assert_sparse_row)
+    _check_rows_after_every_pivot(_as_float(lp), FLOAT_OPS, _sparse_rows)
 
 
 def test_an_update_that_cancels_to_round_off_deletes_the_entry():
@@ -935,11 +955,11 @@ def _combined(nums, den, scale, f, source):
     assert {k: Fraction(v, row.den) for k, v in row.nums.items()} == {
         k: v for k, v in expected.items() if v
     }
-    assert row.den > 0 and gcd(row.den, *row.nums.values()) == 1
+    assert row.den > 0
     return row
 
 
-def test_an_integer_update_ends_in_lowest_terms_and_deletes_a_cancelled_entry():
+def test_an_integer_update_keeps_a_common_factor_and_deletes_a_cancelled_entry():
     nums, source = {0: 1, 1: 2, 2: 5}, [(0, 1), (1, 4), (3, 1)]
     # 2 * 2 - 4 cancels entry 1, and the denominator becomes scale times its own
     row = _combined(nums, 3, 2, 1, source)
@@ -947,9 +967,9 @@ def test_an_integer_update_ends_in_lowest_terms_and_deletes_a_cancelled_entry():
     # scale 4 and f 2 share the factor 2, which goes before the update
     row = _combined(nums, 3, 4, 2, source)
     assert row.nums == {0: 1, 2: 10, 3: -1} and row.den == 3 * 4 // 2
-    # (1, 1) / 2 - (1, -1) / 2 is (0, 2) / 2, put in lowest terms as (0, 1) / 1
+    # (1, 1) / 2 - (1, -1) / 2 is (0, 2) / 2, left with its common factor 2
     row = _combined({0: 1, 1: 1}, 2, 1, 1, [(0, 1), (1, -1)])
-    assert row.nums == {1: 1} and row.den == 1
+    assert row.nums == {1: 2} and row.den == 2
 
 
 # ---------------------------------------------------------------------------
@@ -958,10 +978,11 @@ def test_an_integer_update_ends_in_lowest_terms_and_deletes_a_cancelled_entry():
 
 @st.composite
 def integer_tableau_with_costs(draw):
-    """An integer tableau of rows in lowest terms over pairwise different
-    denominators, each basic on its own column with orientation +1 or -1
-    (-1 on a free column entered negated), and integer costs over ``den``
-    that put a cost on some of the basic columns."""
+    """An integer tableau of rows over pairwise different denominators, each
+    basic on its own column with orientation +1 or -1 (-1 on a free column
+    entered negated) and not always in lowest terms, as between two bit
+    guards, and integer costs over ``den`` that put a cost on some of the
+    basic columns."""
     width = draw(st.integers(min_value=2, max_value=7))
     m = draw(st.integers(min_value=1, max_value=min(width, 5)))
     basis = draw(st.permutations(range(width)))[:m]
@@ -974,8 +995,6 @@ def integer_tableau_with_costs(draw):
         nums = {k: draw(st.integers(-4, 4)) for k in range(width + 1) if k not in basis}
         nums = {k: v for k, v in nums.items() if v}
         nums[b] = draw(st.sampled_from([1, -1])) * d
-        g = gcd(d, *nums.values())
-        assume(g == 1)  # lowest terms, with the denominators kept apart
         tab.matrix.append(_Row(nums, d))
     cost = {k: draw(st.integers(-5, 5)) for k in range(width)}
     den = draw(st.integers(1, 12))
@@ -1187,21 +1206,38 @@ class TestSolverErrors:
         tab.pivot(0, 0, z_row, 1, tab.matrix)  # both rows hold column 0
         message = r"^lp: exact tableau coefficients reached 3 bits after 1 pivots on a 2 x 4 "
         with pytest.raises(CapacityError, match=message):
-            tab._capacity_guard()
+            tab._capacity_guard(z_row)
 
     def test_bit_guard_counts_a_row_denominator(self, monkeypatch):
         # in a reachable tableau each row's basic column holds its
         # denominator as numerator, so this row is set by hand: numerators
         # of at most 3 bits over a denominator of 6
         monkeypatch.setattr(rip.lp, "_BIT_GUARD", 5)
-        tab, _ = self._tableau()
-        tab._capacity_guard()
+        tab, z_row = self._tableau()
+        tab._capacity_guard(z_row)
         row = tab.matrix[0]
         row.den = 32
         assert max(abs(v) for v in row.nums.values()).bit_length() <= 3
         message = r"^lp: exact tableau coefficients reached 6 bits after 0 pivots on a 2 x 4 "
         with pytest.raises(CapacityError, match=message):
-            tab._capacity_guard()
+            tab._capacity_guard(z_row)
+
+    def test_bit_guard_puts_every_row_in_lowest_terms_before_it_measures(self, monkeypatch):
+        # the rows hold 3 bits at most in lowest terms (x0 + 2 x1 <= 4 and
+        # 3 x0 + x1 <= 6 over 1); times 8 they hold 6, as rows may between guards
+        tab, z_row = self._tableau()
+        lowest = [(row, dict(row.nums), row.den) for row in tab.matrix + [z_row]]
+        for row, nums, den in lowest:
+            row.nums, row.den = {k: 8 * v for k, v in nums.items()}, 8 * den
+        monkeypatch.setattr(rip.lp, "_BIT_GUARD", 3)
+        tab._capacity_guard(z_row)
+        assert [(row.nums, row.den) for row, _, _ in lowest] == [(n, d) for _, n, d in lowest]
+        for row, nums, den in lowest:
+            row.nums, row.den = {k: 8 * v for k, v in nums.items()}, 8 * den
+        monkeypatch.setattr(rip.lp, "_BIT_GUARD", 2)
+        message = r"^lp: exact tableau coefficients reached 3 bits after 0 pivots on a 2 x 4 "
+        with pytest.raises(CapacityError, match=message):
+            tab._capacity_guard(z_row)
 
 
 # ---------------------------------------------------------------------------
