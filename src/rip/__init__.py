@@ -106,7 +106,6 @@ from .hedging import (
     extract_strategy,
     verify_strategy,
     gains,
-    interval_value_table,
     superhedge,
 )
 from .pricing import (
@@ -118,7 +117,6 @@ from .pricing import (
     concatenate_measure,
     condition_measure,
     dpp_price,
-    interval_price_table,
     model_price,
 )
 from .valuation import (
@@ -226,7 +224,6 @@ __all__ = [
     "extract_strategy",
     "verify_strategy",
     "gains",
-    "interval_value_table",
     "superhedge",
     # pricing
     "MartingaleMeasure",
@@ -237,7 +234,6 @@ __all__ = [
     "concatenate_measure",
     "condition_measure",
     "dpp_price",
-    "interval_price_table",
     "model_price",
     # valuation
     "AtomDuality",

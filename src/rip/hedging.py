@@ -31,6 +31,7 @@ from .information import (
     VARIANT_NONE,
     atoms_at,
     check_scaling_form,
+    filtration,
     market_partition,
     trading_terms,
 )
@@ -171,6 +172,7 @@ class HedgeProblem:
 
     space: PathSpace
     target: tuple
+    info: InfoStructure
     claim_values: tuple  # aligned with target
     book: StaticOptionBook
     interval: tuple
@@ -233,7 +235,7 @@ def build_hedge_problem(
     objective = tuple(book.prices(ops)) + (ops.zero,) * len(dynamic_vars)
     lp = LinearProgram("min", objective, rows, ("free",) * len(objective))
     return HedgeProblem(
-        space, target, values, book, (t_from, t_to), tuple(dynamic_vars), lp, cash_shift
+        space, target, info, values, book, (t_from, t_to), tuple(dynamic_vars), lp, cash_shift
     )
 
 
@@ -247,7 +249,7 @@ def _holdings(problem: HedgeProblem, values: Sequence[Any]) -> dict:
 
 
 def verify_strategy(
-    space: PathSpace, strategy: Strategy, book: StaticOptionBook,
+    space: PathSpace, info: InfoStructure, strategy: Strategy, book: StaticOptionBook,
     target: Sequence[int], claim_values: Sequence[Any], cost: Any,
 ) -> None:
     """Re-verify pathwise that a strategy superhedges a claim at a given cost.
@@ -256,7 +258,9 @@ def verify_strategy(
     evaluation, that the strategy costs ``cost`` and that its wealth at the
     end of ``strategy.span`` dominates the claim on every target path; a
     failure raises :class:`InternalCheckError`, and a holding missing on a
-    target path :class:`UndefinedHoldingError`.
+    target path :class:`UndefinedHoldingError`.  A holding not on an atom of
+    ``info``'s partition at its ``t`` trades on what the agent does not know,
+    and raises :class:`PreconditionError`.
 
     The pathwise check cross-multiplies numerators: positions and holdings
     over one denominator, claim and payoffs over another, increments from
@@ -269,6 +273,11 @@ def verify_strategy(
         raise PreconditionError("need one claim value per target path and one position per slot")
     if not ops.eq(strategy.cost(book, ops), cost, ops.dual_tol):
         raise InternalCheckError("strategy cost does not match the solver value")
+    fm = filtration(space, info)
+    for t, paths in strategy.dynamic:
+        paths = space.path_set(paths)
+        if not 0 <= t < space.n_steps or fm.atoms[t][fm.cell[t][paths[0]]].paths != paths:
+            raise PreconditionError(f"the holding at t={t} on path {paths[0]} is not on an atom")
 
     # wealth, a numerator over dx * dc * space.den, against the claim over dc
     positions, held, dx = _scaled_holdings(space, strategy.dynamic, strategy.static)
@@ -303,7 +312,8 @@ def extract_strategy(outcome, problem: HedgeProblem) -> Strategy:
     strategy = Strategy(static, _holdings(problem, outcome.x[n_static:]), problem.interval)
     cost = outcome.value + problem.cash_shift
     verify_strategy(
-        problem.space, strategy, problem.book, problem.target, problem.claim_values, cost
+        problem.space, problem.info, strategy, problem.book, problem.target,
+        problem.claim_values, cost,
     )
     return strategy
 
@@ -325,9 +335,10 @@ def _hedge_value(problem: HedgeProblem) -> HedgeValue:
             cost = -ops.one
         witness = ArbitrageRay(tuple(ray[:n_static]), _holdings(problem, ray[n_static:]), cost)
         # an arbitrage superhedges the zero claim at a negative cost
+        strategy = Strategy(witness.static, witness.dynamic, problem.interval)
         verify_strategy(
-            problem.space, Strategy(witness.static, witness.dynamic, problem.interval),
-            problem.book, problem.target, [ops.zero] * len(problem.target), cost,
+            problem.space, problem.info, strategy, problem.book, problem.target,
+            [ops.zero] * len(problem.target), cost,
         )
         return HedgeValue(NEG_INF, ray=witness, pivots=outcome.pivots)
     raise InternalCheckError(
@@ -336,15 +347,35 @@ def _hedge_value(problem: HedgeProblem) -> HedgeValue:
     )
 
 
-def _hedge_table(space, atoms, target, info, claim, book, interval) -> AtomTable:
-    """One hedge per atom meeting the target, over the paths they share."""
+def _stage_table(space, atoms, target, info, floor, book, interval, value_of) -> AtomTable:
+    """One stage of a staged problem: a value per atom meeting the target.
+
+    ``floor`` holds the value due at the end of ``interval`` on every path:
+    the claim's, or the next stage's.  ``value_of`` (:func:`_hedge_stage` or
+    ``pricing._price_stage``) values each atom over its target paths whose
+    floor is finite: no capital meets a ``-inf`` floor, so the hedge drops
+    its row and, as the dual of that, the price its column.  Handed no path,
+    ``value_of`` returns a bare ``-inf`` without solving.
+    """
+
+    def stage(meet: tuple):
+        finite = tuple(p for p in meet if not is_neg_inf(floor[p]))
+        return value_of(space, finite, info, floor, book, interval)
+
+    return AtomTable.over(atoms, target, stage)
+
+
+def _hedge_stage(space, paths, info, floor, book, interval) -> HedgeValue:
+    """The superhedge of ``floor`` on ``paths``; ``-inf`` when there is nothing to dominate."""
+    if not paths:
+        return HedgeValue(NEG_INF)
+    return _hedge_value(build_hedge_problem(space, paths, info, floor, book, interval))
+
+
+def _claim_floor(space: PathSpace, claim: Expr) -> tuple:
+    """The checked claim's value on every path: the floor of a last stage."""
     validate_payoff(claim, space.n_coords, space.n_steps)
-    values = space.claim_values(claim)
-    return AtomTable.over(
-        atoms,
-        target,
-        lambda meet: _hedge_value(build_hedge_problem(space, meet, info, values, book, interval)),
-    )
+    return space.claim_values(claim)
 
 
 def superhedge(
@@ -365,22 +396,8 @@ def superhedge(
     target = space.all_paths() if target is None else space.path_set(target)
     book = book or StaticOptionBook.cash_only()
     atoms = atoms_at(space, info, -1)
-    return _hedge_table(space, atoms, target, info, claim, book, (0, space.n_steps))
-
-
-def interval_value_table(
-    space: PathSpace, t_from: int, info: InfoStructure, claim: Expr
-) -> AtomTable:
-    """Cash-only superhedging values over every market atom at ``t_from``.
-
-    Each value hedges the claim on the atom's paths with trading from
-    ``t_from`` on.  At ``t_from = n`` every atom is one path and its value
-    is the claim's value there; at ``t_from = 0`` the table has one entry,
-    the plain superhedging value over the whole space.
-    """
-    atoms = market_partition(space, t_from)
-    book = StaticOptionBook.cash_only()
-    return _hedge_table(space, atoms, space.all_paths(), info, claim, book, (t_from, space.n_steps))
+    floor = _claim_floor(space, claim)
+    return _stage_table(space, atoms, target, info, floor, book, (0, space.n_steps), _hedge_stage)
 
 
 @dataclass(frozen=True)
@@ -390,7 +407,7 @@ class DppDecomposition:
     direct: Any
     composed: Any
     split: int
-    inner: AtomTable
+    inner: AtomTable  # the interval values on [split, n], per market atom at split
     ops: ModeOps
 
     @property
@@ -423,24 +440,22 @@ def dpp_superhedge(
 ) -> DppDecomposition:
     """Compare direct superhedging with hedging into interval values at ``split``.
 
-    The composed route is an ordinary superhedge over ``[0, split]``, with
-    market information, of the table of cash-only interval values on
-    ``[split, n]``; market atoms whose interval value is ``-inf`` impose no
-    outer constraint (no finite capital is ever enough on them).
-    Cash-only throughout.
+    The inner stage hedges the claim on each market atom at ``split`` with
+    trading from there on; the outer stage hedges those values from 0 to
+    ``split``, where a ``-inf`` one (no finite capital is ever enough)
+    imposes nothing.  Cash-only throughout.
     """
     _check_dpp_info(space, info, split)
     direct = superhedge(space, None, info, claim).single().value
-
-    inner = interval_value_table(space, split, info, claim)
-    floor = [inner.for_path(p).value for p in space.all_paths()]
-    finite = [p for p, value in enumerate(floor) if not is_neg_inf(value)]
-    if not finite:
-        return DppDecomposition(direct, NEG_INF, split, inner, space.ops)
-    outer = build_hedge_problem(
-        space, finite, info, floor, StaticOptionBook.cash_only(), (0, split)
+    cash, everywhere = StaticOptionBook.cash_only(), space.all_paths()
+    inner = _stage_table(
+        space, market_partition(space, split), everywhere, info, _claim_floor(space, claim),
+        cash, (split, space.n_steps), _hedge_stage,
     )
-    composed = _hedge_value(outer).value
+    floor = [inner.for_path(p).value for p in everywhere]
+    composed = _stage_table(
+        space, atoms_at(space, info, -1), everywhere, info, floor, cash, (0, split), _hedge_stage
+    ).single().value
     return DppDecomposition(direct, composed, split, inner, space.ops)
 
 
@@ -455,6 +470,5 @@ __all__ = [
     "extract_strategy",
     "verify_strategy",
     "superhedge",
-    "interval_value_table",
     "dpp_superhedge",
 ]

@@ -33,10 +33,12 @@ from .information import (
     market_partition,
     trading_terms,
 )
-from .hedging import DppDecomposition, _check_dpp_info, _trading_interval
+from .hedging import (
+    DppDecomposition, _check_dpp_info, _claim_floor, _stage_table, _trading_interval,
+)
 from .lp import Infeasible, LinearProgram, Optimal, solve_checked
 from .paths import PathSpace, StaticOptionBook, fatten, min_separation
-from .payoff import Expr, validate_payoff
+from .payoff import Expr
 
 
 @dataclass(frozen=True)
@@ -84,18 +86,19 @@ class MartingaleMeasure:
         if not ops.eq(left_sum(weights), dw, w_tol):
             total = self.mass(range(len(weights)), ops)
             problems.append(f"total mass {format_number(total)} is not 1")
+        # the paths of nonzero weight grouped by atom: an atom without one adds nothing
+        fm = filtration(space, self.info)
+        weighted = [p for p, w in enumerate(weights) if w]
         nums = space.nums
         drift_tol = w_tol * space.den
         t_from, t_to = self.interval
         for t in range(t_from, t_to):
-            for atom in atoms_at(space, self.info, t):
+            for _, members in fm.meet(t, weighted):
                 for i in range(space.n_coords):
                     drift = 0
-                    for p in atom.paths:
-                        w = weights[p]
-                        if w:
-                            rows = nums[p]
-                            drift = drift + w * (rows[t + 1][i] - rows[t][i])
+                    for p in members:
+                        rows = nums[p]
+                        drift = drift + weights[p] * (rows[t + 1][i] - rows[t][i])
                     if not ops.eq(drift, 0, drift_tol):
                         problems.append(
                             f"coordinate {i + 1} drifts on an atom at t={t}"
@@ -106,10 +109,8 @@ class MartingaleMeasure:
                 ops.over_common([option.price, *space.claim_values(option.payoff)])
                 for option in self.book.options
             ]
-            for atom in atoms_at(space, self.info, -1):
-                overlap = [p for p in atom.paths if p in support_set]
-                if not overlap:
-                    continue
+            supported = [p for p in weighted if p in support_set]
+            for _, overlap in fm.meet(-1, supported):
                 for l, (scaled, dc) in enumerate(options, start=1):
                     price = scaled[0]
                     err = 0
@@ -142,7 +143,7 @@ def build_measure_lp(
     info: InfoStructure,
     book: Optional[StaticOptionBook] = None,
     interval: Optional[tuple] = None,
-    claim: Optional[Expr] = None,
+    claim_values: Optional[Sequence[Any]] = None,
 ) -> LinearProgram:
     """The measure-class program over a path set.
 
@@ -151,14 +152,17 @@ def build_measure_lp(
     :func:`~rip.information.trading_terms` over the target and the interval
     (from 0 if the book is not cash only), and one calibration row per
     non-cash static option and initial-capital atom meeting the target.
-    The objective maximises the claim's expectation (zero objective when
-    ``claim`` is None, making it a pure feasibility program).
+    ``claim_values`` holds the claim's value on every path of the space, and
+    the objective maximises its expectation (zero objective when it is
+    None, making it a pure feasibility program).
     """
     ops = space.ops
     book = book or StaticOptionBook.cash_only()
     vars_paths = space.path_set(target)
     interval = _trading_interval(space, book, interval)
     n = len(vars_paths)
+    if claim_values is not None and len(claim_values) != len(space.paths):
+        raise PreconditionError("need one claim value per path of the space")
 
     rows = [(tuple(zip(range(n), [ops.one] * n)), "==", ops.one)]
     for _, _, _, moves in trading_terms(space, info, vars_paths, interval):
@@ -172,12 +176,10 @@ def build_measure_lp(
             for values, price in zip(payoffs, prices):
                 rows.append((_excess(overlap, values, price, index_of), "==", ops.zero))
 
-    if claim is None:
+    if claim_values is None:
         objective = (ops.zero,) * n
     else:
-        validate_payoff(claim, space.n_coords, space.n_steps)
-        values = space.claim_values(claim)
-        objective = tuple(values[p] for p in vars_paths)
+        objective = tuple(claim_values[p] for p in vars_paths)
     return LinearProgram("max", objective, tuple(rows), ("nonneg",) * n)
 
 
@@ -211,14 +213,12 @@ def _price_value(space, lp, paths, info, book, interval) -> PriceValue:
     return PriceValue(outcome.value, measure=measure, pivots=outcome.pivots)
 
 
-def _price_table(space, atoms, target, info, claim, book, interval) -> AtomTable:
-    """One price per atom meeting the target, over the paths they share."""
-
-    def price(meet: tuple) -> PriceValue:
-        lp = build_measure_lp(space, meet, info, book, interval, claim)
-        return _price_value(space, lp, meet, info, book, interval)
-
-    return AtomTable.over(atoms, target, price)
+def _price_stage(space, paths, info, floor, book, interval) -> PriceValue:
+    """The best expectation of ``floor`` over the class on ``paths``; ``-inf`` on no path."""
+    if not paths:
+        return PriceValue(NEG_INF)
+    lp = build_measure_lp(space, paths, info, book, interval, floor)
+    return _price_value(space, lp, paths, info, book, interval)
 
 
 def model_price(
@@ -238,16 +238,8 @@ def model_price(
     target = space.all_paths() if target is None else space.path_set(target)
     book = book or StaticOptionBook.cash_only()
     atoms = atoms_at(space, info, -1)
-    return _price_table(space, atoms, target, info, claim, book, (0, space.n_steps))
-
-
-def interval_price_table(
-    space: PathSpace, t_from: int, info: InfoStructure, claim: Expr
-) -> AtomTable:
-    """Interval model prices for every market atom at ``t_from`` (cash only)."""
-    atoms = market_partition(space, t_from)
-    book = StaticOptionBook.cash_only()
-    return _price_table(space, atoms, space.all_paths(), info, claim, book, (t_from, space.n_steps))
+    floor = _claim_floor(space, claim)
+    return _stage_table(space, atoms, target, info, floor, book, (0, space.n_steps), _price_stage)
 
 
 def condition_measure(
@@ -355,7 +347,8 @@ def _approx_lp(
     fat = set(fatten(space, support, eta))
 
     base = build_measure_lp(
-        space, space.all_paths(), InfoStructure.none(), None, (0, space.n_steps), claim
+        space, space.all_paths(), InfoStructure.none(), None, (0, space.n_steps),
+        _claim_floor(space, claim),
     )
     # the variables are all the paths, in order: path p is column p
     paths = range(len(space.paths))
@@ -449,31 +442,22 @@ def dpp_price(
 ) -> DppDecomposition:
     """Compare direct pricing with pricing the interval-price table at ``split``.
 
-    Requires every market atom at the split to carry at least one interval
-    measure (checked first; a bare atom is a precondition failure, since
-    the composed route would have nothing to average there).  The composed
-    value maximises, over prefix measures up to the split, the expected
-    interval price of the atom reached.  Cash only.
+    The inner stage prices the claim on each market atom at ``split`` from
+    there on; the outer stage maximises, over measures up to the split, the
+    expected inner price of the atom reached, leaving out the atoms whose
+    class is empty (a ``-inf`` price).  Cash only.
     """
     _check_dpp_info(space, info, split)
-    book = StaticOptionBook.cash_only()
-
-    inner = interval_price_table(space, split, info, claim)
-    for atom, pv in inner:
-        if not pv.finite:
-            raise PreconditionError(
-                f"no interval measure lives on the atom at t={split} containing "
-                f"path {atom.paths[0]}; the two-stage price is undefined there"
-            )
-
-    direct = model_price(space, None, info, claim, book).single().value
-
-    base = build_measure_lp(
-        space, space.all_paths(), info, book, (0, split), None
+    cash, everywhere = StaticOptionBook.cash_only(), space.all_paths()
+    inner = _stage_table(
+        space, market_partition(space, split), everywhere, info, _claim_floor(space, claim),
+        cash, (split, space.n_steps), _price_stage,
     )
-    floor = tuple(inner.for_path(p).value for p in range(len(space.paths)))
-    lp = replace(base, objective=floor)
-    composed = _price_value(space, lp, space.all_paths(), info, book, (0, split)).value
+    direct = model_price(space, None, info, claim, cash).single().value
+    floor = [inner.for_path(p).value for p in everywhere]
+    composed = _stage_table(
+        space, atoms_at(space, info, -1), everywhere, info, floor, cash, (0, split), _price_stage
+    ).single().value
     return DppDecomposition(direct, composed, split, inner, space.ops)
 
 
@@ -482,7 +466,6 @@ __all__ = [
     "PriceValue",
     "build_measure_lp",
     "model_price",
-    "interval_price_table",
     "condition_measure",
     "concatenate_measure",
     "approx_price",

@@ -121,7 +121,9 @@ def _chain_quantities(
     plus_prices = model_price(space, None, plus, claim, book)
 
     forced = {}
-    base = build_measure_lp(space, space.all_paths(), minus, book, None, claim)
+    base = build_measure_lp(
+        space, space.all_paths(), minus, book, None, space.claim_values(claim)
+    )
     for atom in z_partition(space, variable):
         inside = set(atom.paths)
         # weight 0 on every path outside the atom; path p is column p

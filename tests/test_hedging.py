@@ -32,7 +32,6 @@ from rip import (
     fatten,
     gains,
     info_from_payoff,
-    interval_value_table,
     is_neg_inf,
     parse_payoff,
     rat,
@@ -42,6 +41,8 @@ from rip import (
     verify_strategy,
 )
 import rip.hedging
+
+NONE = InfoStructure.none()
 
 
 class TestSingleStep:
@@ -198,11 +199,11 @@ class TestVerifyStrategy:
     def test_the_optimum_passes_and_less_cash_fails(self, mode, eps, with_book, flat_digital_book):
         book = flat_digital_book if with_book else StaticOptionBook.cash_only()
         space, strategy, target, claims, value = self._optimum(mode, book)
-        verify_strategy(space, strategy, book, target, claims, value)
+        verify_strategy(space, NONE, strategy, book, target, claims, value)
         # the optimum is tight on some path, where eps less cash falls short
         poorer = self._with_cash(strategy, strategy.static[0] - eps)
         with pytest.raises(InternalCheckError, match="fails to dominate the claim on path"):
-            verify_strategy(space, poorer, book, target, claims, value - eps)
+            verify_strategy(space, NONE, poorer, book, target, claims, value - eps)
 
     @pytest.mark.parametrize("with_book", [False, True], ids=["cash", "book"])
     @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
@@ -210,7 +211,7 @@ class TestVerifyStrategy:
         book = flat_digital_book if with_book else StaticOptionBook.cash_only()
         space, strategy, target, claims, value = self._optimum(mode, book)
         with pytest.raises(InternalCheckError, match="does not match the solver value"):
-            verify_strategy(space, strategy, book, target, claims, value - eps)
+            verify_strategy(space, NONE, strategy, book, target, claims, value - eps)
 
     @pytest.mark.parametrize("with_book", [False, True], ids=["cash", "book"])
     @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
@@ -223,7 +224,7 @@ class TestVerifyStrategy:
         richer = self._with_cash(strategy, strategy.static[0] + eps, partial)
         missing = f"t=1 on an atom containing path {dropped[1][0]}"
         with pytest.raises(UndefinedHoldingError, match=missing):
-            verify_strategy(space, richer, book, target, claims, value + eps)
+            verify_strategy(space, NONE, richer, book, target, claims, value + eps)
 
     @pytest.mark.parametrize("with_book", [False, True], ids=["cash", "book"])
     @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
@@ -233,10 +234,10 @@ class TestVerifyStrategy:
         # an empty dynamic map holds nothing: cash alone must cover the claim
         top = max(claims)
         static_only = Strategy((top,) + (space.ops.zero,) * (book.size - 1), {}, (0, 2))
-        verify_strategy(space, static_only, book, target, claims, top)
+        verify_strategy(space, NONE, static_only, book, target, claims, top)
         short = Strategy((top - eps,) + static_only.static[1:], {}, (0, 2))
         with pytest.raises(InternalCheckError, match="fails to dominate the claim on path"):
-            verify_strategy(space, short, book, target, claims, top - eps)
+            verify_strategy(space, NONE, short, book, target, claims, top - eps)
 
     @pytest.mark.parametrize("mode, eps", _PERTURBATIONS)
     def test_a_static_option_pays_its_payoff(self, mode, eps, flat_digital_book):
@@ -246,23 +247,46 @@ class TestVerifyStrategy:
         price = flat_digital_book.prices(space.ops)[1]
         # one unit of the quoted option, and nothing else, covers its own payoff
         unit = Strategy((space.ops.zero, one), {}, (0, 2))
-        verify_strategy(space, unit, flat_digital_book, space.all_paths(), claims, price)
+        verify_strategy(space, NONE, unit, flat_digital_book, space.all_paths(), claims, price)
         short = Strategy((space.ops.zero, one - eps), {}, (0, 2))
         with pytest.raises(InternalCheckError, match="fails to dominate the claim on path"):
             verify_strategy(
-                space, short, flat_digital_book, space.all_paths(), claims, price * (one - eps)
+                space, NONE, short, flat_digital_book, space.all_paths(), claims,
+                price * (one - eps),
             )
 
     def test_inputs_must_align(self, tri1, call_at_1):
         claims = tri1.claim_values(call_at_1)
         book = StaticOptionBook.cash_only()
-        verify_strategy(tri1, Strategy((2,), {}, (0, 1)), book, (0, 1, 2), claims, 2)
+        verify_strategy(tri1, NONE, Strategy((2,), {}, (0, 1)), book, (0, 1, 2), claims, 2)
         with pytest.raises(PreconditionError):
-            verify_strategy(tri1, Strategy((2,), {}, (0, 1)), book, (0, 1), claims, 2)
+            verify_strategy(tri1, NONE, Strategy((2,), {}, (0, 1)), book, (0, 1), claims, 2)
         with pytest.raises(PreconditionError):
-            verify_strategy(tri1, Strategy((2, 0), {}, (0, 1)), book, (0, 1, 2), claims, 2)
+            verify_strategy(tri1, NONE, Strategy((2, 0), {}, (0, 1)), book, (0, 1, 2), claims, 2)
         with pytest.raises(PreconditionError):
-            verify_strategy(tri1, Strategy((2,), {}, (0, 2)), book, (0, 1, 2), claims, 2)
+            verify_strategy(tri1, NONE, Strategy((2,), {}, (0, 2)), book, (0, 1, 2), claims, 2)
+
+    def test_holdings_must_sit_on_atoms(self, tri2, call_at_2):
+        # cash at the claim's maximum and nothing traded dominate the claim
+        # however the holdings are keyed, so only the atom check refuses these
+        claims, book = tri2.claim_values(call_at_2), StaticOptionBook.cash_only()
+        top, nothing = max(claims), (rat(0),)
+        first, second, third = (atom.paths for atom in _market(tri2, 1))
+        on_atoms = {(0, tri2.all_paths()): nothing}
+        on_atoms.update({(1, atom): nothing for atom in (first, second, third)})
+        part = {**on_atoms, (1, first[:1]): nothing, (1, first[1:]): nothing}
+        del part[1, first]
+        across = {**on_atoms, (1, tuple(sorted(first + second))): nothing}
+        del across[1, first], across[1, second]
+
+        def check(dynamic):
+            strategy = Strategy((top,), dynamic, (0, 2))
+            verify_strategy(tri2, NONE, strategy, book, tri2.all_paths(), claims, top)
+
+        check(on_atoms)
+        for dynamic in (part, across):
+            with pytest.raises(PreconditionError, match="not on an atom"):
+                check(dynamic)
 
 
 def _market(space, t):
@@ -307,12 +331,12 @@ class TestArbitrage:
 class TestIntervalValues:
     def test_frozen_subtree_value(self, tri2, call_at_2, no_info):
         start = next(p for p in range(9) if tri2.paths[p].coord(1, 1) == 2)
-        table = interval_value_table(tri2, 1, no_info, call_at_2)
+        table = dpp_superhedge(tri2, call_at_2, 1, no_info).inner
         assert table.for_path(start).value == rat(2, 3)  # oracle: tri2_interval_sub2_call2
         assert table.for_path(start).strategy.span == (1, 2)
 
     def test_degenerates_to_the_claim_at_the_horizon(self, tri2, call_at_2, no_info):
-        table = interval_value_table(tri2, 2, no_info, call_at_2)
+        table = dpp_superhedge(tri2, call_at_2, 2, no_info).inner
         assert len(table) == 9
         for p in range(9):
             assert table.for_path(p).value == tri2.claim_values(call_at_2)[p]
@@ -345,7 +369,7 @@ class TestIntervalValues:
         build_hedge_problem(tri2, tri2.all_paths(), no_info, values, cash, (1, 2))
 
     def test_table_covers_the_partition(self, tri2, call_at_2, no_info):
-        table = interval_value_table(tri2, 1, no_info, call_at_2)
+        table = dpp_superhedge(tri2, call_at_2, 1, no_info).inner
         assert len(table) == 3
         # subtrees from 1/2 and 1 cannot reach above 2, so they hedge for free
         values = sorted(hv.value for _, hv in table)
@@ -383,6 +407,15 @@ class TestDpp:
         space = build_lattice(1, 4, [0.5, 1.0, 2.0], mode="float")
         dec = dpp_superhedge(space, call_at_1, 2, no_info)
         assert abs(dec.direct - dec.composed) <= space.ops.dual_tol
+        assert dec.agree
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_inner_values_all_neg_inf_compose_to_neg_inf(self, mode):
+        # from t = 1 the asset can only rise: every interval value is an arbitrage
+        space = space_from_paths([[(1,), (1,), (2,)], [(1,), (1,), (3,)]], 1, mode)
+        dec = dpp_superhedge(space, constant_payoff(0), 1, NONE)
+        assert [hv.finite for _, hv in dec.inner] == [False]
+        assert is_neg_inf(dec.direct) and is_neg_inf(dec.composed)
         assert dec.agree
 
     def test_minus_variant_is_out_of_scope(self, tri2, call_at_2, hits_one):

@@ -1519,7 +1519,7 @@ def test_builders_write_nonzeros_at_increasing_columns(monkeypatch, tri2, hits_o
     book = StaticOptionBook.of(at_its_payoff, flat_digital)
     minus = InfoStructure.minus(hits_one)
     values = tri2.claim_values(claim)
-    measure = build_measure_lp(tri2, tri2.all_paths(), minus, book, None, claim)
+    measure = build_measure_lp(tri2, tri2.all_paths(), minus, book, None, values)
     # the mass row, a martingale row per atom at t = 0 and 1, and one
     # calibration row per option: the label is not known at time 0
     assert len(measure.rows) == 1 + (1 + 3) + 2

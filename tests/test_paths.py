@@ -136,7 +136,7 @@ class TestPathSetsAndIntervals:
                 space, paths, info, values, book, interval
             ),
             lambda paths, interval=None: build_measure_lp(
-                space, paths, info, book, interval, claim
+                space, paths, info, book, interval, values
             ),
         )
 

@@ -27,8 +27,8 @@ from rip import (
     concatenate_measure,
     condition_measure,
     dpp_price,
+    dpp_superhedge,
     format_number,
-    interval_price_table,
     is_neg_inf,
     market_partition,
     model_price,
@@ -195,7 +195,7 @@ class TestConditionAndConcatenate:
 
 class TestIntervalPrices:
     def test_matches_the_subtree_oracle(self, tri2, call_at_2, no_info):
-        table = interval_price_table(tri2, 1, no_info, call_at_2)
+        table = dpp_price(tri2, call_at_2, 1, no_info).inner
         by_start = {tri2.paths[a.paths[0]].coord(1, 1): pv.value for a, pv in table}
         assert by_start[rat(2)] == rat(2, 3)  # oracle: tri2_interval_sub2_call2
         assert by_start[rat(1)] == 0
@@ -205,11 +205,11 @@ class TestIntervalPrices:
         # calibration rows hold at 0 only: from 1 the price of 1 would top the hedge's 7/9
         flat = StaticOption(parse_payoff("ind(S[1,1] == 1)"), rat(1, 3), "flat")
         book = StaticOptionBook.of(flat)
-        claim = parse_payoff("pos(S[1,T] - 1)")
+        values = tri2.claim_values(parse_payoff("pos(S[1,T] - 1)"))
         with pytest.raises(PreconditionError, match="static book"):
-            build_measure_lp(tri2, tri2.all_paths(), no_info, book, (1, 2), claim)
-        build_measure_lp(tri2, tri2.all_paths(), no_info, book, (0, 2), claim)
-        build_measure_lp(tri2, tri2.all_paths(), no_info, None, (1, 2), claim)
+            build_measure_lp(tri2, tri2.all_paths(), no_info, book, (1, 2), values)
+        build_measure_lp(tri2, tri2.all_paths(), no_info, book, (0, 2), values)
+        build_measure_lp(tri2, tri2.all_paths(), no_info, None, (1, 2), values)
 
 
 class TestApprox:
@@ -252,16 +252,25 @@ class TestDppPrice:
         if split == 1:
             assert dec.direct == rat(2, 9)  # oracle: tri2_call2
 
-    def test_bare_atom_is_a_precondition_failure(self, call_at_2, no_info):
-        # the up-up subtree supports no measure, so the composition is undefined
+    def test_a_bare_atom_is_left_out_of_the_outer_stage(self, call_at_2, no_info):
+        # the up-up subtree supports no measure: its interval price is -inf, and
+        # the outer stage leaves its column out as the hedge leaves out its row
         rows = [
             [(1,), (1,), (1,)],
             [(1,), (1,), (rat(1, 2),)],
             [(1,), (2,), (3,)],
         ]
-        space = space_from_paths(rows, n_assets=1)
-        with pytest.raises(PreconditionError, match="interval measure"):
-            dpp_price(space, call_at_2, 1, no_info)
+        for mode in ("rational", "float"):
+            space = space_from_paths(rows, n_assets=1, mode=mode)
+            price = dpp_price(space, call_at_2, 1, no_info)
+            assert [(atom.paths, pv.finite) for atom, pv in price.inner] == [
+                ((0, 1), True),
+                ((2,), False),
+            ]
+            assert price.inner.for_path(2).certificate is not None
+            for dec in (price, dpp_superhedge(space, call_at_2, 1, no_info)):
+                assert dec.direct == dec.composed == 0
+                assert dec.agree
 
     def test_dynamic_variant(self, tri2, call_at_2):
         from rip import tail_range_indicator
@@ -278,6 +287,16 @@ def test_build_measure_lp_var_order_is_sorted_target(tri2, call_at_2, no_info):
     assert mass_row[1] == "=="
     assert mass_row[2] == 1
 
+
+
+def test_build_measure_lp_maximises_the_claim_beside_a_static_book(
+    tri2, no_info, flat_digital_book
+):
+    # the calibration rows read each option's payoff; the objective reads the claim's
+    values = tri2.claim_values(parse_payoff("pos(S[1,T] - 1)"))
+    lp = build_measure_lp(tri2, [7, 2, 5, 8], no_info, flat_digital_book, None, values)
+    assert lp.objective == (values[2], values[5], values[7], values[8])
+    assert len(set(lp.objective)) > 1
 
 # ---------------------------------------------------------------------------
 # probability weights are bounded: every route that solves a measure program
@@ -302,8 +321,9 @@ def test_an_unbounded_composed_program_is_a_fault(monkeypatch, tri2, call_at_2, 
 
 
 def test_an_unbounded_forced_program_is_a_fault(monkeypatch, tri2, call_at_2, hits_one):
+    values = tri2.claim_values(call_at_2)
     base = build_measure_lp(
-        tri2, tri2.all_paths(), InfoStructure.minus(hits_one), None, None, call_at_2
+        tri2, tri2.all_paths(), InfoStructure.minus(hits_one), None, None, values
     )
     k = len(base.rows)
     _unbounded_on(
