@@ -9,12 +9,17 @@ means the run itself failed (bad file, bad flags, violated precondition).
 
 Usage::
 
-    rip price      --model m.yaml [--atom LABEL] [--mode M] [--out F]
-    rip hedge      --model m.yaml [--atom LABEL] [--mode M] [--out F]
-    rip duality    --model m.yaml [--atom LABEL] [--mode M] [--out F]
+    rip price      --model m.yaml [--t1 N] [--atom LABEL] [--mode M] [--out F]
+    rip hedge      --model m.yaml [--t1 N] [--atom LABEL] [--mode M] [--out F]
+    rip duality    --model m.yaml [--t1 N] [--atom LABEL] [--mode M] [--out F]
     rip dpp        --model m.yaml [--t1 N] [--mode M] [--out F]
     rip info-value --model m.yaml [--t1 N] [--mode M] [--out F]
     rip chain      --model m.yaml [--atom LABEL] [--mode M] [--out F]
+
+``--t1`` moves a dynamic label's arrival (price, hedge, duality), the
+split (dpp) or the arrival of the label whose premium is asked
+(info-value); ``--atom`` keeps one labelled atom of a per-atom report.
+A subcommand refuses a flag it cannot use, as a usage error (exit 1).
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .errors import InvalidModelError, RipError
 from .hedging import dpp_superhedge, superhedge
 from .information import InfoStructure, VARIANT_DYNAMIC
 from .modelfile import ModelConfig, load_model
-from .payoff import payoff_to_text
 from .pricing import dpp_price, model_price
 from .report import (
     atom_entry,
@@ -40,46 +44,11 @@ from .report import (
 )
 from .valuation import chain_quantities, duality_report, info_value_report
 
-_COMMANDS = (
-    ("price", "highest expectation under the calibrated measures, per atom"),
-    ("hedge", "cheapest superhedging portfolio, per atom"),
-    ("duality", "hedge and price side by side, with the five-way chain"),
-    ("dpp", "direct value against the two-stage composition at a split"),
-    ("info-value", "premium of a label over a family of claims"),
-    ("chain", "the five equivalent quantities for a label variable"),
-)
-
-
-def _build_cli() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rip",
-        description="robust pricing and hedging on finite path spaces",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, text in _COMMANDS:
-        cmd = sub.add_parser(name, help=text, description=text)
-        cmd.add_argument("--model", required=True, help="model file (YAML)")
-        cmd.add_argument("--t1", type=int, default=None, metavar="N",
-                         help="information arrival / split index")
-        cmd.add_argument("--atom", default=None, metavar="LABEL",
-                         help="restrict the report to one labelled atom")
-        cmd.add_argument("--mode", choices=MODES, default=None,
-                         help="override the model's arithmetic mode")
-        cmd.add_argument("--out", default=None, metavar="FILE",
-                         help="write the report here instead of stdout")
-    return parser
-
 
 def _require_claim(config: ModelConfig):
     if config.claim is None:
         raise RipError("this command needs a 'claim' entry in the model file")
     return config.claim
-
-
-def _claim_text(config: ModelConfig) -> str:
-    if config.claim is None:
-        return ""
-    return config.claim_text or payoff_to_text(config.claim)
 
 
 def _model_block(config: ModelConfig) -> dict:
@@ -95,13 +64,13 @@ def _model_block(config: ModelConfig) -> dict:
     return block
 
 
-def _apply_t1(config: ModelConfig, t1: Optional[int]) -> ModelConfig:
+def _apply_t1(config: ModelConfig, t1: Optional[int]) -> None:
+    """Move the dynamic label's arrival to ``--t1``, if given."""
     if t1 is None:
-        return config
+        return
     if config.info.variant != VARIANT_DYNAMIC:
         raise RipError("--t1 adjusts a dynamic information variant; this model has none")
     config.info = InfoStructure.dynamic(config.info.variable, t1)
-    return config
 
 
 def _filter_atoms(entries: List[dict], label: Optional[str]) -> List[dict]:
@@ -122,7 +91,7 @@ def _timings(answers) -> dict:
     return {"lp_solves": len(answers), "simplex_pivots": sum(a.pivots for a in answers)}
 
 
-def _table_report(command: str, config: ModelConfig, args, table, witness, finding: str):
+def _table_report(config: ModelConfig, args, table, witness, finding: str):
     """Per-atom entries of a price or hedge table, with the witness fields."""
     findings = []
     entries = []
@@ -133,9 +102,7 @@ def _table_report(command: str, config: ModelConfig, args, table, witness, findi
         if not v.finite:
             findings.append(f"{finding} on the atom containing path {atom.paths[0]}")
     report = {
-        "command": command,
-        "model": _model_block(config),
-        "claim": _claim_text(config),
+        "claim": config.claim_text,
         "atoms": _filter_atoms(entries, args.atom),
         "timings": _timings(table.values()),
     }
@@ -161,22 +128,21 @@ def _hedge_witness(hv) -> dict:
 
 
 def _run_price(config: ModelConfig, args) -> Tuple[dict, List[str]]:
+    _apply_t1(config, args.t1)
     claim = _require_claim(config)
     table = model_price(config.space, config.target, config.info, claim, config.book)
-    return _table_report(
-        "price", config, args, table, _price_witness, "no calibrated measure lives"
-    )
+    return _table_report(config, args, table, _price_witness, "no calibrated measure lives")
 
 
 def _run_hedge(config: ModelConfig, args) -> Tuple[dict, List[str]]:
+    _apply_t1(config, args.t1)
     claim = _require_claim(config)
     table = superhedge(config.space, config.target, config.info, claim, config.book)
-    return _table_report(
-        "hedge", config, args, table, _hedge_witness, "hedging is unbounded below"
-    )
+    return _table_report(config, args, table, _hedge_witness, "hedging is unbounded below")
 
 
 def _run_duality(config: ModelConfig, args) -> Tuple[dict, List[str]]:
+    _apply_t1(config, args.t1)
     claim = _require_claim(config)
     result = duality_report(config.space, claim, config.info, config.book)
     findings = []
@@ -196,12 +162,9 @@ def _run_duality(config: ModelConfig, args) -> Tuple[dict, List[str]]:
                 f"{entry.atom.paths[0]}"
             )
         entries.append(row)
-    entries = _filter_atoms(entries, args.atom)
     report = {
-        "command": "duality",
-        "model": _model_block(config),
-        "claim": _claim_text(config),
-        "atoms": entries,
+        "claim": config.claim_text,
+        "atoms": _filter_atoms(entries, args.atom),
         "tight_everywhere": result.tight_everywhere,
         "aggregate": {
             "hedge": num(result.aggregate_hedge),
@@ -221,8 +184,6 @@ def _run_dpp(config: ModelConfig, args) -> Tuple[dict, List[str]]:
     claim = _require_claim(config)
     if not config.book.is_cash_only:
         raise RipError("the two-stage decomposition is cash-only; drop static_options")
-    if args.atom is not None:
-        raise RipError("--atom does not apply to 'dpp'")
     split = args.t1
     if split is None:
         split = config.split
@@ -255,9 +216,7 @@ def _run_dpp(config: ModelConfig, args) -> Tuple[dict, List[str]]:
         }
 
     report = {
-        "command": "dpp",
-        "model": _model_block(config),
-        "claim": _claim_text(config),
+        "claim": config.claim_text,
         "split": split,
         "hedge": side(hedge),
         "price": side(price),
@@ -268,13 +227,11 @@ def _run_dpp(config: ModelConfig, args) -> Tuple[dict, List[str]]:
 def _run_info_value(config: ModelConfig, args) -> Tuple[dict, List[str]]:
     if config.info.variable is None:
         raise RipError("this command needs an 'info' block with a variable")
-    if args.atom is not None:
-        raise RipError("--atom does not apply to 'info-value'")
     claims = list(config.claims)
     texts = list(config.claim_texts)
     if config.claim is not None:
         claims.append(config.claim)
-        texts.append(_claim_text(config))
+        texts.append(config.claim_text)
     if not claims:
         raise RipError("give a 'claim' or a 'claims' list")
     arrival = args.t1
@@ -296,8 +253,6 @@ def _run_info_value(config: ModelConfig, args) -> Tuple[dict, List[str]]:
             row["premium"] = num(entry.value)
         entries.append(row)
     report = {
-        "command": "info-value",
-        "model": _model_block(config),
         "arrival": result.arrival,
         "variable": result.variable_name,
         "claims": entries,
@@ -329,39 +284,72 @@ def _run_chain(config: ModelConfig, args) -> Tuple[dict, List[str]]:
         }
         for label, hedge, price, forced in result.per_atom
     ]
-    per_atom = _filter_atoms(per_atom, args.atom)
     findings = []
     if all(is_neg_inf(v) for v in result.values()):
         findings.append("every quantity in the chain is -inf")
     if not result.all_equal:
         findings.append("chain values disagree")
     report = {
-        "command": "chain",
-        "model": _model_block(config),
-        "claim": _claim_text(config),
+        "claim": config.claim_text,
         "quantities": {k: num(v) for k, v in zip(names, result.values())},
         "all_equal": result.all_equal,
-        "per_atom": per_atom,
+        "per_atom": _filter_atoms(per_atom, args.atom),
     }
     return report, findings
 
 
-_RUNNERS = {
-    "price": _run_price,
-    "hedge": _run_hedge,
-    "duality": _run_duality,
-    "dpp": _run_dpp,
-    "info-value": _run_info_value,
-    "chain": _run_chain,
+# the optional flags a subcommand may take, besides --model, --mode and --out
+_FLAGS = {
+    "--t1": dict(type=int, default=None, metavar="N",
+                 help="information arrival / split index"),
+    "--atom": dict(default=None, metavar="LABEL",
+                   help="restrict the report to one labelled atom"),
+}
+
+# subcommand: (help text, runner, the flags of _FLAGS it takes)
+_COMMANDS = {
+    "price": ("highest expectation under the calibrated measures, per atom",
+              _run_price, ("--t1", "--atom")),
+    "hedge": ("cheapest superhedging portfolio, per atom",
+              _run_hedge, ("--t1", "--atom")),
+    "duality": ("hedge and price side by side, with the five-way chain",
+                _run_duality, ("--t1", "--atom")),
+    "dpp": ("direct value against the two-stage composition at a split",
+            _run_dpp, ("--t1",)),
+    "info-value": ("premium of a label over a family of claims",
+                   _run_info_value, ("--t1",)),
+    "chain": ("the five equivalent quantities for a label variable",
+              _run_chain, ("--atom",)),
 }
 
 
+def _build_cli() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rip",
+        description="robust pricing and hedging on finite path spaces",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (text, _, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=text, description=text)
+        cmd.add_argument("--model", required=True, help="model file (YAML)")
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
+        cmd.add_argument("--mode", choices=MODES, default=None,
+                         help="override the model's arithmetic mode")
+        cmd.add_argument("--out", default=None, metavar="FILE",
+                         help="write the report here instead of stdout")
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_cli().parse_args(argv)
+    try:
+        args = _build_cli().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help (0) or a usage error
+        return 1 if exc.code else 0
+    _, runner, _ = _COMMANDS[args.command]
     try:
         config = load_model(args.model, mode_override=args.mode)
-        config = _apply_t1(config, args.t1) if args.command not in ("dpp", "info-value") else config
-        report, findings = _RUNNERS[args.command](config, args)
+        body, findings = runner(config, args)
     except InvalidModelError as exc:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
@@ -370,7 +358,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    report["findings"] = findings
+    # the model block is read after the runner, which may move the label's arrival
+    report = {"command": args.command, "model": _model_block(config), **body,
+              "findings": findings}
     text = to_text(report)
     if args.out:
         try:

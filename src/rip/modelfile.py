@@ -92,11 +92,12 @@ _TOP_KEYS = {
     "tolerances",
 }
 
-_CATALOG_KEYS = {
-    "max-abs-deviation": {"asset"},
-    "range-indicator": {"lower", "upper", "asset"},
-    "tail-max-ratio": {"arrival", "asset"},
-    "tail-range-indicator": {"lower", "upper", "arrival", "asset"},
+# catalog entry: (constructor, the keys it takes besides asset, in argument order)
+_CATALOG = {
+    "max-abs-deviation": (max_abs_deviation, ()),
+    "range-indicator": (range_indicator, ("lower", "upper")),
+    "tail-max-ratio": (tail_max_ratio, ("arrival",)),
+    "tail-range-indicator": (tail_range_indicator, ("lower", "upper", "arrival")),
 }
 
 
@@ -425,45 +426,32 @@ def _parse_variable(spec: Any, space: PathSpace, mode: str, errs: _Collector) ->
     if mapping is None:
         return None
     name = mapping.get("catalog")
-    if name not in _CATALOG_KEYS:
+    if not isinstance(name, str) or name not in _CATALOG:
         errs.add("info.variable", f"unknown catalog entry {name!r}")
         return None
-    _check_keys(mapping, _CATALOG_KEYS[name] | {"catalog"}, "info.variable", errs)
+    constructor, keys = _CATALOG[name]
+    _check_keys(mapping, {"catalog", "asset", *keys}, "info.variable", errs)
     asset = mapping.get("asset", 1)
     if not isinstance(asset, int) or isinstance(asset, bool) or not 1 <= asset <= space.n_assets:
         errs.add("info.variable", f"asset must be in 1..{space.n_assets}")
         return None
 
-    def bound(key: str):
+    def argument(key: str):
         if key not in mapping:
             errs.add("info.variable", f"{name} requires {key!r}")
             return None
-        return _as_number(mapping[key], mode, f"info.variable.{key}", errs)
-
-    def arrival_of() -> Optional[int]:
-        if "arrival" not in mapping:
-            errs.add("info.variable", f"{name} requires 'arrival'")
-            return None
-        k = _as_int(mapping["arrival"], "info.variable.arrival", errs)
+        if key != "arrival":
+            return _as_number(mapping[key], mode, f"info.variable.{key}", errs)
+        k = _as_int(mapping[key], "info.variable.arrival", errs)
         if k is not None and not 0 <= k <= space.n_steps:
             errs.add("info.variable.arrival", f"must be in 0..{space.n_steps}")
             return None
         return k
 
-    if name == "max-abs-deviation":
-        return max_abs_deviation(asset=asset)
-    if name == "range-indicator":
-        lo, hi = bound("lower"), bound("upper")
-        if lo is None or hi is None:
-            return None
-        return range_indicator(lo, hi, asset=asset)
-    if name == "tail-max-ratio":
-        k = arrival_of()
-        return None if k is None else tail_max_ratio(k, asset=asset)
-    lo, hi, k = bound("lower"), bound("upper"), arrival_of()
-    if lo is None or hi is None or k is None:
+    args = [argument(key) for key in keys]
+    if any(a is None for a in args):
         return None
-    return tail_range_indicator(lo, hi, k, asset=asset)
+    return constructor(*args, asset=asset)
 
 
 def _parse_info(doc: dict, space: PathSpace, mode: str, errs: _Collector) -> InfoStructure:

@@ -1,12 +1,14 @@
 """The command line driver: exit codes, report shape, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
+import rip.cli
 import rip.lp
 from rip.cli import main
 
@@ -49,6 +51,13 @@ lattice: {ratios: ["1/2", 1, 2]}
 info: {variant: minus, variable: "ind(S[1,2] / S[1,1] == 1)"}
 claims:
   - "ind(S[1,1] == 2) * ind(S[1,2] == 2) + ind(S[1,1] == 0.5) * ind(S[1,2] == 0.25)"
+"""
+
+DYNAMIC_MODEL = """
+grid: {steps: 3}
+lattice: {ratios: ["1/2", 1, 2]}
+info: {variant: dynamic, variable: "ind(S[1,3] == 1)", arrival: 1}
+claim: pos(S[1,3] - 1)
 """
 
 FOUR_STEP_MODEL = """
@@ -122,9 +131,24 @@ class TestExitCodes:
         assert code == 1
         assert "cannot read" in err
 
-    def test_usage_error_exits_via_argparse(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["price"])
+    def test_usage_error_gives_one(self, model_file, capsys):
+        path = model_file(CALL_MODEL)
+        for argv in (
+            ["price"],  # no --model
+            ["price", "--model", path, "--strike", "1"],  # an unknown flag
+            ["hedge", "--model", path, "--t1", "x"],  # --t1 is not an integer
+        ):
+            code, out, err = run(argv, capsys)
+            assert code == 1, argv
+            assert out == ""
+            assert "usage: rip" in err
+
+    @pytest.mark.parametrize("command", [None, *rip.cli._COMMANDS])
+    def test_help_gives_zero(self, command, capsys):
+        code, out, err = run([command, "--help"] if command else ["--help"], capsys)
+        assert code == 0
+        assert out.startswith(f"usage: rip {command or ''}".rstrip())
+        assert err == ""
 
 
 class TestReports:
@@ -298,6 +322,51 @@ class TestFlags:
         )
         assert code == 1
         assert "cannot write" in err
+
+
+def _usage_flags(text: str) -> set:
+    return set(re.findall(r"--[a-z0-9-]+", text)) - {"--help"}
+
+
+class TestFlagTable:
+    """Each subcommand takes exactly the flags it can use, as its usage line says."""
+
+    @pytest.mark.parametrize("command", list(rip.cli._COMMANDS))
+    def test_docstring_usage_lists_the_parser_flags(self, command, capsys):
+        usage = {
+            m.group(1): _usage_flags(m.group(2))
+            for m in re.finditer(r"^ +rip ([a-z-]+) +(--model .*)$", rip.cli.__doc__, re.M)
+        }
+        assert set(usage) == set(rip.cli._COMMANDS)
+        code, out, _ = run([command, "--help"], capsys)  # the parser's usage comes first
+        assert code == 0
+        assert usage[command] == _usage_flags(out.split("\n\n")[0])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["dpp", "--atom", "1"], ["info-value", "--atom", "1"], ["chain", "--t1", "1"]],
+        ids=["dpp-atom", "info-value-atom", "chain-t1"],
+    )
+    def test_a_flag_the_subcommand_cannot_use_is_a_usage_error(self, argv, model_file, capsys):
+        path = model_file(DYNAMIC_MODEL)
+        code, out, err = run([argv[0], "--model", path] + argv[1:], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+    @pytest.mark.parametrize("command", ["price", "hedge", "duality"])
+    def test_t1_moves_the_arrival_in_the_model_block(self, command, model_file, capsys):
+        path = model_file(DYNAMIC_MODEL)
+        code, out, _ = run([command, "--model", path, "--t1", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["model"]["information"]["arrival"] == 2
+
+    @pytest.mark.parametrize("command", ["price", "hedge", "duality"])
+    def test_t1_is_checked_before_the_claim(self, command, model_file, capsys):
+        path = model_file('grid: {steps: 1}\nlattice: {ratios: ["1/2", 1, 2]}\n')
+        code, _, err = run([command, "--model", path, "--t1", "1"], capsys)
+        assert code == 1
+        assert "dynamic" in err and "claim" not in err
 
 
 class TestFloatFlags:

@@ -363,6 +363,16 @@ class TestInfoSection:
         )
         assert any("unknown catalog entry 'skewness'" in m for m in messages)
 
+    def test_a_catalog_entry_that_is_not_a_name_is_reported(self):
+        messages = errors_of(
+            """
+            grid: {steps: 1}
+            lattice: {ratios: [1, 2]}
+            info: {variant: plus, variable: {catalog: [skewness]}}
+            """
+        )
+        assert messages == ["info.variable: unknown catalog entry ['skewness']"]
+
     def test_catalog_entry_missing_bounds(self):
         messages = errors_of(
             """
