@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import List, Optional, Tuple
 
 from ._numeric import MODES, is_neg_inf
@@ -268,13 +269,6 @@ def _run_chain(config: ModelConfig, args) -> Tuple[dict, List[str]]:
     if not config.book.is_cash_only:
         raise RipError("the five-way chain is cash-only; drop static_options")
     result = chain_quantities(config.space, config.info.variable, claim)
-    names = (
-        "hedge_uninformed_capital",
-        "hedge_atom_worst",
-        "price_atom_best",
-        "price_forced_best",
-        "price_uninformed_capital",
-    )
     per_atom = [
         {
             "atom": {"label": num(label)},
@@ -291,7 +285,8 @@ def _run_chain(config: ModelConfig, args) -> Tuple[dict, List[str]]:
         findings.append("chain values disagree")
     report = {
         "claim": config.claim_text,
-        "quantities": {k: num(v) for k, v in zip(names, result.values())},
+        # the first fields of ChainQuantities name the routes of values(), in order
+        "quantities": {f.name: num(v) for f, v in zip(fields(result), result.values())},
         "all_equal": result.all_equal,
         "per_atom": _filter_atoms(per_atom, args.atom),
     }
@@ -323,14 +318,16 @@ _COMMANDS = {
 }
 
 
-def _build_cli() -> argparse.ArgumentParser:
+def _build_cli() -> Tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="rip",
         description="robust pricing and hedging on finite path spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    commands = {}
     for name, (text, _, flags) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=text, description=text)
+        cmd = commands[name] = sub.add_parser(name, help=text, description=text)
         cmd.add_argument("--model", required=True, help="model file (YAML)")
         for flag in flags:
             cmd.add_argument(flag, **_FLAGS[flag])
@@ -338,12 +335,15 @@ def _build_cli() -> argparse.ArgumentParser:
                          help="override the model's arithmetic mode")
         cmd.add_argument("--out", default=None, metavar="FILE",
                          help="write the report here instead of stdout")
-    return parser
+    return parser, commands
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    parser, commands = _build_cli()
     try:
-        args = _build_cli().parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported against the subcommand's usage, which lists its flags
+            commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse has printed the help (0) or a usage error
         return 1 if exc.code else 0
     _, runner, _ = _COMMANDS[args.command]

@@ -350,19 +350,23 @@ def _hedge_value(problem: HedgeProblem) -> HedgeValue:
 def _stage_table(space, atoms, target, info, floor, book, interval, value_of) -> AtomTable:
     """One stage of a staged problem: a value per atom meeting the target.
 
-    ``floor`` holds the value due at the end of ``interval`` on every path:
-    the claim's, or the next stage's.  ``value_of`` (:func:`_hedge_stage` or
-    ``pricing._price_stage``) values each atom over its target paths whose
-    floor is finite: no capital meets a ``-inf`` floor, so the hedge drops
-    its row and, as the dual of that, the price its column.  Handed no path,
-    ``value_of`` returns a bare ``-inf`` without solving.
+    The table lists the atoms that meet ``target`` in partition order and
+    leaves the others out.  ``floor`` holds the value due at the end of
+    ``interval`` on every path: the claim's, or the next stage's.
+    ``value_of`` (:func:`_hedge_stage` or ``pricing._price_stage``) values
+    each atom over its target paths, ascending, whose floor is finite: no
+    capital meets a ``-inf`` floor, so the hedge drops its row and, as the
+    dual of that, the price its column.  Handed no path, ``value_of``
+    returns a bare ``-inf`` without solving.
     """
-
-    def stage(meet: tuple):
-        finite = tuple(p for p in meet if not is_neg_inf(floor[p]))
-        return value_of(space, finite, info, floor, book, interval)
-
-    return AtomTable.over(atoms, target, stage)
+    wanted = set(target)
+    entries = []
+    for atom in atoms:
+        meet = [p for p in atom.paths if p in wanted]
+        if meet:
+            finite = tuple(p for p in meet if not is_neg_inf(floor[p]))
+            entries.append((atom, value_of(space, finite, info, floor, book, interval)))
+    return AtomTable(entries)
 
 
 def _hedge_stage(space, paths, info, floor, book, interval) -> HedgeValue:

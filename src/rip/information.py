@@ -21,13 +21,12 @@ variables on atoms deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
 from typing import Any, Callable, Optional, Sequence
 
 from ._numeric import FLOAT, ModeOps
 from .errors import PreconditionError
 from .payoff import evaluate_payoff, parse_payoff
-from .paths import Path, PathSpace
+from .paths import Path, PathSpace, _per_space
 
 VARIANT_NONE = "none"
 VARIANT_PLUS = "plus"
@@ -54,8 +53,8 @@ class Atom:
 class InfoVariable:
     """A path functional whose level sets the informed agent can observe.
 
-    Compared by identity: build one instance per model and reuse it, so the
-    partition caches can key on it.
+    Compared by identity: build one instance per model and reuse it, so a
+    space's cache can key on it.
     """
 
     name: str
@@ -128,21 +127,6 @@ class AtomTable:
             for p in atom.paths:
                 self._by_path[p] = (atom, value)
 
-    @classmethod
-    def over(cls, atoms: Sequence[Atom], target, value_of: Callable) -> "AtomTable":
-        """One entry per atom meeting ``target``, in partition order.
-
-        ``value_of`` receives the ascending paths that the atom shares with
-        the target; atoms that miss the target are left out.
-        """
-        target_set = set(target)
-        entries = []
-        for atom in atoms:
-            meet = tuple(p for p in atom.paths if p in target_set)
-            if meet:
-                entries.append((atom, value_of(meet)))
-        return cls(entries)
-
     def __iter__(self):
         return iter(self.entries)
 
@@ -167,21 +151,6 @@ class AtomTable:
 
 # ---------------------------------------------------------------------------
 # partitions
-
-
-def _per_space(build):
-    """Cache ``build(space, *key)`` in the space itself, so it dies with it."""
-
-    @wraps(build)
-    def cached(space: PathSpace, *key):
-        store = space._partition_cache
-        try:
-            return store[build, key]
-        except KeyError:
-            value = store[build, key] = build(space, *key)
-            return value
-
-    return cached
 
 
 @_per_space
@@ -240,7 +209,13 @@ class Filtration:
 
 
 @_per_space
-def _filtration(space: PathSpace, info: InfoStructure) -> Filtration:
+def filtration(space: PathSpace, info: InfoStructure) -> Filtration:
+    """The agent's partitions, built once per pair; a bad arrival is refused
+    before anything is stored, so on every call."""
+    if info.variant == VARIANT_DYNAMIC and not 1 <= info.arrival <= space.n_steps - 1:
+        raise PreconditionError(
+            f"arrival index {info.arrival} must lie strictly inside 1..{space.n_steps - 1}"
+        )
     # the agent holds the label from grid index `known` on; 'none' has no label;
     # paths are keyed on the space's integer view, the paths' own rows in float mode
     rows = space.nums
@@ -275,15 +250,6 @@ def _filtration(space: PathSpace, info: InfoStructure) -> Filtration:
         atoms.append((Atom(-1, space.all_paths()),))
         cells.append((0,) * len(rows))
     return Filtration(tuple(atoms), tuple(cells))
-
-
-def filtration(space: PathSpace, info: InfoStructure) -> Filtration:
-    """The agent's partitions, built once per pair."""
-    if info.variant == VARIANT_DYNAMIC and not 1 <= info.arrival <= space.n_steps - 1:
-        raise PreconditionError(
-            f"arrival index {info.arrival} must lie strictly inside 1..{space.n_steps - 1}"
-        )
-    return _filtration(space, info)
 
 
 def trading_terms(space: PathSpace, info: InfoStructure, paths: Sequence[int], interval: tuple):

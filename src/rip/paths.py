@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from typing import Any, Iterable, Optional, Sequence
 
 from ._numeric import (
@@ -125,13 +126,35 @@ class StaticOptionBook:
         return out
 
 
+def _per_space(build):
+    """Cache ``build(space, *key)`` in ``space._cache``, so it dies with the space.
+
+    A key that cannot be hashed is built afresh on every call, and a build
+    that raises stores nothing.
+    """
+
+    @wraps(build)
+    def cached(space: "PathSpace", *key):
+        store = space._cache
+        try:
+            return store[build, key]
+        except KeyError:
+            value = store[build, key] = build(space, *key)
+            return value
+        except TypeError:  # an unhashable key
+            return build(space, *key)
+
+    return cached
+
+
 @dataclass(eq=False)
 class PathSpace:
     """A finite family of distinct paths sharing ``n_steps`` steps and one numeric mode.
 
-    Instances are immutable in practice and hashable by identity, which the
-    filtration cache relies on.  Claim values and partitions are cached in
-    the space itself, so they live exactly as long as it does.
+    Instances are immutable in practice and hashable by identity.  Data
+    built from the space (claim values, labels, partitions) is kept in one
+    store, ``_cache``, filled through :func:`_per_space`, so it lives
+    exactly as long as the space does.
     ``n_assets`` counts base assets and ``n_options`` the adjoined
     dynamically traded options; path rows have ``n_assets + n_options``
     coordinates.
@@ -151,8 +174,7 @@ class PathSpace:
     paths: tuple
     mode: str = RATIONAL
     dynamic_options: tuple = ()
-    _claim_cache: dict = field(default_factory=dict, repr=False)
-    _partition_cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -237,21 +259,10 @@ class PathSpace:
             raise PreconditionError(f"bad interval ({t_from}, {t_to})")
         return t_from, t_to
 
+    @_per_space
     def claim_values(self, claim: Expr) -> tuple:
         """Evaluate a payoff on every path, cached per expression."""
-        key = claim
-        try:
-            return self._claim_cache[key]
-        except KeyError:
-            pass
-        except TypeError:
-            key = None
-        values = tuple(
-            evaluate_payoff(claim, path.values, self.ops) for path in self.paths
-        )
-        if key is not None:
-            self._claim_cache[key] = values
-        return values
+        return tuple(evaluate_payoff(claim, path.values, self.ops) for path in self.paths)
 
     def describe(self) -> dict:
         return {

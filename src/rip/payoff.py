@@ -185,13 +185,14 @@ def evaluate_payoff(expr: Expr, values: PathValues, ops: ModeOps = RATIONAL_OPS)
             series = [_coord(values, node.asset, k) for k in range(len(values))]
             return max(series) if node.kind == "max" else min(series)
         if isinstance(node, TailClaim):
-            return evaluate_payoff(node.inner, _normalised_tail(values, node.arrival), ops)
+            return evaluate_payoff(node.inner, _normalised_tail(values, node.arrival, ops), ops)
         raise EvaluationError(f"not a payoff node: {node!r}")
 
     return ev(expr)
 
 
-def _normalised_tail(values: PathValues, arrival: int) -> list:
+def _normalised_tail(values: PathValues, arrival: int, ops: ModeOps) -> list:
+    """The rows from ``arrival`` on, each coordinate over its value there; 0/0 is ``ops.one``."""
     if not 0 <= arrival < len(values):
         raise EvaluationError(f"tail arrival {arrival} outside 0..{len(values) - 1}")
     base = values[arrival]
@@ -202,7 +203,7 @@ def _normalised_tail(values: PathValues, arrival: int) -> list:
             if b == 0:
                 if x != 0:
                     raise EvaluationError("cannot normalise a tail that leaves zero")
-                out.append(1)
+                out.append(ops.one)
             else:
                 out.append(x / b)
         tail.append(tuple(out))

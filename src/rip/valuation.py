@@ -11,7 +11,7 @@ internal consistency statement the package can make.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Iterable, Optional, Sequence
 
 from ._numeric import NEG_INF, ModeOps, format_number, is_neg_inf
@@ -62,7 +62,9 @@ class ChainQuantities:
     informed-capital price over label atoms; the best price over label
     atoms with the support forced by explicit rows on the full variable
     set; and pricing with uninformed capital.  All five agree (or are all
-    ``-inf``) whenever the claim and label are as documented.
+    ``-inf``) whenever the claim and label are as documented.  The first
+    five fields are the routes in that order, and their names are the
+    route names that :meth:`values` and ``rip chain`` read.
     """
 
     hedge_uninformed_capital: Any
@@ -74,13 +76,8 @@ class ChainQuantities:
     ops: ModeOps
 
     def values(self) -> tuple:
-        return (
-            self.hedge_uninformed_capital,
-            self.hedge_atom_worst,
-            self.price_atom_best,
-            self.price_forced_best,
-            self.price_uninformed_capital,
-        )
+        """The five routes, in order: the first five fields."""
+        return tuple(getattr(self, route.name) for route in fields(self)[:5])
 
     @property
     def all_equal(self) -> bool:
@@ -210,10 +207,6 @@ def duality_report(
 # the value of information
 
 
-def _uninformed_value(space: PathSpace, claim: Expr) -> Any:
-    return superhedge(space, None, InfoStructure.none(), claim, None).single().value
-
-
 def _informed_value(
     space: PathSpace, variable: InfoVariable, arrival: int, claim: Expr
 ) -> Any:
@@ -243,13 +236,7 @@ def info_value_claim(
     label either way).  Undefined, and an error, when either side is
     ``-inf``.
     """
-    (entry,) = info_value_report(space, variable, arrival, [claim]).entries
-    if entry.flag:
-        raise PreconditionError(
-            "superhedging degenerates to -inf here; the information premium "
-            "is undefined"
-        )
-    return entry.value
+    return _premium(info_value_report(space, variable, arrival, [claim]))
 
 
 def info_value(
@@ -260,8 +247,9 @@ def info_value(
 ) -> Any:
     """The information premium over a family of claims with values in [0, 1].
 
-    Checks the range claim by claim (an out-of-range claim is a
-    precondition failure) and returns the largest single-claim premium.
+    Checks the range claim by claim before any solve (an out-of-range
+    claim is a precondition failure) and returns the largest single-claim
+    premium.
     """
     if not claims:
         raise PreconditionError("the claim family is empty")
@@ -274,7 +262,7 @@ def info_value(
                     f"claim {k} takes value {format_number(v)} on path {p}; "
                     "the family must stay within [0, 1]"
                 )
-    return max(info_value_claim(space, variable, arrival, claim) for claim in claims)
+    return _premium(info_value_report(space, variable, arrival, claims))
 
 
 @dataclass(frozen=True)
@@ -296,6 +284,16 @@ class InfoValueReport:
     value: Optional[Any]  # the family premium, None when every entry is flagged
 
 
+def _premium(report: InfoValueReport) -> Any:
+    """The family premium of ``report``; a flagged entry leaves it undefined."""
+    if any(entry.flag for entry in report.entries):
+        raise PreconditionError(
+            "superhedging degenerates to -inf here; the information premium "
+            "is undefined"
+        )
+    return report.value
+
+
 def info_value_report(
     space: PathSpace,
     variable: InfoVariable,
@@ -305,7 +303,7 @@ def info_value_report(
     entries = []
     finite = []
     for claim in claims:
-        base = _uninformed_value(space, claim)
+        base = superhedge(space, None, InfoStructure.none(), claim, None).single().value
         informed = _informed_value(space, variable, arrival, claim)
         if is_neg_inf(base) or is_neg_inf(informed):
             side = "uninformed" if is_neg_inf(base) else "informed"

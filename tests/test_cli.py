@@ -246,13 +246,13 @@ class TestReports:
         assert code == 0
         report = json.loads(out)
         assert report["all_equal"] is True
-        assert set(report["quantities"]) == {
+        assert list(report["quantities"]) == [  # in route order
             "hedge_uninformed_capital",
             "hedge_atom_worst",
             "price_atom_best",
             "price_forced_best",
             "price_uninformed_capital",
-        }
+        ]
         assert set(report["quantities"].values()) == {"1/3"}
         assert len(report["per_atom"]) == 2
 
@@ -344,8 +344,9 @@ class TestFlagTable:
 
     @pytest.mark.parametrize(
         "argv",
-        [["dpp", "--atom", "1"], ["info-value", "--atom", "1"], ["chain", "--t1", "1"]],
-        ids=["dpp-atom", "info-value-atom", "chain-t1"],
+        [["dpp", "--atom", "1"], ["info-value", "--atom", "1"], ["chain", "--t1", "1"],
+         ["price", "--bogus"]],
+        ids=["dpp-atom", "info-value-atom", "chain-t1", "price-bogus"],
     )
     def test_a_flag_the_subcommand_cannot_use_is_a_usage_error(self, argv, model_file, capsys):
         path = model_file(DYNAMIC_MODEL)
@@ -353,6 +354,8 @@ class TestFlagTable:
         assert code == 1
         assert out == ""
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+        # shown against the subcommand's usage, which lists the flags it takes
+        assert err.startswith(f"usage: rip {argv[0]} ")
 
     @pytest.mark.parametrize("command", ["price", "hedge", "duality"])
     def test_t1_moves_the_arrival_in_the_model_block(self, command, model_file, capsys):

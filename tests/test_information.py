@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+import rip.hedging
+import rip.pricing
 from rip import (
     Atom,
-    AtomTable,
     InfoStructure,
     InfoVariable,
     ModeOps,
@@ -325,12 +326,12 @@ class TestFiltration:
     def test_partitions_are_cached_in_their_space(self, tri2, hits_one):
         assert market_partition(tri2, 1) == market_partition(tri2, 1)
         assert z_partition(tri2, hits_one) == z_partition(tri2, hits_one)
-        cached = dict(tri2._partition_cache)
+        cached = dict(tri2._cache)
         assert cached
         market_partition(tri2, 1)
         atoms_at(tri2, InfoStructure.minus(hits_one), 1)
         z_partition(tri2, hits_one)
-        assert all(tri2._partition_cache[key] is value for key, value in cached.items())
+        assert all(tri2._cache[key] is value for key, value in cached.items())
 
     def test_spaces_die_with_their_partitions(self):
         # every partition and filtration map lives in its space's own store
@@ -341,7 +342,7 @@ class TestFiltration:
             info = InfoStructure.dynamic(max_abs_deviation(), 1)
             superhedge(space, None, info, claim)
             model_price(space, None, info, claim)
-            assert space._partition_cache
+            assert space._cache
             refs.append(weakref.ref(space))
         del space
         gc.collect()
@@ -382,13 +383,31 @@ class TestPartitionViews:
             with pytest.raises(PreconditionError):
                 market_partition(tri2, t)
 
-    def test_tables_skip_atoms_that_miss_the_target(self, tri2):
-        atoms = market_partition(tri2, 1)
-        seen = []
-        table = AtomTable.over(atoms, [8, 0, 7, 1], lambda meet: seen.append(meet) or len(meet))
-        assert seen == [(0, 1), (7, 8)]
-        assert [atom for atom, _ in table] == [atoms[0], atoms[2]]
-        assert table.values() == (2, 2)
+    def test_tables_skip_atoms_that_miss_the_target(self, tri2, call_at_1):
+        # the label is the first move, so the label atoms are paths 0-2, 3-5 and 6-8
+        info = InfoStructure.plus(info_from_payoff(parse_payoff("S[1,1]"), "first-move"))
+        atoms = atoms_at(tri2, info, -1)
+        assert [atom.paths for atom in atoms] == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+        # both sides build their tables through the one stage table
+        for owner, question, stage in (
+            (rip.hedging, "superhedge", "_hedge_stage"),
+            (rip.pricing, "model_price", "_price_stage"),
+        ):
+            seen = []
+            value_of = getattr(owner, stage)
+
+            def recorded(space, paths, *rest):
+                seen.append(paths)
+                return value_of(space, paths, *rest)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(owner, stage, recorded)
+                table = getattr(owner, question)(tri2, [8, 0, 7, 1, 2], info, call_at_1)
+            # the middle atom misses the target; the others keep partition order
+            assert seen == [(0, 1, 2), (7, 8)]
+            assert [atom for atom, _ in table] == [atoms[0], atoms[2]]
+            alone = getattr(owner, question)(tri2, [7, 8], info, call_at_1).single()
+            assert table.for_path(7) == alone
 
 
 def test_labels_are_quantised_in_float_mode():

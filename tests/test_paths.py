@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rip import (
+    Call,
     CapacityError,
     DynamicOption,
     FLOAT,
     InfoStructure,
+    Num,
     PreconditionError,
     StaticOptionBook,
     build_hedge_problem,
@@ -81,6 +83,17 @@ def test_claim_values_are_cached_per_expression(tri1, call_at_1):
     first = tri1.claim_values(call_at_1)
     assert tri1.claim_values(call_at_1) is first
     assert list(first) == [0, 0, 1]
+
+
+def test_an_unhashable_claim_is_evaluated_but_not_stored():
+    space = build_lattice(1, 1, ["1/2", 1, 2])
+    claim = Call("max", [parse_payoff("S[1,T]"), Num(1)])  # list args: no hash
+    with pytest.raises(TypeError):
+        hash(claim)
+    stored = dict(space._cache)
+    assert space.claim_values(claim) == (1, 1, 2)
+    assert space.claim_values(claim) == (1, 1, 2)
+    assert space._cache == stored
 
 
 class TestSupDist:

@@ -1,6 +1,7 @@
 """Duality reports, the five-way chain, and information premiums."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -166,6 +167,17 @@ class TestInfoValue:
         assert report.entries[0].flag
         assert report.value is None
 
+    def test_a_degenerate_claim_is_refused_alone_and_in_a_family(self):
+        # every path rises, so holding the asset is an arbitrage and both values are -inf
+        space = space_from_paths([[(1,), (2,)], [(1,), (3,)]], n_assets=1)
+        upper = info_from_payoff(parse_payoff("ind(S[1,1] >= 2)"), "up")
+        claim = parse_payoff("ind(S[1,T] >= 3)")
+        with pytest.raises(PreconditionError, match="degenerates to -inf") as single:
+            info_value_claim(space, upper, 0, claim)
+        with pytest.raises(PreconditionError, match="degenerates to -inf") as family:
+            info_value(space, upper, 0, [parse_payoff("0"), claim])
+        assert str(single.value) == str(family.value)
+
 
 class _CountedStore(dict):
     """A space's cache that counts, per builder, the entries it stores."""
@@ -182,7 +194,7 @@ class _CountedStore(dict):
 def _counted_space():
     space = build_lattice(1, 2, ["1/2", 1, 2])
     store = _CountedStore()
-    object.__setattr__(space, "_partition_cache", store)
+    object.__setattr__(space, "_cache", store)
     return space, store.builds
 
 
@@ -199,6 +211,13 @@ class TestTransport:
         for p, path in enumerate(tri2.paths):
             ratio = path.coord(1, 2) / path.coord(1, 1)
             assert tri2.claim_values(moved)[p] == max(ratio - 1, 0)
+
+    @pytest.mark.parametrize("mode,kind", [("rational", Fraction), ("float", float)])
+    def test_a_tail_at_zero_takes_the_modes_one(self, mode, kind):
+        space = space_from_paths([[(1,), (0,), (0,)], [(1,), (2,), (3,)]], 1, mode=mode)
+        values = space.claim_values(TailClaim(parse_payoff("S[1,T]"), 1))
+        assert values == (1, rat(3, 2))
+        assert all(type(v) is kind for v in values)
 
     def test_transport_validates_the_fit(self, tri2, call_at_2):
         with pytest.raises(PreconditionError):
