@@ -25,6 +25,7 @@ A subcommand refuses a flag it cannot use, as a usage error (exit 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from typing import List, Optional, Tuple
@@ -318,8 +319,12 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_cli() -> Tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser, and each subcommand's own parser by name."""
+    """The top-level parser, and each subcommand's own parser by name.
+
+    Built once per process; ``main`` reads each runner off ``_COMMANDS`` per call.
+    """
     parser = argparse.ArgumentParser(
         prog="rip",
         description="robust pricing and hedging on finite path spaces",

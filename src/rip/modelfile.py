@@ -7,6 +7,9 @@ loader walks the whole document and raises a single
 :class:`~rip.errors.InvalidModelError` carrying every problem found, rather
 than stopping at the first one.
 
+Texts are read by ``yaml.CSafeLoader`` (libyaml) where PyYAML has it, else by
+``yaml.SafeLoader``, which also reads streams and re-reads a text libyaml refuses.
+
 Top-level keys::
 
     mode             "rational" (default) or "float"
@@ -49,8 +52,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
-
-import yaml
 
 from ._numeric import FLOAT, MODES, ModeOps, RATIONAL, get_ops, rat
 from .errors import InvalidModelError, PreconditionError, RipError
@@ -530,6 +531,21 @@ def _parse_tolerances(doc: dict, mode: str, errs: _Collector) -> Optional[ModeOp
     )
 
 
+def _read_yaml(source: Any) -> Any:
+    """The document of a YAML text or stream, read by PyYAML's safe loader."""
+    import yaml  # imported here, so that ``import rip`` does not load it
+
+    if isinstance(source, str) and hasattr(yaml, "CSafeLoader"):
+        try:
+            return yaml.load(source, Loader=yaml.CSafeLoader)
+        except yaml.YAMLError:
+            pass  # read again below: the pure loader's message quotes the faulty line
+    try:
+        return yaml.load(source, Loader=yaml.SafeLoader)
+    except yaml.YAMLError as exc:
+        raise InvalidModelError([f"model: not valid YAML ({exc})"]) from exc
+
+
 def parse_model(source: Any, mode_override: Optional[str] = None) -> ModelConfig:
     """Read and validate a model.
 
@@ -537,13 +553,7 @@ def parse_model(source: Any, mode_override: Optional[str] = None) -> ModelConfig
     object.  ``mode_override`` replaces the document's arithmetic mode, which
     is how the command line's ``--mode`` flag is applied.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            doc = yaml.safe_load(source)
-        except yaml.YAMLError as exc:
-            raise InvalidModelError([f"model: not valid YAML ({exc})"]) from exc
+    doc = source if isinstance(source, dict) else _read_yaml(source)
     if not isinstance(doc, dict):
         raise InvalidModelError(["model: the document must be a mapping"])
 

@@ -420,3 +420,29 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "price"
+
+
+def test_one_parser_serves_every_call_of_a_process(model_file, monkeypatch, capsys):
+    """Calls in one process print and exit as each would alone in a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the same width in both
+    price, dpp = model_file(CALL_MODEL, "call.yaml"), model_file(DPP_MODEL, "dpp.yaml")
+    calls = [
+        ["--help"],
+        ["price"],  # no --model
+        ["chain", "--model", dpp, "--t1", "1"],  # a flag chain does not take
+        ["price", "--model", price],
+        ["dpp", "--model", dpp, "--t1", "1"],
+    ]
+    rip.cli._build_cli.cache_clear()
+    codes = []
+    for argv in calls:
+        alone = subprocess.run(
+            [sys.executable, "-m", "rip.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run(argv, capsys) == (alone.returncode, alone.stdout, alone.stderr), argv
+        codes.append(alone.returncode)
+    assert codes == [0, 1, 1, 0, 0]
+    assert rip.cli._build_cli.cache_info().misses == 1
