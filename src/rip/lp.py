@@ -9,37 +9,37 @@ object, pivot for pivot.  In rational mode the tableau is fraction-free
 included, holds only its nonzero integer numerators, keyed by column, over
 one positive integer denominator; an update keeps the row's common factor,
 which the bit guard divides out of every row every ``_GUARD_EVERY`` pivots.
-A pivot builds no rational number, and its cost follows the nonzeros of
-the rows it touches, not the tableau's width: the ratio test collects the
-rows that hold the entering column as it scans them, and the elimination
-updates only those, so a pivot passes over the rows once.  The set-up and
-the read-out are integer too.  The tableau is built from the program in
-one pass: each row is put over one denominator as it is read, with the
-bounds' shifts and mirrors and its own sign applied, and so is each
-phase's cost.  Each phase's reduced-cost row is summed in one pass over
-the lcm of the basic rows' denominators and reduced by one gcd, so the
-set-up is linear in the nonzeros.  Each reported number is one quotient of
-integers, so exact rationals are built only for what the solver reports;
-the reported values, certificates, and infeasibility witnesses are exact.
-In float mode the rows are stored the same way, as floats over a
-denominator of 1, and an update that cancels an entry down to round-off
-(at most ``_DROP`` of its old magnitude) deletes it, so that round-off does
-not fill the tableau; the reduced-cost row cancels the basic rows from the
-costs one at a time, in row order.
+A pivot builds no rational number, and its cost follows the nonzeros of the
+rows it touches, not the tableau's width: the ratio test collects the rows
+that hold the entering column as it scans them, and the elimination updates
+only those, so a pivot passes over the rows once.  The set-up and the
+read-out are integer too.  The tableau is built from the program in one
+pass: each row is put over one denominator as it is read, with its own sign
+applied, and so is each phase's cost.  Each phase's reduced-cost row is
+summed in one pass over the lcm of the basic rows' denominators and reduced
+by one gcd, so the set-up is linear in the nonzeros.  Each reported number
+is one quotient of integers, so exact rationals are built only for what the
+solver reports; the reported values, certificates, and infeasibility
+witnesses are exact.  In float mode the rows are stored the same way, as
+floats over a denominator of 1, and an update that cancels an entry down to
+round-off (at most ``_DROP`` of its old magnitude) deletes it, so that
+round-off does not fill the tableau; the reduced-cost row cancels the basic
+rows from the costs one at a time, in row order.
 
-Each variable gets one tableau column.  A bounded one is shifted onto a
-nonnegative column; a free one keeps its column, which may enter the basis
-in either direction.  The textbook standard form splits a free variable into
-``x+ - x-`` on two nonnegative columns, and in every tableau of that form the
-``x-`` column is the negation of ``x+``, since ``B^-1 (-a) = -B^-1 a`` for
-any basis ``B``.  So the tableau here is the split one with each ``x-``
-column deleted: a free column whose reduced cost is positive enters with
-orientation ``s = -1``, as ``x-`` would, and the ratio test and the
-elimination read ``s`` times its entries.  ``x+`` and ``x-`` are adjacent in
-the split order, so Bland's rule and the ratio test's tie-break choose as on
-the split tableau, pivot for pivot.  A basic variable's orientation is the
-sign of its row's entry in its own column.  Float negation is exact and
-rounding is symmetric in sign, so the float tableau mirrors too.
+A variable is ``"free"`` or ``"nonneg"`` (:data:`BOUNDS`); any other bound
+on it is written as a row.  Each variable gets one tableau column, which a
+free variable may enter in either direction.  The textbook standard form
+splits a free variable into ``x+ - x-`` on two nonnegative columns, and in
+every tableau of that form the ``x-`` column is the negation of ``x+``,
+since ``B^-1 (-a) = -B^-1 a`` for any basis ``B``.  So the tableau here is
+the split one with each ``x-`` column deleted: a free column whose reduced
+cost is positive enters with orientation ``s = -1``, as ``x-`` would, and
+the ratio test and the elimination read ``s`` times its entries.  ``x+`` and
+``x-`` are adjacent in the split order, so Bland's rule and the ratio test's
+tie-break choose as on the split tableau, pivot for pivot.  A basic
+variable's orientation is the sign of its row's entry in its own column.
+Float negation is exact and rounding is symmetric in sign, so the float
+tableau mirrors too.
 
 Each row starts on one basic column.  An inequality row whose slack can be
 basic at a nonnegative value (``<=`` with right-hand side ``>= 0``, or
@@ -55,23 +55,20 @@ solver:
 
 * ``Optimal`` holds a primal point and row duals; verification checks
   feasibility, the objective value, complementary slackness, and the sign
-  pattern of reduced costs against each variable's bounds.
-* ``Infeasible`` holds a separating vector for the standardised system
-  (original rows first, then one row per variable bounded on both sides);
-  verification forms that system's Farkas conditions from the program's
-  own rows and bounds.
+  pattern of reduced costs against each variable's sign constraint.
+* ``Infeasible`` holds one Farkas multiplier per row; verification forms
+  the Farkas conditions from the program's own rows and sign constraints.
 * ``Unbounded`` holds a feasible point and an improving ray.
 
 The checks run on integers.  Each row's nonzero coefficients and right-hand
-side are put over one positive denominator, once, and so are the point
-(with the bounds), the duals, the Farkas vector (with the bounds) and the
-ray; comparisons cross-multiply these denominators, and tolerances are
-scaled by them, so each test is the exact one.  In float mode every
-denominator is 1 and the same code does plain float arithmetic.  A
-program's rows hold only their nonzeros, so no zero is scanned or converted.
+side are put over one positive denominator, once, and so are the point, the
+duals, the Farkas vector and the ray; comparisons cross-multiply these
+denominators, and tolerances are scaled by them, so each test is the exact
+one.  In float mode every denominator is 1 and the same code does plain
+float arithmetic.  A program's rows hold only their nonzeros, so no zero is
+scanned or converted.
 
-Bounds may be ``"free"``, ``"nonneg"``, or a ``(low, high)`` pair with
-``None`` for a missing side.  Relations are ``"<="``, ``">="``, ``"=="``.
+Relations are ``"<="``, ``">="``, ``"=="``.
 """
 
 from __future__ import annotations
@@ -82,11 +79,12 @@ from math import gcd, lcm
 from operator import truediv
 from typing import Any, Optional, Union
 
-from ._numeric import FLOAT, ModeOps, RATIONAL_OPS, left_sum, rat
+from ._numeric import FLOAT, ModeOps, RATIONAL_OPS
 from .errors import CapacityError, InternalCheckError, PreconditionError
 
 RELATIONS = ("<=", ">=", "==")
 SENSES = ("min", "max")
+BOUNDS = ("free", "nonneg")
 
 _BIT_GUARD = 4_000_000  # max numerator/denominator bits of a row in lowest terms
 _GUARD_EVERY = 64  # pivots between two guards, each of which reduces every row
@@ -105,7 +103,7 @@ class LinearProgram:
     sense: str
     objective: tuple
     rows: tuple  # of (((column, coeff), ...), relation, rhs)
-    bounds: tuple
+    bounds: tuple  # one of BOUNDS per variable
 
     def __post_init__(self):
         if self.sense not in SENSES:
@@ -114,15 +112,8 @@ class LinearProgram:
         if len(self.bounds) != n:
             raise PreconditionError("one bound spec per variable")
         for b in self.bounds:
-            if b in ("free", "nonneg"):
-                continue
-            try:  # text is read as `rat` reads it, as the solver reads it
-                lo, hi = (rat(v) if isinstance(v, str) else v for v in b)
-                ok = isinstance(b, tuple) and (lo is None or hi is None or lo <= hi)
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise PreconditionError(f"bad bound spec {b!r}")
+            if b not in BOUNDS:
+                raise PreconditionError(f"bad bound spec {b!r}: each must be one of {BOUNDS}")
         for nonzeros, rel, _ in self.rows:
             last = -1
             for j, _ in nonzeros:
@@ -142,12 +133,7 @@ class LinearProgram:
             if len(coeffs) != n:
                 raise PreconditionError("row length does not match the objective")
             sparse.append((tuple((j, c) for j, c in enumerate(coeffs) if c), rel, rhs))
-        return cls(
-            sense,
-            tuple(objective),
-            tuple(sparse),
-            tuple(tuple(b) if isinstance(b, (list, tuple)) else b for b in bounds),
-        )
+        return cls(sense, tuple(objective), tuple(sparse), tuple(bounds))
 
     @property
     def n_vars(self) -> int:
@@ -164,7 +150,7 @@ class Optimal:
 
 @dataclass(frozen=True)
 class Infeasible:
-    certificate: tuple  # over standardised rows: originals, then bound rows
+    certificate: tuple  # one Farkas multiplier per row
     pivots: int = 0
 
 
@@ -182,17 +168,13 @@ LPOutcome = Union[Optimal, Infeasible, Unbounded]
 # the simplex engine
 
 
-def _recover_x(tab: "_Tableau", shifts: dict, z: dict) -> tuple:
-    """``x[j] = shifts.get(j, 0) + tab.signs[j] * z[j]``, ``z[j]`` given as
-    ``(numerator, denominator)`` and 0 where ``z`` has no entry; every column
-    with sign -1 is in ``shifts``.  Elsewhere ``x[j]`` is one quotient, of
-    ``0 + numerator`` as ``0 + z[j]`` has it: float ``-0.0`` becomes ``0.0``."""
-    signs = tab.signs
-    x = [tab.ops.zero] * len(signs)
+def _recover_x(tab: "_Tableau", z: dict) -> tuple:
+    """``x[j] = z[j]``, ``z[j]`` given as ``(numerator, denominator)`` and 0
+    where ``z`` has no entry: one quotient, of ``0 + numerator`` as
+    ``0 + z[j]`` has it, so that float ``-0.0`` becomes ``0.0``."""
+    x = [tab.ops.zero] * tab.nz
     for j, (n, d) in z.items():
-        x[j] = tab.ratio(n if j in shifts else tab.ZERO + n, d)
-    for j, h in shifts.items():
-        x[j] = h + signs[j] * x[j]
+        x[j] = tab.ratio(tab.ZERO + n, d)
     return tuple(x)
 
 
@@ -215,25 +197,20 @@ class _Row:
 class _Tableau:
     """The simplex tableau: bookkeeping and Bland's rule for both modes.
 
-    The constructor reads the program in one pass.  Variable ``j`` gets
-    column ``z[j]``, with ``x[j] = shifts.get(j, 0) + signs[j] * z[j]``: a
-    lower bound shifts the column, an upper bound that stands alone shifts
-    and mirrors it (sign -1), and a variable bounded on both sides adds the
-    row ``x[j] <= high``, which the shift makes ``z[j] <= high - low``.  The
-    columns in ``free`` have no sign constraint, and the others are
-    ``z >= 0``.  The standardised rows are the program's rows, then those
-    bound rows.  Each is put over one denominator as
-    :meth:`ModeOps.over_common` puts it, a nonzero that converts to 0 (text
-    such as ``"0"``) dropped, and is negated where that makes its
+    The constructor reads the program in one pass.  Variable ``j`` is
+    column ``j``; the columns in ``free`` have no sign constraint, and the
+    others are ``x[j] >= 0``.  Each program row is put over one denominator
+    as :meth:`ModeOps.over_common` puts it, a nonzero that converts to 0
+    (text such as ``"0"``) dropped, and is negated where that makes its
     right-hand side nonnegative (``sigma[r] = -1``).
 
     Row ``i`` is a :class:`_Row` over columns ``0..width-1`` with its
     right-hand side as column ``width``; its basic column is ``basis[i]``
-    and it came from standardised row ``row_ids[i]``.  Columns are the
-    ``nz`` structural ones, one per variable, then one slack per inequality
-    row, then, from ``art_start`` on, one artificial per row without a
-    slack start, in row order.  ``start[r]`` is the column standardised row
-    ``r`` starts on.  The structural columns in ``free`` may enter with
+    and it came from program row ``row_ids[i]``.  Columns are the ``nz``
+    structural ones, one per variable, then one slack per inequality row,
+    then, from ``art_start`` on, one artificial per row without a slack
+    start, in row order.  ``start[r]`` is the column program row ``r``
+    starts on.  The structural columns in ``free`` may enter with
     orientation ``s = -1``: a pivot then divides the row by ``s`` times its
     entry and eliminates ``s`` times the other rows' entries, which is the
     pivot on the deleted ``x-`` column of the split form.  ``orientation(i)``
@@ -261,51 +238,25 @@ class _Tableau:
     def __init__(self, lp: LinearProgram, ops: ModeOps):
         self.ops = ops
         nz = len(lp.bounds)
-        signs = [1] * nz
-        shifts: dict = {}
-        free = set()
-        box: list = []
-        for j, bnd in enumerate(lp.bounds):
-            if bnd == "free":
-                free.add(j)
-            elif bnd != "nonneg":
-                lo, hi = (None if b is None else ops.convert(b) for b in bnd)
-                if lo is not None:
-                    shifts[j] = lo
-                    if hi is not None:
-                        box.append((j, hi))
-                elif hi is not None:
-                    signs[j] = -1
-                    shifts[j] = hi
-                else:
-                    free.add(j)
         self.nz = nz
-        self.signs = signs
-        self.shifts = shifts
-        self.free = frozenset(free)
-        self.art_start = nz + sum(rel != "==" for _, rel, _ in lp.rows) + len(box)
+        self.free = frozenset(j for j, bnd in enumerate(lp.bounds) if bnd == "free")
+        self.art_start = nz + sum(rel != "==" for _, rel, _ in lp.rows)
         self.sigma = []
         self.start = []
         self.matrix = []
         self.pivots = 0
 
-        rows = [*lp.rows, *((((j, ops.one),), "<=", hi) for j, hi in box)] if box else lp.rows
-        moved = {j: h for j, h in shifts.items() if h}
         one = self.ONE
         rhs_nums = []
         slack, art = nz, self.art_start
-        for nonzeros, rel, rhs in rows:
-            if moved:
-                shift = (ops.convert(c) * moved[j] for j, c in nonzeros if j in moved)
-                rhs = ops.convert(rhs) - left_sum(shift, ops.zero)
+        for nonzeros, rel, rhs in lp.rows:
             nums, den = ops.over_common([*(c for _, c in nonzeros), rhs])
             rhs = nums.pop()
             # make the right-hand side nonnegative; an inequality whose
             # right-hand side is zero takes the sign that puts +1 on its slack
             flip = rhs < 0 or (rel == ">=" and not rhs)
             sigma = -1 if flip else 1
-            # a mirrored column and a flipped row each negate an entry
-            entries = {j: v if signs[j] == sigma else -v for (j, _), v in zip(nonzeros, nums) if v}
+            entries = {j: -v if flip else v for (j, _), v in zip(nonzeros, nums) if v}
             den = den * one  # a float row's 1 is the float 1.0
             start = art
             if rel != "==":
@@ -326,7 +277,7 @@ class _Tableau:
             if rhs:
                 row.nums[art] = rhs
         self.basis = list(self.start)
-        self.row_ids = list(range(len(self.matrix)))  # standardised row per tableau row
+        self.row_ids = list(range(len(self.matrix)))  # program row per tableau row
 
     def first_column(self, row, limit: int, negative: bool = False) -> int:
         """The lowest column below ``limit`` whose entry is nonzero past the
@@ -399,7 +350,7 @@ class _Tableau:
         return out
 
     def duals(self, z_row: _Row, cost: dict, den, sign: int = 1) -> dict:
-        """``sign`` times the row duals of the standardised system, read off
+        """``sign`` times the duals of the program's rows, read off
         the start columns' reduced costs ``r / dz`` for the costs of
         :meth:`objective_row`: ``sigma * (cost / den - r / dz)``, one quotient.
 
@@ -652,7 +603,7 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
     """Solve a linear program, returning an outcome with its certificate."""
     minimise = lp.sense == "min"
     tab = _Tableau(lp, ops)
-    nz, shifts = tab.nz, tab.shifts
+    nz = tab.nz
     m = len(tab.matrix)
     # the cap counts two columns per free variable and an artificial for
     # every row, as the split standard form has
@@ -669,21 +620,19 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
 
     _drive_out_artificials(tab, z_row)
 
-    # the objective over one denominator, negated to minimise a max and on mirrored columns
+    # the objective over one denominator, negated to minimise a max
     objective, den = ops.over_common(lp.objective)
-    cost = {j: c if (tab.signs[j] > 0) == minimise else -c for j, c in enumerate(objective) if c}
+    cost = {j: c if minimise else -c for j, c in enumerate(objective) if c}
     z_row = tab.objective_row(cost, den)
     unbounded = tab.run(z_row, tab.art_start, max_pivots)
-    x = _recover_x(tab, shifts, tab.column(tab.width))
+    x = _recover_x(tab, tab.column(tab.width))
 
     if unbounded is not None:
         col, s = unbounded
         ray_z = tab.column(col, -s)
         if col < nz:
             ray_z[col] = (s * tab.ONE, 1)
-        # a ray has no shift, but a mirrored column still takes its sign
-        ray = _recover_x(tab, dict.fromkeys(shifts, ops.zero), ray_z)
-        return Unbounded(x, ray, tab.pivots)
+        return Unbounded(x, _recover_x(tab, ray_z), tab.pivots)
 
     # the value over the objective's nonzeros, added left to right: the
     # built-in sum compensates float sums from Python 3.12 on
@@ -716,10 +665,6 @@ def _drive_out_artificials(tab: _Tableau, z_row) -> None:
 
 # ---------------------------------------------------------------------------
 # verification
-
-
-# the (low, high) sides of the named bounds; None is a missing side
-_SIDES = {"free": (None, None), "nonneg": (0, None)}
 
 
 def verify_certificate(
@@ -776,26 +721,13 @@ def _weighted_sum(rows, weights, width: int):
     return columns, rhs_sum, den
 
 
-def _with_bounds(lp: LinearProgram, values, ops: ModeOps):
-    """``values`` and the finite bounds over one denominator, as
-    ``(nums, bounds, den)``: ``values[j]`` is ``nums[j] / den`` and
-    ``bounds[j]`` holds the ``(low, high)`` numerators of variable ``j``
-    over ``den``, None for a missing side."""
-    sides = [_SIDES[bnd] if isinstance(bnd, str) else bnd for bnd in lp.bounds]
-    n = len(values)
-    nums, den = ops.over_common([*values, *(v for pair in sides for v in pair if v is not None)])
-    it = iter(nums[n:])
-    bounds = [(a if a is None else next(it), b if b is None else next(it)) for a, b in sides]
-    return nums[:n], bounds, den
-
-
 def _feasible(lp: LinearProgram, rows, point, ops: ModeOps, tol):
-    """``(nums, bounds, den, lhs)`` if ``point`` is feasible, else None.
+    """``(nums, den, lhs)`` if ``point`` is feasible, else None.
 
-    ``nums``, ``bounds`` and ``den`` are those of :func:`_with_bounds`, and
-    row ``i``, over ``d``, has left-hand side ``lhs[i] / (d * den)``.
+    ``point[j]`` is ``nums[j] / den``, and row ``i``, over ``d``, has
+    left-hand side ``lhs[i] / (d * den)``.
     """
-    nums, bounds, den = _with_bounds(lp, point, ops)
+    nums, den = ops.over_common(point)
     x_tol = tol * den
     lhs = [_dot(index, row, nums) for index, row, _ in rows]
     for value, (_, row, d), (_, rel, _) in zip(lhs, rows, lp.rows):
@@ -806,10 +738,10 @@ def _feasible(lp: LinearProgram, rows, point, ops: ModeOps, tol):
             return None
         if rel == ">=" and not value >= rhs - slack:
             return None
-    for xj, (lo, hi) in zip(nums, bounds):
-        if (lo is not None and xj < lo - x_tol) or (hi is not None and xj > hi + x_tol):
+    for xj, bnd in zip(nums, lp.bounds):
+        if bnd == "nonneg" and xj < -x_tol:
             return None
-    return nums, bounds, den, lhs
+    return nums, den, lhs
 
 
 def _verify_optimal(lp: LinearProgram, outcome: Optimal, ops: ModeOps) -> bool:
@@ -820,7 +752,7 @@ def _verify_optimal(lp: LinearProgram, outcome: Optimal, ops: ModeOps) -> bool:
     point = _feasible(lp, rows, outcome.x, ops, tol)
     if point is None:
         return False
-    x, bounds, dx, lhs = point
+    x, dx, lhs = point
     # the objective, checked as the row c . x == value
     index, c, dc = _scaled_objective(lp, outcome.value, ops)
     if not ops.eq(_dot(index, c, x), c[-1] * dx, tol * dc * dx):
@@ -839,68 +771,40 @@ def _verify_optimal(lp: LinearProgram, outcome: Optimal, ops: ModeOps) -> bool:
     ya, _, den = _weighted_sum(rows, y, lp.n_vars)
     c = dict(zip(index, c))
     r_tol = tol * dc * dy * den
-    for j, (lo, hi) in enumerate(bounds):
+    for j, bnd in enumerate(lp.bounds):
         r = sign * (c.get(j, 0) * dy * den - ya[j] * dc)
-        at_lo = lo is not None and ops.eq(x[j], lo, tol * dx)
-        at_hi = hi is not None and ops.eq(x[j], hi, tol * dx)
-        if at_lo and at_hi:
-            continue  # pinned variable: any reduced cost is consistent
-        if (at_lo and r < -r_tol) or (at_hi and r > r_tol):
-            return False
-        if not at_lo and not at_hi and not ops.eq(r, 0, r_tol):
+        if bnd == "nonneg" and ops.eq(x[j], 0, tol * dx):
+            if r < -r_tol:  # at zero, the reduced cost may not be negative
+                return False
+        elif not ops.eq(r, 0, r_tol):
             return False
     return True
 
 
 def _verify_infeasible(lp: LinearProgram, outcome: Infeasible, ops: ModeOps) -> bool:
-    """The Farkas check on the standardised rows, formed from the program's.
+    """The Farkas check on the program's rows.
 
-    Standardising puts ``x_j = shift_j + z`` (``- z`` below an upper bound
-    alone) on one column, with ``shift_j`` the lower bound if there is one,
-    else the upper bound, else 0, and adds the row ``z <= high - low`` for
-    each variable bounded on both sides.  With ``g = y^T A`` over the
-    original rows, a column's entry of ``y^T A_z`` is ``g_j``, or ``-g_j``
-    on an upper bound alone, plus the multiplier of the variable's bound
-    row; a free variable's column has no sign, so the condition on it is
-    that of the split ``+z`` and ``-z`` columns together.  The combined
-    right-hand side is ``y^T b - g . shift`` plus ``high - low`` times each
-    bound row's multiplier.
+    With ``g = y^T A``, ``g_j <= 0`` on a nonnegative column; a free
+    column has no sign, so the condition on it is that of the split ``+x``
+    and ``-x`` columns together, ``g_j == 0``.  And ``y^T b`` must be
+    positive.
     """
     tol = ops.dual_tol
-    m = len(lp.rows)
-    # the multipliers and the bounds over dy
-    y, bounds, dy = _with_bounds(lp, outcome.certificate, ops)
-    n_box = sum(lo is not None and hi is not None for lo, hi in bounds)
-    if len(y) != m + n_box:
+    y, dy = ops.over_common(outcome.certificate)
+    if len(y) != len(lp.rows):
         return False
     y_tol = tol * dy
     for yi, (_, rel, _) in zip(y, lp.rows):
         if (rel == ">=" and yi < -y_tol) or (rel == "<=" and yi > y_tol):
             return False
-    if any(yi > y_tol for yi in y[m:]):
-        return False
     rows = [_scaled(nonzeros, rhs, ops) for nonzeros, _, rhs in lp.rows]
-    # g_j is g[j] / (den * dy), and the combined right-hand side is money / (den * dy**2)
-    g, money, den = _weighted_sum(rows, y[:m], lp.n_vars)
-    money *= dy
+    # g_j is g[j] / (den * dy), and y^T b is money / (den * dy)
+    g, money, den = _weighted_sum(rows, y, lp.n_vars)
     slack = tol * den * dy
-    box = iter(y[m:])
-    for gj, (lo, hi) in zip(g, bounds):
-        shift = lo if lo is not None else hi
-        if shift:
-            money -= gj * shift
-        if lo is not None and hi is not None:
-            yk = next(box) * den
-            gj += yk
-            money += yk * (hi - lo)
-        # g_j <= 0 on a column +z, unless an upper bound stands alone, and
-        # g_j >= 0 on a column -z, unless there is a lower bound; both on a
-        # free column
-        if (lo is not None or hi is None) and gj > slack:
+    for gj, bnd in zip(g, lp.bounds):
+        if gj > slack or (bnd == "free" and -gj > slack):
             return False
-        if lo is None and -gj > slack:
-            return False
-    return money > slack * dy
+    return money > slack
 
 
 def _verify_unbounded(lp: LinearProgram, outcome: Unbounded, ops: ModeOps) -> bool:
@@ -911,7 +815,6 @@ def _verify_unbounded(lp: LinearProgram, outcome: Unbounded, ops: ModeOps) -> bo
     point = _feasible(lp, rows, outcome.point, ops, tol)
     if point is None:
         return False
-    bounds = point[1]
     d, dd = ops.over_common(outcome.ray)
     for (index, row, den), (_, rel, _) in zip(rows, lp.rows):
         move, slack = _dot(index, row, d), tol * den * dd
@@ -921,8 +824,8 @@ def _verify_unbounded(lp: LinearProgram, outcome: Unbounded, ops: ModeOps) -> bo
             return False
         if rel == ">=" and move < -slack:
             return False
-    for dj, (lo, hi) in zip(d, bounds):
-        if (lo is not None and dj < -tol * dd) or (hi is not None and dj > tol * dd):
+    for dj, bnd in zip(d, lp.bounds):
+        if bnd == "nonneg" and dj < -tol * dd:
             return False
     index, c, dc = _scaled_objective(lp, 0, ops)
     gain = _dot(index, c, d)

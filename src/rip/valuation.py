@@ -108,14 +108,12 @@ def _chain_quantities(
     as without it.
     """
     minus = InfoStructure.minus(variable)
-    plus = InfoStructure.plus(variable)
     book = StaticOptionBook.cash_only()
     ops = space.ops
 
     if hedge_minus is None:
         hedge_minus = superhedge(space, None, minus, claim, book).single().value
-    plus_hedges = superhedge(space, None, plus, claim, book)
-    plus_prices = model_price(space, None, plus, claim, book)
+    plus = duality_report(space, claim, InfoStructure.plus(variable), book)
 
     forced = {}
     base = build_measure_lp(
@@ -134,18 +132,16 @@ def _chain_quantities(
     if price_minus is None:
         price_minus = model_price(space, None, minus, claim, book).single().value
 
-    per_atom = []
-    for atom, hv in plus_hedges:
-        pv = plus_prices.for_path(atom.paths[0])
-        per_atom.append((atom.label, hv.value, pv.value, forced[atom.label]))
-
+    per_atom = tuple(
+        (e.atom.label, e.hedge.value, e.price.value, forced[e.atom.label]) for e in plus.entries
+    )
     return ChainQuantities(
         hedge_minus,
-        _max_or_neg_inf(hv.value for hv in plus_hedges.values()),
-        _max_or_neg_inf(pv.value for pv in plus_prices.values()),
+        plus.aggregate_hedge,
+        plus.aggregate_price,
         _max_or_neg_inf(forced.values()),
         price_minus,
-        tuple(per_atom),
+        per_atom,
         space.ops,
     )
 

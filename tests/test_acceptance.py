@@ -475,16 +475,15 @@ def random_small_lp(rng):
         ([coef() for _ in range(n)], rng.choice(["<=", ">=", "=="]), coef())
         for _ in range(m)
     ]
+    # a boxed variable is free, with its two bounds as rows after the program's
     bounds = []
-    for _ in range(n):
+    for j in range(n):
         kind = rng.randint(0, 2)
-        if kind == 0:
-            bounds.append("nonneg")
-        elif kind == 1:
-            bounds.append("free")
-        else:
+        bounds.append("nonneg" if kind == 0 else "free")
+        if kind == 2:
             lo = rat(rng.randint(-3, 2))
-            bounds.append((lo, lo + rat(rng.randint(0, 3))))
+            unit = [int(k == j) for k in range(n)]
+            rows += [(unit, ">=", lo), (unit, "<=", lo + rat(rng.randint(0, 3)))]
     return LinearProgram.build(sense, [coef() for _ in range(n)], rows, bounds)
 
 

@@ -53,6 +53,13 @@ def lp_min(objective, rows, bounds=None):
     return LinearProgram.build("min", objective, rows, bounds or ["nonneg"] * n)
 
 
+def _as_rows(n, j, lo=None, hi=None):
+    """The bounds ``lo <= x[j] <= hi`` on a variable of an ``n``-variable
+    program, written as dense rows; a missing side gives no row."""
+    unit = [int(k == j) for k in range(n)]
+    return [(unit, rel, b) for rel, b in ((">=", lo), ("<=", hi)) if b is not None]
+
+
 class TestBasics:
     def test_one_variable_floor(self):
         out = solve(lp_min([1], [([1], ">=", 3)]))
@@ -86,20 +93,6 @@ class TestBasics:
         assert isinstance(out, Optimal)
         assert out.value == -4
 
-    def test_boxed_bounds(self):
-        lp = LinearProgram.build("max", [1, 1], [([1, 1], "<=", 10)], [(2, 3), (-1, 4)])
-        out = solve(lp)
-        assert isinstance(out, Optimal)
-        assert out.value == 7
-        assert out.x == (3, 4)
-
-    def test_pinned_variable(self):
-        lp = LinearProgram.build("min", [5], [([1], ">=", 0)], [(2, 2)])
-        out = solve(lp)
-        assert isinstance(out, Optimal)
-        assert out.x == (2,)
-        assert out.value == 10
-
     def test_no_rows_optimal_and_unbounded(self):
         out = solve(lp_min([1, 0], []))
         assert isinstance(out, Optimal) and out.value == 0
@@ -114,23 +107,18 @@ class TestBasics:
         with pytest.raises(PreconditionError):
             LinearProgram.build("min", [1], [([1], "~", 0)], ["nonneg"])
         with pytest.raises(PreconditionError):
-            LinearProgram.build("min", [1], [], [(3, 2)])
-        with pytest.raises(PreconditionError):
             LinearProgram.build("min", [1, 1], [([1], ">=", 0)], ["nonneg", "nonneg"])
         # the sparse form: columns in range and strictly increasing
         for nonzeros in [((2, 1),), ((-1, 1),), ((0, 1), (0, 2)), ((1, 1), (0, 2))]:
             with pytest.raises(PreconditionError):
                 LinearProgram("min", (1, 1), ((nonzeros, ">=", 0),), ("nonneg", "nonneg"))
-        # bounds given as text compare as the numbers they spell, not as strings
-        for ops in (RATIONAL_OPS, FLOAT_OPS):
-            assert solve(LinearProgram.build("min", [1], [], [("9", "10")]), ops).x == (9,)
-            assert solve(LinearProgram.build("min", [1], [], [(1, "3")]), ops).x == (1,)
-        for bound in [("10", "9"), (2, "3/2"), ("x", 1), (None, "1/0")]:
-            with pytest.raises(PreconditionError, match="bad bound spec"):
+        # a variable is free or nonnegative; any other bound is written as a row
+        for bound in [(3, 2), (0, 1), (None, None), "nonnegative"]:
+            with pytest.raises(PreconditionError, match="bad bound spec.*'free', 'nonneg'"):
                 LinearProgram.build("min", [1], [], [bound])
 
     def test_build_drops_the_zeros_of_dense_rows(self):
-        bounds = ["nonneg", "free", (0, 1)]
+        bounds = ["nonneg", "free", "nonneg"]
         rows = [
             ([0, 1, rat(-1, 2)], "<=", 3),
             ([0, 0, 0], "==", 0),
@@ -145,7 +133,7 @@ class TestBasics:
                 ((), "==", 0),
                 (((0, rat(1, 3)),), ">=", -1),
             ),
-            ("nonneg", "free", (0, 1)),
+            ("nonneg", "free", "nonneg"),
         )
         assert dense == sparse
 
@@ -249,16 +237,13 @@ def random_lp(draw):
         rhs = draw(_coef)
         rows.append((coeffs, rel, rhs))
     bounds = []
-    for _ in range(n):
+    for j in range(n):
         kind = draw(st.integers(min_value=0, max_value=2))
-        if kind == 0:
-            bounds.append("nonneg")
-        elif kind == 1:
-            bounds.append("free")
-        else:
+        bounds.append("nonneg" if kind == 0 else "free")
+        if kind == 2:
             lo = draw(st.fractions(min_value=Fraction(-3), max_value=Fraction(2)))
             hi = lo + draw(st.fractions(min_value=Fraction(0), max_value=Fraction(3)))
-            bounds.append((lo, hi))
+            rows += _as_rows(n, j, lo, hi)
     return LinearProgram.build(sense, objective, rows, bounds)
 
 
@@ -493,30 +478,25 @@ def sparse_lp(draw, coef=_coef, bound=_bound, width=_width):
         ([draw(sparse_coef) for _ in range(n)], draw(st.sampled_from(RELATIONS)), draw(coef))
         for _ in range(m)
     ]
+    # a bounded variable is free, with its bounds as rows after the program's
     bounds = []
-    for _ in range(n):
+    for j in range(n):
         kind = draw(st.sampled_from(["free", "nonneg", "lower", "upper", "box", "open"]))
-        if kind in ("free", "nonneg"):
-            bounds.append(kind)
-        elif kind == "open":
-            bounds.append((None, None))
-        elif kind == "upper":
-            bounds.append((None, draw(bound.filter(bool))))
-        else:
+        bounds.append("nonneg" if kind == "nonneg" else "free")
+        if kind == "upper":
+            rows += _as_rows(n, j, hi=draw(bound.filter(bool)))
+        elif kind in ("lower", "box"):
             lo = draw(bound.filter(bool))
-            bounds.append((lo, lo + draw(width) if kind == "box" else None))
+            rows += _as_rows(n, j, lo, lo + draw(width) if kind == "box" else None)
     return LinearProgram.build(sense, objective, rows, bounds)
 
 
 def _as_float(lp):
-    def f(v):
-        return None if v is None else float(v)
-
     return LinearProgram.build(
         lp.sense,
         [float(c) for c in lp.objective],
         [([float(c) for c in coeffs], rel, float(b)) for coeffs, rel, b in _dense_rows(lp)],
-        [b if isinstance(b, str) else (f(b[0]), f(b[1])) for b in lp.bounds],
+        lp.bounds,
     )
 
 
@@ -587,23 +567,34 @@ def test_a_perturbation_of_one_part_in_ten_to_the_thirty_is_rejected(sign):
                 assert not _dense_verify(lp, bad, RATIONAL_OPS)
 
 
-# one variable x under each kind of bound, a row on x and a Farkas vector over
-# the standardised rows (the row, then x's bound row if x has two sides)
+# one variable x, free or nonnegative, rows on x and a Farkas vector over
+# them; a bounded x is free, with its bounds as rows after the first:
+# ``x <= 3`` and then ``x >= 1`` for the box 1 <= x <= 3
+_BOX = [([1], "<=", 3), ([1], ">=", 1)]
 _FARKAS_CASES = [
-    ("box", (1, 3), [([1], ">=", 4)], (1, -1), True),
-    ("box, feasible", (1, 3), [([1], ">=", 2)], (1, -1), False),
-    ("box, halved", (1, 3), [([1], ">=", 4)], (Fraction(1, 2), Fraction(-1, 2)), True),
-    ("box, halved, feasible", (1, 3), [([1], ">=", 2)], (Fraction(1, 2), Fraction(-1, 2)), False),
-    ("box, bound row left out", (1, 3), [([1], ">=", 4)], (1, 0), False),
-    ("box, from below", (1, 3), [([-1], ">=", 0)], (1, 0), True),
-    ("box, positive bound-row multiplier", (1, 3), [([-1], ">=", 0)], (1, 1), False),
-    ("upper only", (None, 3), [([1], ">=", 4)], (1,), True),
-    ("upper only, feasible", (None, 3), [([1], ">=", 2)], (1,), False),
-    ("lower only", (2, None), [([1], "<=", 1)], (-1,), True),
-    ("lower only, feasible", (2, None), [([1], "<=", 3)], (-1,), False),
+    ("box", "free", [([1], ">=", 4), *_BOX], (1, -1, 0), True),
+    ("box, feasible", "free", [([1], ">=", 2), *_BOX], (1, -1, 0), False),
+    ("box, halved", "free", [([1], ">=", 4), *_BOX], (Fraction(1, 2), Fraction(-1, 2), 0), True),
+    (
+        "box, halved, feasible",
+        "free",
+        [([1], ">=", 2), *_BOX],
+        (Fraction(1, 2), Fraction(-1, 2), 0),
+        False,
+    ),
+    ("box, bound row left out", "free", [([1], ">=", 4), *_BOX], (1, 0, 0), False),
+    ("box, from below", "free", [([-1], ">=", 0), *_BOX], (1, 0, 1), True),
+    ("box, positive bound-row multiplier", "free", [([-1], ">=", 0), *_BOX], (1, 1, 1), False),
+    ("upper only", "free", [([1], ">=", 4), ([1], "<=", 3)], (1, -1), True),
+    ("upper only, feasible", "free", [([1], ">=", 2), ([1], "<=", 3)], (1, -1), False),
+    ("lower only", "free", [([1], "<=", 1), ([1], ">=", 2)], (-1, 1), True),
+    ("lower only, feasible", "free", [([1], "<=", 3), ([1], ">=", 2)], (-1, 1), False),
     ("free, two rows", "free", [([1], ">=", 4), ([1], "<=", 3)], (1, -1), True),
     ("free, one side", "free", [([-1], ">=", 4)], (1,), False),
-    ("wrong length", (1, 3), [([1], ">=", 4)], (1,), False),
+    ("nonneg, one side", "nonneg", [([-1], ">=", 4)], (1,), True),
+    ("nonneg, feasible", "nonneg", [([1], ">=", 4)], (1,), False),
+    ("nonneg, negative multiplier", "nonneg", [([-1], ">=", 4)], (-1,), False),
+    ("wrong length", "free", [([1], ">=", 4), *_BOX], (1, -1), False),
 ]
 
 
@@ -634,17 +625,11 @@ def _retyped(lp, kind):
             return float(v)
         return int(v) if v.denominator == 1 else v
 
-    def bound(b):
-        # text bounds are not compared as numbers, so they stay rational
-        if isinstance(b, str) or kind == "str":
-            return b
-        return (number(b[0]), number(b[1]))
-
     return LinearProgram.build(
         lp.sense,
         [number(c) for c in lp.objective],
         [([number(c) for c in coeffs], rel, number(b)) for coeffs, rel, b in _dense_rows(lp)],
-        [bound(b) for b in lp.bounds],
+        lp.bounds,
     )
 
 
@@ -664,30 +649,35 @@ def test_ints_text_floats_and_fractions_get_the_same_verdicts(kind, lp, data):
             assert verify_certificate(typed, bad) == verify_certificate(lp, bad), field
 
 
-# one program per outcome kind, each over every kind of bound
-_EVERY_BOUND = [
-    "free",
-    "nonneg",
-    (rat(-1), None),
-    (None, rat(2)),
-    (rat(-1, 2), rat(3)),
-    (None, None),
+# one program per outcome kind, each with a free and a nonnegative variable,
+# and a lower bound alone, an upper bound alone and a box, each on a free
+# variable and written as rows after the program's
+_EVERY_BOUND = ["free", "nonneg", "free", "free", "free", "free"]
+_BOUND_ROWS = [
+    *_as_rows(6, 2, lo=rat(-1)),
+    *_as_rows(6, 3, hi=rat(2)),
+    *_as_rows(6, 4, rat(-1, 2), rat(3)),
 ]
 _EVERY_OUTCOME = {
     Optimal: LinearProgram.build(
         "max",
         [1, 1, -1, 1, 1, -1],
-        [([1, 1, 0, 0, 0, 0], "<=", 1), ([1, 0, 0, 0, 0, 0], ">=", -2), ([0] * 5 + [1], ">=", 1)],
+        [
+            ([1, 1, 0, 0, 0, 0], "<=", 1),
+            ([1, 0, 0, 0, 0, 0], ">=", -2),
+            ([0] * 5 + [1], ">=", 1),
+            *_BOUND_ROWS,
+        ],
         _EVERY_BOUND,
     ),
     Infeasible: LinearProgram.build(
         "min",
         [0, 0, 0, 0, 1, 0],
-        [([0, 1, 1, 0, 1, 0], "<=", -3), ([0] * 5 + [1], "==", 2)],
+        [([0, 1, 1, 0, 1, 0], "<=", -3), ([0] * 5 + [1], "==", 2), *_BOUND_ROWS],
         _EVERY_BOUND,
     ),
     Unbounded: LinearProgram.build(
-        "min", [-1, 0, 0, 0, 0, 0], [([1, 0, 0, 1, 0, 1], ">=", 1)], _EVERY_BOUND
+        "min", [-1, 0, 0, 0, 0, 0], [([1, 0, 0, 1, 0, 1], ">=", 1), *_BOUND_ROWS], _EVERY_BOUND
     ),
 }
 
@@ -825,39 +815,12 @@ def _slack_starts(rel, rhs):
     return (rel == "<=" and rhs >= 0) or (rel == ">=" and rhs <= 0)
 
 
-def _standardised_relations(lp, ops):
-    """``(relation, rhs)`` of each standardised row, worked out from the
-    program alone: its rows with each variable's lower bound, or its upper
-    bound where that stands alone, moved to the right-hand side, then one
-    ``<=`` row ``high - low`` per variable bounded on both sides."""
-    shift = {}
-    box = []
-    for j, bnd in enumerate(lp.bounds):
-        if bnd in ("free", "nonneg"):
-            continue
-        lo, hi = (None if b is None else ops.convert(b) for b in bnd)
-        if lo is not None:
-            shift[j] = lo
-            if hi is not None:
-                box.append(("<=", hi - lo))
-        elif hi is not None:
-            shift[j] = hi
-    rows = []
-    for nonzeros, rel, rhs in lp.rows:
-        moved = ops.zero  # added left to right, as a float sum must be to match
-        for j, c in nonzeros:
-            if j in shift:
-                moved = moved + ops.convert(c) * shift[j]
-        rows.append((rel, ops.convert(rhs) - moved))
-    return rows + box
-
-
 @given(lp=st.one_of(sparse_lp(), random_lp()))
 @settings(max_examples=200, deadline=None)
 @pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
 def test_only_rows_without_a_slack_start_get_an_artificial(ops, lp):
     tab = _Tableau(lp, ops)
-    standard = _standardised_relations(lp, ops)
+    standard = [(rel, ops.convert(rhs)) for _, rel, rhs in lp.rows]
     n_slack = sum(rel != "==" for rel, _ in standard)
     no_slack = [r for r, (rel, rhs) in enumerate(standard) if not _slack_starts(rel, rhs)]
     assert tab.width == lp.n_vars + n_slack + len(no_slack)
@@ -1271,51 +1234,6 @@ def test_integer_rows_match_the_rational_reference(lp):
     _matches_the_reference(lp)
 
 
-# one variable of each bound kind: free, nonneg, a lower bound alone, an
-# upper bound alone (the mirrored column), a box, a fixed value (a box of
-# width 0) and a (None, None) pair; the <= row's right-hand side turns
-# negative after the shifts, so it is negated and starts on an artificial
-_ALL_BOUND_KINDS = LinearProgram.build(
-    "min",
-    [1, 2, 1, -1, -3, 1, 0],
-    [
-        ([1, 1, 1, 0, 1, 0, 0], ">=", 2),
-        ([1, 0, 0, -1, 0, 1, 1], "==", 4),
-        ([0, 1, 0, 0, -1, 0, 1], "<=", -1),
-    ],
-    [
-        "free",
-        "nonneg",
-        (rat(3, 2), None),
-        (None, rat(-2)),
-        (rat(-1, 2), rat(5, 2)),
-        (rat(1, 3), rat(1, 3)),
-        (None, None),
-    ],
-)
-
-
-def test_every_bound_kind_matches_the_reference():
-    lp = _ALL_BOUND_KINDS
-    tab = _Tableau(lp, RATIONAL_OPS)
-    assert tab.signs == [1, 1, 1, -1, 1, 1, 1]
-    assert tab.free == {0, 6}
-    assert sorted(tab.shifts) == [2, 3, 4, 5]
-    # three program rows, then one bound row per box; only the third is negated
-    assert len(tab.matrix) == 5 and tab.sigma == [1, 1, -1, 1, 1]
-    out = _matches_the_reference(lp)
-    assert isinstance(out, Optimal) and out.pivots > 0
-    # the mirrored variable is off its bound, the box is at its top
-    assert out.x[3] < -2 and out.x[4] == rat(5, 2) and out.x[5] == rat(1, 3)
-    assert verify_certificate(lp, out)
-
-
-def test_every_bound_kind_verifies_in_float_mode():
-    out = solve(_ALL_BOUND_KINDS, FLOAT_OPS)
-    assert isinstance(out, Optimal)
-    assert verify_certificate(_ALL_BOUND_KINDS, out, FLOAT_OPS)
-
-
 def _pivots_per_phase(monkeypatch):
     """Record the pivots of each ``run`` call (phase 1, then phase 2)."""
     counts = []
@@ -1387,7 +1305,7 @@ def test_infeasible_and_unbounded_programs_match_the_reference():
     infeasible = _matches_the_reference(lp_min([1, 1], [([1, 1], ">=", 2), ([1, 1], "<=", 1)]))
     assert isinstance(infeasible, Infeasible) and infeasible.pivots > 0
     unbounded = _matches_the_reference(
-        lp_min([-1, 0], [([1, -1], "<=", 0), ([1, 0], ">=", 1)], ["nonneg", (0, None)])
+        lp_min([-1, 0], [([1, -1], "<=", 0), ([1, 0], ">=", 1)])
     )
     assert isinstance(unbounded, Unbounded) and unbounded.pivots > 0
     no_rows = _matches_the_reference(lp_min([-1], []))
