@@ -182,3 +182,19 @@ def get_ops(mode: str) -> ModeOps:
     if mode == FLOAT:
         return FLOAT_OPS
     raise PreconditionError(f"unknown numeric mode {mode!r}; expected one of {MODES}")
+
+
+__all__ = [
+    "RATIONAL",
+    "FLOAT",
+    "MODES",
+    "NEG_INF",
+    "rat",
+    "is_neg_inf",
+    "format_number",
+    "parse_number",
+    "ModeOps",
+    "RATIONAL_OPS",
+    "FLOAT_OPS",
+    "get_ops",
+]

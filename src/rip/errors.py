@@ -63,3 +63,15 @@ class InternalCheckError(RipError):
 
     This indicates a bug in the package, not bad user input.
     """
+
+
+__all__ = [
+    "RipError",
+    "CapacityError",
+    "PreconditionError",
+    "EvaluationError",
+    "PayoffSyntaxError",
+    "UndefinedHoldingError",
+    "InvalidModelError",
+    "InternalCheckError",
+]

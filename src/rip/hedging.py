@@ -53,7 +53,7 @@ class Strategy:
 
     static: tuple
     dynamic: dict
-    span: tuple = (0, 0)
+    span: tuple
 
     def cost(self, book: StaticOptionBook, ops) -> Any:
         prices = book.prices(ops)
@@ -328,7 +328,7 @@ def _hedge_value(problem: HedgeProblem) -> HedgeValue:
         ops = problem.space.ops
         n_static = problem.book.size
         ray = outcome.ray
-        cost = Strategy(ray[:n_static], {}).cost(problem.book, ops)
+        cost = Strategy(ray[:n_static], {}, problem.interval).cost(problem.book, ops)
         if cost < 0:
             scale = -1 / cost
             ray = [d * scale for d in ray]

@@ -39,9 +39,12 @@ VARIANTS = (VARIANT_NONE, VARIANT_PLUS, VARIANT_MINUS, VARIANT_DYNAMIC)
 class Atom:
     """One cell of a partition: the paths it contains and an optional label.
 
-    ``time`` records which partition the atom came from (``-1`` for the
-    initial-capital partition).  ``label`` is the information-variable
-    value shared by the member paths, when one applies.
+    ``time`` is the grid index of the partition the atom came from, or
+    ``-1`` for a partition tied to no grid index: the single initial-capital
+    atom of ``none``, ``minus`` and ``dynamic``, and the level sets of
+    :func:`z_partition`.  Under ``plus`` the initial-capital partition is the
+    ``t = 0`` one, so its atoms have ``time`` 0.  ``label`` is the
+    information-variable value shared by the member paths, when one applies.
     """
 
     time: int
@@ -188,7 +191,8 @@ class Filtration:
 
     ``atoms`` and ``cell`` are indexed by grid index.  ``atoms[t]`` is the
     partition at ``t`` for ``t = -1..n``; the initial-capital partition is
-    stored last, so index ``-1`` reaches it.  ``cell[t][p]`` is the
+    stored last, so index ``-1`` reaches it (under ``plus`` it is the
+    ``t = 0`` partition again).  ``cell[t][p]`` is the
     position in ``atoms[t]`` of the atom holding path ``p``.
     """
 

@@ -26,7 +26,7 @@ from ._numeric import (
     rat,
 )
 from .errors import CapacityError, PreconditionError
-from .payoff import Expr, constant_payoff, evaluate_payoff, parse_payoff, validate_payoff
+from .payoff import Expr, evaluate_payoff, parse_payoff, validate_payoff
 
 PATH_CAP = 10**6
 
@@ -546,7 +546,6 @@ __all__ = [
     "sup_dist",
     "fatten",
     "min_separation",
-    "constant_payoff",
     # re-exported, uncalled here: perfbench's span wrappers look it up in this module
     "parse_payoff",
 ]

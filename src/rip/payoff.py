@@ -1,4 +1,4 @@
-"""Payoff expressions: syntax tree, parser, printer, and evaluation.
+"""Payoff expressions: syntax tree, parser, and evaluation.
 
 A payoff is a scalar function of a price path, written in a small language::
 
@@ -99,8 +99,7 @@ class TailClaim:
     with every coordinate divided by its value at ``arrival`` (0/0 counts
     as 1, so a path that is zero from ``arrival`` on looks constant).
     ``inner``'s time indices then refer to the tail grid, whose final index
-    is the tail length.  Built by claim transport; has a display form but
-    no concrete syntax.
+    is the tail length.  Built by claim transport; has no concrete syntax.
     """
 
     inner: "Expr"
@@ -249,58 +248,6 @@ def validate_payoff(expr: Expr, n_assets: int, n_steps: int) -> None:
             raise PreconditionError(f"not a payoff node: {node!r}")
 
     walk(expr, n_assets, n_steps)
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-
-def _fmt_literal(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    # prefer a decimal literal when it is exact and short, else a quotient
-    scaled = value * 10**12
-    if scaled.denominator == 1:
-        text = f"{value.numerator / value.denominator:.12f}".rstrip("0")
-        frac = Fraction(text)
-        if frac == value:
-            return text
-    return f"({value.numerator}/{value.denominator})"
-
-
-def payoff_to_text(expr: Expr) -> str:
-    """Render an expression in concrete syntax.
-
-    Output parses back to an equal tree, except for :class:`TailClaim`
-    (display form only) and quotient literals, which reparse as division
-    nodes with the same value.
-    """
-
-    def render(node, min_prec: int) -> str:
-        if isinstance(node, Num):
-            return _fmt_literal(node.value)
-        if isinstance(node, Ref):
-            return f"S[{node.asset},{node.time}]"
-        if isinstance(node, RunningExtreme):
-            return f"{node.kind}t({node.asset})"
-        if isinstance(node, Call):
-            return f"{node.name}({', '.join(render(a, 1) for a in node.args)})"
-        if isinstance(node, Indicator):
-            return f"ind({render(node.left, 1)} {node.op} {render(node.right, 1)})"
-        if isinstance(node, TailClaim):
-            return f"tail({node.arrival}, {render(node.inner, 1)})"
-        if isinstance(node, Neg):
-            text = f"-{render(node.operand, 3)}"
-            return f"({text})" if min_prec > 2 else text
-        if isinstance(node, BinOp):
-            prec = 1 if node.op in "+-" else 2
-            text = (
-                f"{render(node.left, prec)} {node.op} {render(node.right, prec + 1)}"
-            )
-            return f"({text})" if prec < min_prec else text
-        raise PreconditionError(f"not a payoff node: {node!r}")
-
-    return render(expr, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -503,3 +450,20 @@ def constant_payoff(value) -> Num:
     if isinstance(value, str):
         return Num(Fraction(value))
     return Num(Fraction(rat(value)))
+
+
+__all__ = [
+    "Num",
+    "Ref",
+    "BinOp",
+    "Neg",
+    "Call",
+    "Indicator",
+    "RunningExtreme",
+    "TailClaim",
+    "Expr",
+    "evaluate_payoff",
+    "validate_payoff",
+    "parse_payoff",
+    "constant_payoff",
+]

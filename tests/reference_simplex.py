@@ -18,49 +18,32 @@ from rip.lp import Infeasible, Optimal, Unbounded
 def _standardise(lp, ops):
     """Rewrite onto nonnegative columns, a free variable on two.
 
-    Returns ``(cols, shifts, rows_z)`` where each column is ``(var, mult)``,
-    ``x[var] = shifts[var] + sum(mult * z)`` over the variable's columns,
-    and ``rows_z`` lists ``(coeffs, rel, rhs)`` over the z variables: the
-    original rows first, then one ``<=`` row per variable bounded on both
-    sides.  A row's ``coeffs`` are its nonzero ``(column, coefficient)``
+    Returns ``(cols, rows_z)`` where each column is ``(var, mult)``,
+    ``x[var] = sum(mult * z)`` over the variable's columns, and ``rows_z``
+    lists the program's rows as ``(coeffs, rel, rhs)`` over the z
+    variables.  A row's ``coeffs`` are its nonzero ``(column, coefficient)``
     pairs in column order.
     """
-    zero = ops.zero
-    cols, shifts, box = [], [], []
+    cols = []
     for j, bnd in enumerate(lp.bounds):
-        lo, hi = {"free": (None, None), "nonneg": (0, None)}.get(bnd, bnd)
-        if lo is None and hi is None:
-            shifts.append(zero)
-            cols += [(j, 1), (j, -1)]
-        elif lo is not None:
-            shifts.append(ops.convert(lo))
-            cols.append((j, 1))
-            if hi is not None:
-                box.append((len(cols) - 1, ops.convert(hi) - ops.convert(lo)))
-        else:
-            shifts.append(ops.convert(hi))
-            cols.append((j, -1))
+        cols += [(j, 1), (j, -1)] if bnd == "free" else [(j, 1)]
     var_cols = [[] for _ in lp.bounds]
     for cidx, (var, mult) in enumerate(cols):
         var_cols[var].append((cidx, mult))
 
     rows_z = []
     for nonzeros, rel, rhs in lp.rows:
-        row, adjust = [], zero
+        row = []
         for j, c in nonzeros:
             c = ops.convert(c)
-            if not c:
-                continue
-            row += [(cidx, c if mult > 0 else -c) for cidx, mult in var_cols[j]]
-            adjust = adjust + c * shifts[j]
-        rows_z.append((row, rel, ops.convert(rhs) - adjust))
-    for cidx, ub in box:
-        rows_z.append(([(cidx, ops.one)], "<=", ub))
-    return cols, shifts, rows_z
+            if c:
+                row += [(cidx, c if mult > 0 else -c) for cidx, mult in var_cols[j]]
+        rows_z.append((row, rel, ops.convert(rhs)))
+    return cols, rows_z
 
 
-def _recover_x(cols, shifts, z):
-    x = list(shifts)
+def _recover_x(cols, n_vars, z):
+    x = [RATIONAL_OPS.zero] * n_vars
     for cidx, (var, mult) in enumerate(cols):
         x[var] = x[var] + mult * z[cidx]
     return tuple(x)
@@ -158,7 +141,7 @@ def solve(lp):
     zero, one = ops.zero, ops.one
     minimise = lp.sense == "min"
     c_work = [ops.convert(v) if minimise else -ops.convert(v) for v in lp.objective]
-    cols, shifts, rows_z = _standardise(lp, ops)
+    cols, rows_z = _standardise(lp, ops)
     nz, m = len(cols), len(rows_z)
     c_z = [zero] * nz
     for cidx, (var, mult) in enumerate(cols):
@@ -169,10 +152,10 @@ def solve(lp):
             if c_z[cidx] < 0:
                 ray_z = [zero] * nz
                 ray_z[cidx] = one
-                point = _recover_x(cols, shifts, [zero] * nz)
-                ray = _recover_x(cols, [zero] * lp.n_vars, ray_z)
+                point = _recover_x(cols, lp.n_vars, [zero] * nz)
+                ray = _recover_x(cols, lp.n_vars, ray_z)
                 return Unbounded(point, ray, 0)
-        x = _recover_x(cols, shifts, [zero] * nz)
+        x = _recover_x(cols, lp.n_vars, [zero] * nz)
         value = sum((ops.convert(ci) * xi for ci, xi in zip(lp.objective, x)), zero)
         return Optimal(x, (), value, 0)
 
@@ -208,11 +191,11 @@ def solve(lp):
         for i, b in enumerate(tab.basis):
             if b < nz:
                 ray_z[b] = ray_z[b] - tab.matrix[i][unbounded_col]
-        point = _recover_x(cols, shifts, z)
-        ray = _recover_x(cols, [zero] * lp.n_vars, ray_z)
+        point = _recover_x(cols, lp.n_vars, z)
+        ray = _recover_x(cols, lp.n_vars, ray_z)
         return Unbounded(point, ray, tab.pivots)
 
-    x = _recover_x(cols, shifts, z)
+    x = _recover_x(cols, lp.n_vars, z)
     value = sum((ops.convert(ci) * xi for ci, xi in zip(lp.objective, x)), zero)
     duals = tab.duals(z_row, zero)
     y = [zero] * len(lp.rows)

@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from rip import (
     AtomTable,
+    BinOp,
     DppDecomposition,
     FLOAT,
     FLOAT_OPS,
     InfoStructure,
     InternalCheckError,
     ModeOps,
+    Num,
     Optimal,
     PreconditionError,
     StaticOption,
@@ -493,17 +495,11 @@ def test_translation_and_monotonicity(sc):
     base = superhedge(space, None, none, claim).single().value
     if is_neg_inf(base):
         return
-    shifted = parse_payoff(f"({payoff_text(claim)}) + 1")
+    shifted = BinOp("+", claim, Num(1))
     up = superhedge(space, None, none, shifted).single().value
     assert up == base + 1
-    halved = parse_payoff(f"({payoff_text(claim)}) / 2")
+    halved = BinOp("/", claim, Num(2))
     assert superhedge(space, None, none, halved).single().value == base / 2
-
-
-def payoff_text(expr):
-    from rip import payoff_to_text
-
-    return payoff_to_text(expr)
 
 
 @given(sc=lattice_and_claim())

@@ -1,4 +1,5 @@
-"""Every name a module of ``rip`` or a test imports is used there or listed in its ``__all__``.
+"""Every name a module of ``rip`` or a test imports is used there or listed in its ``__all__``,
+and the package re-exports exactly the names its modules list.
 
 No linter is part of the test environment, so this reads each module's
 syntax tree instead.  A name counts as used when the module's code or one
@@ -6,6 +7,7 @@ of its annotations, quoted ones included, refers to it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -82,3 +84,25 @@ def test_the_check_sees_unused_and_exported_names():
         "__all__ = ['RipError']\n"
     )
     assert _unused(source) == [("Sequence", 3), ("PathSpace", 5)]
+
+
+# the modules that declare what the package re-exports: every one but the
+# command line and its report writer, which users reach as rip.cli and rip.report
+_EXPORTING = sorted(
+    p.stem for p in SRC.glob("*.py") if p.stem not in ("__init__", "cli", "report")
+)
+
+
+def test_the_package_re_exports_each_module_s_all():
+    import rip
+
+    modules = {name: importlib.import_module(f"rip.{name}") for name in _EXPORTING}
+    assert all(hasattr(module, "__all__") for module in modules.values())
+    declared = {n for module in modules.values() for n in module.__all__}
+    assert set(rip.__all__) == {"__version__"} | declared
+    namespace = {}
+    exec("from rip import *", namespace)
+    assert set(rip.__all__) <= namespace.keys()
+    for module in modules.values():
+        for name in module.__all__:
+            assert getattr(module, name) is getattr(rip, name) is namespace[name], name

@@ -109,6 +109,18 @@ class TestJoinedAndDynamic:
         assert [a.label for a in plus] == [0, 1]
         assert len(atoms_at(tri2, InfoStructure.dynamic(hits_one, 1), -1)) == 1
 
+    def test_initial_capital_atom_times_by_variant(self, tri2):
+        # only plus starts from a grid partition, the t = 0 one
+        deviation = max_abs_deviation()
+        infos = {
+            "none": InfoStructure.none(),
+            "plus": InfoStructure.plus(deviation),
+            "minus": InfoStructure.minus(deviation),
+            "dynamic": InfoStructure.dynamic(deviation, 1),
+        }
+        times = {name: {a.time for a in atoms_at(tri2, info, -1)} for name, info in infos.items()}
+        assert times == {"none": {-1}, "plus": {0}, "minus": {-1}, "dynamic": {-1}}
+
     def test_minus_joins_from_time_zero(self, tri2, hits_one):
         minus = InfoStructure.minus(hits_one)
         assert len(atoms_at(tri2, minus, 0)) == 2

@@ -346,38 +346,16 @@ def _dense_rows(lp):
     return rows
 
 
-def _sides(bnd):
-    if bnd == "free":
-        return None, None
-    if bnd == "nonneg":
-        return 0, None
-    return bnd
-
-
 def _dense_standard_rows(lp, ops):
-    """Standardised rows (originals, then one per finite upper bound), dense."""
-    conv, zero = ops.convert, ops.zero
-    cols, shifts, box = [], [], []
+    """The rows over nonnegative columns, a free variable on two, dense."""
+    conv = ops.convert
+    cols = []
     for j, bnd in enumerate(lp.bounds):
-        lo, hi = _sides(bnd)
-        if lo is None and hi is None:
-            cols += [(j, 1), (j, -1)]
-            shifts.append(zero)
-        elif lo is not None:
-            cols.append((j, 1))
-            shifts.append(conv(lo))
-            if hi is not None:
-                box.append((len(cols) - 1, conv(hi) - conv(lo)))
-        else:
-            cols.append((j, -1))
-            shifts.append(conv(hi))
-    rows = []
-    for coeffs, rel, rhs in _dense_rows(lp):
-        shift = sum((conv(c) * s for c, s in zip(coeffs, shifts)), zero)
-        rows.append(([conv(coeffs[v]) * m for v, m in cols], rel, conv(rhs) - shift))
-    for k, ub in box:
-        rows.append(([ops.one if i == k else zero for i in range(len(cols))], "<=", ub))
-    return rows
+        cols += [(j, 1), (j, -1)] if bnd == "free" else [(j, 1)]
+    return [
+        ([conv(coeffs[v]) * m for v, m in cols], rel, conv(rhs))
+        for coeffs, rel, rhs in _dense_rows(lp)
+    ]
 
 
 def _dense_verify(lp, out, ops):
@@ -397,10 +375,7 @@ def _dense_verify(lp, out, ops):
             if (rel == "<=" and lhs > b + tol) or (rel == ">=" and lhs < b - tol):
                 return False
         for xj, bnd in zip(x, lp.bounds):
-            lo, hi = _sides(bnd)
-            if lo is not None and xj < conv(lo) - tol:
-                return False
-            if hi is not None and xj > conv(hi) + tol:
+            if bnd == "nonneg" and xj < -tol:
                 return False
         return True
 
@@ -419,14 +394,10 @@ def _dense_verify(lp, out, ops):
         for j in range(n):
             column = [coeffs[j] for coeffs, _, _ in dense]
             r = sign * (conv(lp.objective[j]) - dot(column, y))
-            lo, hi = _sides(lp.bounds[j])
-            at_lo = lo is not None and ops.eq(x[j], conv(lo), tol)
-            at_hi = hi is not None and ops.eq(x[j], conv(hi), tol)
-            if at_lo and at_hi:
-                continue
-            if (at_lo and r < -tol) or (at_hi and not at_lo and r > tol):
+            at_zero = lp.bounds[j] == "nonneg" and ops.eq(x[j], zero, tol)
+            if at_zero and r < -tol:
                 return False
-            if not at_lo and not at_hi and not ops.eq(r, zero, tol):
+            if not at_zero and not ops.eq(r, zero, tol):
                 return False
         return True
     if isinstance(out, Infeasible):
@@ -450,8 +421,7 @@ def _dense_verify(lp, out, ops):
         if (rel == "<=" and move > tol) or (rel == ">=" and move < -tol):
             return False
     for dj, bnd in zip(d, lp.bounds):
-        lo, hi = _sides(bnd)
-        if (lo is not None and dj < -tol) or (hi is not None and dj > tol):
+        if bnd == "nonneg" and dj < -tol:
             return False
     return sign * dot(lp.objective, d) < -tol
 

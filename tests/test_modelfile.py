@@ -8,7 +8,7 @@ from rip import (
     InvalidModelError,
     load_model,
     parse_model,
-    payoff_to_text,
+    parse_payoff,
     rat,
     superhedge,
 )
@@ -37,7 +37,7 @@ class TestLatticeModels:
         assert config.book.is_cash_only
         assert config.info.variant == "none"
         assert config.scales == (rat(1),)
-        assert payoff_to_text(config.claim) == "pos(S[1,2] - 1)"
+        assert config.claim == parse_payoff("pos(S[1,2] - 1)")
         assert config.claim_text == "pos(S[1,2] - 1)"
 
     def test_rational_strings_are_exact(self):
