@@ -27,7 +27,8 @@ from .modelfile import *
 
 __version__ = "0.1.0"
 
-__all__ = [
+# a union of the modules' lists: paths re-lists parse_payoff, which is kept once
+__all__ = list(dict.fromkeys([
     "__version__",
     *_numeric.__all__,
     *errors.__all__,
@@ -39,4 +40,4 @@ __all__ = [
     *pricing.__all__,
     *valuation.__all__,
     *modelfile.__all__,
-]
+]))

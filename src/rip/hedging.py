@@ -10,6 +10,9 @@ initial-capital atom, and the value is ``-inf`` exactly when the program
 is unbounded, in which case the improving direction is an arbitrage and is
 kept as a witness.
 
+Every table is built by one walk over a list of stages, from the claim
+backwards, with the same rule on the pricing side (``_staged``).
+
 Every optimal strategy and every arbitrage ray is re-checked pathwise
 before it is returned (:func:`verify_strategy`): a strategy must dominate
 the claim at the solver's value, and a ray, an arbitrage, the zero claim
@@ -347,12 +350,15 @@ def _hedge_value(problem: HedgeProblem) -> HedgeValue:
     )
 
 
-def _stage_table(space, atoms, target, info, floor, book, interval, value_of) -> AtomTable:
-    """One stage of a staged problem: a value per atom meeting the target.
+def _staged(space, target, info, claim, book, stages, value_of) -> list:
+    """A staged problem's tables, one per ``(atoms, interval)`` stage, from the claim backwards.
 
-    The table lists the atoms that meet ``target`` in partition order and
-    leaves the others out.  ``floor`` holds the value due at the end of
-    ``interval`` on every path: the claim's, or the next stage's.
+    Each table lists the stage's atoms that meet ``target`` in partition
+    order and leaves the others out.  The floor holds the value due at the
+    end of a stage's interval on every path: for the first stage the
+    claim's (:func:`_claim_floor`), and for each later one the table just
+    built, on the target paths, the only ones a stage reads; no floor is
+    made after the last stage.
     ``value_of`` (:func:`_hedge_stage` or ``pricing._price_stage``) values
     each atom over its target paths, ascending, whose floor is finite: no
     capital meets a ``-inf`` floor, so the hedge drops its row and, as the
@@ -360,13 +366,20 @@ def _stage_table(space, atoms, target, info, floor, book, interval, value_of) ->
     returns a bare ``-inf`` without solving.
     """
     wanted = set(target)
-    entries = []
-    for atom in atoms:
-        meet = [p for p in atom.paths if p in wanted]
-        if meet:
-            finite = tuple(p for p in meet if not is_neg_inf(floor[p]))
-            entries.append((atom, value_of(space, finite, info, floor, book, interval)))
-    return AtomTable(entries)
+    floor = _claim_floor(space, claim)
+    tables = []
+    for atoms, interval in stages:
+        if tables:
+            floor = [tables[-1].for_path(p).value if p in wanted else v
+                     for p, v in enumerate(floor)]
+        entries = []
+        for atom in atoms:
+            meet = [p for p in atom.paths if p in wanted]
+            if meet:
+                finite = tuple(p for p in meet if not is_neg_inf(floor[p]))
+                entries.append((atom, value_of(space, finite, info, floor, book, interval)))
+        tables.append(AtomTable(entries))
+    return tables
 
 
 def _hedge_stage(space, paths, info, floor, book, interval) -> HedgeValue:
@@ -399,9 +412,8 @@ def superhedge(
     """
     target = space.all_paths() if target is None else space.path_set(target)
     book = book or StaticOptionBook.cash_only()
-    atoms = atoms_at(space, info, -1)
-    floor = _claim_floor(space, claim)
-    return _stage_table(space, atoms, target, info, floor, book, (0, space.n_steps), _hedge_stage)
+    stage = (atoms_at(space, info, -1), (0, space.n_steps))
+    return _staged(space, target, info, claim, book, [stage], _hedge_stage)[0]
 
 
 @dataclass(frozen=True)
@@ -439,6 +451,17 @@ def _check_dpp_info(space: PathSpace, info: InfoStructure, split: int) -> None:
         raise PreconditionError(f"split index {split} outside grid 0..{space.n_steps}")
 
 
+def _dpp(space, claim, split, info, value_of) -> DppDecomposition:
+    """Both decompositions, cash only: one stage over the grid against two meeting at ``split``."""
+    _check_dpp_info(space, info, split)
+    cash, everywhere, n = StaticOptionBook.cash_only(), space.all_paths(), space.n_steps
+    initial = atoms_at(space, info, -1)
+    [direct] = _staged(space, everywhere, info, claim, cash, [(initial, (0, n))], value_of)
+    stages = [(market_partition(space, split), (split, n)), (initial, (0, split))]
+    inner, composed = _staged(space, everywhere, info, claim, cash, stages, value_of)
+    return DppDecomposition(direct.single().value, composed.single().value, split, inner, space.ops)
+
+
 def dpp_superhedge(
     space: PathSpace, claim: Expr, split: int, info: InfoStructure
 ) -> DppDecomposition:
@@ -449,18 +472,7 @@ def dpp_superhedge(
     ``split``, where a ``-inf`` one (no finite capital is ever enough)
     imposes nothing.  Cash-only throughout.
     """
-    _check_dpp_info(space, info, split)
-    direct = superhedge(space, None, info, claim).single().value
-    cash, everywhere = StaticOptionBook.cash_only(), space.all_paths()
-    inner = _stage_table(
-        space, market_partition(space, split), everywhere, info, _claim_floor(space, claim),
-        cash, (split, space.n_steps), _hedge_stage,
-    )
-    floor = [inner.for_path(p).value for p in everywhere]
-    composed = _stage_table(
-        space, atoms_at(space, info, -1), everywhere, info, floor, cash, (0, split), _hedge_stage
-    ).single().value
-    return DppDecomposition(direct, composed, split, inner, space.ops)
+    return _dpp(space, claim, split, info, _hedge_stage)
 
 
 __all__ = [

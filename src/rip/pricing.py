@@ -8,7 +8,8 @@ expected payoff matches its quoted price on each initial-capital atom.
 The model price of a claim over an atom is the largest expected claim
 value among those measures; an empty polytope prices the claim at
 ``-inf``, and the separating certificate from the solver is kept as a
-witness.
+witness.  Price tables come from the hedge tables' staged walk, with a
+measure program on each atom.
 
 Every price this module returns comes from an audited measure or a
 verified certificate.  Each solved program is read by one function,
@@ -33,9 +34,7 @@ from .information import (
     market_partition,
     trading_terms,
 )
-from .hedging import (
-    DppDecomposition, _check_dpp_info, _claim_floor, _stage_table, _trading_interval,
-)
+from .hedging import DppDecomposition, _claim_floor, _dpp, _staged, _trading_interval
 from .lp import Infeasible, LinearProgram, Optimal, solve_checked
 from .paths import PathSpace, StaticOptionBook, fatten, min_separation
 from .payoff import Expr
@@ -237,9 +236,8 @@ def model_price(
     """
     target = space.all_paths() if target is None else space.path_set(target)
     book = book or StaticOptionBook.cash_only()
-    atoms = atoms_at(space, info, -1)
-    floor = _claim_floor(space, claim)
-    return _stage_table(space, atoms, target, info, floor, book, (0, space.n_steps), _price_stage)
+    stage = (atoms_at(space, info, -1), (0, space.n_steps))
+    return _staged(space, target, info, claim, book, [stage], _price_stage)[0]
 
 
 def condition_measure(
@@ -447,18 +445,7 @@ def dpp_price(
     expected inner price of the atom reached, leaving out the atoms whose
     class is empty (a ``-inf`` price).  Cash only.
     """
-    _check_dpp_info(space, info, split)
-    cash, everywhere = StaticOptionBook.cash_only(), space.all_paths()
-    inner = _stage_table(
-        space, market_partition(space, split), everywhere, info, _claim_floor(space, claim),
-        cash, (split, space.n_steps), _price_stage,
-    )
-    direct = model_price(space, None, info, claim, cash).single().value
-    floor = [inner.for_path(p).value for p in everywhere]
-    composed = _stage_table(
-        space, atoms_at(space, info, -1), everywhere, info, floor, cash, (0, split), _price_stage
-    ).single().value
-    return DppDecomposition(direct, composed, split, inner, space.ops)
+    return _dpp(space, claim, split, info, _price_stage)
 
 
 __all__ = [

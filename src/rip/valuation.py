@@ -6,7 +6,8 @@ routes and compared afterwards.  The five-way chain recomputes one number
 through hedging with capital fixed up front, hedging and pricing per
 initial atom, pricing with support forced by rows, and pricing with
 capital fixed up front; agreement across all five is the strongest
-internal consistency statement the package can make.
+internal consistency statement the package can make.  The chain is part
+of :func:`duality_report` under uninformed capital.
 """
 
 from __future__ import annotations
@@ -96,23 +97,17 @@ def chain_quantities(
     cover every label the market can present, so the binding atom is the
     costliest finite one, and only an all-hopeless table yields ``-inf``.
     """
-    return _chain_quantities(space, variable, claim, None, None)
+    return duality_report(space, claim, InfoStructure.minus(variable)).chain
 
 
 def _chain_quantities(
     space: PathSpace, variable: InfoVariable, claim: Expr, hedge_minus: Any, price_minus: Any
 ) -> ChainQuantities:
-    """:func:`chain_quantities`, reusing the ``minus`` hedge and price a caller has solved.
-
-    Either value may be None, and is then solved here, in the same order
-    as without it.
-    """
+    """The chain, from the ``minus`` hedge and price that :func:`duality_report` has solved."""
     minus = InfoStructure.minus(variable)
     book = StaticOptionBook.cash_only()
     ops = space.ops
 
-    if hedge_minus is None:
-        hedge_minus = superhedge(space, None, minus, claim, book).single().value
     plus = duality_report(space, claim, InfoStructure.plus(variable), book)
 
     forced = {}
@@ -128,9 +123,6 @@ def _chain_quantities(
         forced[atom.label] = _price_value(
             space, lp, space.all_paths(), minus, book, (0, space.n_steps)
         ).value
-
-    if price_minus is None:
-        price_minus = model_price(space, None, minus, claim, book).single().value
 
     per_atom = tuple(
         (e.atom.label, e.hedge.value, e.price.value, forced[e.atom.label]) for e in plus.entries

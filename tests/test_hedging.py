@@ -29,6 +29,7 @@ from rip import (
     build_hedge_problem,
     build_lattice,
     constant_payoff,
+    dpp_price,
     dpp_superhedge,
     extract_strategy,
     fatten,
@@ -389,21 +390,34 @@ class TestDpp:
         dec = dpp_superhedge(tri2, call_at_2, split, no_info)
         assert dec.agree
 
-    def test_dynamic_variant_needs_matching_arrival(self, tri2, call_at_2):
+    # the preconditions hold on both sides of the decomposition
+    both_sides = pytest.mark.parametrize(
+        "dpp", [dpp_superhedge, dpp_price], ids=lambda f: f.__name__
+    )
+
+    @both_sides
+    def test_dynamic_variant_needs_matching_arrival(self, tri2, call_at_2, dpp):
         from rip import tail_range_indicator
 
         info = InfoStructure.dynamic(tail_range_indicator(rat(3, 4), rat(3, 2), 1), 1)
-        dec = dpp_superhedge(tri2, call_at_2, 1, info)
+        dec = dpp(tri2, call_at_2, 1, info)
         assert dec.agree
-        with pytest.raises(PreconditionError):
-            dpp_superhedge(tri2, call_at_2, 0, info)
+        with pytest.raises(PreconditionError, match="must equal the arrival"):
+            dpp(tri2, call_at_2, 0, info)
 
-    def test_prefix_bound_variables_are_rejected(self, tri2, call_at_2):
+    @both_sides
+    def test_prefix_bound_variables_are_rejected(self, tri2, call_at_2, dpp):
         from rip import max_abs_deviation
 
         info = InfoStructure.dynamic(max_abs_deviation(), 1)
         with pytest.raises(PreconditionError, match="renormalised tail"):
-            dpp_superhedge(tri2, call_at_2, 1, info)
+            dpp(tri2, call_at_2, 1, info)
+
+    @both_sides
+    @pytest.mark.parametrize("split", [-1, 3])
+    def test_split_outside_the_grid_is_rejected(self, tri2, call_at_2, no_info, dpp, split):
+        with pytest.raises(PreconditionError, match="outside grid 0..2"):
+            dpp(tri2, call_at_2, split, no_info)
 
     def test_float_values_agree_within_the_tolerance(self, call_at_1, no_info):
         space = build_lattice(1, 4, [0.5, 1.0, 2.0], mode="float")
@@ -420,9 +434,10 @@ class TestDpp:
         assert is_neg_inf(dec.direct) and is_neg_inf(dec.composed)
         assert dec.agree
 
-    def test_minus_variant_is_out_of_scope(self, tri2, call_at_2, hits_one):
-        with pytest.raises(PreconditionError):
-            dpp_superhedge(tri2, call_at_2, 1, InfoStructure.minus(hits_one))
+    @both_sides
+    def test_minus_variant_is_out_of_scope(self, tri2, call_at_2, hits_one, dpp):
+        with pytest.raises(PreconditionError, match="variants 'none' and 'dynamic'"):
+            dpp(tri2, call_at_2, 1, InfoStructure.minus(hits_one))
 
     def test_agreement_reads_the_tolerance_of_the_run(self):
         loose = ModeOps(FLOAT, feas_tol=1e-9, label_tol=1e-12, dual_tol=1e-4)

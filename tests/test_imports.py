@@ -52,7 +52,11 @@ def _used(tree) -> set:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used |= {item.value for item in node.value.elts}
+            # the names it lists, whether written as a list or built from one
+            used |= {
+                sub.value for sub in ast.walk(node.value)
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            }
     return used
 
 
@@ -100,6 +104,7 @@ def test_the_package_re_exports_each_module_s_all():
     assert all(hasattr(module, "__all__") for module in modules.values())
     declared = {n for module in modules.values() for n in module.__all__}
     assert set(rip.__all__) == {"__version__"} | declared
+    assert len(rip.__all__) == len(set(rip.__all__))  # a union lists each name once
     namespace = {}
     exec("from rip import *", namespace)
     assert set(rip.__all__) <= namespace.keys()
