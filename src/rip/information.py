@@ -25,8 +25,8 @@ from typing import Any, Callable, Optional, Sequence
 
 from ._numeric import FLOAT, ModeOps
 from .errors import PreconditionError
-from .payoff import evaluate_payoff, parse_payoff
-from .paths import Path, PathSpace, _per_space
+from .payoff import _normalised_tail, compile_payoff, parse_payoff
+from .paths import PathSpace, _per_space
 
 VARIANT_NONE = "none"
 VARIANT_PLUS = "plus"
@@ -56,15 +56,19 @@ class Atom:
 class InfoVariable:
     """A path functional whose level sets the informed agent can observe.
 
+    ``labeler(rows, den, ops)`` labels every path of an integer view at
+    once: ``rows[p][k][i] / den`` is coordinate ``i + 1`` of path ``p`` at
+    grid index ``k``, as in ``PathSpace.nums``, and it returns one label per
+    path, a number in the mode of ``ops``.  The space's labels are built
+    by one call, cached in the space; rational labellers compute on the
+    ints and divide only through ``ops.ratio``.
+
     Compared by identity: build one instance per model and reuse it, so a
     space's cache can key on it.
     """
 
     name: str
-    labeler: Callable[[Path, ModeOps], Any]
-
-    def label(self, path: Path, ops: ModeOps):
-        return self.labeler(path, ops)
+    labeler: Callable[[Sequence, Any, ModeOps], Sequence]
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ class AtomTable:
 
 @_per_space
 def _labels(space: PathSpace, variable: InfoVariable) -> tuple:
-    raw = [variable.label(path, space.ops) for path in space.paths]
+    raw = variable.labeler(space.nums, space.den, space.ops)
     if space.mode != FLOAT:
         return tuple(raw)
     # quantise in one sweep over the sorted distinct labels: each label joins
@@ -308,21 +312,45 @@ def market_partition(space: PathSpace, t: int) -> tuple:
 
 
 def info_from_payoff(source, name: str = "") -> InfoVariable:
-    """An information variable given by a payoff expression."""
+    """An information variable given by a payoff expression, compiled once per labelling."""
     expr = parse_payoff(source) if isinstance(source, str) else source
     label = name or (source if isinstance(source, str) else "payoff")
 
-    def labeler(path: Path, ops: ModeOps):
-        return evaluate_payoff(expr, path.values, ops)
+    def labeler(rows, den, ops: ModeOps):
+        value = compile_payoff(expr, ops)
+        return [value(path, den) for path in rows]
 
     return InfoVariable(label, labeler)
+
+
+def _series(path, asset: int) -> list:
+    return [row[asset - 1] for row in path]
+
+
+def _over_first(tail: list, ops: ModeOps) -> tuple:
+    """``(values, den)``: a series of numerators over its first, nonzero
+    value; in rational mode the numerators themselves over the first one,
+    in float mode the quotients over 1."""
+    base = tail[0]
+    if ops.mode == FLOAT:
+        return [x / base for x in tail], 1
+    return tail, base
+
+
+def _inside(lower, upper, ops: ModeOps) -> Callable:
+    """``inside(values, den)``: whether every ``x / den`` lies strictly in
+    ``(lower, upper)``; the bounds are converted once, here."""
+    (lo, hi), scale = ops.over_common([lower, upper])
+    return lambda values, den: all(lo * den < x * scale < hi * den for x in values)
 
 
 def max_abs_deviation(asset: int = 1) -> InfoVariable:
     """Largest distance of one coordinate from its starting value."""
 
-    def labeler(path: Path, ops: ModeOps):
-        return max(abs(x - ops.one) for x in path.series(asset))
+    def labeler(rows, den, ops: ModeOps):
+        return [
+            ops.ratio(max(abs(x - den) for x in _series(path, asset)), den) for path in rows
+        ]
 
     return InfoVariable(f"max-abs-deviation({asset})", labeler)
 
@@ -330,10 +358,9 @@ def max_abs_deviation(asset: int = 1) -> InfoVariable:
 def range_indicator(lower, upper, asset: int = 1) -> InfoVariable:
     """1 when the coordinate stays strictly inside ``(lower, upper)``."""
 
-    def labeler(path: Path, ops: ModeOps):
-        lo, hi = ops.convert(lower), ops.convert(upper)
-        inside = all(lo < x < hi for x in path.series(asset))
-        return ops.one if inside else ops.zero
+    def labeler(rows, den, ops: ModeOps):
+        inside = _inside(lower, upper, ops)
+        return [ops.one if inside(_series(path, asset), den) else ops.zero for path in rows]
 
     return InfoVariable(f"range-indicator({lower},{upper},{asset})", labeler)
 
@@ -348,16 +375,26 @@ def tail_max_ratio(arrival: int, asset: int = 1) -> InfoVariable:
     degenerate paths into the constant-tail class.
     """
 
-    def labeler(path: Path, ops: ModeOps):
-        series = path.series(asset)[arrival:]
-        base = series[0]
-        if base == 0 or any(x == 0 for x in series):
-            return ops.one
-        worst = ops.one
-        for x in series:
-            r = x / base
-            worst = max(worst, r, 1 / r)
-        return worst
+    def worst(values, den, ops: ModeOps):
+        if ops.mode == FLOAT:  # den is 1: the values are the ratios
+            out = ops.one
+            for r in values:
+                out = max(out, r, 1 / r)
+            return out
+        top, bottom = 1, 1  # the worst ratio so far, top / bottom
+        for x in values:
+            n, d = (x, den) if x > den else (den, x)
+            if n * bottom > top * d:
+                top, bottom = n, d
+        return ops.ratio(top, bottom)
+
+    def labeler(rows, den, ops: ModeOps):
+        out = []
+        for path in rows:
+            tail = _series(path, asset)[arrival:]
+            zero = any(x == 0 for x in tail)
+            out.append(ops.one if zero else worst(*_over_first(tail, ops), ops))
+        return out
 
     return InfoVariable(f"tail-max-ratio({arrival},{asset})", labeler)
 
@@ -369,14 +406,14 @@ def tail_range_indicator(lower, upper, arrival: int, asset: int = 1) -> InfoVari
     convention as :func:`tail_max_ratio`.
     """
 
-    def labeler(path: Path, ops: ModeOps):
-        series = path.series(asset)[arrival:]
-        base = series[0]
-        if base == 0:
-            return ops.one
-        lo, hi = ops.convert(lower), ops.convert(upper)
-        inside = all(lo < x / base < hi for x in series)
-        return ops.one if inside else ops.zero
+    def labeler(rows, den, ops: ModeOps):
+        inside = _inside(lower, upper, ops)
+        out = []
+        for path in rows:
+            tail = _series(path, asset)[arrival:]
+            ok = tail[0] == 0 or inside(*_over_first(tail, ops))
+            out.append(ops.one if ok else ops.zero)
+        return out
 
     return InfoVariable(f"tail-range-indicator({lower},{upper},{arrival},{asset})", labeler)
 
@@ -387,24 +424,22 @@ def lift_to_tail(base_variable: InfoVariable, arrival: int) -> InfoVariable:
     The tail is divided through by its value at ``arrival`` coordinate by
     coordinate, so the lifted variable sees a path that starts at 1 and has
     the remaining steps.  Paths that sit at zero at ``arrival`` get label 1.
+    Each path's tail is its own integer view, labelled on its own.
     """
 
-    def labeler(path: Path, ops: ModeOps):
-        base_row = path.values[arrival]
-        if any(x == 0 for x in base_row):
-            if all(x == 0 for row in path.values[arrival:] for x in row):
-                return ops.one
+    def labeler(rows, den, ops: ModeOps):
+        out = []
+        for path in rows:
             # a coordinate at zero cannot be renormalised unless it stays there
-            if any(
-                base == 0 and any(row[i] != 0 for row in path.values[arrival:])
-                for i, base in enumerate(base_row)
-            ):
+            view = _normalised_tail(path, arrival, ops)
+            if view is None:
                 raise PreconditionError("cannot renormalise a tail that leaves zero")
-            return ops.one
-        rows = tuple(
-            tuple(x / b for x, b in zip(row, base_row)) for row in path.values[arrival:]
-        )
-        return base_variable.label(Path(rows), ops)
+            if any(x == 0 for x in path[arrival]):
+                out.append(ops.one)
+            else:
+                tail, tail_den = view
+                out.extend(base_variable.labeler([tail], tail_den, ops))
+        return out
 
     return InfoVariable(f"{base_variable.name}@tail({arrival})", labeler)
 
@@ -433,15 +468,16 @@ def check_scaling_form(space: PathSpace, variable: InfoVariable, arrival: int) -
 def _scaling_form(space: PathSpace, variable: InfoVariable, arrival: int) -> bool:
     # the tail scan of check_scaling_form, once per space, variable and arrival
     labels = _labels(space, variable)
+    ops = space.ops
     by_tail: dict = {}
-    for p, path in enumerate(space.paths):
-        series = path.series(1)[arrival:]
+    for p, path in enumerate(space.nums):
+        series = _series(path, 1)[arrival:]
         base = series[0]
         if base == 0:
-            if not space.ops.eq(labels[p], space.ops.one, space.ops.label_tol):
+            if not ops.eq(labels[p], ops.one, ops.label_tol):
                 return False
             continue
-        tail = tuple(x / base for x in series)
+        tail = tuple(ops.ratio(x, base) for x in series)
         if tail in by_tail:
             if labels[p] != by_tail[tail]:
                 return False

@@ -26,7 +26,7 @@ from ._numeric import (
     rat,
 )
 from .errors import CapacityError, PreconditionError
-from .payoff import Expr, evaluate_payoff, parse_payoff, validate_payoff
+from .payoff import Expr, compile_payoff, parse_payoff, validate_payoff
 
 PATH_CAP = 10**6
 
@@ -61,9 +61,6 @@ class Path:
     def coord(self, asset: int, k: int):
         """Coordinate ``asset`` (1-based) at grid index ``k``."""
         return self.values[k][asset - 1]
-
-    def series(self, asset: int) -> tuple:
-        return tuple(row[asset - 1] for row in self.values)
 
 
 @dataclass(frozen=True)
@@ -163,9 +160,10 @@ class PathSpace:
     index ``k``: one integer view of the coordinates, int numerators over
     one positive denominator, built once here.  The validation reads it (a
     path starts at 1 when its first numerators equal ``den``; duplicates
-    hash int tuples), and so do the strategy re-check and the measure
-    audit.  ``den`` stays small on lattices: at most 15 bits on every space
-    of the benchmark's three workloads.
+    hash int tuples), and so do claims, option payoffs, information labels,
+    the strategy re-check and the measure audit.  ``den`` stays small on
+    lattices: at most 15 bits on every space of the benchmark's three
+    workloads.
     """
 
     n_steps: int
@@ -220,15 +218,15 @@ class PathSpace:
         return tuple(tuple(rows[id(row)] for row in path.values) for path in self.paths), den
 
     def _verify_option_terminals(self):
-        last = self.n_steps
+        last, width = self.n_steps, self.n_assets
         for j, option in enumerate(self.dynamic_options):
-            coord = self.n_assets + 1 + j
+            coord = width + 1 + j
             price = self.ops.convert(option.price)
             if not self.ops.pos(price):
                 raise PreconditionError(f"dynamic option {j + 1} must have a positive price")
+            payoff_of = compile_payoff(option.payoff, self.ops)
             for p, path in enumerate(self.paths):
-                base = path.values[: last + 1]
-                payoff = evaluate_payoff(option.payoff, [row[: self.n_assets] for row in base], self.ops)
+                payoff = payoff_of([row[:width] for row in self.nums[p]], self.den)
                 want = payoff / price
                 if not self.ops.eq(path.coord(coord, last), want):
                     raise PreconditionError(
@@ -261,8 +259,9 @@ class PathSpace:
 
     @_per_space
     def claim_values(self, claim: Expr) -> tuple:
-        """Evaluate a payoff on every path, cached per expression."""
-        return tuple(evaluate_payoff(claim, path.values, self.ops) for path in self.paths)
+        """Evaluate a payoff on every path's integer view, compiled once and cached per expression."""
+        value, den = compile_payoff(claim, self.ops), self.den
+        return tuple(value(rows, den) for rows in self.nums)
 
     def describe(self) -> dict:
         return {

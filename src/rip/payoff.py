@@ -19,15 +19,24 @@ arguments, ``abs`` and ``pos`` exactly one; ``pos(x)`` is ``max(x, 0)``.
 Numbers are nonnegative integer or decimal literals; negative constants and
 exact ratios are spelled with the operators (``-3``, ``1/3``).  Equality in
 ``ind`` is exact in rational mode and quantised at 1e-12 in float mode.
+
+An expression is evaluated by compiling it once (:func:`compile_payoff`)
+into a function of one path's rows of a space's integer view,
+``PathSpace.nums[p]`` over ``PathSpace.den``; claims, option payoffs and
+payoff labels all go through it.  In rational mode it computes on pairs of
+ints and divides once per path; in float mode it performs the float
+operations of a walk over the values, in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence, Union
+from itertools import islice
+from math import lcm
+from typing import Any, Callable, Optional, Sequence, Union
 
-from ._numeric import ModeOps, RATIONAL_OPS, rat
+from ._numeric import FLOAT, ModeOps, RATIONAL_OPS, rat
 from .errors import EvaluationError, PayoffSyntaxError, PreconditionError
 
 FINAL_TIME = "T"
@@ -115,98 +124,194 @@ PathValues = Sequence[Sequence[Any]]  # values[k][i-1]: coordinate i at index k
 # evaluation
 
 
-def _coord(values: PathValues, asset: int, k: int) -> Any:
-    if not 0 <= k < len(values):
-        raise EvaluationError(f"grid index {k} outside 0..{len(values) - 1}")
-    row = values[k]
+def _coord(rows, asset: int, k: int) -> Any:
+    if not 0 <= k < len(rows):
+        raise EvaluationError(f"grid index {k} outside 0..{len(rows) - 1}")
+    row = rows[k]
     if not 1 <= asset <= len(row):
         raise EvaluationError(f"coordinate index {asset} outside 1..{len(row)}")
     return row[asset - 1]
 
 
-def _compare(op: str, a, b, ops: ModeOps) -> bool:
+def _compare(op: str, a, b, ops: ModeOps, tol) -> bool:
     if op == "==":
-        return ops.eq(a, b, ops.label_tol)
+        return ops.eq(a, b, tol)
     if op == "<=":
-        return a < b or ops.eq(a, b, ops.label_tol)
+        return a < b or ops.eq(a, b, tol)
     if op == "<":
-        return a < b and not ops.eq(a, b, ops.label_tol)
+        return a < b and not ops.eq(a, b, tol)
     if op == ">=":
-        return b < a or ops.eq(a, b, ops.label_tol)
+        return b < a or ops.eq(a, b, tol)
     if op == ">":
-        return b < a and not ops.eq(a, b, ops.label_tol)
+        return b < a and not ops.eq(a, b, tol)
     raise EvaluationError(f"unknown comparison {op!r}")
+
+
+def _over(a: tuple, b: tuple) -> tuple:
+    """The numerators of pairs ``a`` and ``b`` over one denominator, and that denominator."""
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return an, bn, ad
+    return an * bd, bn * ad, ad * bd
+
+
+def _normalised_tail(rows, arrival: int, ops: ModeOps) -> Optional[tuple]:
+    """``(tail, den)``: the rows from ``arrival`` on, each coordinate over
+    its value there, as an integer view; 0/0 is 1.  None when a coordinate
+    at zero there leaves zero.
+
+    Both values are numerators over one denominator, so ``x / b`` is the
+    ratio of numerators; the tail puts them over their lcm.  In float mode
+    the tail is the quotients themselves over 1.
+    """
+    base = rows[arrival]
+    tail = rows[arrival:]
+    if any(b == 0 and x != 0 for row in tail for x, b in zip(row, base)):
+        return None
+    if ops.mode == FLOAT:
+        return [tuple(ops.one if b == 0 else x / b for x, b in zip(row, base)) for row in tail], 1
+    den = lcm(*(b for b in base if b))
+    scale = [den // b if b else 0 for b in base]
+    return [tuple(x * s if s else den for x, s in zip(row, scale)) for row in tail], den
+
+
+def compile_payoff(expr: Expr, ops: ModeOps) -> Callable:
+    """``expr`` compiled once into a function of one path's integer view.
+
+    The function takes ``(rows, den)``, ``rows[k][i - 1] / den`` being
+    coordinate ``i`` at grid index ``k`` (a row of ``PathSpace.nums``), and
+    returns a number in the mode of ``ops``.  Every node yields a pair
+    ``(numerator, denominator)`` with a positive denominator.  In rational
+    mode the pairs hold ints and the value is made a ``Fraction`` once, by
+    ``ops.ratio``.  In float mode ``den`` is 1, every denominator stays 1
+    and each node performs the float operation of a walk over the values,
+    in the same order, so the value is the same float.  Division by zero
+    and out-of-range indices raise :class:`EvaluationError` when the
+    function is called.
+    """
+    exact = ops.mode != FLOAT
+    zero, one = (0, 1) if exact else (ops.zero, ops.one)
+
+    def divide(a, b):
+        if b[0] == 0:
+            raise EvaluationError("division by zero in payoff")
+        if not exact:
+            return a[0] / b[0], 1
+        n, d = a[0] * b[1], a[1] * b[0]
+        return (-n, -d) if d < 0 else (n, d)
+
+    def first(better):
+        def pick(args):
+            best = args[0]
+            for a in args[1:]:
+                x, y, _ = _over(a, best)
+                if better(x, y):
+                    best = a
+            return best
+
+        return pick
+
+    def add(a, b):
+        x, y, d = _over(a, b)
+        return x + y, d
+
+    def subtract(a, b):
+        x, y, d = _over(a, b)
+        return x - y, d
+
+    combine = {
+        "+": add,
+        "-": subtract,
+        "*": lambda a, b: (a[0] * b[0], a[1] * b[1]),
+        "/": divide,
+    }
+    functions = {
+        "max": first(lambda x, y: x > y),
+        "min": first(lambda x, y: x < y),
+        "abs": lambda args: (abs(args[0][0]), args[0][1]),
+        "pos": lambda args: (zero, 1) if args[0][0] < 0 else args[0],
+    }
+
+    def unknown(message):
+        def fail(*_):
+            raise EvaluationError(message)
+
+        return fail
+
+    def build(node) -> Callable:
+        if isinstance(node, Num):
+            value = ops.convert(node.value)
+            pair = (value.numerator, value.denominator) if exact else (value, 1)
+            return lambda rows, den: pair
+        if isinstance(node, Ref):
+            asset, time = node.asset, node.time
+            return lambda rows, den: (
+                _coord(rows, asset, len(rows) - 1 if time == FINAL_TIME else time), den
+            )
+        if isinstance(node, Neg):
+            f = build(node.operand)
+
+            def negate(rows, den):
+                n, d = f(rows, den)
+                return -n, d
+
+            return negate
+        if isinstance(node, BinOp):
+            f, g = build(node.left), build(node.right)
+            op = combine.get(node.op) or unknown(f"unknown operator {node.op!r}")
+            return lambda rows, den: op(f(rows, den), g(rows, den))
+        if isinstance(node, Call):
+            fs = [build(a) for a in node.args]
+            fn = functions.get(node.name) or unknown(f"unknown function {node.name!r}")
+            return lambda rows, den: fn([f(rows, den) for f in fs])
+        if isinstance(node, Indicator):
+            f, g, op, tol = build(node.left), build(node.right), node.op, ops.label_tol
+            yes, no = (one, 1), (zero, 1)
+
+            def indicator(rows, den):
+                x, y, d = _over(f(rows, den), g(rows, den))
+                return yes if _compare(op, x, y, ops, tol * d) else no
+
+            return indicator
+        if isinstance(node, RunningExtreme):
+            asset, pick = node.asset, max if node.kind == "max" else min
+            return lambda rows, den: (
+                pick([_coord(rows, asset, k) for k in range(len(rows))]), den
+            )
+        if isinstance(node, TailClaim):
+            f, arrival = build(node.inner), node.arrival
+
+            def tail(rows, den):
+                if not 0 <= arrival < len(rows):
+                    raise EvaluationError(f"tail arrival {arrival} outside 0..{len(rows) - 1}")
+                view = _normalised_tail(rows, arrival, ops)
+                if view is None:
+                    raise EvaluationError("cannot normalise a tail that leaves zero")
+                return f(*view)
+
+            return tail
+        return unknown(f"not a payoff node: {node!r}")
+
+    top, ratio = build(expr), ops.ratio
+
+    def value(rows, den):
+        return ratio(*top(rows, den))
+
+    return value
 
 
 def evaluate_payoff(expr: Expr, values: PathValues, ops: ModeOps = RATIONAL_OPS):
     """Evaluate ``expr`` on a path given as per-index coordinate rows.
 
-    Returns a number in the mode of ``ops``.  Division by zero raises
-    :class:`EvaluationError`, as do out-of-range coordinate or grid indices.
+    Compiles ``expr`` and calls it on the rows put over their common
+    denominator (over 1 for ints, and in float mode).  Returns a number in
+    the mode of ``ops``.  Division by zero raises :class:`EvaluationError`,
+    as do out-of-range coordinate or grid indices.
     """
-    last = len(values) - 1
-
-    def ev(node) -> Any:
-        if isinstance(node, Num):
-            return ops.convert(node.value)
-        if isinstance(node, Ref):
-            k = last if node.time == FINAL_TIME else node.time
-            return _coord(values, node.asset, k)
-        if isinstance(node, Neg):
-            return -ev(node.operand)
-        if isinstance(node, BinOp):
-            a, b = ev(node.left), ev(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                if b == 0:
-                    raise EvaluationError("division by zero in payoff")
-                return a / b
-            raise EvaluationError(f"unknown operator {node.op!r}")
-        if isinstance(node, Call):
-            args = [ev(a) for a in node.args]
-            if node.name == "max":
-                return max(args)
-            if node.name == "min":
-                return min(args)
-            if node.name == "abs":
-                return abs(args[0])
-            if node.name == "pos":
-                return max(args[0], ops.zero)
-            raise EvaluationError(f"unknown function {node.name!r}")
-        if isinstance(node, Indicator):
-            return ops.one if _compare(node.op, ev(node.left), ev(node.right), ops) else ops.zero
-        if isinstance(node, RunningExtreme):
-            series = [_coord(values, node.asset, k) for k in range(len(values))]
-            return max(series) if node.kind == "max" else min(series)
-        if isinstance(node, TailClaim):
-            return evaluate_payoff(node.inner, _normalised_tail(values, node.arrival, ops), ops)
-        raise EvaluationError(f"not a payoff node: {node!r}")
-
-    return ev(expr)
-
-
-def _normalised_tail(values: PathValues, arrival: int, ops: ModeOps) -> list:
-    """The rows from ``arrival`` on, each coordinate over its value there; 0/0 is ``ops.one``."""
-    if not 0 <= arrival < len(values):
-        raise EvaluationError(f"tail arrival {arrival} outside 0..{len(values) - 1}")
-    base = values[arrival]
-    tail = []
-    for row in values[arrival:]:
-        out = []
-        for x, b in zip(row, base):
-            if b == 0:
-                if x != 0:
-                    raise EvaluationError("cannot normalise a tail that leaves zero")
-                out.append(ops.one)
-            else:
-                out.append(x / b)
-        tail.append(tuple(out))
-    return tail
+    nums, den = ops.over_common([x for row in values for x in row])
+    flat = iter(nums)
+    rows = [tuple(islice(flat, len(row))) for row in values]
+    return compile_payoff(expr, ops)(rows, den)
 
 
 def validate_payoff(expr: Expr, n_assets: int, n_steps: int) -> None:
@@ -462,6 +567,7 @@ __all__ = [
     "RunningExtreme",
     "TailClaim",
     "Expr",
+    "compile_payoff",
     "evaluate_payoff",
     "validate_payoff",
     "parse_payoff",

@@ -6,7 +6,11 @@ functional over a polytope ``{w >= 0, Aw = b}`` attains its maximum at a
 basic feasible solution, and for the tiny fixture models all of those can
 be listed outright.  Nothing from the package is imported, so agreement
 between these numbers and the package is a genuine cross-check of two
-unrelated code paths.
+unrelated code paths.  The exception is the last section: the payoff walk
+and the label formulas that ``rip`` used before it compiled claims and
+labels onto the integer view.  They dispatch on the package's payoff nodes,
+raise its errors and compute in its numeric modes, and serve as the
+reference of the differential tests.
 
 Run as a script to print the full table the tests freeze::
 
@@ -296,6 +300,227 @@ def run() -> Dict[str, object]:
     out["tri2_dyn1_atom_count"] = len(pairs)
 
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference payoff walk and labels, on the coordinates themselves
+
+from rip.errors import EvaluationError, PreconditionError  # noqa: E402
+from rip.payoff import (  # noqa: E402
+    FINAL_TIME,
+    BinOp,
+    Call,
+    Indicator,
+    Neg,
+    Num,
+    Ref,
+    RunningExtreme,
+    TailClaim,
+)
+
+
+def _coord(values, asset: int, k: int):
+    if not 0 <= k < len(values):
+        raise EvaluationError(f"grid index {k} outside 0..{len(values) - 1}")
+    row = values[k]
+    if not 1 <= asset <= len(row):
+        raise EvaluationError(f"coordinate index {asset} outside 1..{len(row)}")
+    return row[asset - 1]
+
+
+def _compare(op: str, a, b, ops) -> bool:
+    if op == "==":
+        return ops.eq(a, b, ops.label_tol)
+    if op == "<=":
+        return a < b or ops.eq(a, b, ops.label_tol)
+    if op == "<":
+        return a < b and not ops.eq(a, b, ops.label_tol)
+    if op == ">=":
+        return b < a or ops.eq(a, b, ops.label_tol)
+    if op == ">":
+        return b < a and not ops.eq(a, b, ops.label_tol)
+    raise EvaluationError(f"unknown comparison {op!r}")
+
+
+def evaluate_payoff(expr, values, ops):
+    """Evaluate ``expr`` on a path given as per-index coordinate rows.
+
+    Returns a number in the mode of ``ops``.  Division by zero raises
+    :class:`EvaluationError`, as do out-of-range coordinate or grid indices.
+    """
+    last = len(values) - 1
+
+    def ev(node):
+        if isinstance(node, Num):
+            return ops.convert(node.value)
+        if isinstance(node, Ref):
+            k = last if node.time == FINAL_TIME else node.time
+            return _coord(values, node.asset, k)
+        if isinstance(node, Neg):
+            return -ev(node.operand)
+        if isinstance(node, BinOp):
+            a, b = ev(node.left), ev(node.right)
+            if node.op == "+":
+                return a + b
+            if node.op == "-":
+                return a - b
+            if node.op == "*":
+                return a * b
+            if node.op == "/":
+                if b == 0:
+                    raise EvaluationError("division by zero in payoff")
+                return a / b
+            raise EvaluationError(f"unknown operator {node.op!r}")
+        if isinstance(node, Call):
+            args = [ev(a) for a in node.args]
+            if node.name == "max":
+                return max(args)
+            if node.name == "min":
+                return min(args)
+            if node.name == "abs":
+                return abs(args[0])
+            if node.name == "pos":
+                return max(args[0], ops.zero)
+            raise EvaluationError(f"unknown function {node.name!r}")
+        if isinstance(node, Indicator):
+            return ops.one if _compare(node.op, ev(node.left), ev(node.right), ops) else ops.zero
+        if isinstance(node, RunningExtreme):
+            series = [_coord(values, node.asset, k) for k in range(len(values))]
+            return max(series) if node.kind == "max" else min(series)
+        if isinstance(node, TailClaim):
+            return evaluate_payoff(node.inner, _normalised_tail(values, node.arrival, ops), ops)
+        raise EvaluationError(f"not a payoff node: {node!r}")
+
+    return ev(expr)
+
+
+def _normalised_tail(values, arrival: int, ops) -> list:
+    """The rows from ``arrival`` on, each coordinate over its value there; 0/0 is ``ops.one``."""
+    if not 0 <= arrival < len(values):
+        raise EvaluationError(f"tail arrival {arrival} outside 0..{len(values) - 1}")
+    base = values[arrival]
+    tail = []
+    for row in values[arrival:]:
+        out = []
+        for x, b in zip(row, base):
+            if b == 0:
+                if x != 0:
+                    raise EvaluationError("cannot normalise a tail that leaves zero")
+                out.append(ops.one)
+            else:
+                out.append(x / b)
+        tail.append(tuple(out))
+    return tail
+
+
+# label formulas: each ``label(values, ops)`` reads one path's coordinate rows
+
+
+def _series(values, asset: int) -> tuple:
+    return tuple(row[asset - 1] for row in values)
+
+
+def label_payoff(expr):
+    return lambda values, ops: evaluate_payoff(expr, values, ops)
+
+
+def label_max_abs_deviation(asset: int = 1):
+    return lambda values, ops: max(abs(x - ops.one) for x in _series(values, asset))
+
+
+def label_range_indicator(lower, upper, asset: int = 1):
+    def label(values, ops):
+        lo, hi = ops.convert(lower), ops.convert(upper)
+        inside = all(lo < x < hi for x in _series(values, asset))
+        return ops.one if inside else ops.zero
+
+    return label
+
+
+def label_tail_max_ratio(arrival: int, asset: int = 1):
+    def label(values, ops):
+        series = _series(values, asset)[arrival:]
+        base = series[0]
+        if base == 0 or any(x == 0 for x in series):
+            return ops.one
+        worst = ops.one
+        for x in series:
+            r = x / base
+            worst = max(worst, r, 1 / r)
+        return worst
+
+    return label
+
+
+def label_tail_range_indicator(lower, upper, arrival: int, asset: int = 1):
+    def label(values, ops):
+        series = _series(values, asset)[arrival:]
+        base = series[0]
+        if base == 0:
+            return ops.one
+        lo, hi = ops.convert(lower), ops.convert(upper)
+        inside = all(lo < x / base < hi for x in series)
+        return ops.one if inside else ops.zero
+
+    return label
+
+
+def label_lift_to_tail(base_label, arrival: int):
+    def label(values, ops):
+        base_row = values[arrival]
+        if any(x == 0 for x in base_row):
+            if all(x == 0 for row in values[arrival:] for x in row):
+                return ops.one
+            # a coordinate at zero cannot be renormalised unless it stays there
+            if any(
+                base == 0 and any(row[i] != 0 for row in values[arrival:])
+                for i, base in enumerate(base_row)
+            ):
+                raise PreconditionError("cannot renormalise a tail that leaves zero")
+            return ops.one
+        rows = tuple(
+            tuple(x / b for x, b in zip(row, base_row)) for row in values[arrival:]
+        )
+        return base_label(rows, ops)
+
+    return label
+
+
+def space_labels(space, label) -> tuple:
+    """``label`` on every path of ``space``, quantised in float mode by the
+    sweep over the sorted distinct labels."""
+    raw = [label(path.values, space.ops) for path in space.paths]
+    if space.mode != "float":
+        return tuple(raw)
+    tol = space.ops.label_tol
+    rep_of = {}
+    rep = None
+    for x in sorted(set(raw)):
+        if rep is None or x - rep > tol:
+            rep = x
+        rep_of[x] = rep
+    return tuple(rep_of[x] for x in raw)
+
+
+def scaling_form(space, labels, arrival: int) -> bool:
+    """Whether paths with equal renormalised tails carry equal labels and
+    every path at zero at ``arrival`` carries label 1."""
+    ops = space.ops
+    by_tail: dict = {}
+    for p, path in enumerate(space.paths):
+        series = _series(path.values, 1)[arrival:]
+        base = series[0]
+        if base == 0:
+            if not ops.eq(labels[p], ops.one, ops.label_tol):
+                return False
+            continue
+        tail = tuple(x / base for x in series)
+        if tail in by_tail:
+            if labels[p] != by_tail[tail]:
+                return False
+        else:
+            by_tail[tail] = labels[p]
+    return True
 
 
 if __name__ == "__main__":

@@ -98,7 +98,7 @@ class TestStrategyMechanics:
     def test_gains_examples(self, tri2):
         crash = next(
             p for p in range(len(tri2.paths))
-            if tri2.paths[p].series(1) == (1, rat(1, 2), rat(1, 4))
+            if tri2.paths[p].values == ((1,), (rat(1, 2),), (rat(1, 4),))
         )
         hold_one = {}
         for t in (0, 1):

@@ -1,12 +1,16 @@
 """Partitions, the filtration map, and label variables."""
 
 import gc
+import glob
 import itertools
+import os
+import random
 import weakref
 from fractions import Fraction
 
 import pytest
 
+import oracle
 import rip.hedging
 import rip.pricing
 from rip import (
@@ -35,7 +39,14 @@ from rip import (
     tail_range_indicator,
     z_partition,
 )
-from rip.information import filtration, trading_terms
+from rip.information import _labels, filtration, trading_terms
+from rip.modelfile import load_model
+from test_acceptance import build_instance, random_spec
+
+
+def labels_of(variable, space):
+    """The variable's raw labels on every path of the space's integer view."""
+    return list(variable.labeler(space.nums, space.den, space.ops))
 
 
 class TestStructureConstruction:
@@ -82,7 +93,7 @@ class TestZPartition:
 
     def test_range_indicator_is_strict(self, tri1):
         var = range_indicator(rat(1, 2), 2)
-        labels = {p: var.label(tri1.paths[p], tri1.ops) for p in range(3)}
+        labels = dict(enumerate(labels_of(var, tri1)))
         # both endpoints fall outside the open corridor
         assert labels == {0: 0, 1: 1, 2: 0}
 
@@ -134,27 +145,26 @@ class TestJoinedAndDynamic:
 class TestCatalogVariables:
     def test_tail_max_ratio_uses_the_renormalised_tail(self, tri2):
         var = tail_max_ratio(1)
-        labels = {var.label(p, tri2.ops) for p in tri2.paths}
+        labels = set(labels_of(var, tri2))
         assert labels == {1, 2}
 
     def test_tail_max_ratio_labels_zero_tails_one(self):
         space = space_from_paths([[(1,), (1,), (0,)], [(1,), (1,), (1,)]], n_assets=1)
         var = tail_max_ratio(1)
-        zero_path = next(p for p in space.paths if p.coord(1, 2) == 0)
-        assert var.label(zero_path, space.ops) == 1
+        zero_path = next(p for p, path in enumerate(space.paths) if path.coord(1, 2) == 0)
+        assert labels_of(var, space)[zero_path] == 1
 
     def test_tail_range_indicator(self, tri2):
         var = tail_range_indicator(rat(3, 4), rat(3, 2), 1)
-        for path in tri2.paths:
+        for path, label in zip(tri2.paths, labels_of(var, tri2)):
             inside = path.coord(1, 2) / path.coord(1, 1) == 1
-            assert var.label(path, tri2.ops) == (1 if inside else 0)
+            assert label == (1 if inside else 0)
 
     def test_lift_to_tail_matches_direct_evaluation(self, tri2):
         base = range_indicator(rat(3, 4), rat(3, 2))
         lifted = lift_to_tail(base, 1)
         direct = tail_range_indicator(rat(3, 4), rat(3, 2), 1)
-        for path in tri2.paths:
-            assert lifted.label(path, tri2.ops) == direct.label(path, tri2.ops)
+        assert labels_of(lifted, tri2) == labels_of(direct, tri2)
 
 
 class TestScalingForm:
@@ -424,7 +434,9 @@ class TestPartitionViews:
 
 def test_labels_are_quantised_in_float_mode():
     space = build_lattice(1, 1, [0.5, 1.0, 2.0], mode="float")
-    wobbly = InfoVariable("tiny", lambda path, ops: abs(path.coord(1, 1) - 1.0) * 1e-14)
+    wobbly = InfoVariable(
+        "tiny", lambda rows, den, ops: [abs(path[1][0] / den - 1.0) * 1e-14 for path in rows]
+    )
     table = z_partition(space, wobbly)
     # 0, 5e-15, 1e-14 all collapse into one label at the default tolerance
     assert len(table) == 1
@@ -439,9 +451,127 @@ def test_float_label_quantisation_ignores_path_order(order):
     label_of = {0.5: 1.0, 1.0: 1.0 + 0.6 * tol, 2.0: 1.0 + 1.2 * tol}
     space = space_from_paths([[(1.0,), (ends[k],)] for k in order], 1, mode="float")
     assert space.ops.label_tol == tol
-    variable = InfoVariable("near", lambda path, ops: label_of[path.coord(1, 1)])
+    variable = InfoVariable("near", lambda rows, den, ops: [label_of[path[1][0]] for path in rows])
     groups = {
         frozenset(space.paths[p].coord(1, 1) for p in atom.paths)
         for atom in z_partition(space, variable)
     }
     assert groups == {frozenset({0.5, 1.0}), frozenset({2.0})}
+
+
+# ---------------------------------------------------------------------------
+# labels on the integer view against the formulas on the coordinates
+
+TRINOMIAL = ["1/2", 1, 2]
+LABEL_SPACES = {
+    "trinomial": build_lattice(1, 3, TRINOMIAL),
+    "float trinomial": build_lattice(1, 3, TRINOMIAL, mode="float"),
+    "two assets": build_lattice(2, 2, [[["1/2", 2], ["2/3", 1, "3/2"]]] * 2),
+    # at zero from the arrival on, zero only at the end, and one coordinate at zero
+    "zeros": space_from_paths(
+        [
+            [(1, 1), (0, 0), (0, 0), (0, 0)],
+            [(1, 1), (2, 0), (4, 0), (2, 0)],
+            [(1, 1), ("1/2", 3), ("1/4", 2), (0, 1)],
+            [(1, 1), (3, "1/3"), (1, 1), (3, "2/3")],
+            [(1, 1), (1, 1), (1, 1), (1, 1)],
+        ],
+        n_assets=2,
+    ),
+}
+LABEL_SPACES["float zeros"] = space_from_paths(
+    [path.values for path in LABEL_SPACES["zeros"].paths], n_assets=2, mode="float"
+)
+
+
+def _catalogue(asset, arrival=1):
+    """Pairs of a variable and its reference formula, tails read and lifted at ``arrival``."""
+    lo, hi = "3/4", "3/2"
+    expr = parse_payoff(f"max(S[{asset},1], S[{asset},T]) / S[{asset},0] - ind(mint({asset}) < 1)")
+    pairs = [
+        (max_abs_deviation(asset), oracle.label_max_abs_deviation(asset)),
+        (range_indicator(lo, hi, asset), oracle.label_range_indicator(lo, hi, asset)),
+        (tail_max_ratio(arrival, asset), oracle.label_tail_max_ratio(arrival, asset)),
+        (
+            tail_range_indicator(lo, hi, arrival, asset),
+            oracle.label_tail_range_indicator(lo, hi, arrival, asset),
+        ),
+        (info_from_payoff(expr, "payoff"), oracle.label_payoff(expr)),
+    ]
+    return pairs + [
+        (lift_to_tail(variable, arrival), oracle.label_lift_to_tail(reference, arrival))
+        for variable, reference in pairs
+    ]
+
+
+def _reference_variable(space, reference):
+    """An information variable that labels each path by the reference formula."""
+    labels = [reference(path.values, space.ops) for path in space.paths]
+    return InfoVariable("reference", lambda rows, den, ops: labels)
+
+
+def _outcome(compute):
+    try:
+        return [repr(x) for x in compute()]
+    except Exception as exc:  # the refusals must match too
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_SPACES))
+def test_labels_on_the_integer_view_match_the_formulas(name):
+    space = LABEL_SPACES[name]
+    for asset in range(1, space.n_assets + 1):
+        for variable, reference in _catalogue(asset):
+            got = _outcome(lambda: _labels(space, variable))
+            want = _outcome(lambda: oracle.space_labels(space, reference))
+            assert got == want, variable.name
+            if isinstance(want, tuple):
+                continue
+            twin = _reference_variable(space, reference)
+            assert z_partition(space, variable) == z_partition(space, twin)
+            for info in (InfoStructure.plus, InfoStructure.minus):
+                assert filtration(space, info(variable)) == filtration(space, info(twin))
+            dynamic = filtration(space, InfoStructure.dynamic(variable, 1))
+            assert dynamic == filtration(space, InfoStructure.dynamic(twin, 1))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_lifting_refuses_a_tail_that_leaves_zero(mode):
+    space = space_from_paths([[(1, 1), (1, 0), (2, 1)], [(1, 1), (1, 1), (1, 2)]], 2, mode)
+    reference = oracle.label_lift_to_tail(oracle.label_max_abs_deviation(1), 1)
+    with pytest.raises(PreconditionError, match="cannot renormalise a tail that leaves zero"):
+        oracle.space_labels(space, reference)
+    with pytest.raises(PreconditionError, match="cannot renormalise a tail that leaves zero"):
+        _labels(space, lift_to_tail(max_abs_deviation(1), 1))
+    # the tail variables themselves label such a path 1
+    assert _labels(space, tail_max_ratio(1, 2))[0] == 1
+
+
+def _same_scaling_form(space):
+    """Every catalogue variable on asset 1, its tails at 1 when the grid has
+    an interior index, checked at every arrival of the grid."""
+    for variable, reference in _catalogue(1, 1 if space.n_steps > 1 else 0):
+        labels = oracle.space_labels(space, reference)
+        for arrival in range(space.n_steps + 1):
+            want = oracle.scaling_form(space, labels, arrival)
+            assert check_scaling_form(space, variable, arrival) is want, (variable.name, arrival)
+
+
+def test_scaling_form_is_unchanged_on_the_criterion_1_corpus():
+    # the 200 spaces of criterion 1, drawn as tests/test_acceptance.py draws them
+    rng = random.Random(12)
+    for _ in range(200):
+        spec = random_spec(rng, ["none", "plus", "minus", "dynamic"], straddle=rng.random() < 0.6)
+        space, _, _ = build_instance(spec, "rational")
+        _same_scaling_form(space)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_scaling_form_is_unchanged_on_the_benchmark_models(mode):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    models = sorted(glob.glob(os.path.join(root, "perfbench", "models", "*.yaml")))
+    assert models
+    for path in models:
+        space = load_model(path, mode).space
+        if space.n_assets == 1 and space.n_options == 0:
+            _same_scaling_form(space)

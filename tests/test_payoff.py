@@ -1,16 +1,30 @@
 """Parser, evaluator and validation of the payoff language."""
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import oracle
 from rip import (
+    BinOp,
+    Call,
     EvaluationError,
     FLOAT_OPS,
+    Indicator,
+    Neg,
+    Num,
     PayoffSyntaxError,
     PreconditionError,
+    Ref,
+    RunningExtreme,
     TailClaim,
+    build_lattice,
+    compile_payoff,
     evaluate_payoff,
     parse_payoff,
     rat,
+    space_from_paths,
     validate_payoff,
 )
 
@@ -131,3 +145,97 @@ class TestValidation:
         validate_payoff(claim, n_assets=1, n_steps=3)
         with pytest.raises(PreconditionError):
             validate_payoff(claim, n_assets=1, n_steps=2)
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluator against the reference walk of tests/oracle.py
+
+# ratios that are not dyadic, so that float quotients round
+TWO_ASSET_STEPS = [[["3/10", 1, "7/3"], ["2/3", "11/10"]]] * 2
+
+SPACES = {
+    "rational lattice": build_lattice(2, 2, TWO_ASSET_STEPS),
+    "float lattice": build_lattice(2, 2, TWO_ASSET_STEPS, mode="float"),
+    # zero coordinates: at zero from index 1 on, a tail that leaves zero,
+    # and a tail at zero in one coordinate only
+    "paths with zeros": space_from_paths(
+        [
+            [(1, 1), (0, 0), (0, 0)],
+            [(1, 1), (0, "1/2"), (1, "3/4")],
+            [(1, 1), (2, 0), (6, 0)],
+            [(1, 1), ("1/3", 3), ("1/9", 5)],
+            [(1, 1), (1, 1), (1, 1)],
+        ],
+        n_assets=2,
+    ),
+}
+SPACES["float paths with zeros"] = space_from_paths(
+    [path.values for path in SPACES["paths with zeros"].paths], n_assets=2, mode="float"
+)
+
+
+def _leaf():
+    number = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(Num)
+    ref = st.builds(Ref, st.integers(1, 3), st.one_of(st.integers(0, 3), st.just("T")))
+    extreme = st.builds(RunningExtreme, st.sampled_from(["max", "min"]), st.integers(1, 2))
+    return st.one_of(number, ref, extreme)
+
+
+def _extend(inner):
+    pair = st.tuples(inner, inner)
+    return st.one_of(
+        st.builds(lambda op, ab: BinOp(op, *ab), st.sampled_from("+-*/"), pair),
+        st.builds(Neg, inner),
+        st.builds(
+            Call, st.sampled_from(["max", "min"]), st.lists(inner, min_size=2, max_size=3).map(tuple)
+        ),
+        st.builds(lambda name, a: Call(name, (a,)), st.sampled_from(["abs", "pos"]), inner),
+        st.builds(
+            lambda op, ab: Indicator(op, *ab), st.sampled_from(["<", "<=", ">", ">=", "=="]), pair
+        ),
+        st.builds(TailClaim, inner, st.integers(0, 2)),
+    )
+
+
+EXPRESSIONS = st.recursive(_leaf(), _extend, max_leaves=8)
+
+
+def _outcome(evaluate):
+    """``repr`` of the value, or the exception's type and message."""
+    try:
+        return repr(evaluate())
+    except Exception as exc:  # every exception must match, whatever its type
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+@given(expr=EXPRESSIONS)
+# the sign of a float zero: -pos(x) and -ind(...) are -0.0 where they vanish
+@example(expr=Neg(Call("pos", (Num(-1),))))
+@example(expr=Neg(Indicator("<", Num(1), Num(0))))
+@example(expr=TailClaim(BinOp("/", Ref(1, "T"), Ref(2, 1)), 1))
+# a negative divisor, then a comparison with zero
+@example(expr=Call("pos", (BinOp("/", Num(1), Neg(Ref(1, "T"))),)))
+@settings(max_examples=150, deadline=None)
+def test_compiled_payoffs_match_the_reference_walk(name, expr):
+    space = SPACES[name]
+    compiled = compile_payoff(expr, space.ops)
+    for rows, path in zip(space.nums, space.paths):
+        got = _outcome(lambda: compiled(rows, space.den))
+        want = _outcome(lambda: oracle.evaluate_payoff(expr, path.values, space.ops))
+        assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_claim_values_are_the_compiled_values(name):
+    space = SPACES[name]
+    claim = parse_payoff("pos(S[1,T] - 1) + ind(S[2,1] < S[1,T]) / 3 - mint(2)")
+    want = tuple(oracle.evaluate_payoff(claim, p.values, space.ops) for p in space.paths)
+    assert [repr(v) for v in space.claim_values(claim)] == [repr(v) for v in want]
+
+
+def test_evaluate_payoff_puts_fractions_over_one_denominator():
+    path = [(1, 1), (Fraction(1, 2), Fraction(2, 3)), (Fraction(1, 4), 2)]
+    claim = TailClaim(parse_payoff("S[1,T] + S[2,T]"), arrival=1)
+    assert evaluate_payoff(claim, path) == Fraction(1, 2) + 3
+    assert evaluate_payoff(parse_payoff("S[2,1] / S[1,2]"), path) == Fraction(8, 3)
