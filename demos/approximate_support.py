@@ -7,13 +7,14 @@ against it ignores every nearby market.  The relaxed class keeps mass
 margin, so the price moves continuously in the radius.
 
 The script prices a call against the relaxed class around the flat path
-for a few radii, then extrapolates the radius to zero exactly and checks
-the limit against the rigid support-constrained price.
+for radii from 1/2 down to 1/100, then at radius 0, the rigid
+support-constrained price.  Below 1/2, the distance from the flat path to
+its nearest neighbour, the prices fall linearly in the radius to the
+radius-0 price, which is their limit.
 """
 
 from rip import (
     approx_price,
-    approx_price_limit,
     build_lattice,
     format_number as fmt,
     parse_payoff,
@@ -28,15 +29,18 @@ def main() -> None:
         p for p, path in enumerate(space.paths) if path.coord(1, 1) == rat(1)
     )
 
-    for eta in [rat(1, 2), rat(1, 10), rat(1, 20), rat(1, 100)]:
-        value = approx_price(space, flat, eta, claim)
-        print(f"radius {fmt(eta)}: price {fmt(value)}")
+    etas = [rat(1, 2), rat(1, 10), rat(1, 20), rat(1, 100)]
+    prices = {}
+    for eta in etas:
+        prices[eta] = approx_price(space, flat, eta, claim)
+        print(f"radius {fmt(eta)}: price {fmt(prices[eta])}")
 
-    limit = approx_price_limit(space, flat, claim)
     rigid = approx_price(space, flat, 0, claim)
-    print(f"limit as the radius vanishes: {fmt(limit)}")
-    print(f"rigid support-constrained price: {fmt(rigid)}")
-    assert limit == rigid == 0
+    print(f"radius 0, the limit as the radius vanishes: price {fmt(rigid)}")
+    assert rigid == 0
+    slope = prices[rat(1, 10)] / rat(1, 10)
+    assert all(prices[eta] == rigid + slope * eta for eta in etas[1:])
+    assert prices[rat(1, 2)] > prices[rat(1, 10)]
 
 
 if __name__ == "__main__":

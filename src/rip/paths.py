@@ -521,17 +521,6 @@ def fatten(space: PathSpace, subset: Iterable[int], radius) -> tuple:
     return tuple(out)
 
 
-def min_separation(space: PathSpace):
-    """Smallest positive uniform distance between two paths, or None."""
-    best = None
-    for p in range(len(space.paths)):
-        for q in range(p + 1, len(space.paths)):
-            d = sup_dist(space.paths[p], space.paths[q])
-            if d > 0 and (best is None or d < best):
-                best = d
-    return best
-
-
 __all__ = [
     "PATH_CAP",
     "Path",
@@ -544,7 +533,6 @@ __all__ = [
     "build_info_space",
     "sup_dist",
     "fatten",
-    "min_separation",
     # re-exported, uncalled here: perfbench's span wrappers look it up in this module
     "parse_payoff",
 ]

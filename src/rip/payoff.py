@@ -32,11 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import lcm
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Union
 
-from ._numeric import FLOAT, ModeOps, RATIONAL_OPS, rat
+from ._numeric import FLOAT, ModeOps
 from .errors import EvaluationError, PayoffSyntaxError, PreconditionError
 
 FINAL_TIME = "T"
@@ -116,8 +115,6 @@ class TailClaim:
 
 
 Expr = Union[Num, Ref, BinOp, Neg, Call, Indicator, RunningExtreme, TailClaim]
-
-PathValues = Sequence[Sequence[Any]]  # values[k][i-1]: coordinate i at index k
 
 
 # ---------------------------------------------------------------------------
@@ -298,20 +295,6 @@ def compile_payoff(expr: Expr, ops: ModeOps) -> Callable:
         return ratio(*top(rows, den))
 
     return value
-
-
-def evaluate_payoff(expr: Expr, values: PathValues, ops: ModeOps = RATIONAL_OPS):
-    """Evaluate ``expr`` on a path given as per-index coordinate rows.
-
-    Compiles ``expr`` and calls it on the rows put over their common
-    denominator (over 1 for ints, and in float mode).  Returns a number in
-    the mode of ``ops``.  Division by zero raises :class:`EvaluationError`,
-    as do out-of-range coordinate or grid indices.
-    """
-    nums, den = ops.over_common([x for row in values for x in row])
-    flat = iter(nums)
-    rows = [tuple(islice(flat, len(row))) for row in values]
-    return compile_payoff(expr, ops)(rows, den)
 
 
 def validate_payoff(expr: Expr, n_assets: int, n_steps: int) -> None:
@@ -550,13 +533,6 @@ def parse_payoff(text: str) -> Expr:
     return node
 
 
-def constant_payoff(value) -> Num:
-    """A payoff that ignores the path."""
-    if isinstance(value, str):
-        return Num(Fraction(value))
-    return Num(Fraction(rat(value)))
-
-
 __all__ = [
     "Num",
     "Ref",
@@ -568,8 +544,6 @@ __all__ = [
     "TailClaim",
     "Expr",
     "compile_payoff",
-    "evaluate_payoff",
     "validate_payoff",
     "parse_payoff",
-    "constant_payoff",
 ]

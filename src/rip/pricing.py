@@ -11,6 +11,11 @@ value among those measures; an empty polytope prices the claim at
 witness.  Price tables come from the hedge tables' staged walk, with a
 measure program on each atom.
 
+An approximate class relaxes the support and the quotes: measures keep
+mass ``1 - eta`` near a support set and price each static option within
+a margin of ``eta``.  Its limit as ``eta`` shrinks to zero is one program,
+the price at radius 0 (:func:`approx_price` carries the argument).
+
 Every price this module returns comes from an audited measure or a
 verified certificate.  Each solved program is read by one function,
 ``_price_value``: an empty class keeps the Farkas certificate that the
@@ -36,7 +41,7 @@ from .information import (
 )
 from .hedging import DppDecomposition, _claim_floor, _dpp, _staged, _trading_interval
 from .lp import Infeasible, LinearProgram, Optimal, solve_checked
-from .paths import PathSpace, StaticOptionBook, fatten, min_separation
+from .paths import PathSpace, StaticOptionBook, fatten
 from .payoff import Expr
 
 
@@ -338,11 +343,9 @@ def _approx_lp(
     book: StaticOptionBook,
 ) -> LinearProgram:
     ops = space.ops
+    fat = set(fatten(space, support, eta))  # refuses a negative radius
     eta = ops.convert(eta)
-    if eta < 0:
-        raise PreconditionError("the relaxation radius must be nonnegative")
     slack = eta - eta / 1000  # strict interior margin: mass and calibration slack
-    fat = set(fatten(space, support, eta))
 
     base = build_measure_lp(
         space, space.all_paths(), InfoStructure.none(), None, (0, space.n_steps),
@@ -371,8 +374,24 @@ def approx_price(
     mass at least ``1 - eta`` (plus a strict margin of ``eta / 1000``) on
     the ``eta``-fattening of the support, with every static option priced
     within the same margin of its quote.  Returns ``-inf`` when even the
-    relaxed class is empty.  At ``eta = 0`` this is the exact
-    support-constrained calibrated price.
+    relaxed class is empty.  :func:`~rip.paths.fatten` refuses a negative
+    radius.
+
+    At ``eta = 0`` this is the exact support-constrained calibrated price,
+    and it is also the limit of the price as ``eta`` shrinks to zero,
+    ``-inf`` included:
+
+    * below the smallest positive distance between two paths, ``fatten``
+      returns the support itself, so the program is one matrix whose
+      right-hand side is affine in ``eta`` and only relaxes as ``eta``
+      grows;
+    * so the radii at which the class is nonempty form a closed interval
+      ``[a, inf)``; when ``a > 0`` the price is ``-inf`` at every radius
+      below ``a``, zero included;
+    * the optimal value is a polyhedral concave function of the right-hand
+      side, continuous on the closed set where the program is feasible
+      (Rockafellar 1970, Theorem 10.2), so when ``a = 0`` the prices tend
+      to the price at zero.
 
     The optimal measure's audit covers the mass row and the martingale
     rows; the relaxed mass and calibration rows are checked by
@@ -383,52 +402,6 @@ def approx_price(
     cash = StaticOptionBook.cash_only()
     paths = space.all_paths()
     return _price_value(space, lp, paths, InfoStructure.none(), cash, (0, space.n_steps)).value
-
-
-_MAX_HALVINGS = 80  # radius halvings before approx_price_limit gives up
-
-
-def approx_price_limit(
-    space: PathSpace,
-    support: Iterable[int],
-    claim: Expr,
-    book: Optional[StaticOptionBook] = None,
-) -> Any:
-    """The exact limit of :func:`approx_price` as the radius shrinks to zero.
-
-    Exact mode only.  Starts below the smallest distance at which the
-    fattened support could change and halves the radius; on each step a
-    two-point linear extrapolation to radius zero is computed, and once
-    two consecutive extrapolations agree exactly the shared value is
-    returned.  The relaxed value is piecewise linear in the radius with
-    finitely many breakpoints, so below the smallest one the extrapolation
-    is exact and the loop stops.  A ``-inf`` at any radius is final (the
-    class only shrinks), and is returned at once.
-    """
-    if space.mode != "rational":
-        raise PreconditionError("the exact limit needs rational mode")
-    book = book or StaticOptionBook.cash_only()
-    support = tuple(sorted(set(support)))
-    sep = min_separation(space)
-    eta = (sep if sep is not None else space.ops.one) / 2
-
-    previous_extrapolation = None
-    v_here = approx_price(space, support, eta, claim, book)
-    for _ in range(_MAX_HALVINGS):
-        if is_neg_inf(v_here):
-            return NEG_INF
-        v_half = approx_price(space, support, eta / 2, claim, book)
-        if is_neg_inf(v_half):
-            return NEG_INF
-        extrapolation = v_half + (v_half - v_here)
-        if previous_extrapolation is not None and extrapolation == previous_extrapolation:
-            return extrapolation
-        previous_extrapolation = extrapolation
-        v_here = v_half
-        eta = eta / 2
-    raise InternalCheckError(
-        "radius extrapolation did not stabilise; no affine segment was reached"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +429,5 @@ __all__ = [
     "condition_measure",
     "concatenate_measure",
     "approx_price",
-    "approx_price_limit",
     "dpp_price",
 ]

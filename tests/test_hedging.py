@@ -28,7 +28,6 @@ from rip import (
     UndefinedHoldingError,
     build_hedge_problem,
     build_lattice,
-    constant_payoff,
     dpp_price,
     dpp_superhedge,
     extract_strategy,
@@ -63,7 +62,7 @@ class TestSingleStep:
         assert superhedge(tri1, None, no_info, digital_at_2).single().value == rat(1, 3)
 
     def test_constant_claim_costs_its_value(self, tri1, no_info):
-        hv = superhedge(tri1, None, no_info, constant_payoff(5)).single()
+        hv = superhedge(tri1, None, no_info, Num(5)).single()
         assert hv.value == 5
 
     def test_static_digital_lowers_the_call(self, tri1, call_at_1, no_info, flat_digital_book):
@@ -302,7 +301,7 @@ class TestArbitrage:
     def test_forced_high_price_is_unbounded(self):
         # the asset can only go up, so shorting cash against it pumps money
         space = space_from_paths([[(1,), (2,)], [(1,), (3,)]], n_assets=1)
-        hv = superhedge(space, None, InfoStructure.none(), constant_payoff(0)).single()
+        hv = superhedge(space, None, InfoStructure.none(), Num(0)).single()
         assert is_neg_inf(hv.value)
         ray = hv.ray
         assert ray is not None
@@ -429,7 +428,7 @@ class TestDpp:
     def test_inner_values_all_neg_inf_compose_to_neg_inf(self, mode):
         # from t = 1 the asset can only rise: every interval value is an arbitrage
         space = space_from_paths([[(1,), (1,), (2,)], [(1,), (1,), (3,)]], 1, mode)
-        dec = dpp_superhedge(space, constant_payoff(0), 1, NONE)
+        dec = dpp_superhedge(space, Num(0), 1, NONE)
         assert [hv.finite for _, hv in dec.inner] == [False]
         assert is_neg_inf(dec.direct) and is_neg_inf(dec.composed)
         assert dec.agree

@@ -20,7 +20,6 @@ from rip import (
     build_measure_lp,
     fatten,
     gains,
-    min_separation,
     parse_payoff,
     rat,
     space_from_paths,
@@ -203,11 +202,6 @@ class TestExactRoots:
         if k >= 2 and root >= 2:
             assert _nth_root_exact(root**k - 1, k) is None
             assert _nth_root_exact(root**k + 1, k) is None
-
-
-def test_min_separation(tri1):
-    # distances: flat-down 1/2, flat-up 1, down-up 3/2
-    assert min_separation(tri1) == rat(1, 2)
 
 
 class TestInfoSpace:

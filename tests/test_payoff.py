@@ -10,7 +10,6 @@ from rip import (
     BinOp,
     Call,
     EvaluationError,
-    FLOAT_OPS,
     Indicator,
     Neg,
     Num,
@@ -21,7 +20,6 @@ from rip import (
     TailClaim,
     build_lattice,
     compile_payoff,
-    evaluate_payoff,
     parse_payoff,
     rat,
     space_from_paths,
@@ -31,8 +29,13 @@ from rip import (
 UP_PATH = [(1, 1), (2, 1), (4, 3)]  # two assets, two steps
 
 
+def value_on(expr, path, mode="rational"):
+    """``expr`` on one path, through the claim values of a one-path space."""
+    return space_from_paths([path], len(path[0]), mode).claim_values(expr)[0]
+
+
 def ev(text, values=UP_PATH):
-    return evaluate_payoff(parse_payoff(text), values)
+    return value_on(parse_payoff(text), values)
 
 
 class TestEvaluation:
@@ -77,19 +80,19 @@ class TestEvaluation:
     def test_float_ops_compare_with_tolerance(self):
         expr = parse_payoff("ind(S[1,1] == 2)")
         path = [(1.0,), (2.0 + 1e-13,)]
-        assert evaluate_payoff(expr, path, FLOAT_OPS) == 1.0
+        assert value_on(expr, path, "float") == 1.0
 
     def test_tail_claim_reads_the_renormalised_tail(self):
         inner = parse_payoff("pos(S[1,T] - 1)")
         claim = TailClaim(inner, arrival=1)
         # tail from index 1 is (2, 4), renormalised (1, 2)
-        assert evaluate_payoff(claim, [(1,), (2,), (4,)]) == 1
+        assert value_on(claim, [(1,), (2,), (4,)]) == 1
 
     def test_tail_claim_rejects_tails_leaving_zero(self):
         inner = parse_payoff("S[1,T]")
         claim = TailClaim(inner, arrival=1)
         with pytest.raises(EvaluationError):
-            evaluate_payoff(claim, [(1,), (0,), (3,)])
+            value_on(claim, [(1,), (0,), (3,)])
 
 
 class TestSyntaxErrors:
@@ -234,8 +237,8 @@ def test_claim_values_are_the_compiled_values(name):
     assert [repr(v) for v in space.claim_values(claim)] == [repr(v) for v in want]
 
 
-def test_evaluate_payoff_puts_fractions_over_one_denominator():
+def test_claim_values_put_fractions_over_one_denominator():
     path = [(1, 1), (Fraction(1, 2), Fraction(2, 3)), (Fraction(1, 4), 2)]
     claim = TailClaim(parse_payoff("S[1,T] + S[2,T]"), arrival=1)
-    assert evaluate_payoff(claim, path) == Fraction(1, 2) + 3
-    assert evaluate_payoff(parse_payoff("S[2,1] / S[1,2]"), path) == Fraction(8, 3)
+    assert value_on(claim, path) == Fraction(1, 2) + 3
+    assert value_on(parse_payoff("S[2,1] / S[1,2]"), path) == Fraction(8, 3)

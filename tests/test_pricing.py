@@ -4,6 +4,7 @@ Oracle-marked expectations come from tests/oracle.py (independent vertex
 enumeration over exact rationals).
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -20,7 +21,6 @@ from rip import (
     StaticOptionBook,
     Unbounded,
     approx_price,
-    approx_price_limit,
     build_lattice,
     build_measure_lp,
     chain_quantities,
@@ -221,27 +221,112 @@ class TestApprox:
     def test_limit_recovers_the_exact_dirac_price(self, tri1, call_at_1, no_info):
         exact = model_price(tri1, [1], no_info, call_at_1).single().value
         assert exact == 0  # oracle: tri1_dirac_flat_call
-        assert approx_price_limit(tri1, [1], call_at_1) == exact
+        assert approx_price(tri1, [1], 0, call_at_1) == exact
 
     def test_limit_on_a_two_point_support(self, tri1, call_at_1, no_info):
         support = [0, 2]
         exact = model_price(tri1, support, no_info, call_at_1).single().value
-        assert approx_price_limit(tri1, support, call_at_1) == exact
+        assert approx_price(tri1, support, 0, call_at_1) == exact
 
     def test_infeasible_class_is_neg_inf(self, call_at_1):
         space = space_from_paths([[(1,), (2,)], [(1,), (3,)]], n_assets=1)
         assert is_neg_inf(approx_price(space, [0], rat(1, 100), call_at_1))
-        assert is_neg_inf(approx_price_limit(space, [0], call_at_1))
+        assert is_neg_inf(approx_price(space, [0], 0, call_at_1))
 
-    def test_float_mode_is_rejected_for_the_limit(self, call_at_1):
-        space = build_lattice(1, 1, [0.5, 1.0, 2.0], mode="float")
-        with pytest.raises(PreconditionError):
-            approx_price_limit(space, [1], call_at_1)
+    def test_a_negative_radius_is_refused(self, tri1, call_at_1):
+        with pytest.raises(PreconditionError, match="nonnegative"):
+            approx_price(tri1, [1], rat(-1, 10), call_at_1)
+
+    # A quoted call that no measure on the support prices at its quote: the
+    # class is empty at every small radius, so the limit is -inf.  Each
+    # radius below the last breakpoint is -inf; a two-point extrapolation
+    # from larger radii gave the finite value in the comment.
+    @pytest.mark.parametrize(
+        "moves,support,claim,quote,radii",
+        [
+            # the only martingale measure prices the call at 1/5; extrapolated 1/5
+            (["2/3", "3/2"], [0, 1], "pos(S[1,T] - 1)", "1/10", ["1/100", "1/1000000"]),
+            # the support prices the call in [1/15, 1/11]; extrapolated 1/11 from
+            # radii of 3/320 and up, where the price is finite (at 1/100 too)
+            (["1/2", "9/10", "6/5", "2"], [1, 2, 3], "pos(S[1,T] - 1)", "1/10",
+             ["3/640", "1/1000000"]),
+            # extrapolated 1/40
+            (["1/3", "1", "3"], [0, 1], "ind(S[1,T] > 1)", "1/20", ["1/100", "1/1000000"]),
+        ],
+        ids=["one-measure", "four-moves", "digital"],
+    )
+    def test_an_empty_class_at_small_radii_is_neg_inf(self, moves, support, claim, quote, radii):
+        space = build_lattice(1, 1, moves)
+        call = StaticOption(parse_payoff("pos(S[1,T] - 1)"), rat(quote), "call")
+        book = StaticOptionBook.of(call)
+        for eta in [0] + [rat(r) for r in radii]:
+            assert is_neg_inf(approx_price(space, support, eta, parse_payoff(claim), book)), eta
 
     def test_monotone_in_eta(self, tri2, call_at_2):
         etas = [rat(1, 50), rat(1, 10), rat(1, 2)]
         values = [approx_price(tri2, [4], e, call_at_2) for e in etas]
         assert values == sorted(values)
+
+
+# small lattices for the radius-0 differential: one to three steps, a
+# support of one to four paths, and a quoted call in about 40 % of them
+_DOWN_MOVES = ["1/3", "1/2", "2/3", "9/10"]
+_UP_MOVES = ["11/10", "6/5", "3/2", "2", "3"]
+_APPROX_CLAIMS = ["pos(S[1,T] - 1)", "pos(1 - S[1,T])", "ind(S[1,T] > 1)", "maxt(1) - 1"]
+
+
+def _approx_cases(seed, count):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        moves = [rng.choice(_DOWN_MOVES), rng.choice(_UP_MOVES)]
+        if rng.random() < 0.5:
+            moves.insert(1, "1")
+        n_steps = rng.randint(1, 3)
+        n_paths = len(moves) ** n_steps
+        support = sorted(rng.sample(range(n_paths), rng.randint(1, min(4, n_paths))))
+        quote = rat(rng.randint(0, 12), 40) if rng.random() < 0.4 else None
+        cases.append((moves, n_steps, support, rng.choice(_APPROX_CLAIMS), quote))
+    return cases
+
+
+_APPROX_CASES = _approx_cases(seed=31, count=100)
+
+
+def _approx_question(case, mode):
+    """The case's space, claim and book in ``mode``."""
+    moves, n_steps, support, claim, quote = case
+    if mode == "float":
+        moves = [float(rat(m)) for m in moves]
+    space = build_lattice(1, n_steps, moves, mode=mode)
+    book = None
+    if quote is not None:
+        price = float(quote) if mode == "float" else quote
+        book = StaticOptionBook.of(StaticOption(parse_payoff("pos(S[1,T] - 1)"), price, "call"))
+    return space, parse_payoff(claim), book
+
+
+def test_the_radius_zero_price_is_the_support_constrained_price():
+    finite = 0
+    for case in _APPROX_CASES:
+        space, claim, book = _approx_question(case, "rational")
+        support = case[2]
+        limit = approx_price(space, support, 0, claim, book)
+        exact = model_price(space, support, InfoStructure.none(), claim, book).single().value
+        assert limit == exact, case
+        finite += not is_neg_inf(limit)
+    # both outcomes are met, so neither check is vacuous
+    assert 10 <= finite <= len(_APPROX_CASES) - 10, finite
+
+
+def test_the_radius_zero_price_agrees_across_modes():
+    for case in _APPROX_CASES:
+        values = []
+        for mode in ("rational", "float"):
+            space, claim, book = _approx_question(case, mode)
+            values.append(approx_price(space, case[2], 0, claim, book))
+        exact, rough = values
+        assert FLOAT_OPS.same(rough, float(exact)), (case, rough, exact)
 
 
 class TestDppPrice:
