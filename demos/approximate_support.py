@@ -25,9 +25,7 @@ from rip import (
 def main() -> None:
     space = build_lattice(1, 1, ["1/2", 1, 2])
     claim = parse_payoff("pos(S[1,1] - 1)")
-    flat = tuple(
-        p for p, path in enumerate(space.paths) if path.coord(1, 1) == rat(1)
-    )
+    flat = tuple(p for p in space.all_paths() if space.rows(p)[1][0] == rat(1))
 
     etas = [rat(1, 2), rat(1, 10), rat(1, 20), rat(1, 100)]
     prices = {}

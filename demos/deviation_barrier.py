@@ -54,7 +54,7 @@ def main() -> None:
     # pins the running maximum at 1 + c: the promise itself is the arbitrage
     for atom, _ in hedges:
         if atom.label > 1:
-            tops = {max(space.paths[p].coord(1, t) for t in range(4)) for p in atom.paths}
+            tops = {max(row[0] for row in space.rows(p)) for p in atom.paths}
             assert tops == {1 + atom.label}
 
     # the flat path is the only deviation a martingale can honour here

@@ -25,7 +25,7 @@ def main() -> None:
     claim = parse_payoff("pos(S[1,1] - 1)")
     no_info = InfoStructure.none()
 
-    print("paths:", [fmt(p.coord(1, 1)) for p in space.paths])
+    print("paths:", [fmt(space.rows(p)[1][0]) for p in space.all_paths()])
 
     hv = superhedge(space, None, no_info, claim).single()
     pv = model_price(space, None, no_info, claim).single()

@@ -73,12 +73,6 @@ def format_number(x: Any) -> str:
     return str(x)
 
 
-def parse_number(text: str, mode: str = RATIONAL):
-    """Parse ``"p/q"``, integer, or decimal text into the mode's number type."""
-    value = rat(text)
-    return float(value) if mode == FLOAT else value
-
-
 @dataclass(frozen=True)
 class ModeOps:
     """Arithmetic context for one numeric mode.
@@ -103,13 +97,15 @@ class ModeOps:
         object.__setattr__(self, "one", rat(1) if exact else 1.0)
 
     def convert(self, x: Any):
-        """Coerce a number into this mode, parsing strings along the way.
+        """Coerce a number into this mode, parsing ``"p/q"``, integer or decimal
+        text exactly first.
 
         A Fraction is returned as it is: Fractions are immutable and always
         kept in lowest terms.
         """
         if isinstance(x, str):
-            return parse_number(x, self.mode)
+            value = rat(x)
+            return float(value) if self.mode == FLOAT else value
         if self.mode == FLOAT:
             return float(x)
         if type(x) is Fraction:
@@ -192,7 +188,6 @@ __all__ = [
     "rat",
     "is_neg_inf",
     "format_number",
-    "parse_number",
     "ModeOps",
     "RATIONAL_OPS",
     "FLOAT_OPS",

@@ -216,7 +216,7 @@ def build_hedge_problem(
     """
     ops = space.ops
     target = space.path_set(target)
-    if len(claim_values) != len(space.paths):
+    if len(claim_values) != space.n_paths:
         raise PreconditionError("need one claim value per path of the space")
     t_from, t_to = _trading_interval(space, book, interval)
     values = tuple(claim_values[p] for p in target)

@@ -225,7 +225,7 @@ def filtration(space: PathSpace, info: InfoStructure) -> Filtration:
             f"arrival index {info.arrival} must lie strictly inside 1..{space.n_steps - 1}"
         )
     # the agent holds the label from grid index `known` on; 'none' has no label;
-    # paths are keyed on the space's integer view, the paths' own rows in float mode
+    # paths are keyed on their rows of `space.nums`, which share one denominator
     rows = space.nums
     if info.variant == VARIANT_NONE:
         labels = (None,) * len(rows)

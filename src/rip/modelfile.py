@@ -608,8 +608,8 @@ def parse_model(source: Any, mode_override: Optional[str] = None) -> ModelConfig
             picks = []
             for i, row in enumerate(rows):
                 idx = _as_int(row, f"target[{i}]", errs)
-                if idx is not None and not 0 <= idx < len(space.paths):
-                    errs.add(f"target[{i}]", f"path index out of range 0..{len(space.paths) - 1}")
+                if idx is not None and not 0 <= idx < space.n_paths:
+                    errs.add(f"target[{i}]", f"path index out of range 0..{space.n_paths - 1}")
                 elif idx is not None:
                     picks.append(idx)
             if picks:

@@ -3,10 +3,12 @@
 A model lives on a finite set of price paths over a uniform time grid.
 Each path records, at every grid index, the prices of ``n_assets`` base
 assets and ``n_options`` dynamically traded options; all coordinates are
-normalised to start at 1 and stay nonnegative.  Lattice constructors
-enumerate independent multiplicative moves, and :func:`build_info_space`
-adjoins option price coordinates to a base space so that an option can be
-traded dynamically alongside the assets.
+normalised to start at 1 and stay nonnegative.  A space stores them once,
+as integer numerators over one denominator (floats over 1 in float mode).
+Lattice constructors enumerate independent multiplicative moves straight
+onto those integers, and :func:`build_info_space` adjoins option price
+coordinates to a base space so that an option can be traded dynamically
+alongside the assets.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
+from math import gcd
 from typing import Any, Iterable, Optional, Sequence
 
 from ._numeric import (
@@ -46,21 +49,6 @@ def _nth_root_exact(n: int, k: int) -> Optional[int]:
         if y >= x:
             return x if x**k == n else None
         x = y
-
-
-@dataclass(frozen=True)
-class Path:
-    """One price trajectory: ``values[k][i-1]`` is coordinate ``i`` at index ``k``."""
-
-    values: tuple
-
-    @property
-    def n_coords(self) -> int:
-        return len(self.values[0])
-
-    def coord(self, asset: int, k: int):
-        """Coordinate ``asset`` (1-based) at grid index ``k``."""
-        return self.values[k][asset - 1]
 
 
 @dataclass(frozen=True)
@@ -157,19 +145,23 @@ class PathSpace:
     coordinates.
 
     ``nums[p][k][i] / den`` is coordinate ``i + 1`` of path ``p`` at grid
-    index ``k``: one integer view of the coordinates, int numerators over
-    one positive denominator, built once here.  The validation reads it (a
-    path starts at 1 when its first numerators equal ``den``; duplicates
-    hash int tuples), and so do claims, option payoffs, information labels,
-    the strategy re-check and the measure audit.  ``den`` stays small on
-    lattices: at most 15 bits on every space of the benchmark's three
-    workloads.
+    index ``k``, and the space's only store of its coordinates: int
+    numerators over one positive int denominator in rational mode, the
+    lcm of the coordinates' reduced denominators, and floats over the int
+    1 in float mode.  A row that paths share (a lattice's prefix) is one
+    tuple.  The validation reads these rows (a path starts at 1 when its
+    first numerators equal ``den``; duplicates hash int tuples), and so do
+    claims, option payoffs, information labels, the strategy re-check and
+    the measure audit; :meth:`rows` reads one path back as numbers of the
+    mode.  ``den`` stays small on lattices: at most 15 bits on every space
+    of the benchmark's three workloads.
     """
 
     n_steps: int
     n_assets: int
     n_options: int
-    paths: tuple
+    nums: tuple
+    den: int
     mode: str = RATIONAL
     dynamic_options: tuple = ()
     _cache: dict = field(default_factory=dict, repr=False)
@@ -182,7 +174,8 @@ class PathSpace:
             raise PreconditionError("a path space needs at least one asset")
         if len(self.dynamic_options) != self.n_options:
             raise PreconditionError("one dynamic option record per option coordinate")
-        self.nums, self.den = self._integer_view()
+        if not self.den > 0:
+            raise PreconditionError("the coordinates need a positive denominator")
         width = self.n_assets + self.n_options
         seen = set()
         for p, rows in enumerate(self.nums):
@@ -199,23 +192,9 @@ class PathSpace:
             if rows in seen:
                 raise PreconditionError(f"path {p} duplicates an earlier path")
             seen.add(rows)
-        if not self.paths:
+        if not self.nums:
             raise PreconditionError("a path space needs at least one path")
         self._verify_option_terminals()
-
-    def _integer_view(self) -> tuple:
-        """``(nums, den)``: ints over the lcm of the coordinates' denominators,
-        with each row that paths share (a lattice's prefixes) scaled once; in
-        float mode, the paths' own rows over 1, not a copy."""
-        if self.mode == FLOAT:
-            return tuple(path.values for path in self.paths), 1
-        rows = {id(row): row for path in self.paths for row in path.values}
-        nums, den = self.ops.over_common([x for row in rows.values() for x in row])
-        start = 0
-        for key, row in rows.items():
-            rows[key] = tuple(nums[start : start + len(row)])
-            start += len(row)
-        return tuple(tuple(rows[id(row)] for row in path.values) for path in self.paths), den
 
     def _verify_option_terminals(self):
         last, width = self.n_steps, self.n_assets
@@ -225,20 +204,29 @@ class PathSpace:
             if not self.ops.pos(price):
                 raise PreconditionError(f"dynamic option {j + 1} must have a positive price")
             payoff_of = compile_payoff(option.payoff, self.ops)
-            for p, path in enumerate(self.paths):
-                payoff = payoff_of([row[:width] for row in self.nums[p]], self.den)
-                want = payoff / price
-                if not self.ops.eq(path.coord(coord, last), want):
+            for p, rows in enumerate(self.nums):
+                want = payoff_of([row[:width] for row in rows], self.den) / price
+                if not self.ops.eq(self.ops.ratio(rows[last][coord - 1], self.den), want):
                     raise PreconditionError(
                         f"path {p}: option coordinate {coord} does not end at payoff/price"
                     )
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.nums)
+
+    def rows(self, p: int) -> tuple:
+        """Path ``p``'s coordinates as numbers of the mode: ``rows(p)[k][i - 1]`` is
+        coordinate ``i`` at grid index ``k``."""
+        ratio, den = self.ops.ratio, self.den
+        return tuple(tuple(ratio(x, den) for x in row) for row in self.nums[p])
 
     @property
     def n_coords(self) -> int:
         return self.n_assets + self.n_options
 
     def all_paths(self) -> tuple:
-        return tuple(range(len(self.paths)))
+        return tuple(range(self.n_paths))
 
     def path_set(self, paths: Iterable[int]) -> tuple:
         """``paths`` ascending without repeats; each must index a path, and one at least."""
@@ -246,7 +234,7 @@ class PathSpace:
         if not members:
             raise PreconditionError("the path set is empty")
         for p in members:
-            if not 0 <= p < len(self.paths):
+            if not 0 <= p < self.n_paths:
                 raise PreconditionError(f"path index {p} out of range")
         return members
 
@@ -265,7 +253,7 @@ class PathSpace:
 
     def describe(self) -> dict:
         return {
-            "paths": len(self.paths),
+            "paths": self.n_paths,
             "steps": self.n_steps,
             "assets": self.n_assets,
             "traded_options": self.n_options,
@@ -339,23 +327,36 @@ def build_lattice(
     if total > PATH_CAP:
         raise CapacityError(f"lattice would hold {total} paths (cap {PATH_CAP})")
 
-    start = tuple([ops.one] * n_assets)
-    prefixes = [(start,)]
+    # every ratio as a numerator over one d: a row is the row before it times
+    # a move's numerators over d, so over d ** n_steps each division by d is
+    # exact (in float mode d is 1 and the floats multiply as they are)
+    nums, d = ops.over_common([r for per_asset in sets for rset in per_asset for r in rset])
+    ints = iter(nums)
+    den = d**n_steps
+    level = [(ops.one if ops.mode == FLOAT else den,) * n_assets]
+    levels = [level]  # the distinct rows at each grid index, in path order
     for per_asset in sets:
-        move_choices = [(ops.one,)]
+        moves = [()]
         for rset in per_asset:
-            move_choices = [m + (r,) for m in move_choices for r in rset]
-        moves = [m[1:] for m in move_choices]
-        grown = []
-        for prefix in prefixes:
-            last = prefix[-1]
-            for move in moves:
-                nxt = tuple(last[i] * move[i] for i in range(n_assets))
-                grown.append(prefix + (nxt,))
-        prefixes = grown
+            numerators = [next(ints) for _ in rset]
+            moves = [m + (r,) for m in moves for r in numerators]
+        if d == 1:
+            level = [tuple(x * r for x, r in zip(row, move)) for row in level for move in moves]
+        else:
+            level = [tuple(x * r // d for x, r in zip(row, move)) for row in level for move in moves]
+        levels.append(level)
+    if den > 1:
+        # over the lcm of the coordinates' reduced denominators, as over_common puts them
+        g = gcd(den, *(x for level in levels for row in level for x in row))
+        if g > 1:
+            den //= g
+            levels = [[tuple(x // g for x in row) for row in level] for level in levels]
 
-    paths = tuple(Path(values) for values in prefixes)
-    return PathSpace(n_steps, n_assets, 0, paths, mode)
+    paths = [(row,) for row in levels[0]]
+    for level in levels[1:]:
+        rows, fan = iter(level), len(level) // len(paths)
+        paths = [path + (next(rows),) for path in paths for _ in range(fan)]
+    return PathSpace(n_steps, n_assets, 0, tuple(paths), den, mode)
 
 
 def space_from_paths(
@@ -364,20 +365,19 @@ def space_from_paths(
     mode: str = RATIONAL,
     dynamic_options: tuple = (),
 ) -> PathSpace:
-    """Build a space from explicit per-path coordinate rows."""
+    """Build a space from explicit per-path coordinate rows, converted to the mode."""
     if not values:
         raise PreconditionError("a path space needs at least one path")
     if len(values) > PATH_CAP:
         raise CapacityError(f"{len(values)} paths exceeds the cap {PATH_CAP}")
-    ops = get_ops(mode)
-    paths = tuple(
-        Path(tuple(tuple(ops.convert(x) for x in row) for row in path)) for path in values
-    )
-    n_steps = len(paths[0].values) - 1
+    nums, den = get_ops(mode).over_common([x for path in values for row in path for x in row])
+    ints = iter(nums)
+    paths = tuple(tuple(tuple(next(ints) for _ in row) for row in path) for path in values)
+    n_steps = len(paths[0]) - 1
     if n_steps < 1:
         raise PreconditionError("paths need at least one step")
     n_options = len(dynamic_options)
-    return PathSpace(n_steps, n_assets, n_options, paths, mode, tuple(dynamic_options))
+    return PathSpace(n_steps, n_assets, n_options, paths, den, mode, tuple(dynamic_options))
 
 
 def _geometric_interior(y, k: int, n: int, ops: ModeOps):
@@ -434,7 +434,7 @@ def build_info_space(
         if reference is None:
             raise PreconditionError("interior='reference' needs a weight vector")
         weights = [ops.convert(w) for w in reference]
-        if len(weights) != len(base.paths):
+        if len(weights) != base.n_paths:
             raise PreconditionError("reference weights must cover every base path")
         if any(w < 0 for w in weights) or not ops.eq(left_sum(weights, ops.zero), ops.one):
             raise PreconditionError("reference weights must be a probability vector")
@@ -463,7 +463,7 @@ def build_info_space(
         if weights is None:
             col = [
                 [_geometric_interior(terminal[p], k, n, ops) for k in range(n + 1)]
-                for p in range(len(base.paths))
+                for p in range(base.n_paths)
             ]
         else:
             expected = left_sum((w * y for w, y in zip(weights, terminal)), ops.zero)
@@ -472,7 +472,7 @@ def build_info_space(
                     f"option {j + 1}: reference measure prices it at "
                     f"{format_number(expected * price)}, quoted {format_number(price)}"
                 )
-            col = [[None] * (n + 1) for _ in range(len(base.paths))]
+            col = [[None] * (n + 1) for _ in range(base.n_paths)]
             for k in range(n + 1):
                 for atom in market_partition(base, k):
                     mass = left_sum((weights[p] for p in atom.paths), ops.zero)
@@ -488,23 +488,24 @@ def build_info_space(
         columns.append(col)
 
     new_paths = []
-    for p, path in enumerate(base.paths):
+    for p in range(base.n_paths):
         rows = []
-        for k, row in enumerate(path.values):
-            rows.append(tuple(row) + tuple(columns[j][p][k] for j in range(len(options))))
+        for k, row in enumerate(base.rows(p)):
+            rows.append(row + tuple(columns[j][p][k] for j in range(len(options))))
         new_paths.append(tuple(rows))
 
     return space_from_paths(new_paths, base.n_assets, base.mode, tuple(options))
 
 
-def sup_dist(a: Path, b: Path):
-    """Uniform distance: the largest coordinate gap over all grid indices."""
-    if len(a.values) != len(b.values) or a.n_coords != b.n_coords:
-        raise PreconditionError("paths must share grid length and coordinate count")
-    gaps = [
-        abs(x - y) for row_a, row_b in zip(a.values, b.values) for x, y in zip(row_a, row_b)
-    ]
-    return max(gaps)
+def sup_dist(space: PathSpace, p: int, q: int):
+    """Uniform distance between paths ``p`` and ``q``: the largest coordinate gap
+    over all grid indices, taken on the integer rows and divided once."""
+    gap = max(
+        abs(x - y)
+        for row_p, row_q in zip(space.nums[p], space.nums[q])
+        for x, y in zip(row_p, row_q)
+    )
+    return space.ops.ratio(gap, space.den)
 
 
 def fatten(space: PathSpace, subset: Iterable[int], radius) -> tuple:
@@ -514,8 +515,8 @@ def fatten(space: PathSpace, subset: Iterable[int], radius) -> tuple:
         raise PreconditionError("fattening radius must be nonnegative")
     core = space.path_set(subset)
     out = []
-    for q in range(len(space.paths)):
-        dist = min(sup_dist(space.paths[q], space.paths[p]) for p in core)
+    for q in range(space.n_paths):
+        dist = min(sup_dist(space, q, p) for p in core)
         if dist <= eps:
             out.append(q)
     return tuple(out)
@@ -523,7 +524,6 @@ def fatten(space: PathSpace, subset: Iterable[int], radius) -> tuple:
 
 __all__ = [
     "PATH_CAP",
-    "Path",
     "PathSpace",
     "DynamicOption",
     "StaticOption",

@@ -77,7 +77,7 @@ class MartingaleMeasure:
         ops = space.ops
         tol = ops.dual_tol
         problems = []
-        if len(self.weights) != len(space.paths):
+        if len(self.weights) != space.n_paths:
             return ["weight vector does not match the space"]
         weights, dw = ops.over_common(self.weights)
         w_tol = tol * dw
@@ -165,7 +165,7 @@ def build_measure_lp(
     vars_paths = space.path_set(target)
     interval = _trading_interval(space, book, interval)
     n = len(vars_paths)
-    if claim_values is not None and len(claim_values) != len(space.paths):
+    if claim_values is not None and len(claim_values) != space.n_paths:
         raise PreconditionError("need one claim value per path of the space")
 
     rows = [(tuple(zip(range(n), [ops.one] * n)), "==", ops.one)]
@@ -207,7 +207,7 @@ def _price_value(space, lp, paths, info, book, interval) -> PriceValue:
         return PriceValue(NEG_INF, certificate=outcome.certificate, pivots=outcome.pivots)
     if not isinstance(outcome, Optimal):
         raise InternalCheckError("a probability-weight program cannot be unbounded")
-    weights = [space.ops.zero] * len(space.paths)
+    weights = [space.ops.zero] * space.n_paths
     for p, w in zip(paths, outcome.x):
         weights[p] = w
     measure = MartingaleMeasure(tuple(weights), info, book, interval, paths)
@@ -268,7 +268,7 @@ def condition_measure(
         mass = measure.mass(atom.paths, ops)
         if not ops.pos(mass):
             continue
-        weights = [ops.zero] * len(space.paths)
+        weights = [ops.zero] * space.n_paths
         for p in atom.paths:
             weights[p] = measure.weights[p] / mass
         out.append(
@@ -299,7 +299,7 @@ def concatenate_measure(
     the full interval.
     """
     ops = space.ops
-    weights = [ops.zero] * len(space.paths)
+    weights = [ops.zero] * space.n_paths
     info = None
     for atom in market_partition(space, split):
         mass = prefix.mass(atom.paths, ops)
@@ -352,7 +352,7 @@ def _approx_lp(
         _claim_floor(space, claim),
     )
     # the variables are all the paths, in order: path p is column p
-    paths = range(len(space.paths))
+    paths = range(space.n_paths)
     rows = [(tuple((p, ops.one) for p in sorted(fat)), ">=", ops.one - slack)]
     for option, price in zip(book.options, book.prices(ops)[1:]):
         nonzeros = _excess(paths, space.claim_values(option.payoff), price, paths)

@@ -117,7 +117,7 @@ def _chain_quantities(
     for atom in z_partition(space, variable):
         inside = set(atom.paths)
         # weight 0 on every path outside the atom; path p is column p
-        outside = (p for p in range(len(space.paths)) if p not in inside)
+        outside = (p for p in range(space.n_paths) if p not in inside)
         extra = tuple((((p, ops.one),), "==", ops.zero) for p in outside)
         lp = replace(base, rows=base.rows + extra)
         forced[atom.label] = _price_value(

@@ -489,7 +489,7 @@ def label_lift_to_tail(base_label, arrival: int):
 def space_labels(space, label) -> tuple:
     """``label`` on every path of ``space``, quantised in float mode by the
     sweep over the sorted distinct labels."""
-    raw = [label(path.values, space.ops) for path in space.paths]
+    raw = [label(space.rows(p), space.ops) for p in space.all_paths()]
     if space.mode != "float":
         return tuple(raw)
     tol = space.ops.label_tol
@@ -507,8 +507,8 @@ def scaling_form(space, labels, arrival: int) -> bool:
     every path at zero at ``arrival`` carries label 1."""
     ops = space.ops
     by_tail: dict = {}
-    for p, path in enumerate(space.paths):
-        series = _series(path.values, 1)[arrival:]
+    for p in space.all_paths():
+        series = _series(space.rows(p), 1)[arrival:]
         base = series[0]
         if base == 0:
             if not ops.eq(labels[p], ops.one, ops.label_tol):

@@ -315,8 +315,7 @@ def test_criterion_5_deviation_label_example(tri3, criterion):
             # every path in the atom climbs to exactly 1 + label, so holding
             # one share until that level is hit banks the label for free
             for p in atom.paths:
-                path = tri3.paths[p]
-                assert max(path.coord(1, t) for t in range(4)) == 1 + atom.label
+                assert max(row[0] for row in tri3.rows(p)) == 1 + atom.label
             assert is_neg_inf(hv.value) and is_neg_inf(pv.value)
             assert pv.certificate is not None
             assert ray_covers_atom(tri3, hv, atom.paths)

@@ -96,8 +96,8 @@ class TestStrategyMechanics:
 
     def test_gains_examples(self, tri2):
         crash = next(
-            p for p in range(len(tri2.paths))
-            if tri2.paths[p].values == ((1,), (rat(1, 2),), (rat(1, 4),))
+            p for p in tri2.all_paths()
+            if tri2.rows(p) == ((1,), (rat(1, 2),), (rat(1, 4),))
         )
         hold_one = {}
         for t in (0, 1):
@@ -307,7 +307,7 @@ class TestArbitrage:
         assert ray is not None
         assert ray.cost == -1
         # the ray's payout direction dominates 0 on every path
-        for p in range(len(space.paths)):
+        for p in space.all_paths():
             flow = ray.static[0] + gains(space, ray.dynamic, p, 0, space.n_steps)
             assert flow >= 0
 
@@ -332,7 +332,7 @@ class TestArbitrage:
 
 class TestIntervalValues:
     def test_frozen_subtree_value(self, tri2, call_at_2, no_info):
-        start = next(p for p in range(9) if tri2.paths[p].coord(1, 1) == 2)
+        start = next(p for p in range(9) if tri2.rows(p)[1][0] == 2)
         table = dpp_superhedge(tri2, call_at_2, 1, no_info).inner
         assert table.for_path(start).value == rat(2, 3)  # oracle: tri2_interval_sub2_call2
         assert table.for_path(start).strategy.span == (1, 2)

@@ -151,13 +151,14 @@ class TestCatalogVariables:
     def test_tail_max_ratio_labels_zero_tails_one(self):
         space = space_from_paths([[(1,), (1,), (0,)], [(1,), (1,), (1,)]], n_assets=1)
         var = tail_max_ratio(1)
-        zero_path = next(p for p, path in enumerate(space.paths) if path.coord(1, 2) == 0)
+        zero_path = next(p for p in space.all_paths() if space.rows(p)[2][0] == 0)
         assert labels_of(var, space)[zero_path] == 1
 
     def test_tail_range_indicator(self, tri2):
         var = tail_range_indicator(rat(3, 4), rat(3, 2), 1)
-        for path, label in zip(tri2.paths, labels_of(var, tri2)):
-            inside = path.coord(1, 2) / path.coord(1, 1) == 1
+        for p, label in enumerate(labels_of(var, tri2)):
+            rows = tri2.rows(p)
+            inside = rows[2][0] / rows[1][0] == 1
             assert label == (1 if inside else 0)
 
     def test_lift_to_tail_matches_direct_evaluation(self, tri2):
@@ -245,12 +246,13 @@ class TestFiltration:
         info = self._info(variant, tail_max_ratio(1))
         fm = filtration(tri3, info)
         for t in range(-1, 4):
-            for p in range(len(tri3.paths)):
+            for p in tri3.all_paths():
                 assert p in fm.atoms[t][fm.cell[t][p]].paths
         increments = self._increments(tri3, info, (0, 3))
         for t in range(3):
-            for p, path in enumerate(tri3.paths):
-                delta = path.coord(1, t + 1) - path.coord(1, t)
+            for p in tri3.all_paths():
+                rows = tri3.rows(p)
+                delta = rows[t + 1][0] - rows[t][0]
                 assert increments[t, p] == [delta]
 
     @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -258,7 +260,7 @@ class TestFiltration:
     def test_two_assets_over_different_denominators(self, mode, variant):
         space = space_from_paths(self.TWO_ASSETS, 2, mode=mode)
         assert space.mode != "rational" or space.den == 168
-        values = [path.values for path in space.paths]
+        values = [space.rows(p) for p in space.all_paths()]
         info = self._info(variant, info_from_payoff(parse_payoff("ind(S[2,2] < 1)")))
         fm = filtration(space, info)
         # the label crosses the branches at t = 1
@@ -303,10 +305,10 @@ class TestFiltration:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_moves_give_positions_in_the_path_set(self, tri3, variant):
         info = self._info(variant, tail_max_ratio(1))
-        paths = tuple(range(1, len(tri3.paths), 3))  # path paths[k] at position k
+        paths = tuple(range(1, tri3.n_paths, 3))  # path paths[k] at position k
         for t, atom_paths, _, moves in trading_terms(tri3, info, paths, (0, 3)):
             assert [k for k, _ in moves] == sorted(k for k, _ in moves)
-            steps = {p: tri3.paths[p].coord(1, t + 1) - tri3.paths[p].coord(1, t) for p in paths}
+            steps = {p: tri3.rows(p)[t + 1][0] - tri3.rows(p)[t][0] for p in paths}
             assert {paths[k]: d for k, d in moves} == {
                 p: d for p, d in steps.items() if d and p in atom_paths
             }
@@ -453,7 +455,7 @@ def test_float_label_quantisation_ignores_path_order(order):
     assert space.ops.label_tol == tol
     variable = InfoVariable("near", lambda rows, den, ops: [label_of[path[1][0]] for path in rows])
     groups = {
-        frozenset(space.paths[p].coord(1, 1) for p in atom.paths)
+        frozenset(space.rows(p)[1][0] for p in atom.paths)
         for atom in z_partition(space, variable)
     }
     assert groups == {frozenset({0.5, 1.0}), frozenset({2.0})}
@@ -480,7 +482,9 @@ LABEL_SPACES = {
     ),
 }
 LABEL_SPACES["float zeros"] = space_from_paths(
-    [path.values for path in LABEL_SPACES["zeros"].paths], n_assets=2, mode="float"
+    [LABEL_SPACES["zeros"].rows(p) for p in LABEL_SPACES["zeros"].all_paths()],
+    n_assets=2,
+    mode="float",
 )
 
 
@@ -506,7 +510,7 @@ def _catalogue(asset, arrival=1):
 
 def _reference_variable(space, reference):
     """An information variable that labels each path by the reference formula."""
-    labels = [reference(path.values, space.ops) for path in space.paths]
+    labels = [reference(space.rows(p), space.ops) for p in space.all_paths()]
     return InfoVariable("reference", lambda rows, den, ops: labels)
 
 

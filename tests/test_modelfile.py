@@ -33,7 +33,7 @@ class TestLatticeModels:
         assert config.space.mode == "rational"
         assert config.space.n_assets == 1
         assert config.space.n_steps == 2
-        assert len(config.space.paths) == 9
+        assert config.space.n_paths == 9
         assert config.book.is_cash_only
         assert config.info.variant == "none"
         assert config.scales == (rat(1),)
@@ -48,7 +48,7 @@ class TestLatticeModels:
             claim: S[1,1]
             """
         )
-        values = sorted(path.coord(1, 1) for path in config.space.paths)
+        values = sorted(config.space.rows(p)[1][0] for p in config.space.all_paths())
         assert values == [rat(2, 3), rat(4, 3)]
 
     def test_per_step_and_per_asset_ratios(self):
@@ -64,7 +64,7 @@ class TestLatticeModels:
             """
         )
         assert config.space.n_assets == 2
-        assert len(config.space.paths) == 16
+        assert config.space.n_paths == 16
 
     def test_horizon_is_checked_and_dropped(self):
         model = """
@@ -104,9 +104,9 @@ class TestExplicitPaths:
             """
         )
         assert config.scales == (rat(100),)
-        starts = {path.coord(1, 0) for path in config.space.paths}
+        starts = {config.space.rows(p)[0][0] for p in config.space.all_paths()}
         assert starts == {rat(1)}
-        tops = {path.coord(1, 2) for path in config.space.paths}
+        tops = {config.space.rows(p)[2][0] for p in config.space.all_paths()}
         assert tops == {rat(1, 4), rat(1), rat(4)}
 
     def test_two_assets_nest_per_time(self):
@@ -455,7 +455,7 @@ class TestModesAndTolerances:
             mode_override="float",
         )
         assert config.space.mode == "float"
-        assert isinstance(config.space.paths[0].coord(1, 1), float)
+        assert isinstance(config.space.rows(0)[1][0], float)
 
     def test_bad_override_is_reported(self):
         messages = errors_of(
@@ -615,4 +615,4 @@ class TestSelections:
                 "claim": "S[1,1]",
             }
         )
-        assert len(config.space.paths) == 3
+        assert config.space.n_paths == 3

@@ -1,6 +1,8 @@
 """Path spaces: lattices, explicit paths, adjoined options, and the metric."""
 
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,9 @@ from rip import (
     FLOAT,
     InfoStructure,
     Num,
+    PathSpace,
     PreconditionError,
+    RATIONAL,
     StaticOptionBook,
     build_hedge_problem,
     build_info_space,
@@ -20,6 +24,7 @@ from rip import (
     build_measure_lp,
     fatten,
     gains,
+    get_ops,
     parse_payoff,
     rat,
     space_from_paths,
@@ -29,30 +34,81 @@ from rip.paths import _nth_root_exact
 
 
 def test_lattice_sizes():
-    assert len(build_lattice(1, 1, ["1/2", 1, 2]).paths) == 3
-    assert len(build_lattice(1, 2, ["1/2", 1, 2]).paths) == 9
-    assert len(build_lattice(1, 3, [2, "1/2"]).paths) == 8
-    assert len(build_lattice(2, 1, ["1/2", 2]).paths) == 4
+    assert build_lattice(1, 1, ["1/2", 1, 2]).n_paths == 3
+    assert build_lattice(1, 2, ["1/2", 1, 2]).n_paths == 9
+    assert build_lattice(1, 3, [2, "1/2"]).n_paths == 8
+    assert build_lattice(2, 1, ["1/2", 2]).n_paths == 4
 
 
 def test_lattice_paths_start_at_one_and_multiply(tri2):
-    for path in tri2.paths:
-        assert path.coord(1, 0) == 1
+    for p in tri2.all_paths():
+        rows = tri2.rows(p)
+        assert rows[0] == (1,)
         for t in range(2):
-            ratio = path.coord(1, t + 1) / path.coord(1, t)
+            ratio = rows[t + 1][0] / rows[t][0]
             assert ratio in (rat(1, 2), rat(1), rat(2))
 
 
 def test_per_step_ratio_sets():
     space = build_lattice(1, 2, [[2, 1], [3]])
-    terminals = sorted(p.coord(1, 2) for p in space.paths)
+    terminals = sorted(space.rows(p)[2][0] for p in space.all_paths())
     assert terminals == [3, 6]
 
 
 def test_per_asset_ratio_sets():
     space = build_lattice(2, 1, [[[2, 1], [3, 1]]])
-    points = {(p.coord(1, 1), p.coord(2, 1)) for p in space.paths}
+    points = {space.rows(p)[1] for p in space.all_paths()}
     assert points == {(1, 1), (1, 3), (2, 1), (2, 3)}
+
+
+# name -> (n_assets, ratios as build_lattice takes them, one ratio set per step and asset)
+LATTICES = {
+    # over 2**2 the rows would have a common factor 2: den is the lcm, 2
+    "per step": (1, [["1/2", 2], [2, 4]], [[["1/2", 2]], [[2, 4]]]),
+    "one set": (1, ["1/3", 1, "5/2"], [[["1/3", 1, "5/2"]]] * 3),
+    "two assets": (2, [[["1/2", 1, 2], ["2/3", "3/2"]]] * 2, [[["1/2", 1, 2], ["2/3", "3/2"]]] * 2),
+}
+
+
+def product_rows(n_assets, sets, mode):
+    """Every path's rows as running products of its moves' numbers, the first asset's
+    move varying slowest, as ``build_lattice`` orders them."""
+    convert = get_ops(mode).convert
+    paths = [((convert(1),) * n_assets,)]
+    for per_asset in sets:
+        moves = list(product(*([convert(r) for r in rset] for rset in per_asset)))
+        paths = [
+            path + (tuple(x * r for x, r in zip(path[-1], move)),)
+            for path in paths
+            for move in moves
+        ]
+    return paths
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_lattice_rows_are_the_products_of_their_moves(name, mode):
+    n_assets, ratios, sets = LATTICES[name]
+    space = build_lattice(n_assets, len(sets), ratios, mode)
+    want = product_rows(n_assets, sets, mode)
+    assert [space.rows(p) for p in space.all_paths()] == want
+    kind = float if mode == FLOAT else Fraction
+    assert all(type(x) is kind for p in space.all_paths() for row in space.rows(p) for x in row)
+    numerators = [x for rows in space.nums for row in rows for x in row]
+    if mode == FLOAT:
+        assert space.den == 1 and type(space.den) is int
+        assert all(type(x) is float for x in numerators)
+    else:
+        assert type(space.den) is int and gcd(space.den, *numerators) == 1
+        assert all(type(x) is int for x in numerators)
+    if name == "per step":
+        assert space.den == (1 if mode == FLOAT else 2)
+
+
+def test_paths_with_one_prefix_share_its_rows(tri2):
+    # paths 0..2 move down first, paths 3..5 stay flat
+    assert all(tri2.nums[p][1] is tri2.nums[0][1] for p in range(3))
+    assert tri2.nums[3][1] is not tri2.nums[0][1]
 
 
 @pytest.mark.parametrize("bad", [[], [0, 2], [-1, 2], [2, 2]])
@@ -69,13 +125,15 @@ def test_cap_refuses_oversized_lattices():
 def test_space_from_paths_validates():
     good = [[(1,), (2,)], [(1,), (1,)]]
     space = space_from_paths(good, n_assets=1)
-    assert len(space.paths) == 2
+    assert space.n_paths == 2
     with pytest.raises(PreconditionError):
         space_from_paths([[(2,), (2,)]], n_assets=1)
     with pytest.raises(PreconditionError):
         space_from_paths(good + [[(1,), (2,)]], n_assets=1)
     with pytest.raises(PreconditionError):
         space_from_paths([[(1,), (-1,)]], n_assets=1)
+    with pytest.raises(PreconditionError, match="positive denominator"):
+        PathSpace(1, 1, 0, (((0,), (0,)),), 0)
 
 
 def test_claim_values_are_cached_per_expression(tri1, call_at_1):
@@ -97,20 +155,23 @@ def test_an_unhashable_claim_is_evaluated_but_not_stored():
 
 class TestSupDist:
     def test_examples(self, tri1):
-        down, flat, up = tri1.paths
-        assert sup_dist(flat, up) == 1
-        assert sup_dist(flat, down) == rat(1, 2)
-        assert sup_dist(down, up) == rat(3, 2)
+        down, flat, up = tri1.all_paths()
+        assert sup_dist(tri1, flat, up) == 1
+        assert sup_dist(tri1, flat, down) == rat(1, 2)
+        assert sup_dist(tri1, down, up) == rat(3, 2)
 
     def test_metric_properties(self, tri2):
-        paths = tri2.paths
-        for a in paths:
-            assert sup_dist(a, a) == 0
-        for a in paths[:4]:
-            for b in paths[:4]:
-                assert sup_dist(a, b) == sup_dist(b, a)
-        a, b, c = paths[0], paths[4], paths[8]
-        assert sup_dist(a, c) <= sup_dist(a, b) + sup_dist(b, c)
+        for a in tri2.all_paths():
+            assert sup_dist(tri2, a, a) == 0
+        for a in range(4):
+            for b in range(4):
+                assert sup_dist(tri2, a, b) == sup_dist(tri2, b, a)
+        assert sup_dist(tri2, 0, 8) <= sup_dist(tri2, 0, 4) + sup_dist(tri2, 4, 8)
+
+    def test_a_distance_is_a_number_of_the_mode(self, tri1):
+        assert type(sup_dist(tri1, 1, 2)) is Fraction
+        space = build_lattice(1, 1, [0.5, 1.0, 2.0], mode=FLOAT)
+        assert sup_dist(space, 0, 2) == 1.5 and type(sup_dist(space, 0, 2)) is float
 
 
 class TestFatten:
@@ -209,10 +270,11 @@ class TestInfoSpace:
         option = DynamicOption(parse_payoff("ind(S[1,T] >= 2)"), rat(4, 9), "digital")
         space = build_info_space(tri2, [option])
         assert space.n_coords == 2
-        assert sorted(set(p.coord(2, 2) for p in space.paths)) == [0, rat(9, 4)]
-        assert sorted(set(p.coord(2, 1) for p in space.paths)) == [0, rat(3, 2)]
-        for path in space.paths:
-            assert path.coord(2, 0) == 1
+        rows = [space.rows(p) for p in space.all_paths()]
+        assert sorted(set(r[2][1] for r in rows)) == [0, rat(9, 4)]
+        assert sorted(set(r[1][1] for r in rows)) == [0, rat(3, 2)]
+        for r in rows:
+            assert r[0][1] == 1
 
     def test_geometric_interior_refuses_irrational_roots(self, tri2):
         option = DynamicOption(parse_payoff("ind(S[1,T] >= 2)"), rat(1, 2), "digital")
@@ -225,10 +287,11 @@ class TestInfoSpace:
         base = build_lattice(1, 3, ["1/8", 1, 8])
         option = DynamicOption(parse_payoff("S[1,T]"), Fraction(1, c**3), "cubed")
         space = build_info_space(base, [option])
-        for path in space.paths:
-            terminal = path.coord(2, 3)
-            assert path.coord(2, 1) ** 3 == terminal
-            assert path.coord(2, 2) ** 3 == terminal**2
+        for p in space.all_paths():
+            rows = space.rows(p)
+            terminal = rows[3][1]
+            assert rows[1][1] ** 3 == terminal
+            assert rows[2][1] ** 3 == terminal**2
 
     def test_geometric_interior_refuses_a_root_past_float_range(self, tri3):
         option = DynamicOption(parse_payoff("S[1,T]"), Fraction(1, 10**400), "huge")
@@ -239,7 +302,7 @@ class TestInfoSpace:
         base = build_lattice(1, 2, [0.5, 1.0, 2.0], mode=FLOAT)
         option = DynamicOption(parse_payoff("ind(S[1,T] >= 2)"), 0.5, "digital")
         space = build_info_space(base, [option])
-        values = sorted(set(p.coord(2, 1) for p in space.paths))
+        values = sorted(set(space.rows(p)[1][1] for p in space.all_paths()))
         assert values[0] == 0.0
         assert values[1] == pytest.approx(2.0 ** 0.5)
 
@@ -248,8 +311,9 @@ class TestInfoSpace:
         option = DynamicOption(parse_payoff("ind(S[1,T] == 1)"), rat(1, 3), "flat")
         weights = [rat(1, 3), rat(1, 3), rat(1, 3)]
         space = build_info_space(tri1, [option], interior="reference", reference=weights)
-        assert all(p.coord(2, 0) == 1 for p in space.paths)
-        assert sorted(p.coord(2, 1) for p in space.paths) == [0, 0, 3]
+        rows = [space.rows(p) for p in space.all_paths()]
+        assert all(r[0][1] == 1 for r in rows)
+        assert sorted(r[1][1] for r in rows) == [0, 0, 3]
 
     def test_reference_interior_requires_exact_pricing(self, tri1):
         option = DynamicOption(parse_payoff("ind(S[1,T] == 1)"), rat(1, 2), "flat")
@@ -290,8 +354,10 @@ class TestInfoSpace:
 @settings(max_examples=60, deadline=None)
 def test_lattice_enumeration_is_complete_and_distinct(steps, ratios):
     space = build_lattice(1, steps, ratios)
-    assert len(space.paths) == len(ratios) ** steps
-    assert len({p.values for p in space.paths}) == len(space.paths)
-    for path in space.paths:
+    assert space.n_paths == len(ratios) ** steps
+    assert len(set(space.nums)) == space.n_paths
+    assert gcd(space.den, *(x for rows in space.nums for row in rows for x in row)) == 1
+    for p in space.all_paths():
+        rows = space.rows(p)
         for t in range(steps):
-            assert path.coord(1, t + 1) / path.coord(1, t) in ratios
+            assert rows[t + 1][0] / rows[t][0] in ratios

@@ -173,7 +173,9 @@ SPACES = {
     ),
 }
 SPACES["float paths with zeros"] = space_from_paths(
-    [path.values for path in SPACES["paths with zeros"].paths], n_assets=2, mode="float"
+    [SPACES["paths with zeros"].rows(p) for p in SPACES["paths with zeros"].all_paths()],
+    n_assets=2,
+    mode="float",
 )
 
 
@@ -223,9 +225,9 @@ def _outcome(evaluate):
 def test_compiled_payoffs_match_the_reference_walk(name, expr):
     space = SPACES[name]
     compiled = compile_payoff(expr, space.ops)
-    for rows, path in zip(space.nums, space.paths):
+    for p, rows in enumerate(space.nums):
         got = _outcome(lambda: compiled(rows, space.den))
-        want = _outcome(lambda: oracle.evaluate_payoff(expr, path.values, space.ops))
+        want = _outcome(lambda: oracle.evaluate_payoff(expr, space.rows(p), space.ops))
         assert got == want
 
 
@@ -233,7 +235,7 @@ def test_compiled_payoffs_match_the_reference_walk(name, expr):
 def test_claim_values_are_the_compiled_values(name):
     space = SPACES[name]
     claim = parse_payoff("pos(S[1,T] - 1) + ind(S[2,1] < S[1,T]) / 3 - mint(2)")
-    want = tuple(oracle.evaluate_payoff(claim, p.values, space.ops) for p in space.paths)
+    want = tuple(oracle.evaluate_payoff(claim, space.rows(p), space.ops) for p in space.all_paths())
     assert [repr(v) for v in space.claim_values(claim)] == [repr(v) for v in want]
 
 

@@ -196,7 +196,7 @@ class TestConditionAndConcatenate:
 class TestIntervalPrices:
     def test_matches_the_subtree_oracle(self, tri2, call_at_2, no_info):
         table = dpp_price(tri2, call_at_2, 1, no_info).inner
-        by_start = {tri2.paths[a.paths[0]].coord(1, 1): pv.value for a, pv in table}
+        by_start = {tri2.rows(a.paths[0])[1][0]: pv.value for a, pv in table}
         assert by_start[rat(2)] == rat(2, 3)  # oracle: tri2_interval_sub2_call2
         assert by_start[rat(1)] == 0
         assert by_start[rat(1, 2)] == 0

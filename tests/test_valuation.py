@@ -208,8 +208,9 @@ class TestTransport:
     def test_transport_reads_the_renormalised_tail(self, tri2):
         short_call = parse_payoff("pos(S[1,T] - 1)")
         moved = transport_claim(short_call, 1, tri2)
-        for p, path in enumerate(tri2.paths):
-            ratio = path.coord(1, 2) / path.coord(1, 1)
+        for p in tri2.all_paths():
+            rows = tri2.rows(p)
+            ratio = rows[2][0] / rows[1][0]
             assert tri2.claim_values(moved)[p] == max(ratio - 1, 0)
 
     @pytest.mark.parametrize("mode,kind", [("rational", Fraction), ("float", float)])

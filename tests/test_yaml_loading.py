@@ -108,7 +108,7 @@ def test_the_pure_loader_reads_the_model_without_libyaml(monkeypatch, capsys):
     expected = _duality_report(capsys)
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     config = parse_model(BOOK.read_text(encoding="utf-8"))
-    assert len(config.space.paths) > 0 and config.claim is not None
+    assert config.space.n_paths > 0 and config.claim is not None
     assert _duality_report(capsys) == expected
     assert expected[0] == 0 and expected[1]
 
