@@ -9,7 +9,7 @@ optimal measure on one side, a concrete trading strategy on the other.
 
 from rip import (
     InfoStructure,
-    StaticOption,
+    Option,
     StaticOptionBook,
     build_lattice,
     format_number as fmt,
@@ -38,7 +38,7 @@ def main() -> None:
     print("measure:", {p: fmt(w) for p, w in enumerate(pv.measure.weights) if w != 0})
 
     # quoting a second instrument narrows the measure set and moves the price
-    digital = StaticOption(parse_payoff("ind(S[1,1] == 1)"), rat(1, 5), "flat-digital")
+    digital = Option(parse_payoff("ind(S[1,1] == 1)"), rat(1, 5), "flat-digital")
     book = StaticOptionBook.of(digital)
     priced = model_price(space, None, no_info, claim, book).single()
     hedged = superhedge(space, None, no_info, claim, book).single()

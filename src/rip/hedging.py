@@ -40,7 +40,7 @@ from .information import (
 )
 from .lp import LinearProgram, Optimal, Unbounded, solve_checked
 from .paths import PathSpace, StaticOptionBook
-from .payoff import Expr, validate_payoff
+from .payoff import Expr
 
 
 @dataclass
@@ -356,7 +356,7 @@ def _staged(space, target, info, claim, book, stages, value_of) -> list:
     Each table lists the stage's atoms that meet ``target`` in partition
     order and leaves the others out.  The floor holds the value due at the
     end of a stage's interval on every path: for the first stage the
-    claim's (:func:`_claim_floor`), and for each later one the table just
+    claim's value on each path, and for each later one the table just
     built, on the target paths, the only ones a stage reads; no floor is
     made after the last stage.
     ``value_of`` (:func:`_hedge_stage` or ``pricing._price_stage``) values
@@ -366,7 +366,7 @@ def _staged(space, target, info, claim, book, stages, value_of) -> list:
     returns a bare ``-inf`` without solving.
     """
     wanted = set(target)
-    floor = _claim_floor(space, claim)
+    floor = space.claim_values(claim)
     tables = []
     for atoms, interval in stages:
         if tables:
@@ -387,12 +387,6 @@ def _hedge_stage(space, paths, info, floor, book, interval) -> HedgeValue:
     if not paths:
         return HedgeValue(NEG_INF)
     return _hedge_value(build_hedge_problem(space, paths, info, floor, book, interval))
-
-
-def _claim_floor(space: PathSpace, claim: Expr) -> tuple:
-    """The checked claim's value on every path: the floor of a last stage."""
-    validate_payoff(claim, space.n_coords, space.n_steps)
-    return space.claim_values(claim)
 
 
 def superhedge(

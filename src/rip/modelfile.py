@@ -69,9 +69,8 @@ from .information import (
 )
 from .payoff import Expr, parse_payoff, validate_payoff
 from .paths import (
-    DynamicOption,
+    Option,
     PathSpace,
-    StaticOption,
     StaticOptionBook,
     build_info_space,
     build_lattice,
@@ -325,7 +324,7 @@ def _build_base_space(
 
 
 def _option_entries(
-    entries: list, key: str, kind: type, default_name: str,
+    entries: list, key: str, default_name: str,
     n_coords: int, n_steps: int, mode: str, errs: _Collector,
 ) -> list:
     """The ``{payoff, price, name}`` entries of an option list that read cleanly.
@@ -344,7 +343,7 @@ def _option_entries(
         price = _as_number(mapping.get("price"), mode, f"{where}.price", errs)
         name = mapping.get("name", f"{default_name}{i + 1}")
         if payoff is not None and price is not None:
-            options.append(kind(payoff=payoff, price=price, name=str(name)))
+            options.append(Option(payoff=payoff, price=price, name=str(name)))
     return options
 
 
@@ -372,7 +371,7 @@ def _parse_dynamic_options(
 
     mark = errs.mark()
     options = _option_entries(
-        entries, "dynamic_options", DynamicOption, "option",
+        entries, "dynamic_options", "option",
         space.n_assets, space.n_steps, mode, errs,
     )
     if not options and not errs.grew(mark):
@@ -409,7 +408,7 @@ def _parse_static_options(
         return StaticOptionBook.cash_only()
     mark = errs.mark()
     options = _option_entries(
-        rows, "static_options", StaticOption, "static",
+        rows, "static_options", "static",
         space.n_coords, space.n_steps, mode, errs,
     )
     if errs.grew(mark):

@@ -52,17 +52,13 @@ def _nth_root_exact(n: int, k: int) -> Optional[int]:
 
 
 @dataclass(frozen=True)
-class DynamicOption:
-    """A traded option: terminal payoff on the base assets and a quoted price."""
+class Option:
+    """A payoff quoted at a price.
 
-    payoff: Expr
-    price: Any
-    name: str = ""
-
-
-@dataclass(frozen=True)
-class StaticOption:
-    """A claim bought or sold only at time zero, at a quoted price."""
+    Its role comes from where it sits: in a :class:`StaticOptionBook` it is
+    bought or sold only at time zero; adjoined by :func:`build_info_space`,
+    it pays on the base assets and is traded dynamically.
+    """
 
     payoff: Expr
     price: Any
@@ -84,7 +80,7 @@ class StaticOptionBook:
         return cls(())
 
     @classmethod
-    def of(cls, *options: StaticOption) -> "StaticOptionBook":
+    def of(cls, *options: Option) -> "StaticOptionBook":
         return cls(tuple(options))
 
     @property
@@ -247,7 +243,12 @@ class PathSpace:
 
     @_per_space
     def claim_values(self, claim: Expr) -> tuple:
-        """Evaluate a payoff on every path's integer view, compiled once and cached per expression."""
+        """Evaluate a payoff on every path's integer view, compiled once and cached per expression.
+
+        The payoff is first checked against the space's shape, so a reference
+        outside it is a :class:`PreconditionError` before any path is read.
+        """
+        validate_payoff(claim, self.n_coords, self.n_steps)
         value, den = compile_payoff(claim, self.ops), self.den
         return tuple(value(rows, den) for rows in self.nums)
 
@@ -405,7 +406,7 @@ def _geometric_interior(y, k: int, n: int, ops: ModeOps):
 
 def build_info_space(
     base: PathSpace,
-    options: Sequence[DynamicOption],
+    options: Sequence[Option],
     interior: str = "geometric",
     reference: Optional[Sequence[Any]] = None,
 ) -> PathSpace:
@@ -447,12 +448,12 @@ def build_info_space(
 
     columns = []  # per option: per path: per grid index
     for j, option in enumerate(options):
-        validate_payoff(option.payoff, base.n_assets, n)
+        payoffs = base.claim_values(option.payoff)
         price = ops.convert(option.price)
         if not ops.pos(price):
             raise PreconditionError(f"option {j + 1}: price must be positive")
         terminal = []
-        for p, payoff in enumerate(base.claim_values(option.payoff)):
+        for p, payoff in enumerate(payoffs):
             y = payoff / price
             if y < 0:
                 raise PreconditionError(
@@ -525,8 +526,7 @@ def fatten(space: PathSpace, subset: Iterable[int], radius) -> tuple:
 __all__ = [
     "PATH_CAP",
     "PathSpace",
-    "DynamicOption",
-    "StaticOption",
+    "Option",
     "StaticOptionBook",
     "build_lattice",
     "space_from_paths",

@@ -16,9 +16,12 @@ and ``T`` stands for the final index.  ``ind`` takes a comparison
 coordinate ``i`` over the whole grid.  ``max``/``min`` take two or more
 arguments, ``abs`` and ``pos`` exactly one; ``pos(x)`` is ``max(x, 0)``.
 
-Numbers are nonnegative integer or decimal literals; negative constants and
-exact ratios are spelled with the operators (``-3``, ``1/3``).  Equality in
-``ind`` is exact in rational mode and quantised at 1e-12 in float mode.
+Numbers are nonnegative integer or decimal literals in the ASCII digits
+0-9; negative constants and exact ratios are spelled with the operators
+(``-3``, ``1/3``).  Any character outside the language, non-ASCII ones
+included, is a :class:`PayoffSyntaxError` at its own line and column.
+Equality in ``ind`` is exact in rational mode and quantised at 1e-12 in
+float mode.
 
 An expression is evaluated by compiling it once (:func:`compile_payoff`)
 into a function of one path's rows of a space's integer view,
@@ -30,6 +33,7 @@ operations of a walk over the values, in the same order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -350,63 +354,31 @@ class _Token:
     column: int
 
 
-_PUNCT_2 = ("<=", ">=", "==")
-_PUNCT_1 = "+-*/(),[]<>"
+# One alternative per token kind, tried in order at each offset.  Under
+# ``re.ASCII`` a digit is 0-9 and a word character is [A-Za-z0-9_], so any
+# other character, non-ASCII ones included, falls through to OTHER.
+_TOKEN = re.compile(
+    r"(?P<BLANK>[ \t\r]+)|(?P<NEWLINE>\n)|(?P<MALFORMED>\d+\.(?!\d))"
+    r"|(?P<NUMBER>\d+(?:\.\d+)?)|(?P<IDENT>[A-Za-z_]\w*)"
+    r"|(?P<PUNCT><=|>=|==|[-+*/(),\[\]<>])|(?P<OTHER>.)",
+    re.ASCII,
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        two = text[i : i + 2]
-        if two in _PUNCT_2:
-            tokens.append(_Token(two, two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == ".":
-                j += 1
-                if j >= len(text) or not text[j].isdigit():
-                    raise PayoffSyntaxError(
-                        "malformed number literal", line, start_col, text[i:j]
-                    )
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-            tokens.append(_Token("NUMBER", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT_1:
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise PayoffSyntaxError(f"unexpected character {ch!r}", line, start_col, ch)
-    tokens.append(_Token("EOF", "", line, col))
+    tokens, line, line_start = [], 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, word = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
+        elif kind == "MALFORMED":
+            raise PayoffSyntaxError("malformed number literal", line, column, word)
+        elif kind == "OTHER":
+            raise PayoffSyntaxError(f"unexpected character {word!r}", line, column, word)
+        elif kind != "BLANK":
+            tokens.append(_Token(word if kind == "PUNCT" else kind, word, line, column))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 

@@ -39,7 +39,7 @@ from .information import (
     market_partition,
     trading_terms,
 )
-from .hedging import DppDecomposition, _claim_floor, _dpp, _staged, _trading_interval
+from .hedging import DppDecomposition, _dpp, _staged, _trading_interval
 from .lp import Infeasible, LinearProgram, Optimal, solve_checked
 from .paths import PathSpace, StaticOptionBook, fatten
 from .payoff import Expr
@@ -349,7 +349,7 @@ def _approx_lp(
 
     base = build_measure_lp(
         space, space.all_paths(), InfoStructure.none(), None, (0, space.n_steps),
-        _claim_floor(space, claim),
+        space.claim_values(claim),
     )
     # the variables are all the paths, in order: path p is column p
     paths = range(space.n_paths)

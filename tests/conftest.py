@@ -4,7 +4,7 @@ import pytest
 
 from rip import (
     InfoStructure,
-    StaticOption,
+    Option,
     StaticOptionBook,
     build_lattice,
     info_from_payoff,
@@ -76,7 +76,7 @@ def digital_at_2():
 @pytest.fixture(scope="session")
 def flat_digital_book():
     """One quoted static: pays 1 when the step ends flat, quoted at 1/5."""
-    option = StaticOption(parse_payoff("ind(S[1,1] == 1)"), rat(1, 5), "flat-digital")
+    option = Option(parse_payoff("ind(S[1,1] == 1)"), rat(1, 5), "flat-digital")
     return StaticOptionBook.of(option)
 
 

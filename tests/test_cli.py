@@ -446,3 +446,22 @@ def test_one_parser_serves_every_call_of_a_process(model_file, monkeypatch, caps
         codes.append(alone.returncode)
     assert codes == [0, 1, 1, 0, 0]
     assert rip.cli._build_cli.cache_info().misses == 1
+
+
+def test_a_stray_character_in_the_claim_is_one_error_line(tmp_path):
+    """A character outside the payoff language exits 1 with an error line, not a traceback."""
+    file = tmp_path / "model.yaml"
+    file.write_text(
+        'grid: {steps: 1}\nlattice: {ratios: ["1/2", 1, 2]}\nclaim: "pos(S[1,T] - ²)"\n',
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8", "-m", "rip.cli", "price", "--model", str(file)],
+        capture_output=True,
+        encoding="utf-8",
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: claim: unexpected character '²' (line 1, column 14)"]

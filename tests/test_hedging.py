@@ -20,8 +20,8 @@ from rip import (
     ModeOps,
     Num,
     Optimal,
+    Option,
     PreconditionError,
-    StaticOption,
     StaticOptionBook,
     Strategy,
     Unbounded,
@@ -361,7 +361,7 @@ class TestIntervalValues:
 
     def test_a_static_book_needs_an_interval_from_zero(self, tri2, no_info):
         # positions formed at 1 in an option quoted at 0 would hedge at 7/9, below the price of 1
-        flat = StaticOption(parse_payoff("ind(S[1,1] == 1)"), rat(1, 3), "flat")
+        flat = Option(parse_payoff("ind(S[1,1] == 1)"), rat(1, 3), "flat")
         book = StaticOptionBook.of(flat)
         values = tri2.claim_values(parse_payoff("pos(S[1,T] - 1)"))
         with pytest.raises(PreconditionError, match="static book"):
@@ -369,6 +369,11 @@ class TestIntervalValues:
         build_hedge_problem(tri2, tri2.all_paths(), no_info, values, book, (0, 2))
         cash = StaticOptionBook.cash_only()
         build_hedge_problem(tri2, tri2.all_paths(), no_info, values, cash, (1, 2))
+
+    def test_a_book_payoff_outside_the_space_is_a_precondition_error(self, tri1, call_at_1, no_info):
+        book = StaticOptionBook.of(Option(parse_payoff("S[2,1]"), rat(1), "second asset"))
+        with pytest.raises(PreconditionError, match="coordinate 2, model has 1"):
+            superhedge(tri1, None, no_info, call_at_1, book)
 
     def test_table_covers_the_partition(self, tri2, call_at_2, no_info):
         table = dpp_superhedge(tri2, call_at_2, 1, no_info).inner

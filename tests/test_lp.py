@@ -15,9 +15,9 @@ from rip import (
     LinearProgram,
     Num,
     Optimal,
+    Option,
     PreconditionError,
     RATIONAL_OPS,
-    StaticOption,
     StaticOptionBook,
     Unbounded,
     build_hedge_problem,
@@ -1406,8 +1406,8 @@ def test_hedge_programs_mirror_their_split(ops, monkeypatch):
 
 def test_builders_write_nonzeros_at_increasing_columns(monkeypatch, tri2, hits_one):
     claim = parse_payoff("pos(S[1,T] - 1)")
-    at_its_payoff = StaticOption(parse_payoff("ind(S[1,2] == 1)"), rat(1), "at-its-payoff")
-    flat_digital = StaticOption(parse_payoff("ind(S[1,1] == 1)"), rat(1, 5), "flat-digital")
+    at_its_payoff = Option(parse_payoff("ind(S[1,2] == 1)"), rat(1), "at-its-payoff")
+    flat_digital = Option(parse_payoff("ind(S[1,1] == 1)"), rat(1, 5), "flat-digital")
     # the first option is worth its price on some paths, where its
     # calibration coefficient is 0; the second pays nothing on some paths
     book = StaticOptionBook.of(at_its_payoff, flat_digital)

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from rip import (
     Call,
     CapacityError,
-    DynamicOption,
     FLOAT,
     InfoStructure,
     Num,
+    Option,
     PathSpace,
     PreconditionError,
     RATIONAL,
@@ -142,6 +142,15 @@ def test_claim_values_are_cached_per_expression(tri1, call_at_1):
     assert list(first) == [0, 0, 1]
 
 
+def test_claim_values_check_the_payoff_against_the_space(tri1):
+    stored = dict(tri1._cache)
+    with pytest.raises(PreconditionError, match="coordinate 2, model has 1"):
+        tri1.claim_values(parse_payoff("S[2,T]"))
+    with pytest.raises(PreconditionError, match=r"grid index 2, model has 0\.\.1"):
+        tri1.claim_values(parse_payoff("S[1,2]"))
+    assert tri1._cache == stored
+
+
 def test_an_unhashable_claim_is_evaluated_but_not_stored():
     space = build_lattice(1, 1, ["1/2", 1, 2])
     claim = Call("max", [parse_payoff("S[1,T]"), Num(1)])  # list args: no hash
@@ -267,7 +276,7 @@ class TestExactRoots:
 
 class TestInfoSpace:
     def test_geometric_interior_frozen_values(self, tri2):
-        option = DynamicOption(parse_payoff("ind(S[1,T] >= 2)"), rat(4, 9), "digital")
+        option = Option(parse_payoff("ind(S[1,T] >= 2)"), rat(4, 9), "digital")
         space = build_info_space(tri2, [option])
         assert space.n_coords == 2
         rows = [space.rows(p) for p in space.all_paths()]
@@ -277,7 +286,7 @@ class TestInfoSpace:
             assert r[0][1] == 1
 
     def test_geometric_interior_refuses_irrational_roots(self, tri2):
-        option = DynamicOption(parse_payoff("ind(S[1,T] >= 2)"), rat(1, 2), "digital")
+        option = Option(parse_payoff("ind(S[1,T] >= 2)"), rat(1, 2), "digital")
         with pytest.raises(PreconditionError, match="reference measure|float mode"):
             build_info_space(tri2, [option])
 
@@ -285,7 +294,7 @@ class TestInfoSpace:
         # (3**40 + 7)**3 has 190 bits; a float cube root misses the integer
         c = 3**40 + 7
         base = build_lattice(1, 3, ["1/8", 1, 8])
-        option = DynamicOption(parse_payoff("S[1,T]"), Fraction(1, c**3), "cubed")
+        option = Option(parse_payoff("S[1,T]"), Fraction(1, c**3), "cubed")
         space = build_info_space(base, [option])
         for p in space.all_paths():
             rows = space.rows(p)
@@ -294,13 +303,13 @@ class TestInfoSpace:
             assert rows[2][1] ** 3 == terminal**2
 
     def test_geometric_interior_refuses_a_root_past_float_range(self, tri3):
-        option = DynamicOption(parse_payoff("S[1,T]"), Fraction(1, 10**400), "huge")
+        option = Option(parse_payoff("S[1,T]"), Fraction(1, 10**400), "huge")
         with pytest.raises(PreconditionError, match="is not rational"):
             build_info_space(tri3, [option])
 
     def test_float_mode_takes_real_roots(self):
         base = build_lattice(1, 2, [0.5, 1.0, 2.0], mode=FLOAT)
-        option = DynamicOption(parse_payoff("ind(S[1,T] >= 2)"), 0.5, "digital")
+        option = Option(parse_payoff("ind(S[1,T] >= 2)"), 0.5, "digital")
         space = build_info_space(base, [option])
         values = sorted(set(space.rows(p)[1][1] for p in space.all_paths()))
         assert values[0] == 0.0
@@ -308,7 +317,7 @@ class TestInfoSpace:
 
     def test_reference_interior_is_conditional_expectation(self, tri1):
         # uniform-ish weights pricing the flat digital at 1/3
-        option = DynamicOption(parse_payoff("ind(S[1,T] == 1)"), rat(1, 3), "flat")
+        option = Option(parse_payoff("ind(S[1,T] == 1)"), rat(1, 3), "flat")
         weights = [rat(1, 3), rat(1, 3), rat(1, 3)]
         space = build_info_space(tri1, [option], interior="reference", reference=weights)
         rows = [space.rows(p) for p in space.all_paths()]
@@ -316,25 +325,32 @@ class TestInfoSpace:
         assert sorted(r[1][1] for r in rows) == [0, 0, 3]
 
     def test_reference_interior_requires_exact_pricing(self, tri1):
-        option = DynamicOption(parse_payoff("ind(S[1,T] == 1)"), rat(1, 2), "flat")
+        option = Option(parse_payoff("ind(S[1,T] == 1)"), rat(1, 2), "flat")
         weights = [rat(1, 3), rat(1, 3), rat(1, 3)]
         with pytest.raises(PreconditionError, match="prices it at"):
             build_info_space(tri1, [option], interior="reference", reference=weights)
 
     def test_reference_interior_requires_positive_prefix_mass(self, tri2):
-        option = DynamicOption(parse_payoff("ind(S[1,T] >= 1)"), rat(1), "sure")
+        option = Option(parse_payoff("ind(S[1,T] >= 1)"), rat(1), "sure")
         weights = [rat(0)] * 9
         weights[4] = rat(1)
         with pytest.raises(PreconditionError, match="zero mass"):
             build_info_space(tri2, [option], interior="reference", reference=weights)
 
     def test_negative_payoffs_cannot_be_coordinates(self, tri1):
-        option = DynamicOption(parse_payoff("S[1,T] - 1"), rat(1), "fwd")
+        option = Option(parse_payoff("S[1,T] - 1"), rat(1), "fwd")
         with pytest.raises(PreconditionError, match="negative"):
             build_info_space(tri1, [option])
 
+    def test_a_bad_reference_is_reported_before_a_bad_price(self, tri1):
+        option = Option(parse_payoff("S[2,T]"), rat(0), "two faults")
+        with pytest.raises(PreconditionError, match="coordinate 2, model has 1"):
+            build_info_space(tri1, [option])
+        with pytest.raises(PreconditionError, match="price must be positive"):
+            build_info_space(tri1, [Option(parse_payoff("S[1,T]"), rat(0), "one fault")])
+
     def test_double_adjoining_is_refused(self, tri1):
-        option = DynamicOption(parse_payoff("ind(S[1,T] == 1)"), rat(1, 3), "flat")
+        option = Option(parse_payoff("ind(S[1,T] == 1)"), rat(1, 3), "flat")
         space = build_info_space(
             tri1, [option], interior="reference", reference=[rat(1, 3)] * 3
         )

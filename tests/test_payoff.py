@@ -25,6 +25,7 @@ from rip import (
     space_from_paths,
     validate_payoff,
 )
+from rip.payoff import _tokenize
 
 UP_PATH = [(1, 1), (2, 1), (4, 3)]  # two assets, two steps
 
@@ -128,6 +129,51 @@ class TestSyntaxErrors:
         with pytest.raises(PayoffSyntaxError) as exc:
             parse_payoff("1 + 2 )")
         assert "line 1" in str(exc.value)
+
+
+class TestScanner:
+    @pytest.mark.parametrize(
+        "text,line,column,token,message",
+        [
+            ("1.", 1, 1, "1.", "malformed number literal"),
+            ("1.x", 1, 1, "1.", "malformed number literal"),
+            ("1..2", 1, 1, "1.", "malformed number literal"),
+            ("2 * 31.", 1, 5, "31.", "malformed number literal"),
+            ("\t\t\r$", 1, 4, "$", "unexpected character '$'"),
+            ("1 +\n2 *\n3 # 4", 3, 3, "#", "unexpected character '#'"),
+            ("1 +\n", 2, 1, "", "expected a number, reference, function, or '(', found end of input"),
+            ("1.5.3", 1, 4, ".", "unexpected character '.'"),
+            # numbers are ASCII digits, and any other character is a syntax error
+            ("pos(S[1,T] - ²)", 1, 14, "²", "unexpected character '²'"),
+            ("S[٣,1]", 1, 3, "٣", "unexpected character '٣'"),
+            ("1 +\n  é", 2, 3, "é", "unexpected character 'é'"),
+            ("Sé", 1, 2, "é", "unexpected character 'é'"),
+        ],
+    )
+    def test_error_position_token_and_message(self, text, line, column, token, message):
+        with pytest.raises(PayoffSyntaxError) as exc:
+            parse_payoff(text)
+        assert (exc.value.line, exc.value.column, exc.value.token) == (line, column, token)
+        assert str(exc.value) == f"{message} (line {line}, column {column})"
+
+    def test_token_positions_of_a_three_line_payoff(self):
+        tokens = _tokenize("max(S[1,T],\n\t2.5)\r\n  >= 10")
+        assert [(t.kind, t.text, t.line, t.column) for t in tokens] == [
+            ("IDENT", "max", 1, 1),
+            ("(", "(", 1, 4),
+            ("IDENT", "S", 1, 5),
+            ("[", "[", 1, 6),
+            ("NUMBER", "1", 1, 7),
+            (",", ",", 1, 8),
+            ("IDENT", "T", 1, 9),
+            ("]", "]", 1, 10),
+            (",", ",", 1, 11),
+            ("NUMBER", "2.5", 2, 2),
+            (")", ")", 2, 5),
+            (">=", ">=", 3, 3),
+            ("NUMBER", "10", 3, 6),
+            ("EOF", "", 3, 8),
+        ]
 
 
 class TestValidation:

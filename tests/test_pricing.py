@@ -16,8 +16,8 @@ from rip import (
     InternalCheckError,
     MartingaleMeasure,
     Optimal,
+    Option,
     PreconditionError,
-    StaticOption,
     StaticOptionBook,
     Unbounded,
     approx_price,
@@ -203,13 +203,18 @@ class TestIntervalPrices:
 
     def test_a_static_book_needs_an_interval_from_zero(self, tri2, no_info):
         # calibration rows hold at 0 only: from 1 the price of 1 would top the hedge's 7/9
-        flat = StaticOption(parse_payoff("ind(S[1,1] == 1)"), rat(1, 3), "flat")
+        flat = Option(parse_payoff("ind(S[1,1] == 1)"), rat(1, 3), "flat")
         book = StaticOptionBook.of(flat)
         values = tri2.claim_values(parse_payoff("pos(S[1,T] - 1)"))
         with pytest.raises(PreconditionError, match="static book"):
             build_measure_lp(tri2, tri2.all_paths(), no_info, book, (1, 2), values)
         build_measure_lp(tri2, tri2.all_paths(), no_info, book, (0, 2), values)
         build_measure_lp(tri2, tri2.all_paths(), no_info, None, (1, 2), values)
+
+    def test_a_book_payoff_outside_the_space_is_a_precondition_error(self, tri1, call_at_1, no_info):
+        book = StaticOptionBook.of(Option(parse_payoff("S[1,2]"), rat(1), "past the grid"))
+        with pytest.raises(PreconditionError, match=r"grid index 2, model has 0\.\.1"):
+            model_price(tri1, None, no_info, call_at_1, book)
 
 
 class TestApprox:
@@ -257,7 +262,7 @@ class TestApprox:
     )
     def test_an_empty_class_at_small_radii_is_neg_inf(self, moves, support, claim, quote, radii):
         space = build_lattice(1, 1, moves)
-        call = StaticOption(parse_payoff("pos(S[1,T] - 1)"), rat(quote), "call")
+        call = Option(parse_payoff("pos(S[1,T] - 1)"), rat(quote), "call")
         book = StaticOptionBook.of(call)
         for eta in [0] + [rat(r) for r in radii]:
             assert is_neg_inf(approx_price(space, support, eta, parse_payoff(claim), book)), eta
@@ -302,7 +307,7 @@ def _approx_question(case, mode):
     book = None
     if quote is not None:
         price = float(quote) if mode == "float" else quote
-        book = StaticOptionBook.of(StaticOption(parse_payoff("pos(S[1,T] - 1)"), price, "call"))
+        book = StaticOptionBook.of(Option(parse_payoff("pos(S[1,T] - 1)"), price, "call"))
     return space, parse_payoff(claim), book
 
 
