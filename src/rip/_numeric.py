@@ -32,12 +32,16 @@ def rat(numerator: Any, denominator: Any = 1):
     """Build an exact rational.
 
     Accepts ints, existing rationals, and strings in the forms ``"3"``,
-    ``"-2/7"`` or ``"0.25"``.  Floats are converted exactly (binary value).
+    ``"-2/7"`` or ``"0.25"``, in ASCII only: ``Fraction`` would read any
+    Unicode decimal digit, ``"٣"`` as 3.  Floats are converted exactly
+    (binary value).
     """
     if isinstance(numerator, str):
         if denominator != 1:
             raise ValueError("string input takes no separate denominator")
         try:
+            if not numerator.isascii():
+                raise ValueError("number text must be ASCII")
             numerator = Fraction(numerator.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational number: {numerator!r}") from exc
@@ -128,11 +132,12 @@ class ModeOps:
         """
         if self.mode == FLOAT:
             return [v if type(v) is float else self.convert(v) for v in values], 1
+        convert = self.convert
         nums = []
         dens = []
         for v in values:
-            if not (isinstance(v, int) or type(v) is Fraction):
-                v = self.convert(v)
+            if type(v) is not Fraction and not isinstance(v, int):
+                v = convert(v)
             n, d = v.as_integer_ratio()
             nums.append(n)
             dens.append(d)

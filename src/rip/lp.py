@@ -13,18 +13,23 @@ A pivot builds no rational number, and its cost follows the nonzeros of the
 rows it touches, not the tableau's width: the ratio test collects the rows
 that hold the entering column as it scans them, and the elimination updates
 only those, so a pivot passes over the rows once.  The set-up and the
-read-out are integer too.  The tableau is built from the program in one
-pass: each row is put over one denominator as it is read, with its own sign
-applied, and so is each phase's cost.  Each phase's reduced-cost row is
-summed in one pass over the lcm of the basic rows' denominators and reduced
-by one gcd, so the set-up is linear in the nonzeros.  Each reported number
-is one quotient of integers, so exact rationals are built only for what the
-solver reports; the reported values, certificates, and infeasibility
-witnesses are exact.  In float mode the rows are stored the same way, as
-floats over a denominator of 1, and an update that cancels an entry down to
-round-off (at most ``_DROP`` of its old magnitude) deletes it, so that
-round-off does not fill the tableau; the reduced-cost row cancels the basic
-rows from the costs one at a time, in row order.
+read-out are integer too.  Each program is put over integers once per mode
+(:func:`_form`, kept on the program): every row over one denominator, and
+the objective over another.  The tableau is built from that form in one
+pass, each row's numerators copied into a row of its own with the row's
+sign applied, and phase 2 takes its cost from it.  Each phase's
+reduced-cost row is summed in one pass over the lcm of the basic rows'
+denominators and reduced by one gcd, so the set-up is linear in the
+nonzeros.  Each reported number, the optimum included, is one quotient of
+integers: an exact optimum is minus the right-hand side of the final
+reduced-cost row, negated again for ``max``.  So exact rationals are built
+only for what the solver reports; the reported values, certificates, and
+infeasibility witnesses are exact.  In float mode the rows are stored the
+same way, as floats over a denominator of 1, and an update that cancels an
+entry down to round-off (at most ``_DROP`` of its old magnitude) deletes
+it, so that round-off does not fill the tableau; the reduced-cost row
+cancels the basic rows from the costs one at a time, in row order, and the
+optimum is the objective's products with the point, added left to right.
 
 A variable is ``"free"`` or ``"nonneg"`` (:data:`BOUNDS`); any other bound
 on it is written as a row.  Each variable gets one tableau column, which a
@@ -60,20 +65,22 @@ solver:
   the Farkas conditions from the program's own rows and sign constraints.
 * ``Unbounded`` holds a feasible point and an improving ray.
 
-The checks run on integers.  Each row's nonzero coefficients and right-hand
-side are put over one positive denominator, once, and so are the point, the
-duals, the Farkas vector and the ray; comparisons cross-multiply these
-denominators, and tolerances are scaled by them, so each test is the exact
-one.  In float mode every denominator is 1 and the same code does plain
-float arithmetic.  A program's rows hold only their nonzeros, so no zero is
-scanned or converted.
+The checks run on integers.  They read the program's own integer form, the
+one the tableau was built from: immutable ints, which the tableau copied
+into rows of its own, so no tableau row or solver state reaches them.  The
+point, the duals, the Farkas vector, the ray and the reported value are each
+put over one positive denominator of their own; comparisons cross-multiply
+these denominators, and tolerances are scaled by them, so each test is the
+exact one.  In float mode every denominator is 1 and the same code does
+plain float arithmetic.  A program's rows hold only their nonzeros, so no
+zero is scanned or converted.
 
 Relations are ``"<="``, ``">="``, ``"=="``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import truediv
@@ -104,6 +111,8 @@ class LinearProgram:
     objective: tuple
     rows: tuple  # of (((column, coeff), ...), relation, rhs)
     bounds: tuple  # one of BOUNDS per variable
+    # the integer form of each numeric mode, built by _form on first use
+    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sense not in SENSES:
@@ -138,6 +147,30 @@ class LinearProgram:
     @property
     def n_vars(self) -> int:
         return len(self.objective)
+
+
+def _form(lp: LinearProgram, ops: ModeOps) -> tuple:
+    """The program over integers in ``ops``' mode, as ``(rows, objective)``.
+
+    Row ``r`` is ``(index, nums, den)``: entry ``index[k]`` is ``nums[k] / den``,
+    every other entry is 0, and the right-hand side is ``nums[-1] / den``, as
+    :meth:`ModeOps.over_common` puts the row's nonzeros and right-hand side.
+    The objective is ``(nums, den)``, dense.  All are tuples, the numerators
+    ints, or floats over 1 in float mode.  Built on first use and kept on the
+    program, one per mode; the tableau copies the numerators into rows of
+    its own and the checks only read them.
+    """
+    form = lp._forms.get(ops.mode)
+    if form is None:
+        rows = []
+        for nonzeros, _, rhs in lp.rows:
+            values = [c for _, c in nonzeros]
+            values.append(rhs)
+            nums, den = ops.over_common(values)
+            rows.append((tuple([j for j, _ in nonzeros]), tuple(nums), den))
+        nums, den = ops.over_common(lp.objective)
+        form = lp._forms[ops.mode] = (tuple(rows), (tuple(nums), den))
+    return form
 
 
 @dataclass(frozen=True)
@@ -199,8 +232,8 @@ class _Tableau:
 
     The constructor reads the program in one pass.  Variable ``j`` is
     column ``j``; the columns in ``free`` have no sign constraint, and the
-    others are ``x[j] >= 0``.  Each program row is put over one denominator
-    as :meth:`ModeOps.over_common` puts it, a nonzero that converts to 0
+    others are ``x[j] >= 0``.  Each program row is copied from the
+    program's integer form (:func:`_form`), a nonzero that converts to 0
     (text such as ``"0"``) dropped, and is negated where that makes its
     right-hand side nonnegative (``sigma[r] = -1``).
 
@@ -249,14 +282,14 @@ class _Tableau:
         one = self.ONE
         rhs_nums = []
         slack, art = nz, self.art_start
-        for nonzeros, rel, rhs in lp.rows:
-            nums, den = ops.over_common([*(c for _, c in nonzeros), rhs])
-            rhs = nums.pop()
+        for (index, nums, den), (_, rel, _) in zip(_form(lp, ops)[0], lp.rows):
+            rhs = nums[-1]
             # make the right-hand side nonnegative; an inequality whose
             # right-hand side is zero takes the sign that puts +1 on its slack
             flip = rhs < 0 or (rel == ">=" and not rhs)
             sigma = -1 if flip else 1
-            entries = {j: -v if flip else v for (j, _), v in zip(nonzeros, nums) if v}
+            # zip stops at the index, before the right-hand side
+            entries = {j: -v if flip else v for j, v in zip(index, nums) if v}
             den = den * one  # a float row's 1 is the float 1.0
             start = art
             if rel != "==":
@@ -621,7 +654,7 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
     _drive_out_artificials(tab, z_row)
 
     # the objective over one denominator, negated to minimise a max
-    objective, den = ops.over_common(lp.objective)
+    objective, den = _form(lp, ops)[1]
     cost = {j: c if minimise else -c for j, c in enumerate(objective) if c}
     z_row = tab.objective_row(cost, den)
     unbounded = tab.run(z_row, tab.art_start, max_pivots)
@@ -634,11 +667,16 @@ def solve(lp: LinearProgram, ops: ModeOps = RATIONAL_OPS) -> LPOutcome:
             ray_z[col] = (s * tab.ONE, 1)
         return Unbounded(x, _recover_x(tab, ray_z), tab.pivots)
 
-    # the value over the objective's nonzeros, added left to right: the
-    # built-in sum compensates float sums from Python 3.12 on
-    value = ops.zero
-    for j in cost:
-        value = value + ops.convert(lp.objective[j]) * x[j]
+    if ops.mode == FLOAT:
+        # the value over the objective's nonzeros, added left to right: the
+        # built-in sum compensates float sums from Python 3.12 on
+        value = ops.zero
+        for j in cost:
+            value = value + objective[j] * x[j]
+    else:
+        # minus the reduced costs' right-hand side is the minimised cost c_B x_B
+        rhs = z_row.nums.get(tab.width, 0)
+        value = tab.ratio(-rhs if minimise else rhs, z_row.den)
     duals = tab.duals(z_row, cost, den, 1 if minimise else -1)
     y = tuple(duals.get(i, ops.zero) for i in range(len(lp.rows)))
     return Optimal(x, y, value, tab.pivots)
@@ -685,23 +723,20 @@ def verify_certificate(
     return False
 
 
-def _scaled(nonzeros, rhs, ops: ModeOps):
-    """A sparse row as ``(index, nums, den)``: entry ``index[k]`` is ``nums[k] / den``,
-    every other entry is 0, and the right-hand side is ``nums[-1] / den``."""
-    nums, den = ops.over_common([*(c for _, c in nonzeros), rhs])
-    return [j for j, _ in nonzeros], nums, den
-
-
-def _scaled_objective(lp: LinearProgram, value, ops: ModeOps):
-    """The objective as the row ``c . x == value``, scaled by :func:`_scaled`."""
-    return _scaled([(j, c) for j, c in enumerate(lp.objective) if c], value, ops)
-
-
 def _dot(index, nums, v):
     # added left to right, as the built-in sum does for floats only before 3.12
     total = 0
     for j, a in zip(index, nums):
         total = total + a * v[j]
+    return total
+
+
+def _objective_dot(c, v):
+    """``c . v`` over the nonzeros of the dense ``c``, added left to right."""
+    total = 0
+    for j, a in enumerate(c):
+        if a:
+            total = total + a * v[j]
     return total
 
 
@@ -748,14 +783,14 @@ def _verify_optimal(lp: LinearProgram, outcome: Optimal, ops: ModeOps) -> bool:
     tol = ops.dual_tol
     if len(outcome.x) != lp.n_vars or len(outcome.y) != len(lp.rows):
         return False
-    rows = [_scaled(nonzeros, rhs, ops) for nonzeros, _, rhs in lp.rows]
+    rows, (c, dc) = _form(lp, ops)
     point = _feasible(lp, rows, outcome.x, ops, tol)
     if point is None:
         return False
     x, dx, lhs = point
-    # the objective, checked as the row c . x == value
-    index, c, dc = _scaled_objective(lp, outcome.value, ops)
-    if not ops.eq(_dot(index, c, x), c[-1] * dx, tol * dc * dx):
+    # c . x == value, with the value over a denominator of its own
+    (value,), dv = ops.over_common([outcome.value])
+    if not ops.eq(_objective_dot(c, x) * dv, value * dc * dx, tol * dc * dx * dv):
         return False
 
     sign = 1 if lp.sense == "min" else -1
@@ -769,10 +804,9 @@ def _verify_optimal(lp: LinearProgram, outcome: Optimal, ops: ModeOps) -> bool:
 
     # reduced costs c - y^T A, as numerators over dc * dy * den
     ya, _, den = _weighted_sum(rows, y, lp.n_vars)
-    c = dict(zip(index, c))
     r_tol = tol * dc * dy * den
     for j, bnd in enumerate(lp.bounds):
-        r = sign * (c.get(j, 0) * dy * den - ya[j] * dc)
+        r = sign * (c[j] * dy * den - ya[j] * dc)
         if bnd == "nonneg" and ops.eq(x[j], 0, tol * dx):
             if r < -r_tol:  # at zero, the reduced cost may not be negative
                 return False
@@ -797,9 +831,8 @@ def _verify_infeasible(lp: LinearProgram, outcome: Infeasible, ops: ModeOps) -> 
     for yi, (_, rel, _) in zip(y, lp.rows):
         if (rel == ">=" and yi < -y_tol) or (rel == "<=" and yi > y_tol):
             return False
-    rows = [_scaled(nonzeros, rhs, ops) for nonzeros, _, rhs in lp.rows]
     # g_j is g[j] / (den * dy), and y^T b is money / (den * dy)
-    g, money, den = _weighted_sum(rows, y, lp.n_vars)
+    g, money, den = _weighted_sum(_form(lp, ops)[0], y, lp.n_vars)
     slack = tol * den * dy
     for gj, bnd in zip(g, lp.bounds):
         if gj > slack or (bnd == "free" and -gj > slack):
@@ -811,7 +844,7 @@ def _verify_unbounded(lp: LinearProgram, outcome: Unbounded, ops: ModeOps) -> bo
     tol = ops.dual_tol
     if len(outcome.point) != lp.n_vars or len(outcome.ray) != lp.n_vars:
         return False
-    rows = [_scaled(nonzeros, rhs, ops) for nonzeros, _, rhs in lp.rows]
+    rows, (c, dc) = _form(lp, ops)
     point = _feasible(lp, rows, outcome.point, ops, tol)
     if point is None:
         return False
@@ -827,8 +860,7 @@ def _verify_unbounded(lp: LinearProgram, outcome: Unbounded, ops: ModeOps) -> bo
     for dj, bnd in zip(d, lp.bounds):
         if bnd == "nonneg" and dj < -tol * dd:
             return False
-    index, c, dc = _scaled_objective(lp, 0, ops)
-    gain = _dot(index, c, d)
+    gain = _objective_dot(c, d)
     return (gain if lp.sense == "min" else -gain) < -tol * dc * dd
 
 

@@ -502,3 +502,20 @@ def test_criterion_10_solver_self_audit(criterion):
         f"1000 programs: {kinds['Optimal']} optimal, "
         f"{kinds['Infeasible']} infeasible, {kinds['Unbounded']} unbounded",
     )
+
+
+def test_criterion_10_optima_are_the_left_to_right_sums():
+    # solve reads an exact optimum off its reduced-cost row, as one quotient
+    rng = random.Random(10)
+    optima = 0
+    for _ in range(1000):
+        lp = random_small_lp(rng)
+        out = solve(lp)
+        if isinstance(out, Optimal):
+            value = rat(0)
+            for c, xj in zip(lp.objective, out.x):
+                if c:
+                    value = value + c * xj
+            assert out.value == value
+            optima += 1
+    assert optima == 305

@@ -724,6 +724,14 @@ class TestConvert:
         with pytest.raises(PreconditionError):
             RATIONAL_OPS.convert(bad)
 
+    @pytest.mark.parametrize("text", ["\u0663", "1/\u0665", "\uff10.5", "\u00a03", "\u00b2"])
+    def test_text_outside_ascii_is_not_a_number(self, text):
+        # Fraction alone reads all but the superscript: Arabic-Indic 3 and 5,
+        # a full-width 0 and a no-break space
+        for read in (rat, RATIONAL_OPS.convert, FLOAT_OPS.convert):
+            with pytest.raises(ValueError, match="^not a rational number: "):
+                read(text)
+
 
 class TestOverCommon:
     def test_ints_come_back_over_one(self):
@@ -780,6 +788,116 @@ class TestSame:
         assert FLOAT_OPS.same(1.0, 1.0 + tol / 2) and FLOAT_OPS.same(1.0 + tol / 2, 1.0)
         assert not FLOAT_OPS.same(1.0, 1.0 + 2 * tol)
         assert not FLOAT_OPS.same(1.0 + 2 * tol, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# each program is put over integers once per mode: the tableau copies the form
+# and the checks read it
+
+
+def _form_programs():
+    """One program per outcome kind, each made of ``Fraction`` objects of its
+    own (``Fraction(v)`` is always a new one), so that a conversion of a row
+    is told apart by identity."""
+
+    def program(sense, objective, rows):
+        rows = [([Fraction(a) for a in coeffs], rel, Fraction(b)) for coeffs, rel, b in rows]
+        return LinearProgram.build(sense, [Fraction(c) for c in objective], rows, ["nonneg"] * 2)
+
+    rows = [([Fraction(1, 2), Fraction(1, 3)], ">=", 1), ([1, -1], "<=", Fraction(1, 4))]
+    return {
+        Optimal: program("min", [1, 2], rows + [([1, 0], "==", Fraction(3, 5))]),
+        Infeasible: program("min", [1, 2], rows + [([1, 1], "<=", Fraction(-1, 7))]),
+        Unbounded: program("max", [1, 2], rows),
+    }
+
+
+def _fresh_form(lp, ops):
+    rows = []
+    for nonzeros, _, rhs in lp.rows:
+        nums, den = ops.over_common([*(c for _, c in nonzeros), rhs])
+        rows.append((tuple(j for j, _ in nonzeros), tuple(nums), den))
+    nums, den = ops.over_common(lp.objective)
+    return tuple(rows), (tuple(nums), den)
+
+
+_MODES = pytest.mark.parametrize("ops", [RATIONAL_OPS, FLOAT_OPS], ids=["rational", "float"])
+_KINDS = pytest.mark.parametrize("kind", [Optimal, Infeasible, Unbounded], ids=lambda k: k.__name__)
+
+
+@_MODES
+@_KINDS
+def test_one_checked_solve_converts_each_row_once(monkeypatch, ops, kind):
+    lp = _form_programs()[kind]
+    calls = []
+    over_common = type(ops).over_common
+
+    def spy(self, values):
+        values = list(values)
+        calls.append(values)
+        return over_common(self, values)
+
+    monkeypatch.setattr(type(ops), "over_common", spy)
+    assert type(solve_checked(lp, ops)) is kind
+    for nonzeros, _, rhs in lp.rows:
+        row = [*(c for _, c in nonzeros), rhs]
+        same = [v for v in calls if len(v) == len(row) and all(a is b for a, b in zip(v, row))]
+        assert len(same) == 1
+
+
+@_MODES
+@_KINDS
+def test_the_form_is_tuples_and_still_a_fresh_conversion_after_the_solve(ops, kind):
+    lp = _form_programs()[kind]
+    solve_checked(lp, ops)
+    form = rip.lp._form(lp, ops)
+    assert rip.lp._form(lp, ops) is form and lp._forms == {ops.mode: form}
+    rows, (objective, _) = form
+    assert type(rows) is tuple and type(objective) is tuple
+    for index, nums, _ in rows:
+        assert type(index) is tuple and type(nums) is tuple
+        number = float if ops is FLOAT_OPS else int
+        assert all(type(v) is number for v in nums + objective)
+    assert form == _fresh_form(lp, ops)
+
+
+@_MODES
+def test_a_program_with_extra_rows_gets_a_fresh_form(ops):
+    lp = _form_programs()[Unbounded]
+    solve_checked(lp, ops)
+    ceiling = (((0, Fraction(1)), (1, Fraction(1))), "<=", Fraction(5))
+    bounded = replace(lp, rows=lp.rows + (ceiling,))
+    assert bounded._forms == {}
+    assert type(solve_checked(bounded, ops)) is Optimal
+    assert rip.lp._form(bounded, ops) == _fresh_form(bounded, ops)
+    assert rip.lp._form(lp, ops) == _fresh_form(lp, ops)
+
+
+@_MODES
+def test_equal_programs_stay_equal_after_one_is_solved(ops):
+    solved, other = _form_programs()[Optimal], _form_programs()[Optimal]
+    solve_checked(solved, ops)
+    assert solved._forms and not other._forms
+    assert solved == other and hash(solved) == hash(other) and repr(solved) == repr(other)
+
+
+def _left_to_right_value(lp, x):
+    """``sum_j objective[j] * x[j]`` over the objective's nonzeros, from the left."""
+    value = RATIONAL_OPS.zero
+    for c, xj in zip(lp.objective, x):
+        if c:
+            value = value + RATIONAL_OPS.convert(c) * xj
+    return value
+
+
+@given(lp=st.one_of(sparse_lp(), sparse_lp(coef=_wide_coef)))
+@example(lp=_EVERY_OUTCOME[Optimal])
+@settings(max_examples=300, deadline=None)
+def test_an_exact_optimum_read_off_the_reduced_costs_is_the_left_to_right_sum(lp):
+    out = solve(lp)
+    if isinstance(out, Optimal):
+        assert out.value == _left_to_right_value(lp, out.x)
+        assert type(out.value) is Fraction
 
 
 # ---------------------------------------------------------------------------
