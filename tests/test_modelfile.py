@@ -569,29 +569,6 @@ class TestNumbers:
         )
         assert any(m.startswith("lattice.ratios:") and "finite" in m for m in messages)
 
-    @pytest.mark.parametrize("mode", ["rational", "float"])
-    def test_digits_outside_ascii_are_not_numbers(self, mode):
-        # Fraction alone reads the Arabic-Indic "٣" as 3 and "1/٥" as 1/5
-        assert errors_of(
-            f"""
-            mode: {mode}
-            grid: {{steps: 1}}
-            lattice: {{ratios: ["1/2", 1, "٣"]}}
-            """
-        ) == ["lattice.ratios: could not read '٣' as a number (not a rational number: '٣')"]
-        assert errors_of(
-            f"""
-            mode: {mode}
-            grid: {{steps: 1}}
-            lattice: {{ratios: ["1/2", 1, 2]}}
-            static_options:
-              - {{payoff: "S[1,1]", price: "1/٥"}}
-            """
-        ) == [
-            "static_options[0].price: could not read '1/٥' as a number "
-            "(not a rational number: '1/٥')"
-        ]
-
 
 class TestSelections:
     def test_target_is_sorted_and_deduplicated(self):
@@ -639,3 +616,28 @@ class TestSelections:
             }
         )
         assert config.space.n_paths == 3
+
+
+class TestDigitsOutsideAscii:
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_digits_outside_ascii_are_not_numbers(self, mode):
+        # Fraction alone reads the Arabic-Indic "٣" as 3 and "1/٥" as 1/5
+        assert errors_of(
+            f"""
+            mode: {mode}
+            grid: {{steps: 1}}
+            lattice: {{ratios: ["1/2", 1, "٣"]}}
+            """
+        ) == ["lattice.ratios: could not read '٣' as a number (not a rational number: '٣')"]
+        assert errors_of(
+            f"""
+            mode: {mode}
+            grid: {{steps: 1}}
+            lattice: {{ratios: ["1/2", 1, 2]}}
+            static_options:
+              - {{payoff: "S[1,1]", price: "1/٥"}}
+            """
+        ) == [
+            "static_options[0].price: could not read '1/٥' as a number "
+            "(not a rational number: '1/٥')"
+        ]
