@@ -32,16 +32,17 @@ def rat(numerator: Any, denominator: Any = 1):
     """Build an exact rational.
 
     Accepts ints, existing rationals, and strings in the forms ``"3"``,
-    ``"-2/7"`` or ``"0.25"``, in ASCII only: ``Fraction`` would read any
-    Unicode decimal digit, ``"٣"`` as 3.  Floats are converted exactly
-    (binary value).
+    ``"-2/7"`` or ``"0.25"``, in ASCII only and without underscores:
+    ``Fraction`` would read any Unicode decimal digit, ``"٣"`` as 3, and
+    from Python 3.11 on reads ``"1_0"`` as 10.  Floats are converted
+    exactly (binary value).
     """
     if isinstance(numerator, str):
         if denominator != 1:
             raise ValueError("string input takes no separate denominator")
         try:
-            if not numerator.isascii():
-                raise ValueError("number text must be ASCII")
+            if not numerator.isascii() or "_" in numerator:
+                raise ValueError("number text must be ASCII, without underscores")
             numerator = Fraction(numerator.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational number: {numerator!r}") from exc

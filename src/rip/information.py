@@ -317,7 +317,7 @@ def info_from_payoff(source, name: str = "") -> InfoVariable:
     label = name or (source if isinstance(source, str) else "payoff")
 
     def labeler(rows, den, ops: ModeOps):
-        value = compile_payoff(expr, ops)
+        value = compile_payoff(expr, ops, len(rows[0][0]), len(rows[0]) - 1)
         return [value(path, den) for path in rows]
 
     return InfoVariable(label, labeler)

@@ -240,9 +240,9 @@ def _build_base_space(
         assets = 1
         if "assets" in lattice:
             got = _as_int(lattice["assets"], "lattice.assets", errs)
-            if got is None or got < 1:
+            if got is not None and got < 1:
                 errs.add("lattice.assets", "must be a positive integer")
-            else:
+            elif got is not None:
                 assets = got
         if steps is None:
             errs.add("grid.steps", "required when building a lattice")

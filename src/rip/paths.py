@@ -29,7 +29,7 @@ from ._numeric import (
     rat,
 )
 from .errors import CapacityError, PreconditionError
-from .payoff import Expr, compile_payoff, parse_payoff, validate_payoff
+from .payoff import Expr, compile_payoff, parse_payoff
 
 PATH_CAP = 10**6
 
@@ -199,7 +199,7 @@ class PathSpace:
             price = self.ops.convert(option.price)
             if not self.ops.pos(price):
                 raise PreconditionError(f"dynamic option {j + 1} must have a positive price")
-            payoff_of = compile_payoff(option.payoff, self.ops)
+            payoff_of = compile_payoff(option.payoff, self.ops, width, last)
             for p, rows in enumerate(self.nums):
                 want = payoff_of([row[:width] for row in rows], self.den) / price
                 if not self.ops.eq(self.ops.ratio(rows[last][coord - 1], self.den), want):
@@ -245,11 +245,10 @@ class PathSpace:
     def claim_values(self, claim: Expr) -> tuple:
         """Evaluate a payoff on every path's integer view, compiled once and cached per expression.
 
-        The payoff is first checked against the space's shape, so a reference
-        outside it is a :class:`PreconditionError` before any path is read.
+        The payoff is compiled for the space's shape, so a reference outside
+        it is a :class:`PreconditionError` before any path is read.
         """
-        validate_payoff(claim, self.n_coords, self.n_steps)
-        value, den = compile_payoff(claim, self.ops), self.den
+        value, den = compile_payoff(claim, self.ops, self.n_coords, self.n_steps), self.den
         return tuple(value(rows, den) for rows in self.nums)
 
     def describe(self) -> dict:

@@ -26,9 +26,11 @@ float mode.
 An expression is evaluated by compiling it once (:func:`compile_payoff`)
 into a function of one path's rows of a space's integer view,
 ``PathSpace.nums[p]`` over ``PathSpace.den``; claims, option payoffs and
-payoff labels all go through it.  In rational mode it computes on pairs of
-ints and divides once per path; in float mode it performs the float
-operations of a walk over the values, in the same order.
+payoff labels all go through it.  Compiling checks every reference against
+the shape of the paths, so on a path the function raises only for a
+division by zero or a tail that leaves zero.  In rational mode it computes
+on pairs of ints and divides once per path; in float mode it performs the
+float operations of a walk over the values, in the same order.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Any, Callable, Optional, Union
+from typing import Callable, Optional, Union
 
-from ._numeric import FLOAT, ModeOps
+from ._numeric import FLOAT, RATIONAL_OPS, ModeOps
 from .errors import EvaluationError, PayoffSyntaxError, PreconditionError
 
 FINAL_TIME = "T"
@@ -125,15 +127,6 @@ Expr = Union[Num, Ref, BinOp, Neg, Call, Indicator, RunningExtreme, TailClaim]
 # evaluation
 
 
-def _coord(rows, asset: int, k: int) -> Any:
-    if not 0 <= k < len(rows):
-        raise EvaluationError(f"grid index {k} outside 0..{len(rows) - 1}")
-    row = rows[k]
-    if not 1 <= asset <= len(row):
-        raise EvaluationError(f"coordinate index {asset} outside 1..{len(row)}")
-    return row[asset - 1]
-
-
 def _compare(op: str, a, b, ops: ModeOps, tol) -> bool:
     if op == "==":
         return ops.eq(a, b, tol)
@@ -176,19 +169,22 @@ def _normalised_tail(rows, arrival: int, ops: ModeOps) -> Optional[tuple]:
     return [tuple(x * s if s else den for x, s in zip(row, scale)) for row in tail], den
 
 
-def compile_payoff(expr: Expr, ops: ModeOps) -> Callable:
+def compile_payoff(expr: Expr, ops: ModeOps, n_coords: int, n_steps: int) -> Callable:
     """``expr`` compiled once into a function of one path's integer view.
 
     The function takes ``(rows, den)``, ``rows[k][i - 1] / den`` being
-    coordinate ``i`` at grid index ``k`` (a row of ``PathSpace.nums``), and
+    coordinate ``i`` at grid index ``k`` (a row of ``PathSpace.nums``) of a
+    path with ``n_coords`` coordinates and grid indices ``0..n_steps``, and
     returns a number in the mode of ``ops``.  Every node yields a pair
     ``(numerator, denominator)`` with a positive denominator.  In rational
     mode the pairs hold ints and the value is made a ``Fraction`` once, by
     ``ops.ratio``.  In float mode ``den`` is 1, every denominator stays 1
     and each node performs the float operation of a walk over the values,
-    in the same order, so the value is the same float.  Division by zero
-    and out-of-range indices raise :class:`EvaluationError` when the
-    function is called.
+    in the same order, so the value is the same float.  A reference or tail
+    arrival outside the shape, or a node that is not a payoff node, is a
+    :class:`PreconditionError` when compiling; on a path the function raises
+    :class:`EvaluationError` only for a division by zero, a tail that leaves
+    zero, or an operator or function outside the language.
     """
     exact = ops.mode != FLOAT
     zero, one = (0, 1) if exact else (ops.zero, ops.one)
@@ -239,18 +235,23 @@ def compile_payoff(expr: Expr, ops: ModeOps) -> Callable:
 
         return fail
 
-    def build(node) -> Callable:
+    def column(asset) -> int:
+        if not 1 <= asset <= n_coords:
+            raise PreconditionError(f"payoff references coordinate {asset}, model has {n_coords}")
+        return asset - 1
+
+    def build(node, steps: int) -> Callable:
         if isinstance(node, Num):
             value = ops.convert(node.value)
             pair = (value.numerator, value.denominator) if exact else (value, 1)
             return lambda rows, den: pair
         if isinstance(node, Ref):
-            asset, time = node.asset, node.time
-            return lambda rows, den: (
-                _coord(rows, asset, len(rows) - 1 if time == FINAL_TIME else time), den
-            )
+            i, k = column(node.asset), steps if node.time == FINAL_TIME else node.time
+            if not 0 <= k <= steps:
+                raise PreconditionError(f"payoff references grid index {k}, model has 0..{steps}")
+            return lambda rows, den: (rows[k][i], den)
         if isinstance(node, Neg):
-            f = build(node.operand)
+            f = build(node.operand, steps)
 
             def negate(rows, den):
                 n, d = f(rows, den)
@@ -258,16 +259,16 @@ def compile_payoff(expr: Expr, ops: ModeOps) -> Callable:
 
             return negate
         if isinstance(node, BinOp):
-            f, g = build(node.left), build(node.right)
+            f, g = build(node.left, steps), build(node.right, steps)
             op = combine.get(node.op) or unknown(f"unknown operator {node.op!r}")
             return lambda rows, den: op(f(rows, den), g(rows, den))
         if isinstance(node, Call):
-            fs = [build(a) for a in node.args]
+            fs = [build(a, steps) for a in node.args]
             fn = functions.get(node.name) or unknown(f"unknown function {node.name!r}")
             return lambda rows, den: fn([f(rows, den) for f in fs])
         if isinstance(node, Indicator):
-            f, g, op, tol = build(node.left), build(node.right), node.op, ops.label_tol
-            yes, no = (one, 1), (zero, 1)
+            f, g = build(node.left, steps), build(node.right, steps)
+            op, tol, yes, no = node.op, ops.label_tol, (one, 1), (zero, 1)
 
             def indicator(rows, den):
                 x, y, d = _over(f(rows, den), g(rows, den))
@@ -275,25 +276,24 @@ def compile_payoff(expr: Expr, ops: ModeOps) -> Callable:
 
             return indicator
         if isinstance(node, RunningExtreme):
-            asset, pick = node.asset, max if node.kind == "max" else min
-            return lambda rows, den: (
-                pick([_coord(rows, asset, k) for k in range(len(rows))]), den
-            )
+            i, pick = column(node.asset), max if node.kind == "max" else min
+            return lambda rows, den: (pick([row[i] for row in rows]), den)
         if isinstance(node, TailClaim):
-            f, arrival = build(node.inner), node.arrival
+            arrival = node.arrival
+            if not 0 <= arrival <= steps:
+                raise PreconditionError(f"tail arrival {arrival} outside grid 0..{steps}")
+            f = build(node.inner, steps - arrival)
 
             def tail(rows, den):
-                if not 0 <= arrival < len(rows):
-                    raise EvaluationError(f"tail arrival {arrival} outside 0..{len(rows) - 1}")
                 view = _normalised_tail(rows, arrival, ops)
                 if view is None:
                     raise EvaluationError("cannot normalise a tail that leaves zero")
                 return f(*view)
 
             return tail
-        return unknown(f"not a payoff node: {node!r}")
+        raise PreconditionError(f"not a payoff node: {node!r}")
 
-    top, ratio = build(expr), ops.ratio
+    top, ratio = build(expr, n_steps), ops.ratio
 
     def value(rows, den):
         return ratio(*top(rows, den))
@@ -302,44 +302,8 @@ def compile_payoff(expr: Expr, ops: ModeOps) -> Callable:
 
 
 def validate_payoff(expr: Expr, n_assets: int, n_steps: int) -> None:
-    """Check all coordinate and grid references fit a given path shape."""
-
-    def walk(node, assets: int, steps: int):
-        if isinstance(node, Ref):
-            if not 1 <= node.asset <= assets:
-                raise PreconditionError(
-                    f"payoff references coordinate {node.asset}, model has {assets}"
-                )
-            if node.time != FINAL_TIME and not 0 <= node.time <= steps:
-                raise PreconditionError(
-                    f"payoff references grid index {node.time}, model has 0..{steps}"
-                )
-        elif isinstance(node, RunningExtreme):
-            if not 1 <= node.asset <= assets:
-                raise PreconditionError(
-                    f"payoff references coordinate {node.asset}, model has {assets}"
-                )
-        elif isinstance(node, BinOp):
-            walk(node.left, assets, steps)
-            walk(node.right, assets, steps)
-        elif isinstance(node, Indicator):
-            walk(node.left, assets, steps)
-            walk(node.right, assets, steps)
-        elif isinstance(node, Neg):
-            walk(node.operand, assets, steps)
-        elif isinstance(node, Call):
-            for a in node.args:
-                walk(a, assets, steps)
-        elif isinstance(node, TailClaim):
-            if not 0 <= node.arrival <= steps:
-                raise PreconditionError(
-                    f"tail arrival {node.arrival} outside grid 0..{steps}"
-                )
-            walk(node.inner, assets, steps - node.arrival)
-        elif not isinstance(node, Num):
-            raise PreconditionError(f"not a payoff node: {node!r}")
-
-    walk(expr, n_assets, n_steps)
+    """Check all coordinate and grid references fit a given path shape, by compiling for it."""
+    compile_payoff(expr, RATIONAL_OPS, n_assets, n_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -732,6 +732,13 @@ class TestConvert:
             with pytest.raises(ValueError, match="^not a rational number: "):
                 read(text)
 
+    @pytest.mark.parametrize("text", ["1_0", "1_000/3"])
+    def test_text_with_underscores_is_not_a_number(self, text):
+        # Fraction reads "1_0" as 10 from Python 3.11 on, and refuses it before
+        for read in (rat, RATIONAL_OPS.convert, FLOAT_OPS.convert):
+            with pytest.raises(ValueError, match="^not a rational number: "):
+                read(text)
+
 
 class TestOverCommon:
     def test_ints_come_back_over_one(self):

@@ -641,3 +641,35 @@ class TestDigitsOutsideAscii:
             "static_options[0].price: could not read '1/٥' as a number "
             "(not a rational number: '1/٥')"
         ]
+
+
+class TestUnderscoresInNumbers:
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_underscores_are_not_digit_separators(self, mode):
+        # Fraction alone reads "1_0" as 10 from Python 3.11 on
+        assert errors_of(
+            f"""
+            mode: {mode}
+            grid: {{steps: 1}}
+            lattice: {{ratios: ["1/2", 1, "1_0"]}}
+            """
+        ) == ["lattice.ratios: could not read '1_0' as a number (not a rational number: '1_0')"]
+
+
+class TestLatticeAssets:
+    @pytest.mark.parametrize("text,value", [('"two"', "two"), ("true", True), ("1.5", 1.5)])
+    def test_a_non_integer_count_is_one_error(self, text, value):
+        assert errors_of(
+            f"""
+            grid: {{steps: 1}}
+            lattice: {{assets: {text}, ratios: ["1/2", 1, 2]}}
+            """
+        ) == [f"lattice.assets: expected an integer, got {value!r}"]
+
+    def test_a_count_below_one_is_not_positive(self):
+        assert errors_of(
+            """
+            grid: {steps: 1}
+            lattice: {assets: 0, ratios: ["1/2", 1, 2]}
+            """
+        ) == ["lattice.assets: must be a positive integer"]

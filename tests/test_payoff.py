@@ -7,12 +7,16 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from rip import (
+    FLOAT_OPS,
+    RATIONAL_OPS,
     BinOp,
     Call,
     EvaluationError,
     Indicator,
+    InfoStructure,
     Neg,
     Num,
+    Option,
     PayoffSyntaxError,
     PreconditionError,
     Ref,
@@ -20,6 +24,8 @@ from rip import (
     TailClaim,
     build_lattice,
     compile_payoff,
+    filtration,
+    info_from_payoff,
     parse_payoff,
     rat,
     space_from_paths,
@@ -195,6 +201,44 @@ class TestValidation:
         with pytest.raises(PreconditionError):
             validate_payoff(claim, n_assets=1, n_steps=2)
 
+    @pytest.mark.parametrize(
+        "expr,n_assets,n_steps,message",
+        [
+            (parse_payoff("S[2,3]"), 1, 3, "payoff references coordinate 2, model has 1"),
+            (parse_payoff("S[2,3]"), 2, 2, "payoff references grid index 3, model has 0..2"),
+            (parse_payoff("S[0,1]"), 2, 2, "payoff references coordinate 0, model has 2"),
+            (parse_payoff("maxt(3)"), 2, 2, "payoff references coordinate 3, model has 2"),
+            (
+                TailClaim(parse_payoff("S[1,2]"), arrival=1),
+                1,
+                2,
+                "payoff references grid index 2, model has 0..1",
+            ),
+            (TailClaim(parse_payoff("S[1,T]"), arrival=4), 1, 3, "tail arrival 4 outside grid 0..3"),
+            (TailClaim(parse_payoff("S[1,T]"), arrival=-1), 1, 3, "tail arrival -1 outside grid 0..3"),
+            (BinOp("+", Num(1), "S[1,1]"), 1, 3, "not a payoff node: 'S[1,1]'"),
+        ],
+    )
+    def test_compiling_refuses_what_validation_refuses(self, expr, n_assets, n_steps, message):
+        with pytest.raises(PreconditionError) as refused:
+            validate_payoff(expr, n_assets, n_steps)
+        assert str(refused.value) == message
+        for ops in (RATIONAL_OPS, FLOAT_OPS):
+            with pytest.raises(PreconditionError) as refused:
+                compile_payoff(expr, ops, n_assets, n_steps)
+            assert str(refused.value) == message
+
+    def test_payoff_labels_are_compiled_for_the_space(self):
+        space = build_lattice(1, 2, ["1/2", 1, 2])
+        info = InfoStructure.plus(info_from_payoff("S[2,1]"))
+        with pytest.raises(PreconditionError, match=r"^payoff references coordinate 2, model has 1$"):
+            filtration(space, info)
+
+    def test_option_payoffs_are_compiled_for_the_base_assets(self):
+        option = Option(parse_payoff("S[2,1]"), 1, "reads the option itself")
+        with pytest.raises(PreconditionError, match=r"^payoff references coordinate 2, model has 1$"):
+            space_from_paths([[(1, 1), (2, 2)]], n_assets=1, dynamic_options=(option,))
+
 
 # ---------------------------------------------------------------------------
 # the compiled evaluator against the reference walk of tests/oracle.py
@@ -270,7 +314,14 @@ def _outcome(evaluate):
 @settings(max_examples=150, deadline=None)
 def test_compiled_payoffs_match_the_reference_walk(name, expr):
     space = SPACES[name]
-    compiled = compile_payoff(expr, space.ops)
+    try:
+        compiled = compile_payoff(expr, space.ops, space.n_coords, space.n_steps)
+    except PreconditionError:
+        # a reference outside the shape: the walk fails on every path
+        for p in space.all_paths():
+            with pytest.raises(EvaluationError):
+                oracle.evaluate_payoff(expr, space.rows(p), space.ops)
+        return
     for p, rows in enumerate(space.nums):
         got = _outcome(lambda: compiled(rows, space.den))
         want = _outcome(lambda: oracle.evaluate_payoff(expr, space.rows(p), space.ops))
