@@ -20,11 +20,11 @@ variables on atoms deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence
 
 from ._numeric import FLOAT, ModeOps
-from .errors import PreconditionError
+from .errors import EvaluationError, PreconditionError
 from .payoff import _normalised_tail, compile_payoff, parse_payoff
 from .paths import PathSpace, _per_space
 
@@ -225,30 +225,35 @@ def filtration(space: PathSpace, info: InfoStructure) -> Filtration:
             f"arrival index {info.arrival} must lie strictly inside 1..{space.n_steps - 1}"
         )
     # the agent holds the label from grid index `known` on; 'none' has no label;
-    # paths are keyed on their rows of `space.nums`, which share one denominator
+    # paths are keyed on their rows of `space.nums`, which share one denominator,
+    # and on a small int per distinct label, so each label is hashed once
     rows = space.nums
     if info.variant == VARIANT_NONE:
         labels = (None,) * len(rows)
     else:
         labels = _labels(space, info.variable)
+    ids: dict = {}
+    label_ids = [ids.setdefault(label, len(ids)) for label in labels]
     known = info.arrival if info.variant == VARIANT_DYNAMIC else 0
     atoms = []
     cells = []
     previous = [0] * len(rows)
     for t in range(space.n_steps + 1):
         # a path's atom at t - 1 and its row at t pin its prefix up to t
+        labelled = t >= known
         index: dict = {}
         groups = []
         cell = []
         for p, values in enumerate(rows):
-            key = (previous[p], values[t], labels[p] if t >= known else None)
+            key = (previous[p], values[t], label_ids[p] if labelled else -1)
             k = index.setdefault(key, len(groups))
             if k == len(groups):
                 groups.append([])
             groups[k].append(p)
             cell.append(k)
-        # groups open in path order, so the atoms come ordered by first member
-        atoms.append(tuple(Atom(t, tuple(g), key[2]) for key, g in zip(index, groups)))
+        # groups open in path order, so the atoms come ordered by first member,
+        # and each atom carries its first member's label
+        atoms.append(tuple(Atom(t, tuple(g), labels[g[0]] if labelled else None) for g in groups))
         cells.append(tuple(cell))
         previous = cell
     if info.variant == VARIANT_PLUS:
@@ -327,23 +332,6 @@ def _series(path, asset: int) -> list:
     return [row[asset - 1] for row in path]
 
 
-def _over_first(tail: list, ops: ModeOps) -> tuple:
-    """``(values, den)``: a series of numerators over its first, nonzero
-    value; in rational mode the numerators themselves over the first one,
-    in float mode the quotients over 1."""
-    base = tail[0]
-    if ops.mode == FLOAT:
-        return [x / base for x in tail], 1
-    return tail, base
-
-
-def _inside(lower, upper, ops: ModeOps) -> Callable:
-    """``inside(values, den)``: whether every ``x / den`` lies strictly in
-    ``(lower, upper)``; the bounds are converted once, here."""
-    (lo, hi), scale = ops.over_common([lower, upper])
-    return lambda values, den: all(lo * den < x * scale < hi * den for x in values)
-
-
 def max_abs_deviation(asset: int = 1) -> InfoVariable:
     """Largest distance of one coordinate from its starting value."""
 
@@ -359,89 +347,92 @@ def range_indicator(lower, upper, asset: int = 1) -> InfoVariable:
     """1 when the coordinate stays strictly inside ``(lower, upper)``."""
 
     def labeler(rows, den, ops: ModeOps):
-        inside = _inside(lower, upper, ops)
-        return [ops.one if inside(_series(path, asset), den) else ops.zero for path in rows]
+        # the bounds over one denominator, converted once per call
+        (lo, hi), scale = ops.over_common([lower, upper])
+        lo, hi = lo * den, hi * den
+        inside = [all(lo < x * scale < hi for x in _series(path, asset)) for path in rows]
+        return [ops.one if ok else ops.zero for ok in inside]
 
     return InfoVariable(f"range-indicator({lower},{upper},{asset})", labeler)
+
+
+def _max_ratio(asset: int) -> InfoVariable:
+    """One coordinate's worst swing from its first value,
+    ``max_t max(S_t/S_0, S_0/S_t)``, 1 exactly for a constant series; a
+    series that reaches zero has none and is an :class:`EvaluationError`."""
+
+    def labeler(rows, den, ops: ModeOps):
+        out = []
+        for path in rows:
+            series = _series(path, asset)
+            if 0 in series:
+                raise EvaluationError("cannot take the max ratio of a tail that reaches zero")
+            first = series[0]
+            if ops.mode == FLOAT:
+                worst = ops.one
+                for x in series:
+                    r = x / first
+                    worst = max(worst, r, 1 / r)
+                out.append(worst)
+                continue
+            top, bottom = 1, 1  # the worst ratio so far, top / bottom
+            for x in series:
+                n, d = (x, first) if x > first else (first, x)
+                if n * bottom > top * d:
+                    top, bottom = n, d
+            out.append(ops.ratio(top, bottom))
+        return out
+
+    return InfoVariable(f"max-ratio({asset})", labeler)
+
+
+def lift_to_tail(base_variable: InfoVariable, arrival: int) -> InfoVariable:
+    """The lift of a whole-path variable to the tail renormalised at ``arrival``.
+
+    A path is labelled by what ``base_variable`` gives its tail from
+    ``arrival`` on, every coordinate over its value there: 0/0 reads 1, a
+    coordinate that leaves zero is an :class:`EvaluationError`, and one that
+    reaches zero later reads 0.  The tails that share a denominator go to
+    the base labeller in one call.
+    """
+
+    def labeler(rows, den, ops: ModeOps):
+        groups: dict = {}  # the tails by their denominator, and their paths
+        for p, path in enumerate(rows):
+            tail, tail_den = _normalised_tail(path, arrival, ops)
+            members, tails = groups.setdefault(tail_den, ([], []))
+            members.append(p)
+            tails.append(tail)
+        out = [None] * len(rows)
+        for tail_den, (members, tails) in groups.items():
+            for p, label in zip(members, base_variable.labeler(tails, tail_den, ops)):
+                out[p] = label
+        return out
+
+    return InfoVariable(f"{base_variable.name}@tail({arrival})", labeler)
 
 
 def tail_max_ratio(arrival: int, asset: int = 1) -> InfoVariable:
     """Worst multiplicative swing of the tail from its value at ``arrival``.
 
-    For a path positive from ``arrival`` on, the label is
-    ``max_t max(S_t/S_a, S_a/S_t)`` over the tail, which is 1 exactly for a
-    constant tail and grows with the swing.  A tail that touches zero gets
-    label 1 by convention; on spaces with zero prices this merges the
-    degenerate paths into the constant-tail class.
+    The lift (:func:`lift_to_tail`) of ``max_t max(S_t/S_0, S_0/S_t)``, 1
+    exactly for a constant tail.  Under the lift's zero convention a path at
+    zero from ``arrival`` on has label 1, and a tail that reaches zero later
+    has no finite swing and is an :class:`EvaluationError`.
     """
-
-    def worst(values, den, ops: ModeOps):
-        if ops.mode == FLOAT:  # den is 1: the values are the ratios
-            out = ops.one
-            for r in values:
-                out = max(out, r, 1 / r)
-            return out
-        top, bottom = 1, 1  # the worst ratio so far, top / bottom
-        for x in values:
-            n, d = (x, den) if x > den else (den, x)
-            if n * bottom > top * d:
-                top, bottom = n, d
-        return ops.ratio(top, bottom)
-
-    def labeler(rows, den, ops: ModeOps):
-        out = []
-        for path in rows:
-            tail = _series(path, asset)[arrival:]
-            zero = any(x == 0 for x in tail)
-            out.append(ops.one if zero else worst(*_over_first(tail, ops), ops))
-        return out
-
-    return InfoVariable(f"tail-max-ratio({arrival},{asset})", labeler)
+    lifted = lift_to_tail(_max_ratio(asset), arrival)
+    return replace(lifted, name=f"tail-max-ratio({arrival},{asset})")
 
 
 def tail_range_indicator(lower, upper, arrival: int, asset: int = 1) -> InfoVariable:
     """1 when the tail, renormalised at ``arrival``, stays inside ``(lower, upper)``.
 
-    A path whose coordinate is zero at ``arrival`` gets label 1 by the same
-    convention as :func:`tail_max_ratio`.
+    The lift (:func:`lift_to_tail`) of :func:`range_indicator`: under its
+    zero convention a coordinate at zero from ``arrival`` on reads 1, and
+    one that reaches zero later reads 0.
     """
-
-    def labeler(rows, den, ops: ModeOps):
-        inside = _inside(lower, upper, ops)
-        out = []
-        for path in rows:
-            tail = _series(path, asset)[arrival:]
-            ok = tail[0] == 0 or inside(*_over_first(tail, ops))
-            out.append(ops.one if ok else ops.zero)
-        return out
-
-    return InfoVariable(f"tail-range-indicator({lower},{upper},{arrival},{asset})", labeler)
-
-
-def lift_to_tail(base_variable: InfoVariable, arrival: int) -> InfoVariable:
-    """Read a variable off the renormalised tail starting at ``arrival``.
-
-    The tail is divided through by its value at ``arrival`` coordinate by
-    coordinate, so the lifted variable sees a path that starts at 1 and has
-    the remaining steps.  Paths that sit at zero at ``arrival`` get label 1.
-    Each path's tail is its own integer view, labelled on its own.
-    """
-
-    def labeler(rows, den, ops: ModeOps):
-        out = []
-        for path in rows:
-            # a coordinate at zero cannot be renormalised unless it stays there
-            view = _normalised_tail(path, arrival, ops)
-            if view is None:
-                raise PreconditionError("cannot renormalise a tail that leaves zero")
-            if any(x == 0 for x in path[arrival]):
-                out.append(ops.one)
-            else:
-                tail, tail_den = view
-                out.extend(base_variable.labeler([tail], tail_den, ops))
-        return out
-
-    return InfoVariable(f"{base_variable.name}@tail({arrival})", labeler)
+    lifted = lift_to_tail(range_indicator(lower, upper, asset), arrival)
+    return replace(lifted, name=f"tail-range-indicator({lower},{upper},{arrival},{asset})")
 
 
 # ---------------------------------------------------------------------------

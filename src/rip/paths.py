@@ -268,8 +268,7 @@ def _normalise_ratio_sets(ratios, n_assets: int, n_steps: int, ops: ModeOps) -> 
         return isinstance(x, (int, str, float, Fraction)) or not isinstance(x, (list, tuple))
 
     if isinstance(ratios, (list, tuple)) and ratios and all(is_number(r) for r in ratios):
-        one_set = list(ratios)
-        full = [[one_set for _ in range(n_assets)] for _ in range(n_steps)]
+        full = [[ratios] * n_assets for _ in range(n_steps)]
     elif (
         isinstance(ratios, (list, tuple))
         and len(ratios) == n_steps
@@ -290,15 +289,17 @@ def _normalise_ratio_sets(ratios, n_assets: int, n_steps: int, ops: ModeOps) -> 
             full.append([list(r) for r in per_asset])
 
     out = []
+    converted: dict = {}  # each set given converted once, so a flat set is shared
     for t, per_asset in enumerate(full):
         row = []
         for i, rset in enumerate(per_asset):
-            vals = [ops.convert(x) for x in rset]
-            if any(v <= 0 for v in vals):
-                raise PreconditionError(f"step {t}, asset {i + 1}: ratios must be positive")
-            if len(set(vals)) != len(vals):
-                raise PreconditionError(f"step {t}, asset {i + 1}: duplicate ratio")
-            row.append(vals)
+            if id(rset) not in converted:
+                vals = converted[id(rset)] = [ops.convert(x) for x in rset]
+                if any(v <= 0 for v in vals):
+                    raise PreconditionError(f"step {t}, asset {i + 1}: ratios must be positive")
+                if len(set(vals)) != len(vals):
+                    raise PreconditionError(f"step {t}, asset {i + 1}: duplicate ratio")
+            row.append(converted[id(rset)])
         out.append(row)
     return out
 

@@ -30,7 +30,11 @@ payoff labels all go through it.  Compiling checks every reference against
 the shape of the paths, so on a path the function raises only for a
 division by zero or a tail that leaves zero.  In rational mode it computes
 on pairs of ints and divides once per path; in float mode it performs the
-float operations of a walk over the values, in the same order.
+float operations of a walk over the values, in the same order.  One helper
+renormalises a tail at its arrival, for claims and tail labels alike, under
+one zero convention: 0/0 is 1, a coordinate at zero at the arrival that
+leaves zero is an :class:`EvaluationError`, and one that reaches zero later
+reads 0.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from ._numeric import FLOAT, RATIONAL_OPS, ModeOps
 from .errors import EvaluationError, PayoffSyntaxError, PreconditionError
@@ -110,10 +114,11 @@ class TailClaim:
     """A payoff read off the tail of a path, renormalised at ``arrival``.
 
     Evaluates ``inner`` on the sub-path from grid index ``arrival`` onward,
-    with every coordinate divided by its value at ``arrival`` (0/0 counts
-    as 1, so a path that is zero from ``arrival`` on looks constant).
-    ``inner``'s time indices then refer to the tail grid, whose final index
-    is the tail length.  Built by claim transport; has no concrete syntax.
+    with every coordinate divided by its value at ``arrival`` (0/0 is 1, a
+    coordinate that leaves zero is an :class:`EvaluationError`, and one that
+    reaches zero later reads 0).  ``inner``'s time indices then refer to the
+    tail grid, whose final index is the tail length.  Built by claim
+    transport; has no concrete syntax.
     """
 
     inner: "Expr"
@@ -149,22 +154,28 @@ def _over(a: tuple, b: tuple) -> tuple:
     return an * bd, bn * ad, ad * bd
 
 
-def _normalised_tail(rows, arrival: int, ops: ModeOps) -> Optional[tuple]:
+def _normalised_tail(rows, arrival: int, ops: ModeOps) -> tuple:
     """``(tail, den)``: the rows from ``arrival`` on, each coordinate over
-    its value there, as an integer view; 0/0 is 1.  None when a coordinate
-    at zero there leaves zero.
+    its value there, as an integer view; the one reader of a renormalised
+    tail.  Per path and coordinate: 0/0 is 1, a coordinate at zero at
+    ``arrival`` that leaves zero is an :class:`EvaluationError`, and one
+    that is nonzero there and reaches zero later reads 0.
 
     Both values are numerators over one denominator, so ``x / b`` is the
-    ratio of numerators; the tail puts them over their lcm.  In float mode
-    the tail is the quotients themselves over 1.
+    ratio of numerators; the tail puts them over their lcm, and is the rows
+    as they are when every scale is 1.  In float mode the tail is the
+    quotients themselves over 1.
     """
     base = rows[arrival]
     tail = rows[arrival:]
-    if any(b == 0 and x != 0 for row in tail for x, b in zip(row, base)):
-        return None
-    if ops.mode == FLOAT:
+    if 0 in base and any(b == 0 and x != 0 for row in tail for x, b in zip(row, base)):
+        raise EvaluationError("cannot renormalise a tail that leaves zero")
+    exact = ops.mode != FLOAT
+    den = lcm(*(b for b in base if b)) if exact else 1
+    if all(b == den for b in base):  # every scale is 1
+        return tail, den
+    if not exact:
         return [tuple(ops.one if b == 0 else x / b for x, b in zip(row, base)) for row in tail], 1
-    den = lcm(*(b for b in base if b))
     scale = [den // b if b else 0 for b in base]
     return [tuple(x * s if s else den for x, s in zip(row, scale)) for row in tail], den
 
@@ -283,14 +294,7 @@ def compile_payoff(expr: Expr, ops: ModeOps, n_coords: int, n_steps: int) -> Cal
             if not 0 <= arrival <= steps:
                 raise PreconditionError(f"tail arrival {arrival} outside grid 0..{steps}")
             f = build(node.inner, steps - arrival)
-
-            def tail(rows, den):
-                view = _normalised_tail(rows, arrival, ops)
-                if view is None:
-                    raise EvaluationError("cannot normalise a tail that leaves zero")
-                return f(*view)
-
-            return tail
+            return lambda rows, den: f(*_normalised_tail(rows, arrival, ops))
         raise PreconditionError(f"not a payoff node: {node!r}")
 
     top, ratio = build(expr, n_steps), ops.ratio

@@ -305,7 +305,7 @@ def run() -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 # reference payoff walk and labels, on the coordinates themselves
 
-from rip.errors import EvaluationError, PreconditionError  # noqa: E402
+from rip.errors import EvaluationError  # noqa: E402
 from rip.payoff import (  # noqa: E402
     FINAL_TIME,
     BinOp,
@@ -395,7 +395,12 @@ def evaluate_payoff(expr, values, ops):
 
 
 def _normalised_tail(values, arrival: int, ops) -> list:
-    """The rows from ``arrival`` on, each coordinate over its value there; 0/0 is ``ops.one``."""
+    """The rows from ``arrival`` on, each coordinate over its value there.
+
+    A coordinate at zero at ``arrival`` that stays there reads ``ops.one``
+    (0/0 is 1), one that leaves zero is an error, and one that reaches zero
+    later reads 0.
+    """
     if not 0 <= arrival < len(values):
         raise EvaluationError(f"tail arrival {arrival} outside 0..{len(values) - 1}")
     base = values[arrival]
@@ -405,7 +410,7 @@ def _normalised_tail(values, arrival: int, ops) -> list:
         for x, b in zip(row, base):
             if b == 0:
                 if x != 0:
-                    raise EvaluationError("cannot normalise a tail that leaves zero")
+                    raise EvaluationError("cannot renormalise a tail that leaves zero")
                 out.append(ops.one)
             else:
                 out.append(x / b)
@@ -437,53 +442,33 @@ def label_range_indicator(lower, upper, asset: int = 1):
     return label
 
 
-def label_tail_max_ratio(arrival: int, asset: int = 1):
+def label_lift_to_tail(base_label, arrival: int):
+    """``base_label`` read off the tail renormalised at ``arrival``."""
+    return lambda values, ops: base_label(_normalised_tail(values, arrival, ops), ops)
+
+
+def label_max_ratio(asset: int = 1):
+    """The worst of ``S_t/S_0`` and ``S_0/S_t``; no finite value once the series reaches zero."""
+
     def label(values, ops):
-        series = _series(values, asset)[arrival:]
-        base = series[0]
-        if base == 0 or any(x == 0 for x in series):
-            return ops.one
+        series = _series(values, asset)
+        if any(x == 0 for x in series):
+            raise EvaluationError("cannot take the max ratio of a tail that reaches zero")
         worst = ops.one
         for x in series:
-            r = x / base
+            r = x / series[0]
             worst = max(worst, r, 1 / r)
         return worst
 
     return label
 
 
+def label_tail_max_ratio(arrival: int, asset: int = 1):
+    return label_lift_to_tail(label_max_ratio(asset), arrival)
+
+
 def label_tail_range_indicator(lower, upper, arrival: int, asset: int = 1):
-    def label(values, ops):
-        series = _series(values, asset)[arrival:]
-        base = series[0]
-        if base == 0:
-            return ops.one
-        lo, hi = ops.convert(lower), ops.convert(upper)
-        inside = all(lo < x / base < hi for x in series)
-        return ops.one if inside else ops.zero
-
-    return label
-
-
-def label_lift_to_tail(base_label, arrival: int):
-    def label(values, ops):
-        base_row = values[arrival]
-        if any(x == 0 for x in base_row):
-            if all(x == 0 for row in values[arrival:] for x in row):
-                return ops.one
-            # a coordinate at zero cannot be renormalised unless it stays there
-            if any(
-                base == 0 and any(row[i] != 0 for row in values[arrival:])
-                for i, base in enumerate(base_row)
-            ):
-                raise PreconditionError("cannot renormalise a tail that leaves zero")
-            return ops.one
-        rows = tuple(
-            tuple(x / b for x, b in zip(row, base_row)) for row in values[arrival:]
-        )
-        return base_label(rows, ops)
-
-    return label
+    return label_lift_to_tail(label_range_indicator(lower, upper, asset), arrival)
 
 
 def space_labels(space, label) -> tuple:

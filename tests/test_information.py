@@ -15,11 +15,13 @@ import rip.hedging
 import rip.pricing
 from rip import (
     Atom,
+    EvaluationError,
     InfoStructure,
     InfoVariable,
     ModeOps,
     PreconditionError,
     StaticOptionBook,
+    TailClaim,
     atoms_at,
     build_hedge_problem,
     build_lattice,
@@ -149,10 +151,13 @@ class TestCatalogVariables:
         assert labels == {1, 2}
 
     def test_tail_max_ratio_labels_zero_tails_one(self):
+        # a tail at zero from the arrival on reads 1 throughout, a constant tail
+        space = space_from_paths([[(1,), (0,), (0,)], [(1,), (1,), (1,)]], n_assets=1)
+        assert labels_of(tail_max_ratio(1), space) == [1, 1]
+        # a tail that reaches zero later has no finite swing
         space = space_from_paths([[(1,), (1,), (0,)], [(1,), (1,), (1,)]], n_assets=1)
-        var = tail_max_ratio(1)
-        zero_path = next(p for p in space.all_paths() if space.rows(p)[2][0] == 0)
-        assert labels_of(var, space)[zero_path] == 1
+        with pytest.raises(EvaluationError, match="max ratio of a tail that reaches zero"):
+            labels_of(tail_max_ratio(1), space)
 
     def test_tail_range_indicator(self, tri2):
         var = tail_range_indicator(rat(3, 4), rat(3, 2), 1)
@@ -543,12 +548,48 @@ def test_labels_on_the_integer_view_match_the_formulas(name):
 def test_lifting_refuses_a_tail_that_leaves_zero(mode):
     space = space_from_paths([[(1, 1), (1, 0), (2, 1)], [(1, 1), (1, 1), (1, 2)]], 2, mode)
     reference = oracle.label_lift_to_tail(oracle.label_max_abs_deviation(1), 1)
-    with pytest.raises(PreconditionError, match="cannot renormalise a tail that leaves zero"):
+    with pytest.raises(EvaluationError, match="cannot renormalise a tail that leaves zero"):
         oracle.space_labels(space, reference)
-    with pytest.raises(PreconditionError, match="cannot renormalise a tail that leaves zero"):
+    with pytest.raises(EvaluationError, match="cannot renormalise a tail that leaves zero"):
         _labels(space, lift_to_tail(max_abs_deviation(1), 1))
-    # the tail variables themselves label such a path 1
-    assert _labels(space, tail_max_ratio(1, 2))[0] == 1
+    # the tail variables are lifts too, so they refuse such a path as well
+    with pytest.raises(EvaluationError, match="cannot renormalise a tail that leaves zero"):
+        _labels(space, tail_max_ratio(1, 2))
+
+
+LEAVES = "cannot renormalise a tail that leaves zero"
+REACHES = "cannot take the max ratio of a tail that reaches zero"
+# the first path leaves zero after the arrival at 1, the third reaches it later
+TAIL_ZERO_PATHS = [[(1,), (0,), ("1/2",)], [(1,), (1,), (2,)], [(1,), ("1/2",), (0,)]]
+# space, then per reader the labels or the one error's message, the same in both modes
+TAIL_ZERO_TABLE = [
+    (TAIL_ZERO_PATHS, (LEAVES, LEAVES, LEAVES, LEAVES)),
+    (TAIL_ZERO_PATHS[1:], (REACHES, (0, 0), (1, 1), (1, 1))),
+    # the first path sits at zero from the arrival on, so its tail reads 1 throughout
+    (
+        [[(1,), (0,), (0,)], [(1,), (1,), (2,)], [(1,), ("1/2",), ("1/2",)]],
+        ((1, 2, 1), (1, 0, 1), (0, 1, 0), (0, 1, 0)),
+    ),
+]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("case", range(len(TAIL_ZERO_TABLE)))
+def test_every_tail_reader_keeps_one_zero_convention(case, mode):
+    paths, want = TAIL_ZERO_TABLE[case]
+    space = space_from_paths(paths, 1, mode)
+    readers = (
+        tail_max_ratio(1),
+        tail_range_indicator("3/4", "3/2", 1),
+        lift_to_tail(max_abs_deviation(), 1),
+        info_from_payoff(TailClaim(parse_payoff("max(maxt(1) - 1, 1 - mint(1))"), 1)),
+    )
+    for reader, expected in zip(readers, want):
+        if isinstance(expected, str):
+            with pytest.raises(EvaluationError, match=expected):
+                _labels(space, reader)
+        else:
+            assert _labels(space, reader) == expected, reader.name
 
 
 def _same_scaling_form(space):
